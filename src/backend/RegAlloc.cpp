@@ -296,5 +296,6 @@ RegAllocStats majic::allocateRegisters(IRFunction &F,
   F.NumPSpill = 0;
   F.Allocated = true;
   F.Loops.clear(); // instruction indices are stale now
+  F.resolveBuiltins();
   return Stats;
 }

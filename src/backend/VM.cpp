@@ -12,6 +12,7 @@
 #include "runtime/Builtins.h"
 #include "runtime/Ops.h"
 #include "support/Parallel.h"
+#include "support/ResourceGuard.h"
 #include "support/StringUtils.h"
 
 #include <cmath>
@@ -67,8 +68,7 @@ constexpr size_t kEwGrain = 32768;
 /// program op runs as its own strip loop storing to a stack-slot array,
 /// so the compiler cannot contract a multiply and an add into an FMA
 /// across ops, just as the interpreter's separate memory passes cannot.
-Value runEwFuse(const IRFunction &F, const Instr &In,
-                const std::vector<ValuePtr> &PR) {
+Value runEwFuse(const IRFunction &F, const Instr &In, const ValuePtr *PR) {
   const int32_t *Prog = F.Pool.data() + In.D;
   const size_t ProgLen = static_cast<size_t>(In.Imm.I);
   const int32_t NumOps = In.C;
@@ -107,7 +107,7 @@ Value runEwFuse(const IRFunction &F, const Instr &In,
 
   double *PO = Out.reData();
   constexpr size_t kStrip = 128;
-  par::parallelFor(N, kEwGrain, [&](size_t Begin, size_t End) {
+  auto Body = [&](size_t Begin, size_t End) {
     // Stack slots are (pointer, stride) views: a Push is free (it aliases
     // the operand strip or its scalar splat), each operator writes its
     // slot's scratch strip, and the final operator writes the output array
@@ -248,30 +248,75 @@ Value runEwFuse(const IRFunction &F, const Instr &In,
         }
       }
     }
-  });
+  };
+  // A one-element result runs inline: no region set-up, but the same
+  // interrupt poll a region entry makes.
+  if (N == 1) {
+    exec::pollInterrupt();
+    Body(0, 1);
+  } else {
+    par::parallelFor(N, kEwGrain, Body);
+  }
   return Out;
 }
 
 } // namespace
 
+/// Leases Frames[Depth] to one invocation. On return and on unwind it
+/// drops the frame's value references, so a finished call keeps no values
+/// (or their tracked bytes) alive, and once the outermost invocation ends
+/// it trims the frames a deep recursion left behind.
+class VM::FrameScope {
+public:
+  FrameScope(VM &M, const IRFunction &F) : M(M) {
+    if (M.Depth == M.Frames.size())
+      M.Frames.push_back(std::make_unique<Frame>());
+    Fr = M.Frames[M.Depth].get();
+    Fr->FR.assign(F.NumF, 0.0);
+    Fr->IR.assign(F.NumI, 0);
+    Fr->PR.resize(F.NumP);
+    Fr->FSp.assign(F.NumFSpill, 0.0);
+    Fr->ISp.assign(F.NumISpill, 0);
+    Fr->PSp.resize(F.NumPSpill);
+    Fr->Outs.resize(F.NumOuts);
+    ++M.Depth;
+  }
+  ~FrameScope() {
+    Fr->PR.clear();
+    Fr->PSp.clear();
+    Fr->Outs.clear();
+    if (--M.Depth == 0 && M.Frames.size() > kRetainedFrames)
+      M.Frames.resize(kRetainedFrames);
+  }
+  FrameScope(const FrameScope &) = delete;
+  FrameScope &operator=(const FrameScope &) = delete;
+
+  Frame &frame() const { return *Fr; }
+
+private:
+  VM &M;
+  Frame *Fr;
+};
+
 std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
                               size_t NumOuts) {
   assert(F.Allocated && "VM requires register-allocated code");
+  assert(F.Builtins.size() == F.Names.size() && "builtins not resolved");
   obs::TraceScope Span("vm.run", "exec", F.Name);
 
-  // Register files (physical) and spill frames.
-  std::vector<double> FR(F.NumF, 0.0);
-  std::vector<int64_t> IR(F.NumI, 0);
-  std::vector<ValuePtr> PR(F.NumP);
-  std::vector<double> FSp(F.NumFSpill, 0.0);
-  std::vector<int64_t> ISp(F.NumISpill, 0);
-  std::vector<ValuePtr> PSp(F.NumPSpill);
-  std::vector<ValuePtr> Outs(F.NumOuts);
-
-  // Resolve builtin names once per invocation.
-  std::vector<const BuiltinDef *> Builtins(F.Names.size(), nullptr);
-  for (size_t N = 0; N != F.Names.size(); ++N)
-    Builtins[N] = BuiltinTable::instance().lookup(F.Names[N]);
+  // Register files (physical) and spill frames. The vectors are sized on
+  // entry and never resized while this invocation runs, so raw pointers
+  // stay valid across nested calls (which lease deeper frames).
+  FrameScope Scope(*this, F);
+  Frame &Fr = Scope.frame();
+  double *const FR = Fr.FR.data();
+  int64_t *const IR = Fr.IR.data();
+  ValuePtr *const PR = Fr.PR.data();
+  double *const FSp = Fr.FSp.data();
+  int64_t *const ISp = Fr.ISp.data();
+  ValuePtr *const PSp = Fr.PSp.data();
+  std::vector<ValuePtr> &Outs = Fr.Outs;
+  const BuiltinDef *const *Builtins = F.Builtins.data();
 
   const Instr *Code = F.Code.data();
   size_t PC = 0;
@@ -421,8 +466,9 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
               format("output argument %zu of '%s' not assigned", K + 1,
                      F.Name.c_str()));
       }
-      Outs.resize(std::min(NumOuts, Outs.size()));
-      return Outs;
+      return std::vector<ValuePtr>(
+          std::make_move_iterator(Outs.begin()),
+          std::make_move_iterator(Outs.begin() + NumOuts));
     }
 
     case Opcode::BoxF:
@@ -656,11 +702,16 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       if (!Def)
         throw MatlabError(format("unknown builtin '%s'",
                                  F.Names[NameId].c_str()));
-      std::vector<ValuePtr> CallArgs = GatherArgs(In.C, In.D);
+      // The registers keep the arguments alive for the call: no handles
+      // are copied, only their pointers.
       std::vector<const Value *> Ptrs;
-      Ptrs.reserve(CallArgs.size());
-      for (const ValuePtr &V : CallArgs)
+      Ptrs.reserve(In.D);
+      for (int32_t K = 0; K != In.D; ++K) {
+        const ValuePtr &V = PR[F.Pool[In.C + K]];
+        if (!V)
+          throw MatlabError("internal: null argument value");
         Ptrs.push_back(V.get());
+      }
       std::vector<Value> Rs = BuiltinTable::call(
           *Def, Ctx, Ptrs, Statement ? 0 : static_cast<size_t>(In.B));
       for (int32_t K = 0; K != In.B; ++K) {

@@ -22,6 +22,7 @@
 #include "runtime/Builtins.h"
 #include "runtime/Context.h"
 
+#include <memory>
 #include <vector>
 
 namespace majic {
@@ -48,10 +49,30 @@ public:
   /// ablation benches use this as an architecture-neutral cost measure).
   uint64_t instructionsExecuted() const { return InstrCount; }
 
+  /// Frames kept for reuse once no invocation is running (at most
+  /// kRetainedFrames after a deep recursion unwinds).
+  size_t retainedFrames() const { return Frames.size(); }
+
+  static constexpr size_t kRetainedFrames = 64;
+
 private:
+  /// Register files and spill memory of one invocation. Frames[D] serves
+  /// every invocation at VM nesting depth D (a CallU that re-enters run()
+  /// through the resolver nests one deeper), so a call reuses the vectors'
+  /// capacity instead of allocating six of them. Heap-allocated one by one
+  /// so a nested call growing Frames cannot move a live caller's frame.
+  struct Frame {
+    std::vector<double> FR, FSp;
+    std::vector<int64_t> IR, ISp;
+    std::vector<ValuePtr> PR, PSp, Outs;
+  };
+  class FrameScope;
+
   Context &Ctx;
   CallResolver &Resolver;
   uint64_t InstrCount = 0;
+  std::vector<std::unique_ptr<Frame>> Frames;
+  size_t Depth = 0; ///< invocations currently running on this VM
 };
 
 } // namespace majic

@@ -226,8 +226,10 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
     }
     for (RepoStore::ProfileSummary &PS : ProfileStore->loadProfiles()) {
       Profiles.mergePersisted(PS.Name, PS.Invocations, PS.OtherSignatures);
+      ProfiledSigs &Known = ProfiledSigsByFn[PS.Name];
       for (const RepoStore::ProfileSig &Sg : PS.Sigs)
-        Profiles.mergeSignatureCount(PS.Name, Sg.SigStr, Sg.Count);
+        if (Profiles.mergeSignatureCount(PS.Name, Sg.SigStr, Sg.Count).Added)
+          Known.Held.push_back({Sg.Sig, Sg.SigStr});
       if (!PS.Sigs.empty())
         PendingProfileSigs[PS.Name] = std::move(PS.Sigs);
     }
@@ -663,6 +665,7 @@ void Engine::adoptWarmEntries(const std::string &Name, uint64_t SrcHash) {
       NativeVersion &NV = NativeVersions[nativeKey(Name, E.Sig)];
       NV.St = NativeVersion::State::Ready;
       NV.Module = std::move(Mod);
+      ++NativeEpoch;
       obs::traceInstant("warm.adopt_native", "native", Name);
     } catch (...) {
       NativeFailures.inc();
@@ -1133,6 +1136,7 @@ void Engine::invalidateFunction(const std::string &Name) {
     else
       ++It;
   }
+  ++NativeEpoch;
 }
 
 void Engine::noteCompileFailure(const std::string &Name, uint64_t Gen) {
@@ -1191,8 +1195,19 @@ TypeSignature Engine::speculated(const std::string &Name) {
 // Observability
 //===----------------------------------------------------------------------===//
 
-const std::string &Engine::observeSignature(LoadedFunction &LF,
-                                            const TypeSignature &Sig) {
+void Engine::observeSignature(LoadedFunction &LF, const TypeSignature &Sig) {
+  const std::string &Name = LF.F->name();
+  if (!LF.Profiled)
+    LF.Profiled = &ProfiledSigsByFn[Name];
+  ProfiledSigs &PS = *LF.Profiled;
+  // Records the rendering \p Str of \p S and notes what the profile
+  // table answered.
+  auto Record = [&](const TypeSignature &S, const std::string &Str) {
+    obs::FunctionProfiles::SigCredit C = Profiles.recordInvocation(Name, Str);
+    if (C.Added)
+      PS.Held.push_back({S, Str});
+    PS.Full = C.Full;
+  };
   for (LoadedFunction::SigObs &O : LF.Obs) {
     if (!(O.Sig == Sig))
       continue;
@@ -1206,10 +1221,11 @@ const std::string &Engine::observeSignature(LoadedFunction &LF,
         // pays no extra locking.
         LF.BestIdx = Idx;
         std::lock_guard<std::mutex> L(SpecMutex);
-        ObservedSigByFn[LF.F->name()] = O.Sig;
+        ObservedSigByFn[Name] = O.Sig;
       }
     }
-    return O.Str;
+    Record(O.Sig, O.Str);
+    return;
   }
   if (LF.Obs.size() < obs::FunctionProfiles::kMaxSignatures) {
     LF.Obs.push_back({Sig, Sig.str(), 1});
@@ -1218,14 +1234,36 @@ const std::string &Engine::observeSignature(LoadedFunction &LF,
       LF.BestCount = O.Count;
       LF.BestIdx = LF.Obs.size() - 1;
       std::lock_guard<std::mutex> L(SpecMutex);
-      ObservedSigByFn[LF.F->name()] = O.Sig;
+      ObservedSigByFn[Name] = O.Sig;
     }
-    return O.Str;
+    Record(O.Sig, O.Str);
+    return;
   }
-  // Megamorphic overflow: past the cap the rendering is not cached (the
-  // profile layer folds these calls into its own overflow counter anyway).
-  LF.OverflowSig = Sig.str();
-  return LF.OverflowSig;
+  // Megamorphic overflow (recursion passes constants, so every distinct
+  // argument value is a signature). The rendering matters only when the
+  // profile table may hold it already or still has room for it; a full
+  // table that certainly does not hold it takes the call into its
+  // overflow bucket unrendered.
+  bool Rendered = false;
+  for (const auto &[HeldSig, HeldStr] : PS.Held) {
+    if (!Sig.mayRenderSame(HeldSig))
+      continue;
+    if (!Rendered) {
+      LF.OverflowSig = Sig.str();
+      Rendered = true;
+    }
+    if (LF.OverflowSig == HeldStr) {
+      Profiles.recordInvocation(Name, HeldStr);
+      return;
+    }
+  }
+  if (PS.Full) {
+    Profiles.recordOverflowInvocation(Name);
+    return;
+  }
+  if (!Rendered)
+    LF.OverflowSig = Sig.str();
+  Record(Sig, LF.OverflowSig);
 }
 
 bool Engine::observedSignatureFor(const std::string &Name, size_t Arity,
@@ -1422,7 +1460,7 @@ std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
   }
 
   TypeSignature Sig = TypeSignature::ofValues(Args);
-  Profiles.recordInvocation(Name, observeSignature(*LF, Sig));
+  observeSignature(*LF, Sig);
   CompiledObjectPtr Obj = Repo.lookup(Name, Sig);
   if (Obj)
     LF->SigMissStreak = 0;
@@ -1521,16 +1559,34 @@ std::vector<ValuePtr> Engine::NativeHostBridge::callFunction(
 
 std::shared_ptr<native::NativeModule>
 Engine::nativeModuleFor(const CompiledObject &Obj) {
+  if (NativeMemoEpoch == NativeEpoch) {
+    auto MemoIt = NativeMemos.find(Obj.Id);
+    if (MemoIt != NativeMemos.end())
+      return MemoIt->second;
+  }
+  auto Memo = [&](std::shared_ptr<native::NativeModule> Mod) {
+    // Bounded: stale ids of replaced objects go with the next clear.
+    if (NativeMemoEpoch != NativeEpoch || NativeMemos.size() >= 1024) {
+      NativeMemos.clear();
+      NativeMemoEpoch = NativeEpoch;
+    }
+    NativeMemos[Obj.Id] = Mod;
+    return Mod;
+  };
   std::string Key = nativeKey(Obj.FunctionName, Obj.Sig);
   {
     std::lock_guard<std::mutex> L(SpecMutex);
     auto It = NativeVersions.find(Key);
-    if (It != NativeVersions.end())
-      return It->second.St == NativeVersion::State::Ready ? It->second.Module
-                                                          : nullptr;
+    if (It != NativeVersions.end()) {
+      if (It->second.St == NativeVersion::State::Pending)
+        return nullptr;
+      return Memo(It->second.Module);
+    }
   }
+  // Without a compiler a version can only appear by warm adoption, which
+  // moves the epoch.
   if (!NativeComp->available())
-    return nullptr;
+    return Memo(nullptr);
   // Promotion is profile-guided: the function must have earned the
   // hotness threshold (counting invocations persisted from previous
   // sessions, so a warm start re-promotes immediately).
@@ -1545,6 +1601,7 @@ Engine::nativeModuleFor(const CompiledObject &Obj) {
     if (!New)
       return It->second.St == NativeVersion::State::Ready ? It->second.Module
                                                           : nullptr;
+    const uint64_t Gen = SourceGeneration[Obj.FunctionName];
     // Compile off-thread when a pool exists: the invocation that crossed
     // the threshold still runs on the VM while cc works in the
     // background (the paper's "the user never waits", applied to a
@@ -1555,12 +1612,13 @@ Engine::nativeModuleFor(const CompiledObject &Obj) {
       auto IdBox = std::make_shared<ThreadPool::TaskId>(0);
       try {
         ThreadPool::TaskId Id = SpecPool->enqueue(
-            [this, Name = Obj.FunctionName, Sig = Obj.Sig, Code, IdBox] {
+            [this, Name = Obj.FunctionName, Sig = Obj.Sig, Code, Gen,
+             IdBox] {
               {
                 std::lock_guard<std::mutex> L2(SpecMutex);
                 QueuedNativeIds.erase(*IdBox);
               }
-              buildNative(Name, Sig, Code);
+              buildNative(Name, Sig, Code, Gen);
               {
                 std::lock_guard<std::mutex> L2(SpecMutex);
                 --PendingNative;
@@ -1576,8 +1634,9 @@ Engine::nativeModuleFor(const CompiledObject &Obj) {
         --PendingNative;
       }
     }
+    L.unlock();
+    buildNative(Obj.FunctionName, Obj.Sig, Code, Gen);
   }
-  buildNative(Obj.FunctionName, Obj.Sig, Code);
   std::lock_guard<std::mutex> L(SpecMutex);
   auto It = NativeVersions.find(Key);
   if (It != NativeVersions.end() && It->second.St == NativeVersion::State::Ready)
@@ -1586,7 +1645,8 @@ Engine::nativeModuleFor(const CompiledObject &Obj) {
 }
 
 void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
-                         std::shared_ptr<const IRFunction> Code) {
+                         std::shared_ptr<const IRFunction> Code,
+                         uint64_t Gen) {
   std::string Key = nativeKey(Name, Sig);
   std::shared_ptr<native::NativeModule> Mod;
   std::vector<uint8_t> So;
@@ -1602,7 +1662,8 @@ void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
     NativeFailures.inc();
     obs::traceInstant("native.fail", "native", Name);
     std::lock_guard<std::mutex> L(SpecMutex);
-    NativeVersions[Key].St = NativeVersion::State::Failed;
+    if (SourceGeneration[Name] == Gen)
+      NativeVersions[Key].St = NativeVersion::State::Failed;
     return;
   }
   NativeCompiles.inc();
@@ -1610,6 +1671,10 @@ void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
   uint32_t NumOuts = static_cast<uint32_t>(Mod->numOuts());
   {
     std::lock_guard<std::mutex> L(SpecMutex);
+    // The source was reloaded or removed while cc ran: this module is
+    // the old source's, and must not settle the new source's version.
+    if (SourceGeneration[Name] != Gen)
+      return;
     NativeVersion &NV = NativeVersions[Key];
     NV.St = NativeVersion::State::Ready;
     NV.Module = std::move(Mod);
@@ -1647,6 +1712,7 @@ void Engine::quarantineNative(const std::string &Name,
     NativeVersion &NV = NativeVersions[nativeKey(Name, Sig)];
     NV.St = NativeVersion::State::Failed;
     NV.Module.reset();
+    ++NativeEpoch;
   }
   // Drop the on-disk entries too: code that failed at run time must not
   // resurrect on the next warm start.

@@ -385,6 +385,8 @@ public:
   const EngineOptions &options() const { return Opts; }
   std::string diagnostics() const { return Diags.render(SM); }
   uint64_t vmInstructions() const { return Machine->instructionsExecuted(); }
+  /// VM frames kept for reuse between invocations (VM::retainedFrames).
+  size_t vmRetainedFrames() const { return Machine->retainedFrames(); }
 
   /// The speculated signature of \p Name (tests/inspection).
   TypeSignature speculated(const std::string &Name);
@@ -443,6 +445,20 @@ public:
   }
 
 private:
+  /// What one function's profile signature table holds, as the engine
+  /// learned it from the profile layer's answers: every typed entry with
+  /// the signature that rendered it, and whether the table is full. A
+  /// call past the engine's own signature cap renders its signature only
+  /// when some entry may share the rendering or the table still has room,
+  /// so a megamorphic (e.g. recursive) function renders nothing in the
+  /// steady state and the profile counts stay exactly what rendering every
+  /// call would give. Keyed by name because the profile entry outlives
+  /// reloads of the source.
+  struct ProfiledSigs {
+    std::vector<std::pair<TypeSignature, std::string>> Held;
+    bool Full = false;
+  };
+
   struct LoadedFunction {
     Function *F = nullptr;
     Module *M = nullptr;
@@ -462,12 +478,16 @@ private:
       uint64_t Count = 0;
     };
     /// Observed signatures, capped at obs::FunctionProfiles::kMaxSignatures
-    /// entries (overflow renders fresh per call). Engine-thread only; the
-    /// most-called signature is published into ObservedSigByFn (under
-    /// SpecMutex) for the background workers.
+    /// entries (calls past the cap consult ProfiledSigsByFn instead, which
+    /// renders only when the profile could credit the call to an entry of
+    /// its own). Engine-thread only; the most-called signature is
+    /// published into ObservedSigByFn (under SpecMutex) for the background
+    /// workers.
     std::vector<SigObs> Obs;
     size_t BestIdx = SIZE_MAX; ///< index into Obs of the published best
     uint64_t BestCount = 0;    ///< its call count at publish time
+    /// This function's ProfiledSigsByFn entry (resolved on first call).
+    ProfiledSigs *Profiled = nullptr;
     /// Rendering scratch for signatures past the Obs cap.
     std::string OverflowSig;
     /// Deopt count and consecutive repository-miss streak feeding the
@@ -597,8 +617,10 @@ private:
   /// Emits C for \p Code, drives the system compiler, loads the result,
   /// publishes the module, and persists the .so bytes beside the .mjo.
   /// Never throws: any failure marks the version Failed (VM from then on).
+  /// A result whose source generation \p Gen is no longer current is
+  /// dropped: the pending version it was for was invalidated meanwhile.
   void buildNative(const std::string &Name, const TypeSignature &Sig,
-                   std::shared_ptr<const IRFunction> Code);
+                   std::shared_ptr<const IRFunction> Code, uint64_t Gen);
 
   /// Drops one native version after a runtime failure (deopt, injected
   /// fault): the module is discarded, the version pinned to the VM, and
@@ -606,11 +628,11 @@ private:
   /// not resurrect the bad code.
   void quarantineNative(const std::string &Name, const TypeSignature &Sig);
 
-  /// Records one observation of \p Sig on \p LF (count bump, publishing
-  /// the most-called signature for the speculation workers) and returns
-  /// its cached rendering for the profile layer.
-  const std::string &observeSignature(LoadedFunction &LF,
-                                      const TypeSignature &Sig);
+  /// Records one call of \p LF with \p Sig: the engine-side count
+  /// (publishing the most-called signature for the speculation workers)
+  /// and the profile layer's invocation and signature counts.
+  void observeSignature(LoadedFunction &LF, const TypeSignature &Sig);
+
 
   //===--------------------------------------------------------------------===
   // Observability. Declared before every other member: components register
@@ -650,6 +672,8 @@ private:
 
   std::vector<std::unique_ptr<Module>> Modules;
   std::unordered_map<std::string, LoadedFunction> Functions;
+  /// Engine-thread only (node-stable: LoadedFunction::Profiled points in).
+  std::unordered_map<std::string, ProfiledSigs> ProfiledSigsByFn;
 
   // Interactive workspace (scripts).
   std::unordered_map<std::string, ValuePtr> WorkspaceByName;
@@ -693,6 +717,19 @@ private:
     std::shared_ptr<native::NativeModule> Module;
   };
   std::unordered_map<std::string, NativeVersion> NativeVersions;
+  /// nativeModuleFor's settled answers by CompiledObject::Id: the module
+  /// of a ready version, or none for a failed version or a host without a
+  /// compiler. A recursive call that re-enters through the host bridge
+  /// then skips the key rendering and the lock. Workers only settle
+  /// pending versions, which are never memoized; every other change to a
+  /// version (quarantine, invalidation, warm adoption) runs on the engine
+  /// thread and bumps NativeEpoch, which empties the memo before its next
+  /// use. Ids are never reused, so a freed object's entry matches nothing.
+  /// Engine-thread only.
+  std::unordered_map<uint64_t, std::shared_ptr<native::NativeModule>>
+      NativeMemos;
+  uint64_t NativeEpoch = 0;     ///< engine-thread only
+  uint64_t NativeMemoEpoch = 0; ///< the epoch NativeMemos was filled at
   /// Validated .mjn entries waiting for their source (and its hash) to be
   /// loaded, exactly like PendingWarm. Engine-thread only.
   std::unordered_map<std::string, std::vector<RepoStore::NativeEntry>>

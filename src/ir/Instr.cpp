@@ -6,6 +6,7 @@
 
 #include "ir/Instr.h"
 
+#include "runtime/Builtins.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -181,6 +182,12 @@ int32_t IRFunction::internName(const std::string &N) {
 int32_t IRFunction::internString(const std::string &S) {
   Strings.push_back(S);
   return static_cast<int32_t>(Strings.size() - 1);
+}
+
+void IRFunction::resolveBuiltins() {
+  Builtins.resize(Names.size());
+  for (size_t N = 0; N != Names.size(); ++N)
+    Builtins[N] = BuiltinTable::instance().lookup(Names[N]);
 }
 
 std::string IRFunction::print() const {

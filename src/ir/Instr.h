@@ -234,6 +234,8 @@ struct LoopMeta {
   int32_t TripReg;       ///< I register holding the trip count.
 };
 
+struct BuiltinDef;
+
 /// One compiled function in the low-level IR. Before register allocation,
 /// register operands denote virtual registers (NumVirt* of each class);
 /// after allocation they denote physical registers and spill slots.
@@ -247,6 +249,10 @@ public:
   std::vector<int32_t> Pool;        ///< Operand lists for call-like ops.
   std::vector<std::string> Names;   ///< Builtin/user/variable names.
   std::vector<std::string> Strings; ///< String literals.
+  /// Names resolved against the builtin table (null where a name is not a
+  /// builtin), filled by resolveBuiltins() when the function is register
+  /// allocated or read from the store, so a call pays no table search.
+  std::vector<const BuiltinDef *> Builtins;
 
   unsigned NumF = 0, NumI = 0, NumP = 0; ///< Register counts (virt or phys).
   unsigned NumFSpill = 0, NumISpill = 0, NumPSpill = 0;
@@ -257,6 +263,9 @@ public:
   /// Interns \p N into Names, returning its id.
   int32_t internName(const std::string &N);
   int32_t internString(const std::string &S);
+
+  /// Fills Builtins from Names.
+  void resolveBuiltins();
 
   /// Renders the function as text for tests and debugging.
   std::string print() const;

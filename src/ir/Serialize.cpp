@@ -173,6 +173,7 @@ IRFunction majic::ser::readIRFunction(ByteReader &R) {
     F.Loops.push_back(L);
   }
   validateIRFunction(F);
+  F.resolveBuiltins();
   return F;
 }
 

@@ -9,29 +9,46 @@
 #include "obs/Metrics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 using namespace majic;
 using namespace majic::obs;
 
-void FunctionProfiles::Entry::addSignature(const std::string &SigStr,
-                                           uint64_t Count) {
+FunctionProfiles::SigCredit
+FunctionProfiles::Entry::addSignature(const std::string &SigStr,
+                                      uint64_t Count) {
+  SigCredit C;
   auto It = Sigs.find(SigStr);
-  if (It != Sigs.end())
+  if (It != Sigs.end()) {
     It->second += Count;
-  else if (Sigs.size() < kMaxSignatures)
+  } else if (Sigs.size() < kMaxSignatures) {
     Sigs.emplace(SigStr, Count);
-  else
+    C.Added = true;
+  } else {
     OtherSignatures += Count;
+  }
+  C.Full = Sigs.size() >= kMaxSignatures;
+  return C;
 }
 
-void FunctionProfiles::recordInvocation(const std::string &Name,
-                                        const std::string &SigStr) {
+FunctionProfiles::SigCredit
+FunctionProfiles::recordInvocation(const std::string &Name,
+                                   const std::string &SigStr) {
   Shard &S = shardFor(Name);
   std::lock_guard<std::mutex> L(S.M);
   Entry &E = S.Map[Name];
   ++E.Invocations;
-  E.addSignature(SigStr, 1);
+  return E.addSignature(SigStr, 1);
+}
+
+void FunctionProfiles::recordOverflowInvocation(const std::string &Name) {
+  Shard &S = shardFor(Name);
+  std::lock_guard<std::mutex> L(S.M);
+  Entry &E = S.Map[Name];
+  assert(E.Sigs.size() >= kMaxSignatures && "overflow before the cap");
+  ++E.Invocations;
+  ++E.OtherSignatures;
 }
 
 void FunctionProfiles::recordVmRun(const std::string &Name, double Seconds) {
@@ -91,12 +108,13 @@ void FunctionProfiles::mergePersisted(const std::string &Name,
   E.OtherSignatures += OtherSigs;
 }
 
-void FunctionProfiles::mergeSignatureCount(const std::string &Name,
-                                           const std::string &SigStr,
-                                           uint64_t Count) {
+FunctionProfiles::SigCredit
+FunctionProfiles::mergeSignatureCount(const std::string &Name,
+                                      const std::string &SigStr,
+                                      uint64_t Count) {
   Shard &S = shardFor(Name);
   std::lock_guard<std::mutex> L(S.M);
-  S.Map[Name].addSignature(SigStr, Count);
+  return S.Map[Name].addSignature(SigStr, Count);
 }
 
 FunctionProfile FunctionProfiles::toProfile(const std::string &Name,

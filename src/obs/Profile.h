@@ -18,7 +18,9 @@
 /// signature render). Per function only the first kMaxSignatures distinct
 /// signatures get their own counter; further distinct signatures land in
 /// an OtherSignatures overflow bucket so a megamorphic call site cannot
-/// grow the map without bound.
+/// grow the map without bound. Each recording reports whether it opened an
+/// entry and whether the table is full, so the engine can tell a call that
+/// must land in the overflow bucket without rendering its signature.
 ///
 /// Thread-safe: the name->entry map is sharded by name hash so the engine
 /// thread recording invocations and the background workers recording
@@ -66,7 +68,17 @@ public:
   /// only bump the OtherSignatures overflow counter.
   static constexpr size_t kMaxSignatures = 16;
 
-  void recordInvocation(const std::string &Name, const std::string &SigStr);
+  /// Where one signature count landed in a function's signature table.
+  struct SigCredit {
+    bool Added = false; ///< the count opened an entry of its own
+    bool Full = false;  ///< the table holds kMaxSignatures entries now
+  };
+
+  SigCredit recordInvocation(const std::string &Name,
+                             const std::string &SigStr);
+  /// Records a call whose signature the caller knows the full table does
+  /// not hold (so it needs no rendering): it lands in OtherSignatures.
+  void recordOverflowInvocation(const std::string &Name);
   void recordVmRun(const std::string &Name, double Seconds);
   void recordInterpRun(const std::string &Name, double Seconds);
   void recordNativeRun(const std::string &Name, double Seconds);
@@ -81,8 +93,8 @@ public:
 
   /// Merge a persisted per-signature call count; overflow past the cap is
   /// folded into OtherSignatures like live recording.
-  void mergeSignatureCount(const std::string &Name, const std::string &SigStr,
-                           uint64_t Count);
+  SigCredit mergeSignatureCount(const std::string &Name,
+                                const std::string &SigStr, uint64_t Count);
 
   /// The profile of \p Name; a zeroed profile when never recorded.
   FunctionProfile profile(const std::string &Name) const;
@@ -114,7 +126,7 @@ private:
     uint64_t OtherSignatures = 0;
     std::unordered_map<std::string, uint64_t> Sigs;
 
-    void addSignature(const std::string &SigStr, uint64_t Count);
+    SigCredit addSignature(const std::string &SigStr, uint64_t Count);
   };
 
   struct Shard {

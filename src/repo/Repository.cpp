@@ -13,6 +13,11 @@
 
 using namespace majic;
 
+uint64_t CompiledObject::nextId() {
+  static std::atomic<uint64_t> Next{1};
+  return Next.fetch_add(1, std::memory_order_relaxed);
+}
+
 CompiledObjectPtr Repository::lookup(const std::string &Name,
                                      const TypeSignature &Invocation) const {
   std::shared_lock<std::shared_mutex> L(Mutex);

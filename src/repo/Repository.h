@@ -54,13 +54,20 @@ struct CompiledObject {
   /// Per-object use count; atomic because the locator bumps it from
   /// whichever thread performs the lookup.
   mutable std::atomic<uint64_t> Hits{0};
+  /// Process-unique identity of this content, never reused: a move hands
+  /// it on with the content and gives the moved-from husk a fresh one.
+  /// Keys per-object memos that must not outlive the object (the engine's
+  /// native-module memo).
+  uint64_t Id = nextId();
 
   CompiledObject() = default;
   CompiledObject(CompiledObject &&O) noexcept
       : FunctionName(std::move(O.FunctionName)), Sig(std::move(O.Sig)),
         Code(std::move(O.Code)), Mode(O.Mode),
         CompileSeconds(O.CompileSeconds), From(O.From),
-        Hits(O.Hits.load(std::memory_order_relaxed)) {}
+        Hits(O.Hits.load(std::memory_order_relaxed)), Id(O.Id) {
+    O.Id = nextId();
+  }
   CompiledObject &operator=(CompiledObject &&O) noexcept {
     FunctionName = std::move(O.FunctionName);
     Sig = std::move(O.Sig);
@@ -70,8 +77,13 @@ struct CompiledObject {
     From = O.From;
     Hits.store(O.Hits.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
+    Id = O.Id;
+    O.Id = nextId();
     return *this;
   }
+
+private:
+  static uint64_t nextId();
 };
 
 /// Shared handle to a repository entry: stays valid after the entry is

@@ -9,6 +9,7 @@
 #include "runtime/Blas.h"
 #include "runtime/LinAlg.h"
 #include "support/Parallel.h"
+#include "support/ResourceGuard.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -158,10 +159,16 @@ constexpr size_t ElemGrain = 32768;
 /// operand hoisted: one of three specializations of \p Fn(I, X, Y) is
 /// chosen once, outside the loop, instead of re-deriving `SA ? 0 : I` per
 /// element. \p Fn receives the element index and both real operand values.
+/// A one-element result (scalar op scalar, the bulk of recursive and
+/// scalar code) applies \p Fn directly: no region set-up, but the same
+/// interrupt poll a region entry makes.
 template <typename Fn>
 void forEachRealPair(size_t N, const double *PA, bool SA, const double *PB,
                      bool SB, Fn F) {
-  if (SA && !SB) {
+  if (N == 1) {
+    exec::pollInterrupt();
+    F(0, PA[0], PB[0]);
+  } else if (SA && !SB) {
     double X = PA[0];
     par::parallelFor(N, ElemGrain, [&](size_t I0, size_t I1) {
       for (size_t I = I0; I != I1; ++I)

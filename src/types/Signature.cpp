@@ -76,6 +76,15 @@ std::string TypeSignature::str() const {
   return Out + ")";
 }
 
+bool TypeSignature::mayRenderSame(const TypeSignature &O) const {
+  if (Types.size() != O.Types.size())
+    return false;
+  for (size_t I = 0; I != Types.size(); ++I)
+    if (!Types[I].mayRenderSame(O.Types[I]))
+      return false;
+  return true;
+}
+
 TypeSignature TypeSignature::generalized() const {
   std::vector<Type> Out;
   Out.reserve(Types.size());

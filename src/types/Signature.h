@@ -56,6 +56,10 @@ public:
 
   std::string str() const;
 
+  /// False only when str() of this signature and of \p O certainly
+  /// differ (Type::mayRenderSame per parameter).
+  bool mayRenderSame(const TypeSignature &O) const;
+
 private:
   std::vector<Type> Types;
 };

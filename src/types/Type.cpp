@@ -222,3 +222,27 @@ std::string Type::str() const {
     Out += format(" <%g,%g>", R.Lo, R.Hi);
   return Out;
 }
+
+/// False only when "%g" certainly renders \p A and \p B differently. %g
+/// keeps six significant digits, so two finite values that render alike
+/// differ by at most about 1e-5 of the larger magnitude.
+static bool mayRenderSameG(double A, double B) {
+  if (A == B || std::isnan(A) || std::isnan(B))
+    return true;
+  if (!std::isfinite(A) || !std::isfinite(B))
+    return false;
+  return std::fabs(A - B) <= 2e-5 * std::max(std::fabs(A), std::fabs(B));
+}
+
+bool Type::mayRenderSame(const Type &O) const {
+  if (isBottom() || O.isBottom())
+    return isBottom() == O.isBottom();
+  if (Intrinsic != O.Intrinsic || !(MinShape == O.MinShape) ||
+      !(MaxShape == O.MaxShape))
+    return false;
+  if (R.isBottom() || O.R.isBottom())
+    return R.isBottom() == O.R.isBottom();
+  if (R.isTop() || O.R.isTop())
+    return R.isTop() == O.R.isTop();
+  return mayRenderSameG(R.Lo, O.R.Lo) && mayRenderSameG(R.Hi, O.R.Hi);
+}

@@ -256,6 +256,10 @@ public:
   /// "int [1x1,1x1] (3,3)" style rendering for tests and dumps.
   std::string str() const;
 
+  /// False only when str() of this type and of \p O certainly differ;
+  /// answered with a few comparisons and no rendering.
+  bool mayRenderSame(const Type &O) const;
+
 private:
   IntrinsicType Intrinsic;
   ShapeBound MinShape; ///< Lower bound: the value's shape is >= this.

@@ -553,6 +553,172 @@ TEST(EngineBoundary, RunawayRecursionGuarded) {
 }
 
 //===----------------------------------------------------------------------===//
+// VM frames: each VM nesting depth reuses one frame across calls. Cases
+// that check results run the same call sequence on the interpreter (the
+// oracle) and on compiled code with inlining off, so each call really
+// enters the VM.
+//===----------------------------------------------------------------------===//
+
+/// One call's observable outcome: its results, or its error text.
+struct CallOutcome {
+  std::vector<Value> Results;
+  std::string Error;
+};
+
+CallOutcome callScalars(Engine &E, const std::string &Fn,
+                        std::vector<double> ScalarArgs) {
+  std::vector<ValuePtr> Args;
+  for (double A : ScalarArgs)
+    Args.push_back(makeValue(Value::intScalar(A)));
+  CallOutcome Out;
+  try {
+    for (const ValuePtr &R : E.callFunction(Fn, Args, 1, SourceLoc()))
+      Out.Results.push_back(*R);
+  } catch (const MatlabError &Err) {
+    Out.Error = Err.message();
+  }
+  return Out;
+}
+
+/// Runs \p Calls in order on an interpreter engine and on a JIT engine with
+/// inlining off, expecting identical results and error text call by call.
+void expectCallsMatchInterpreter(
+    const std::string &Source, const std::string &Fn,
+    const std::vector<std::vector<double>> &Calls,
+    EngineOptions Base = EngineOptions()) {
+  EngineOptions Ref = Base;
+  Ref.Policy = CompilePolicy::InterpretOnly;
+  EngineOptions Jit = Base;
+  Jit.Policy = CompilePolicy::Jit;
+  Jit.InlineCalls = false;
+  Jit.BackgroundCompileThreads = 0;
+  Engine RefE(Ref), JitE(Jit);
+  ASSERT_TRUE(RefE.addSource(Fn, Source)) << RefE.diagnostics();
+  ASSERT_TRUE(JitE.addSource(Fn, Source)) << JitE.diagnostics();
+  for (size_t K = 0; K != Calls.size(); ++K) {
+    CallOutcome Want = callScalars(RefE, Fn, Calls[K]);
+    CallOutcome Got = callScalars(JitE, Fn, Calls[K]);
+    std::string Ctx = "call " + std::to_string(K);
+    EXPECT_EQ(Want.Error, Got.Error) << Ctx;
+    ASSERT_EQ(Want.Results.size(), Got.Results.size()) << Ctx;
+    for (size_t I = 0; I != Want.Results.size(); ++I)
+      expectSameValue(Want.Results[I], Got.Results[I], Ctx);
+  }
+  EXPECT_LE(JitE.vmRetainedFrames(), VM::kRetainedFrames);
+}
+
+const char *kDeepSource = "function r = deep(n, bad)\n"
+                          "if n == 0\n"
+                          "  if bad\n"
+                          "    r = [1 2] + [1 2 3];\n"
+                          "  else\n"
+                          "    r = 0;\n"
+                          "  end\n"
+                          "else\n"
+                          "  r = deep(n - 1, bad) + n;\n"
+                          "end\n";
+
+TEST(VmFrames, ErrorDeepInRecursionThenFreshCall) {
+  expectCallsMatchInterpreter(kDeepSource, "deep",
+                              {{300, 1}, {300, 0}, {300, 1}, {10, 0}});
+}
+
+TEST(VmFrames, RecursionLimitTextAtMaxCallDepth) {
+  // MaxCallDepth nested calls run; one more raises the limit error, with
+  // the interpreter's text, and leaves the engine usable.
+  EngineOptions O;
+  O.MaxCallDepth = 50;
+  expectCallsMatchInterpreter(kDeepSource, "deep",
+                              {{49, 0}, {50, 0}, {10, 0}, {50, 1}}, O);
+  O.InlineCalls = false;
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("deep", kDeepSource));
+  EXPECT_EQ(callScalars(E, "deep", {50, 0}).Error,
+            "maximum recursion depth exceeded");
+}
+
+TEST(VmFrames, DeoptRetryBelowTheTopFrame) {
+  // The guard fails five frames down (cos(9) * 3 - 2 < 0): the optimistic
+  // frame unwinds, the pessimistic replacement retries at that depth, and
+  // the frames above continue with its result.
+  const char *Src = "function s = g(n)\n"
+                    "if n > 0\n"
+                    "  s = g(n - 1) + 1;\n"
+                    "else\n"
+                    "  x = cos(n + 9) * 3 - 2;\n"
+                    "  y = sqrt(x);\n"
+                    "  s = imag(y) + real(y);\n"
+                    "end\n";
+  expectCallsMatchInterpreter(Src, "g", {{4}, {4}, {0}});
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.InlineCalls = false;
+  O.BackgroundCompileThreads = 0;
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("g", Src));
+  callScalars(E, "g", {4});
+  EXPECT_EQ(E.deoptimizations(), 1u);
+}
+
+TEST(VmFrames, CalleeWritesToItsArgumentCopy) {
+  const char *Src = "function r = caller(n)\n"
+                    "a = [1 2 3] * n;\n"
+                    "b = poke(a);\n"
+                    "c = poke(b);\n"
+                    "r = [a b c];\n"
+                    "function a = poke(a)\n"
+                    "a(2) = a(2) + 99;\n";
+  expectCallsMatchInterpreter(Src, "caller", {{5}, {7}});
+}
+
+TEST(VmFrames, FinishedCallsKeepNoValuesAlive) {
+  // Frames drop their registers on return and on unwind, so the tracked
+  // bytes fall back to where they were once the results are released.
+  const char *Src = "function r = build(n)\n"
+                    "a = zeros(n, n);\n"
+                    "b = a + 1;\n"
+                    "r = sum(sum(b)) + inner(n);\n"
+                    "function s = inner(n)\n"
+                    "t = ones(n, 1) * 2;\n"
+                    "s = sum(t);\n";
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.InlineCalls = false;
+  O.BackgroundCompileThreads = 0;
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("build", Src));
+  ASSERT_TRUE(E.addSource("deep", kDeepSource));
+  callScalars(E, "build", {40}); // compile first
+  callScalars(E, "deep", {30, 1});
+  uint64_t Before = mem::liveBytes();
+  {
+    CallOutcome R = callScalars(E, "build", {40});
+    ASSERT_EQ(R.Results.size(), 1u);
+    EXPECT_DOUBLE_EQ(R.Results[0].scalarValue(), 40 * 40 + 80);
+  }
+  EXPECT_EQ(mem::liveBytes(), Before);
+  EXPECT_NE(callScalars(E, "deep", {30, 1}).Error, "");
+  EXPECT_EQ(mem::liveBytes(), Before);
+}
+
+TEST(VmFrames, RetainedFramesBoundedAfterDeepRecursion) {
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.InlineCalls = false;
+  O.BackgroundCompileThreads = 0;
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("deep", kDeepSource));
+  CallOutcome R = callScalars(E, "deep", {3990, 0});
+  ASSERT_EQ(R.Results.size(), 1u) << R.Error;
+  EXPECT_DOUBLE_EQ(R.Results[0].scalarValue(), 3990.0 * 3991 / 2);
+  EXPECT_LE(E.vmRetainedFrames(), VM::kRetainedFrames);
+  // The trimmed frame set still serves a deep call.
+  R = callScalars(E, "deep", {500, 0});
+  ASSERT_EQ(R.Results.size(), 1u) << R.Error;
+  EXPECT_DOUBLE_EQ(R.Results[0].scalarValue(), 500.0 * 501 / 2);
+}
+
+//===----------------------------------------------------------------------===//
 // Deoptimization (optimistic real-domain math guards)
 //===----------------------------------------------------------------------===//
 

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -342,6 +343,120 @@ TEST_F(NativeEngineTest, InjectedFaultsDegradeToVmSilently) {
         << faults::siteName(Site);
     faults::reset();
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Recursive calls re-enter the engine through the host bridge and find
+// their module in a per-object memo. Quarantine, reload and invalidation
+// must reach that memo before the next call.
+//===----------------------------------------------------------------------===//
+
+const char *kRecSource = "function r = rec(n)\n"
+                         "if n <= 0\n"
+                         "  r = 7;\n"
+                         "else\n"
+                         "  r = rec(n - 1) + 1;\n"
+                         "end\n";
+
+/// Calls rec(5) and returns the native hits the call added.
+uint64_t recHits(Engine &E, double Expect) {
+  uint64_t Before = E.nativeHits();
+  auto R = E.callFunction("rec", {intArg(5)}, 1, SourceLoc());
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), Expect);
+  return E.nativeHits() - Before;
+}
+
+TEST_F(NativeEngineTest, QuarantinedModuleLeavesRecursiveCalls) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  EngineOptions O = nativeOpts();
+  O.InlineCalls = false; // every level is a real call
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("rec", kRecSource));
+  recHits(E, 12); // promotes rec(5)'s version and the general one
+  // The top version plus five recursive calls of the general version.
+  EXPECT_EQ(recHits(E, 12), 6u);
+  // Fail the first recursive native run: its version is quarantined and
+  // the call completes on the VM.
+  faults::armAt(faults::Site::NativeRun, 2);
+  recHits(E, 12);
+  faults::reset();
+  EXPECT_EQ(E.nativeFailures(), 1u);
+  // From now on only the top version runs natively.
+  EXPECT_EQ(recHits(E, 12), 1u);
+  EXPECT_EQ(recHits(E, 12), 1u);
+}
+
+TEST_F(NativeEngineTest, ReloadNeverServesTheOldModule) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  EngineOptions O = nativeOpts();
+  O.InlineCalls = false;
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("rec", kRecSource));
+  recHits(E, 12);
+  EXPECT_EQ(recHits(E, 12), 6u);
+  uint64_t Compiles = E.nativeCompiles();
+
+  // Reloading the same text invalidates the function: both versions are
+  // compiled and promoted afresh rather than served from the old modules.
+  ASSERT_TRUE(E.addSource("rec", kRecSource));
+  recHits(E, 12);
+  EXPECT_EQ(E.nativeCompiles(), Compiles + 2);
+  EXPECT_EQ(recHits(E, 12), 6u);
+
+  // New source, new answers, at every depth.
+  std::string Changed = kRecSource;
+  Changed.replace(Changed.find("r = 7;"), 6, "r = 100;");
+  ASSERT_TRUE(E.addSource("rec", Changed));
+  recHits(E, 105);
+  EXPECT_EQ(recHits(E, 105), 6u);
+}
+
+TEST_F(NativeEngineTest, BackgroundModuleOfReloadedSourceIsDropped) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  EngineOptions O = nativeOpts();
+  O.InlineCalls = false;
+  O.BackgroundCompileThreads = 1;
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("rec", kRecSource));
+  // The native compiles of the old source wait on the paused pool while
+  // the source is reloaded; once they finish they must not settle the new
+  // source's versions.
+  E.pauseBackgroundCompiles();
+  recHits(E, 12);
+  std::string Changed = kRecSource;
+  Changed.replace(Changed.find("r = 7;"), 6, "r = 100;");
+  ASSERT_TRUE(E.addSource("rec", Changed));
+  E.resumeBackgroundCompiles();
+  E.drainCompiles();
+  EXPECT_EQ(recHits(E, 105), 0u);
+  E.drainCompiles();
+  EXPECT_EQ(recHits(E, 105), 6u);
+}
+
+TEST(CompiledObjectId, NeverReusedAndFollowsTheContent) {
+  std::vector<uint64_t> Seen;
+  for (int I = 0; I != 4; ++I) {
+    CompiledObject Obj;
+    Seen.push_back(Obj.Id);
+  }
+  CompiledObject A;
+  A.FunctionName = "f";
+  const uint64_t AId = A.Id;
+  CompiledObject B(std::move(A));
+  EXPECT_EQ(B.Id, AId);
+  EXPECT_NE(A.Id, AId); // the husk is a new object
+  CompiledObject C;
+  C = std::move(B);
+  EXPECT_EQ(C.Id, AId);
+  EXPECT_NE(B.Id, AId);
+  Seen.push_back(A.Id);
+  Seen.push_back(B.Id);
+  Seen.push_back(C.Id);
+  std::sort(Seen.begin(), Seen.end());
+  EXPECT_EQ(std::adjacent_find(Seen.begin(), Seen.end()), Seen.end());
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "engine/Corpus.h"
 #include "engine/Engine.h"
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
@@ -656,6 +657,152 @@ TEST(EngineObs, InterpretOnlyProfileAndFallbackCounter) {
   obs::MetricsSnapshot S = E.sampleMetrics();
   EXPECT_EQ(counterOf(S, "engine.interp_fallbacks"),
             E.interpreterFallbacks());
+}
+
+//===----------------------------------------------------------------------===//
+// Profile counts past the signature cap. Recursion passes constants, so
+// every distinct argument value is a signature and fibonacci/ackermann
+// overflow the 16-entry tables at once. The engine renders a signature
+// past its cap only when the profile could credit the call to an entry of
+// its own; the expected tables were recorded from the engine that rendered
+// every such call, and must not move.
+//===----------------------------------------------------------------------===//
+
+using SigCounts = std::vector<std::pair<std::string, uint64_t>>;
+
+std::string mlibSource(const std::string &Name) {
+  std::ifstream In(mlibDirectory() + "/" + Name + ".m");
+  std::stringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+EngineOptions profileOpts(const std::string &Dir = "") {
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.BackgroundCompileThreads = 0;
+  O.EnvFallbacks = false;
+  O.RepoDir = Dir;
+  return O;
+}
+
+ValuePtr realArg(double V) { return makeValue(Value::scalar(V)); }
+
+uint64_t countOfSig(const obs::FunctionProfile &P, const std::string &Sig) {
+  for (const auto &[S, C] : P.ArgSignatures)
+    if (S == Sig)
+      return C;
+  return 0;
+}
+
+TEST(EngineObs, RecursiveProfilesPastSignatureCapMatchRenderedCounts) {
+  Engine E(profileOpts());
+  ASSERT_TRUE(E.addSource("fibonacci", mlibSource("fibonacci")));
+  ASSERT_TRUE(E.addSource("ackermann", mlibSource("ackermann")));
+  EXPECT_DOUBLE_EQ(
+      E.callFunction("fibonacci", {realArg(20)}, 1, SourceLoc())[0]
+          ->scalarValue(),
+      6765);
+  EXPECT_DOUBLE_EQ(E.callFunction("ackermann", {realArg(2), realArg(10)}, 1,
+                                  SourceLoc())[0]
+                       ->scalarValue(),
+                   23);
+
+  obs::FunctionProfile Fib = E.profile("fibonacci");
+  EXPECT_EQ(Fib.Invocations, 5057u);
+  EXPECT_EQ(Fib.OtherSignatures, 10u);
+  EXPECT_EQ(Fib.ArgSignatures,
+            (SigCounts{{"(real [1x1,1x1] <1,1>)", 1352},
+                       {"(real [1x1,1x1] <2,2>)", 1044},
+                       {"(real [1x1,1x1] <3,3>)", 808},
+                       {"(real [1x1,1x1] <0,0>)", 785},
+                       {"(real [1x1,1x1] <4,4>)", 497},
+                       {"(real [1x1,1x1] <5,5>)", 228},
+                       {"(real [1x1,1x1] <6,6>)", 94},
+                       {"(real [1x1,1x1] <8,8>)", 71},
+                       {"(real [1x1,1x1] <7,7>)", 68},
+                       {"(real [1x1,1x1] <9,9>)", 56},
+                       {"(real [1x1,1x1] <10,10>)", 28},
+                       {"(real [1x1,1x1] <11,11>)", 8},
+                       {"(real [1x1,1x1] <15,15>)", 4},
+                       {"(real [1x1,1x1] <12,12>)", 2},
+                       {"(real [1x1,1x1] <16,16>)", 1},
+                       {"(real [1x1,1x1] <20,20>)", 1}}));
+
+  obs::FunctionProfile Ack = E.profile("ackermann");
+  EXPECT_EQ(Ack.Invocations, 69u);
+  EXPECT_EQ(Ack.OtherSignatures, 36u);
+  EXPECT_EQ(
+      Ack.ArgSignatures,
+      (SigCounts{{"(real [1x1,1x1] <0,0>, int [1x1,1x1] <2,2>)", 3},
+                 {"(real [1x1,1x1] <0,0>, int [1x1,1x1] <3,3>)", 3},
+                 {"(real [1x1,1x1] <0,0>, int [1x1,1x1] <4,4>)", 3},
+                 {"(real [1x1,1x1] <1,1>, real [1x1,1x1] <1,1>)", 3},
+                 {"(real [1x1,1x1] <1,1>, real [1x1,1x1] <2,2>)", 3},
+                 {"(real [1x1,1x1] <0,0>, int [1x1,1x1] <1,1>)", 2},
+                 {"(real [1x1,1x1] <0,0>, real [1x1,1x1] <5,5>)", 2},
+                 {"(real [1x1,1x1] <1,1>, real [1x1,1x1] <0,0>)", 2},
+                 {"(real [1x1,1x1] <1,1>, real [1x1,1x1] <3,3>)", 2},
+                 {"(real [1x1,1x1] <1,1>, real [1x1,1x1] <4,4>)", 2},
+                 {"(real [1x1,1x1] <1,1>, real [1x1,1x1] <7,7>)", 2},
+                 {"(real [1x1,1x1] <1,1>, real [1x1,1x1] <8,8>)", 2},
+                 {"(real [1x1,1x1] <1,1>, int [1x1,1x1] <0,0>)", 1},
+                 {"(real [1x1,1x1] <2,2>, real [1x1,1x1] <10,10>)", 1},
+                 {"(real [1x1,1x1] <2,2>, real [1x1,1x1] <2,2>)", 1},
+                 {"(real [1x1,1x1] <2,2>, real [1x1,1x1] <6,6>)", 1}}));
+}
+
+// A signature the profile took in before a reload, seen again only after
+// the reloaded function's own table overflowed, keeps its entry.
+TEST(EngineObs, SignatureFromBeforeReloadCreditedPastCap) {
+  Engine E(profileOpts());
+  ASSERT_TRUE(E.addSource("fibonacci", mlibSource("fibonacci")));
+  E.callFunction("fibonacci", {realArg(-3)}, 1, SourceLoc());
+  ASSERT_TRUE(E.addSource("fibonacci", mlibSource("fibonacci")));
+  E.callFunction("fibonacci", {realArg(20)}, 1, SourceLoc());
+  E.callFunction("fibonacci", {realArg(-3)}, 1, SourceLoc());
+
+  obs::FunctionProfile Fib = E.profile("fibonacci");
+  EXPECT_EQ(Fib.Invocations, 5059u);
+  EXPECT_EQ(Fib.OtherSignatures, 14u);
+  EXPECT_EQ(Fib.ArgSignatures.size(), 16u);
+  EXPECT_EQ(countOfSig(Fib, "(real [1x1,1x1] <-3,-3>)"), 2u);
+}
+
+// A signature merged from profiles.mjp that the session first calls after
+// its own table overflowed is credited to the persisted entry, not to the
+// overflow bucket. Its arity differs from the source's, so it never seeds
+// the engine-side table: only the profile holds it.
+TEST(EngineObs, PersistedSignatureCreditedPastCap) {
+  namespace fs = std::filesystem;
+  const fs::path Dir = fs::temp_directory_path() / "majic_obs_persisted_sig";
+  fs::remove_all(Dir);
+  fs::create_directories(Dir);
+  const std::string OneArg = "(real [1x1,1x1] <1,1>)";
+  {
+    Engine E(profileOpts(Dir.string()));
+    ASSERT_TRUE(E.addSource("ackermann", mlibSource("ackermann")));
+    EXPECT_THROW(E.callFunction("ackermann", {realArg(1)}, 1, SourceLoc()),
+                 MatlabError);
+    E.callFunction("ackermann", {realArg(1), realArg(1)}, 1, SourceLoc());
+  }
+  {
+    Engine E(profileOpts(Dir.string()));
+    ASSERT_TRUE(E.addSource("ackermann", mlibSource("ackermann")));
+    EXPECT_EQ(countOfSig(E.profile("ackermann"), OneArg), 1u);
+    E.callFunction("ackermann", {realArg(2), realArg(10)}, 1, SourceLoc());
+    EXPECT_THROW(E.callFunction("ackermann", {realArg(1)}, 1, SourceLoc()),
+                 MatlabError);
+
+    obs::FunctionProfile Ack = E.profile("ackermann");
+    EXPECT_EQ(Ack.Invocations, 72u);
+    EXPECT_EQ(Ack.OtherSignatures, 38u);
+    EXPECT_EQ(Ack.ArgSignatures.size(), 16u);
+    EXPECT_EQ(countOfSig(Ack, OneArg), 2u);
+    EXPECT_EQ(countOfSig(Ack, "(real [1x1,1x1] <1,1>, real [1x1,1x1] <1,1>)"),
+              4u);
+  }
+  fs::remove_all(Dir);
 }
 
 TEST(EngineObs, SnapshotMatchesAccessorsAndCoversSubsystems) {

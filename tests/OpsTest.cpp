@@ -5,8 +5,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Ops.h"
+#include "support/ResourceGuard.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
 using namespace majic;
 using namespace majic::rt;
@@ -310,3 +317,135 @@ TEST(Indexing, CountMismatchThrows) {
   EXPECT_THROW(rt::indexAssign1(V, Indexer::single(0), rowVec({1, 2})),
                MatlabError);
 }
+
+//===----------------------------------------------------------------------===//
+// One-element results skip the parallel region. They must give the same
+// bits, class and error text as the same element of a 1xN operation.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Scalars over the IEEE corners in every numeric class.
+std::vector<Value> cornerScalars() {
+  std::vector<Value> Out;
+  for (double X : {0.0, -0.0, 1.0, -2.5, 3.0, 0.5, kNaN, kInf, -kInf})
+    Out.push_back(Value::scalar(X));
+  for (double X : {0.0, 1.0, -2.0, 3.0})
+    Out.push_back(Value::intScalar(X));
+  Out.push_back(Value::boolScalar(false));
+  Out.push_back(Value::boolScalar(true));
+  for (double X : {-0.0, 2.0, -1.5, kNaN, kInf})
+    for (double Y : {-0.0, 1.5, -kInf})
+      Out.push_back(Value::complexScalar(X, Y));
+  return Out;
+}
+
+/// A 1xN row repeating scalar \p S, class included.
+Value repeated(const Value &S, size_t N) {
+  Value V = Value::zeros(1, N, S.mclass());
+  for (size_t I = 0; I != N; ++I) {
+    V.reRef(I) = S.re(0);
+    if (S.isComplex())
+      V.imRef(I) = S.im(0);
+  }
+  return V;
+}
+
+struct OpOutcome {
+  std::string Error;
+  Value V;
+};
+
+OpOutcome outcomeOf(const std::function<Value()> &Op) {
+  try {
+    return {"", Op()};
+  } catch (const MatlabError &E) {
+    return {E.message(), Value()};
+  }
+}
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+/// \p One (a 1x1 result) against element \p K of \p Many.
+void expectElementOf(const OpOutcome &One, const OpOutcome &Many, size_t K,
+                     const std::string &What) {
+  EXPECT_EQ(One.Error, Many.Error) << What;
+  if (!One.Error.empty() || !Many.Error.empty())
+    return;
+  ASSERT_EQ(One.V.numel(), 1u) << What;
+  ASSERT_GT(Many.V.numel(), K) << What;
+  EXPECT_EQ(One.V.mclass(), Many.V.mclass()) << What;
+  EXPECT_TRUE(sameBits(One.V.re(0), Many.V.re(K))) << What;
+  EXPECT_TRUE(sameBits(One.V.im(0), Many.V.im(K))) << What;
+}
+
+} // namespace
+
+TEST(ScalarPath, BinaryOpsMatchTheirVectorForm) {
+  constexpr size_t N = 3;
+  const std::vector<Value> Xs = cornerScalars();
+  for (uint8_t OpId = 0; OpId <= static_cast<uint8_t>(BinOp::Or); ++OpId) {
+    const BinOp Op = static_cast<BinOp>(OpId);
+    if (Op == BinOp::MatPow)
+      continue; // not elementwise on a vector
+    // Matrix ops are elementwise only with a scalar on the right side.
+    const bool VecLeft = Op != BinOp::MatLDiv;
+    const bool VecRight = Op != BinOp::MatRDiv;
+    const bool VecBoth = VecLeft && VecRight && Op != BinOp::MatMul;
+    for (const Value &A : Xs)
+      for (const Value &B : Xs) {
+        const std::string What = std::string(binOpName(Op)) + " " +
+                                 mclassName(A.mclass()) + "(" +
+                                 std::to_string(A.re(0)) + ") " +
+                                 mclassName(B.mclass()) + "(" +
+                                 std::to_string(B.re(0)) + ")";
+        OpOutcome One = outcomeOf([&] { return binary(Op, A, B); });
+        const Value AN = repeated(A, N), BN = repeated(B, N);
+        if (VecLeft) {
+          OpOutcome M = outcomeOf([&] { return binary(Op, AN, B); });
+          expectElementOf(One, M, N - 1, What + " [vec, scalar]");
+        }
+        if (VecRight) {
+          OpOutcome M = outcomeOf([&] { return binary(Op, A, BN); });
+          expectElementOf(One, M, 1, What + " [scalar, vec]");
+        }
+        if (VecBoth) {
+          OpOutcome M = outcomeOf([&] { return binary(Op, AN, BN); });
+          expectElementOf(One, M, 0, What + " [vec, vec]");
+        }
+      }
+  }
+}
+
+TEST(ScalarPath, UnaryOpsMatchTheirVectorForm) {
+  for (UnOp Op : {UnOp::Neg, UnOp::Plus, UnOp::Not, UnOp::CTranspose,
+                  UnOp::Transpose})
+    for (const Value &A : cornerScalars()) {
+      const std::string What =
+          std::string(unOpName(Op)) + " " + mclassName(A.mclass());
+      OpOutcome One = outcomeOf([&] { return unary(Op, A); });
+      OpOutcome M = outcomeOf([&] { return unary(Op, repeated(A, 3)); });
+      expectElementOf(One, M, 2, What);
+    }
+}
+
+TEST(ScalarPath, PendingInterruptStopsScalarOps) {
+  struct ClearOnExit {
+    ~ClearOnExit() { exec::clearInterrupt(); }
+  } Guard;
+  exec::requestInterrupt();
+  for (BinOp Op : {BinOp::Add, BinOp::ElemMul, BinOp::Lt, BinOp::And}) {
+    OpOutcome R = outcomeOf(
+        [&] { return binary(Op, Value::scalar(1), Value::scalar(2)); });
+    EXPECT_EQ(R.Error, "execution interrupted") << binOpName(Op);
+  }
+  exec::clearInterrupt();
+  EXPECT_DOUBLE_EQ(
+      binary(BinOp::Add, Value::scalar(1), Value::scalar(2)).scalarValue(), 3);
+}
+

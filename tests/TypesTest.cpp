@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace majic;
 
 namespace {
@@ -324,6 +326,52 @@ TEST(Signature, OfValuesRoundTrip) {
   EXPECT_EQ(Sig[1].exactShape()->Cols, 3u);
   // An invocation is always safe for its own signature.
   EXPECT_TRUE(Sig.safeFor(Sig));
+}
+
+// The engine renders a signature past its own cap only when mayRenderSame
+// allows a match with a rendering the profile holds, so a false answer
+// must mean the renderings differ. %g keeps six digits: 1 and 1 + 1e-7
+// render alike, as do 0 and -0 under ==, while 0 and -0 render apart.
+TEST(Signature, MayRenderSameNeverMissesAnEqualRendering) {
+  std::vector<Type> Ts = {Type::bottom(), Type::top(),
+                          Type::scalar(IntrinsicType::Real),
+                          Type::scalar(IntrinsicType::Int),
+                          Type::matrix(IntrinsicType::Real),
+                          Type::ofValue(Value::zeros(2, 3)),
+                          Type::ofValue(Value::zeros(3, 2)),
+                          Type::scalar(IntrinsicType::Real,
+                                       Range::interval(-2, 1e300))};
+  for (double V : {0.0, -0.0, 1.0, 1.0 + 1e-7, 1.0 + 1e-4, 0.1 + 0.2, 0.3,
+                   2.0, -2.0, 123456.5, 123457.0, 1e300, 1e-300, 4.9e-324,
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    Ts.push_back(Type::constant(V));
+    Ts.push_back(Type::scalar(IntrinsicType::Real, Range::constant(V)));
+    Ts.push_back(Type::ofValue(Value::intScalar(V)));
+  }
+  size_t Apart = 0;
+  for (const Type &A : Ts)
+    for (const Type &B : Ts) {
+      const TypeSignature SA({A, B}), SB({B, A});
+      if (SA.str() == SB.str()) {
+        EXPECT_TRUE(SA.mayRenderSame(SB)) << SA.str();
+      }
+      Apart += !SA.mayRenderSame(SB);
+      if (A.str() == B.str()) {
+        EXPECT_TRUE(A.mayRenderSame(B)) << A.str();
+      }
+    }
+  // The filter has to reject distinct integer constants to be any use.
+  EXPECT_FALSE(Type::constant(2).mayRenderSame(Type::constant(3)));
+  const Type Near1 = Type::scalar(IntrinsicType::Real, Range::constant(1));
+  const Type Near2 =
+      Type::scalar(IntrinsicType::Real, Range::constant(1 + 1e-7));
+  EXPECT_EQ(Near1.str(), Near2.str());
+  EXPECT_TRUE(Near1.mayRenderSame(Near2));
+  EXPECT_GT(Apart, Ts.size() * Ts.size() / 2);
+  EXPECT_FALSE(TypeSignature({Type::constant(1)})
+                   .mayRenderSame(TypeSignature(
+                       {Type::constant(1), Type::constant(1)})));
 }
 
 } // namespace
