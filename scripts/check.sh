@@ -43,6 +43,6 @@ cmake --build build-tsan -j >/dev/null
 # sweeps above; the native suites inside fuzz_test and service_test
 # self-gate with #ifndef __SANITIZE_THREAD__ for the same reason.
 ctest --test-dir build-tsan --output-on-failure \
-  -R "async_compile_test|robustness_test|fuzz_test|support_test|kernel_test|repo_store_test|obs_test|service_test|value_serialize_test"
+  -R "async_compile_test|robustness_test|fuzz_test|support_test|kernel_test|repo_store_test|obs_test|service_test|value_serialize_test|envelope_test"
 
 echo "== all checks passed =="

@@ -530,8 +530,7 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       const Value &V = requireRealData(requireValue(PR[In.B]));
       int64_t Idx = IR[In.C];
       if (Idx < 0 || static_cast<size_t>(Idx) >= V.numel())
-        throw MatlabError(format("index out of bounds: %lld exceeds numel %zu",
-                                 static_cast<long long>(Idx + 1), V.numel()));
+        rt::throwBadRead(Idx + 1, V.numel());
       FR[In.A] = V.re(static_cast<size_t>(Idx));
       break;
     }
@@ -545,11 +544,7 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       int64_t R = IR[In.C], C = IR[In.D];
       if (R < 0 || C < 0 || static_cast<size_t>(R) >= V.rows() ||
           static_cast<size_t>(C) >= V.cols())
-        throw MatlabError(format("index (%lld, %lld) out of bounds for "
-                                 "%zux%zu matrix",
-                                 static_cast<long long>(R + 1),
-                                 static_cast<long long>(C + 1), V.rows(),
-                                 V.cols()));
+        rt::throwBadRead(R + 1, C + 1, V.rows(), V.cols());
       FR[In.A] = V.at(static_cast<size_t>(R), static_cast<size_t>(C));
       break;
     }

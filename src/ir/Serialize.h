@@ -14,9 +14,8 @@
 /// against the bytes that remain, every enum against its valid range, and
 /// any violation raises SerializeError - it must never crash, overflow, or
 /// allocate unboundedly, because the repository store feeds it bytes that
-/// may have been torn or rotted on disk (the store's checksum catches
-/// virtually all corruption first; this is the second layer of the
-/// validation ladder).
+/// may have been torn or rotted on disk (the support/Envelope checksum
+/// catches virtually all corruption first; this is the second layer).
 ///
 /// Decoded code is additionally validated structurally (validateIRFunction)
 /// so the register VM can execute it without per-dispatch bounds checks:

@@ -444,8 +444,7 @@ double shimLoadChk(MxPub *P, long long I) {
   try {
     const Value &V = exec::requireRealData(val(P));
     if (I < 0 || static_cast<size_t>(I) >= V.numel())
-      throw MatlabError(format("index out of bounds: %lld exceeds numel %zu",
-                               static_cast<long long>(I + 1), V.numel()));
+      rt::throwBadRead(I + 1, V.numel());
     return V.re(static_cast<size_t>(I));
   }
   MLF_SHIM_END;
@@ -457,11 +456,7 @@ double shimLoad2Chk(MxPub *P, long long R, long long C) {
     const Value &V = exec::requireRealData(val(P));
     if (R < 0 || C < 0 || static_cast<size_t>(R) >= V.rows() ||
         static_cast<size_t>(C) >= V.cols())
-      throw MatlabError(format("index (%lld, %lld) out of bounds for "
-                               "%zux%zu matrix",
-                               static_cast<long long>(R + 1),
-                               static_cast<long long>(C + 1), V.rows(),
-                               V.cols()));
+      rt::throwBadRead(R + 1, C + 1, V.rows(), V.cols());
     return V.at(static_cast<size_t>(R), static_cast<size_t>(C));
   }
   MLF_SHIM_END;

@@ -9,6 +9,7 @@
 #include "ir/Serialize.h"
 #include "obs/Trace.h"
 #include "support/AtomicFile.h"
+#include "support/Envelope.h"
 #include "support/FaultInjection.h"
 #include "support/Hashing.h"
 #include "support/StringUtils.h"
@@ -23,17 +24,37 @@
 using namespace majic;
 namespace fs = std::filesystem;
 
+/// One payload kind of the store: its envelope identity, its file
+/// extension, and the stats fields its outcomes count into.
+struct RepoStore::Kind {
+  uint32_t Magic;
+  uint32_t Version;
+  const char *Ext;
+  uint64_t RepoStoreStats::*Saved;
+  uint64_t RepoStoreStats::*SaveFailures;
+  uint64_t RepoStoreStats::*Loaded;
+  uint64_t RepoStoreStats::*Quarantined;
+  uint64_t RepoStoreStats::*Skewed;
+};
+
+const RepoStore::Kind RepoStore::ObjKind = {
+    0x4d4a4f42u /* "MJOB" */, 2, ".mjo",
+    &RepoStoreStats::Saved,   &RepoStoreStats::SaveFailures,
+    &RepoStoreStats::Loaded,  &RepoStoreStats::Quarantined,
+    &RepoStoreStats::Skewed};
+const RepoStore::Kind RepoStore::NativeKind = {
+    0x4d4a4e42u /* "MJNB" */,      2, ".mjn",
+    &RepoStoreStats::NativeSaved,  &RepoStoreStats::NativeSaveFailures,
+    &RepoStoreStats::NativeLoaded, &RepoStoreStats::NativeQuarantined,
+    &RepoStoreStats::NativeSkewed};
+const RepoStore::Kind RepoStore::ProfileKind = {
+    0x4d4a5046u /* "MJPF" */,        2, ".mjp",
+    &RepoStoreStats::ProfilesSaved,  &RepoStoreStats::ProfileSaveFailures,
+    &RepoStoreStats::ProfilesLoaded, &RepoStoreStats::ProfilesQuarantined,
+    &RepoStoreStats::ProfilesSkewed};
+
 namespace {
 
-constexpr uint32_t kMagic = 0x4d4a4f42u; // "MJOB"
-constexpr uint32_t kFormatVersion = 1;
-constexpr const char *kExtension = ".mjo";
-constexpr uint32_t kProfileMagic = 0x4d4a5046u; // "MJPF"
-constexpr uint32_t kProfileFormatVersion = 1;
-constexpr const char *kProfileExtension = ".mjp";
-constexpr uint32_t kNativeMagic = 0x4d4a4e42u; // "MJNB"
-constexpr uint32_t kNativeFormatVersion = 1;
-constexpr const char *kNativeExtension = ".mjn";
 /// Refuse to slurp absurdly large files: a cache entry is a few KB; a
 /// multi-megabyte one is damage, not data.
 constexpr uint64_t kMaxFileBytes = 64ull << 20;
@@ -82,8 +103,12 @@ std::string sigHashHex(const TypeSignature &Sig) {
                                hashing::fnv1a(SigBytes.bytes())));
 }
 
-std::string payloadBytes(const CompiledObject &Obj) {
+// The payload codecs. Each payload leads with what its header used to
+// carry beyond the envelope (the source hash), so the CRC covers it.
+
+std::string encodeObj(const CompiledObject &Obj, uint64_t SourceHash) {
   ser::ByteWriter W;
+  W.u64(SourceHash);
   W.str(Obj.FunctionName);
   ser::writeTypeSignature(W, Obj.Sig);
   W.u8(static_cast<uint8_t>(Obj.Mode));
@@ -93,8 +118,10 @@ std::string payloadBytes(const CompiledObject &Obj) {
   return W.take();
 }
 
-CompiledObject decodePayload(ser::ByteReader &R) {
-  CompiledObject Obj;
+RepoStore::Entry decodeObj(ser::ByteReader &R) {
+  RepoStore::Entry E;
+  E.SourceHash = R.u64();
+  CompiledObject &Obj = E.Obj;
   Obj.FunctionName = R.str();
   Obj.Sig = ser::readTypeSignature(R);
   uint8_t Mode = R.u8();
@@ -111,7 +138,7 @@ CompiledObject decodePayload(ser::ByteReader &R) {
     throw ser::SerializeError("trailing bytes after payload");
   if (Obj.Code->Name != Obj.FunctionName)
     throw ser::SerializeError("function name mismatch");
-  return Obj;
+  return E;
 }
 
 /// A function name is a MATLAB identifier ([A-Za-z_][A-Za-z0-9_]*), which
@@ -126,12 +153,86 @@ bool safeFileName(const std::string &Name) {
   return true;
 }
 
+std::string encodeNative(const std::string &FunctionName,
+                         const TypeSignature &Sig, uint32_t NumOuts,
+                         const std::string &SoBytes, uint64_t SourceHash) {
+  ser::ByteWriter W;
+  W.u64(SourceHash);
+  W.str(FunctionName);
+  ser::writeTypeSignature(W, Sig);
+  W.u32(NumOuts);
+  W.str(SoBytes);
+  return W.take();
+}
+
+RepoStore::NativeEntry decodeNative(ser::ByteReader &R) {
+  RepoStore::NativeEntry E;
+  E.SourceHash = R.u64();
+  E.FunctionName = R.str();
+  if (!safeFileName(E.FunctionName))
+    throw ser::SerializeError("invalid function name");
+  E.Sig = ser::readTypeSignature(R);
+  E.NumOuts = R.u32();
+  E.SoBytes = R.str();
+  if (!R.atEnd())
+    throw ser::SerializeError("trailing bytes after payload");
+  if (E.SoBytes.empty())
+    throw ser::SerializeError("empty shared object");
+  return E;
+}
+
+std::string encodeProfiles(const std::vector<RepoStore::ProfileSummary> &Ps) {
+  ser::ByteWriter W;
+  W.u32(static_cast<uint32_t>(Ps.size()));
+  for (const RepoStore::ProfileSummary &S : Ps) {
+    W.str(S.Name);
+    W.u64(S.Invocations);
+    W.u64(S.OtherSignatures);
+    size_t N = std::min(S.Sigs.size(), RepoStore::kProfileTopK);
+    W.u32(static_cast<uint32_t>(N));
+    for (size_t I = 0; I != N; ++I) {
+      ser::writeTypeSignature(W, S.Sigs[I].Sig);
+      W.u64(S.Sigs[I].Count);
+    }
+  }
+  return W.take();
+}
+
+std::vector<RepoStore::ProfileSummary> decodeProfiles(ser::ByteReader &R) {
+  uint32_t Count = R.u32();
+  std::vector<RepoStore::ProfileSummary> Out;
+  Out.reserve(Count);
+  for (uint32_t I = 0; I != Count; ++I) {
+    RepoStore::ProfileSummary S;
+    S.Name = R.str();
+    if (!safeFileName(S.Name))
+      throw ser::SerializeError("invalid function name");
+    S.Invocations = R.u64();
+    S.OtherSignatures = R.u64();
+    uint32_t NSigs = R.u32();
+    if (NSigs > RepoStore::kProfileTopK)
+      throw ser::SerializeError("signature count out of range");
+    S.Sigs.reserve(NSigs);
+    for (uint32_t J = 0; J != NSigs; ++J) {
+      RepoStore::ProfileSig PS;
+      PS.Sig = ser::readTypeSignature(R);
+      PS.Count = R.u64();
+      PS.SigStr = PS.Sig.str();
+      S.Sigs.push_back(std::move(PS));
+    }
+    Out.push_back(std::move(S));
+  }
+  if (!R.atEnd())
+    throw ser::SerializeError("trailing bytes after payload");
+  return Out;
+}
+
 /// Whether \p Dir is private enough to carry machine code: owned by the
-/// effective uid and neither group- nor world-writable. The validation
-/// ladder proves the bytes are intact, not who wrote them - and a .mjn
-/// payload gets dlopen'ed, so anyone who can write the directory can run
-/// code in the engine process. Data-only .mjo entries are not held to
-/// this bar: their worst case is a bounds-checked decode failure.
+/// effective uid and neither group- nor world-writable. The envelope
+/// proves the bytes are intact, not who wrote them - and a .mjn payload
+/// gets dlopen'ed, so anyone who can write the directory can run code in
+/// the engine process. Data-only .mjo entries are not held to this bar:
+/// their worst case is a bounds-checked decode failure.
 bool dirTrustedForNative(const std::string &Dir) {
   struct stat St;
   if (lstat(Dir.c_str(), &St) != 0 || !S_ISDIR(St.st_mode))
@@ -153,62 +254,105 @@ RepoStore::RepoStore(std::string DirIn) : Dir(std::move(DirIn)) {
 unsigned RepoStore::sweepTemps() {
   if (!Usable)
     return 0;
-  unsigned N = atomicfile::sweepTempFiles(Dir, kExtension);
-  N += atomicfile::sweepTempFiles(Dir, kProfileExtension);
-  N += atomicfile::sweepTempFiles(Dir, kNativeExtension);
+  unsigned N = 0;
+  for (const Kind *K : {&ObjKind, &ProfileKind, &NativeKind})
+    N += atomicfile::sweepTempFiles(Dir, K->Ext);
   std::lock_guard<std::mutex> L(Mutex);
   Stats.SweptTemps += N;
   return N;
 }
 
-std::string RepoStore::encode(const CompiledObject &Obj, uint64_t SourceHash) {
-  std::string Payload = payloadBytes(Obj);
-  ser::ByteWriter W;
-  W.u32(kMagic);
-  W.u32(kFormatVersion);
-  W.u64(buildStamp());
-  W.u64(SourceHash);
-  W.u64(Payload.size());
-  W.u32(hashing::crc32(Payload));
-  std::string File = W.take();
-  File += Payload;
-  return File;
+std::vector<std::string> RepoStore::filesOf(const Kind &K,
+                                            const std::string &Prefix) const {
+  std::vector<std::string> Paths;
+  std::error_code EC;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
+    if (EC)
+      break;
+    if (E.is_regular_file() && E.path().extension() == K.Ext &&
+        E.path().filename().string().rfind(Prefix, 0) == 0)
+      Paths.push_back(E.path().string());
+  }
+  std::sort(Paths.begin(), Paths.end()); // deterministic load order
+  return Paths;
+}
+
+void RepoStore::count(uint64_t RepoStoreStats::*Field, uint64_t N) {
+  std::lock_guard<std::mutex> L(Mutex);
+  Stats.*Field += N;
+}
+
+bool RepoStore::write(const Kind &K, uint64_t Stamp, bool Allowed,
+                      const std::string &Path,
+                      const std::function<std::string()> &Payload) {
+  // Saving must never take down the caller (it runs on the idle pool or
+  // inline on the compile path): any failure - injected fault, full disk,
+  // unwritable directory - is swallowed into a counter.
+  try {
+    faults::maybeThrow(faults::Site::RepoSave);
+    if (!Allowed)
+      throw std::runtime_error("store unusable");
+    std::string Error;
+    if (!atomicfile::writeFileAtomic(
+            Path, envelope::seal(K.Magic, K.Version, Stamp, Payload()),
+            &Error))
+      throw std::runtime_error(Error);
+  } catch (...) {
+    count(K.SaveFailures);
+    return false;
+  }
+  count(K.Saved);
+  return true;
+}
+
+void RepoStore::load(const Kind &K, uint64_t Stamp,
+                     const std::vector<std::string> &Paths,
+                     const std::function<uint64_t(ser::ByteReader &,
+                                                  const std::string &)>
+                         &Decode) {
+  for (const std::string &Path : Paths) {
+    envelope::Verdict V = envelope::Verdict::Corrupt;
+    uint64_t Items = 0;
+    try {
+      faults::maybeThrow(faults::Site::RepoLoad);
+      std::string Bytes;
+      if (envelope::readFile(Path, kMaxFileBytes, Bytes)) {
+        envelope::Opened O = envelope::open(Bytes, K.Magic, K.Version, Stamp);
+        if (O.V == envelope::Verdict::Ok) {
+          ser::ByteReader R(O.Payload.data(), O.Payload.size());
+          Items = Decode(R, Path);
+        }
+        V = O.V;
+      }
+    } catch (...) {
+      // an injected fault or a payload the decoder refused: Corrupt
+    }
+    envelope::settle(Path, V);
+    if (V == envelope::Verdict::Ok)
+      count(K.Loaded, Items);
+    else
+      count(V == envelope::Verdict::Skew ? K.Skewed : K.Quarantined);
+  }
 }
 
 std::string RepoStore::entryPath(const CompiledObject &Obj) const {
   // One file per (function, signature) version: the signature hash keys
   // the version, so recompiling the same signature overwrites in place.
   return Dir + "/" + Obj.FunctionName + "." + sigHashHex(Obj.Sig) +
-         kExtension;
+         ObjKind.Ext;
 }
 
 std::string RepoStore::nativePath(const std::string &FunctionName,
                                   const TypeSignature &Sig) const {
   // Same naming scheme as entryPath so the .so lands beside its .mjo.
-  return Dir + "/" + FunctionName + "." + sigHashHex(Sig) + kNativeExtension;
+  return Dir + "/" + FunctionName + "." + sigHashHex(Sig) + NativeKind.Ext;
 }
 
 bool RepoStore::save(const CompiledObject &Obj, uint64_t SourceHash) {
   obs::TraceScope Span("repo.save", "repo", Obj.FunctionName.c_str());
-  // Saving must never take down the caller (it runs on the idle pool or
-  // inline on the compile path): any failure - injected fault, full disk,
-  // unwritable directory - is swallowed into a counter.
-  try {
-    faults::maybeThrow(faults::Site::RepoSave);
-    if (!Usable || !Obj.Code || !safeFileName(Obj.FunctionName))
-      throw std::runtime_error("store unusable");
-    std::string Bytes = encode(Obj, SourceHash);
-    std::string Error;
-    if (!atomicfile::writeFileAtomic(entryPath(Obj), Bytes, &Error))
-      throw std::runtime_error(Error);
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.Saved;
-    return true;
-  } catch (...) {
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.SaveFailures;
-    return false;
-  }
+  return write(ObjKind, buildStamp(),
+               Usable && Obj.Code && safeFileName(Obj.FunctionName),
+               entryPath(Obj), [&] { return encodeObj(Obj, SourceHash); });
 }
 
 std::vector<RepoStore::Entry> RepoStore::loadAll() {
@@ -216,141 +360,46 @@ std::vector<RepoStore::Entry> RepoStore::loadAll() {
   std::vector<Entry> Out;
   if (!Usable)
     return Out;
-
-  std::vector<std::string> Paths;
-  std::error_code EC;
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
-    if (EC)
-      break;
-    if (E.is_regular_file() && E.path().extension() == kExtension)
-      Paths.push_back(E.path().string());
-  }
-  std::sort(Paths.begin(), Paths.end()); // deterministic load order
-
-  for (const std::string &Path : Paths) {
-    enum class Verdict { Ok, Corrupt, Skew } V = Verdict::Corrupt;
-    try {
-      faults::maybeThrow(faults::Site::RepoLoad);
-      std::error_code SzEC;
-      uint64_t Size = fs::file_size(Path, SzEC);
-      if (SzEC || Size > kMaxFileBytes)
-        throw ser::SerializeError("unreadable or oversized file");
-      std::string Bytes;
-      if (!atomicfile::readFile(Path, Bytes))
-        throw ser::SerializeError("cannot read file");
-
-      // The validation ladder: magic -> format version -> build stamp ->
-      // payload size -> checksum -> bounds-checked decode. The source-hash
-      // rung runs later, at adoption time, when the engine knows the
-      // current source text.
-      ser::ByteReader R(Bytes);
-      if (R.u32() != kMagic)
-        throw ser::SerializeError("bad magic");
-      if (R.u32() != kFormatVersion) {
-        V = Verdict::Skew;
-        throw ser::SerializeError("format version skew");
-      }
-      if (R.u64() != buildStamp()) {
-        V = Verdict::Skew;
-        throw ser::SerializeError("build stamp skew");
-      }
-      Entry E;
-      E.SourceHash = R.u64();
-      uint64_t PayloadSize = R.u64();
-      uint32_t Crc = R.u32();
-      if (PayloadSize != R.remaining())
-        throw ser::SerializeError("payload size mismatch");
-      if (hashing::crc32(static_cast<const void *>(
-                             Bytes.data() + (Bytes.size() - PayloadSize)),
-                         static_cast<size_t>(PayloadSize)) != Crc)
-        throw ser::SerializeError("checksum mismatch");
-      E.Obj = decodePayload(R);
-      E.Path = Path;
-      Out.push_back(std::move(E));
-      V = Verdict::Ok;
-    } catch (...) {
-      // fall through to the verdict handling below
-    }
-
-    std::error_code IgnoredEC;
-    switch (V) {
-    case Verdict::Ok: {
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.Loaded;
-      break;
-    }
-    case Verdict::Corrupt: {
-      // Quarantine, don't delete: the bytes are evidence. The rename also
-      // takes the file out of the .mjo namespace so the next load is
-      // clean. If even the rename fails, fall back to removal.
-      fs::rename(Path, Path + ".corrupt", IgnoredEC);
-      if (IgnoredEC)
-        fs::remove(Path, IgnoredEC);
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.Quarantined;
-      break;
-    }
-    case Verdict::Skew: {
-      // A different engine build or format owns this file; discarding it
-      // is routine turnover, not corruption.
-      fs::remove(Path, IgnoredEC);
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.Skewed;
-      break;
-    }
-    }
-  }
+  // The source-hash check runs later, at adoption time, when the engine
+  // knows the current source text.
+  load(ObjKind, buildStamp(), filesOf(ObjKind),
+       [&](ser::ByteReader &R, const std::string &Path) {
+         Entry E = decodeObj(R);
+         E.Path = Path;
+         Out.push_back(std::move(E));
+         return 1;
+       });
   return Out;
+}
+
+void RepoStore::eraseFiles(const std::string &FunctionName,
+                           std::initializer_list<const Kind *> Kinds) {
+  if (!Usable || !safeFileName(FunctionName))
+    return;
+  for (const Kind *K : Kinds)
+    for (const std::string &Path : filesOf(*K, FunctionName + ".")) {
+      std::error_code RmEC;
+      fs::remove(Path, RmEC);
+    }
 }
 
 void RepoStore::erase(const std::string &FunctionName) {
   // Source turnover invalidates both payload kinds: the native .so was
   // compiled from the same stale source as the IR beside it.
-  if (!Usable || !safeFileName(FunctionName))
-    return;
-  std::error_code EC;
-  std::string Prefix = FunctionName + ".";
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
-    if (EC)
-      break;
-    std::string Name = E.path().filename().string();
-    std::string Ext = E.path().extension().string();
-    if (E.is_regular_file() && (Ext == kExtension || Ext == kNativeExtension) &&
-        Name.rfind(Prefix, 0) == 0) {
-      std::error_code RmEC;
-      fs::remove(E.path(), RmEC);
-    }
-  }
+  eraseFiles(FunctionName, {&ObjKind, &NativeKind});
 }
 
 void RepoStore::eraseNative(const std::string &FunctionName) {
-  if (!Usable || !safeFileName(FunctionName))
-    return;
-  std::error_code EC;
-  std::string Prefix = FunctionName + ".";
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
-    if (EC)
-      break;
-    std::string Name = E.path().filename().string();
-    if (E.is_regular_file() && E.path().extension() == kNativeExtension &&
-        Name.rfind(Prefix, 0) == 0) {
-      std::error_code RmEC;
-      fs::remove(E.path(), RmEC);
-    }
-  }
+  eraseFiles(FunctionName, {&NativeKind});
 }
 
 void RepoStore::discardStale(const std::string &Path) {
   std::error_code EC;
   fs::remove(Path, EC);
-  std::lock_guard<std::mutex> L(Mutex);
-  ++Stats.StaleSource;
+  count(&RepoStoreStats::StaleSource);
 }
 
-void RepoStore::noteAdopted() {
-  std::lock_guard<std::mutex> L(Mutex);
-  ++Stats.Adopted;
-}
+void RepoStore::noteAdopted() { count(&RepoStoreStats::Adopted); }
 
 //===----------------------------------------------------------------------===//
 // Native payloads (.mjn)
@@ -358,52 +407,17 @@ void RepoStore::noteAdopted() {
 
 void RepoStore::setNativeStampExtra(uint64_t Extra) { NativeExtra = Extra; }
 
-std::string RepoStore::encodeNative(const std::string &FunctionName,
-                                    const TypeSignature &Sig, uint32_t NumOuts,
-                                    const std::string &SoBytes,
-                                    uint64_t SourceHash, uint64_t StampExtra) {
-  ser::ByteWriter P;
-  P.str(FunctionName);
-  ser::writeTypeSignature(P, Sig);
-  P.u32(NumOuts);
-  P.str(SoBytes);
-  std::string Payload = P.take();
-  ser::ByteWriter W;
-  W.u32(kNativeMagic);
-  W.u32(kNativeFormatVersion);
-  W.u64(nativeStamp(StampExtra));
-  W.u64(SourceHash);
-  W.u64(Payload.size());
-  W.u32(hashing::crc32(Payload));
-  std::string File = W.take();
-  File += Payload;
-  return File;
-}
-
 bool RepoStore::saveNative(const std::string &FunctionName,
                            const TypeSignature &Sig, uint32_t NumOuts,
                            const std::string &SoBytes, uint64_t SourceHash) {
   obs::TraceScope Span("repo.save_native", "repo", FunctionName.c_str());
-  try {
-    faults::maybeThrow(faults::Site::RepoSave);
-    if (!Usable || !NativeTrusted || SoBytes.empty() ||
-        !safeFileName(FunctionName))
-      throw std::runtime_error("store unusable or untrusted for native");
-    std::string Bytes =
-        encodeNative(FunctionName, Sig, NumOuts, SoBytes, SourceHash,
-                     NativeExtra);
-    std::string Error;
-    if (!atomicfile::writeFileAtomic(nativePath(FunctionName, Sig), Bytes,
-                                     &Error))
-      throw std::runtime_error(Error);
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.NativeSaved;
-    return true;
-  } catch (...) {
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.NativeSaveFailures;
-    return false;
-  }
+  return write(NativeKind, nativeStamp(NativeExtra),
+               Usable && NativeTrusted && !SoBytes.empty() &&
+                   safeFileName(FunctionName),
+               nativePath(FunctionName, Sig), [&] {
+                 return encodeNative(FunctionName, Sig, NumOuts, SoBytes,
+                                     SourceHash);
+               });
 }
 
 std::vector<RepoStore::NativeEntry> RepoStore::loadAllNative() {
@@ -412,158 +426,44 @@ std::vector<RepoStore::NativeEntry> RepoStore::loadAllNative() {
   if (!Usable)
     return Out;
   if (!NativeTrusted) {
-    // Integrity checks below cannot establish authenticity: loading from
-    // a directory other users can write would hand them native code
+    // The envelope cannot establish authenticity: loading from a
+    // directory other users can write would hand them native code
     // execution. Leave the files alone and degrade to cold compiles.
     obs::traceInstant("repo.native_untrusted", "repo", Dir);
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.NativeUntrusted;
+    count(&RepoStoreStats::NativeUntrusted);
     return Out;
   }
-
-  std::vector<std::string> Paths;
-  std::error_code EC;
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
-    if (EC)
-      break;
-    if (E.is_regular_file() && E.path().extension() == kNativeExtension)
-      Paths.push_back(E.path().string());
-  }
-  std::sort(Paths.begin(), Paths.end()); // deterministic load order
-
-  for (const std::string &Path : Paths) {
-    // The same ladder as .mjo entries with the native stamp on the third
-    // rung; the source-hash rung runs at adoption time as for IR entries.
-    enum class Verdict { Ok, Corrupt, Skew } V = Verdict::Corrupt;
-    try {
-      faults::maybeThrow(faults::Site::RepoLoad);
-      std::error_code SzEC;
-      uint64_t Size = fs::file_size(Path, SzEC);
-      if (SzEC || Size > kMaxFileBytes)
-        throw ser::SerializeError("unreadable or oversized file");
-      std::string Bytes;
-      if (!atomicfile::readFile(Path, Bytes))
-        throw ser::SerializeError("cannot read file");
-
-      ser::ByteReader R(Bytes);
-      if (R.u32() != kNativeMagic)
-        throw ser::SerializeError("bad magic");
-      if (R.u32() != kNativeFormatVersion) {
-        V = Verdict::Skew;
-        throw ser::SerializeError("format version skew");
-      }
-      if (R.u64() != nativeStamp(NativeExtra)) {
-        V = Verdict::Skew;
-        throw ser::SerializeError("native stamp skew");
-      }
-      NativeEntry E;
-      E.SourceHash = R.u64();
-      uint64_t PayloadSize = R.u64();
-      uint32_t Crc = R.u32();
-      if (PayloadSize != R.remaining())
-        throw ser::SerializeError("payload size mismatch");
-      if (hashing::crc32(static_cast<const void *>(
-                             Bytes.data() + (Bytes.size() - PayloadSize)),
-                         static_cast<size_t>(PayloadSize)) != Crc)
-        throw ser::SerializeError("checksum mismatch");
-      E.FunctionName = R.str();
-      if (!safeFileName(E.FunctionName))
-        throw ser::SerializeError("invalid function name");
-      E.Sig = ser::readTypeSignature(R);
-      E.NumOuts = R.u32();
-      E.SoBytes = R.str();
-      if (!R.atEnd())
-        throw ser::SerializeError("trailing bytes after payload");
-      if (E.SoBytes.empty())
-        throw ser::SerializeError("empty shared object");
-      E.Path = Path;
-      Out.push_back(std::move(E));
-      V = Verdict::Ok;
-    } catch (...) {
-      // fall through to the verdict handling below
-    }
-
-    std::error_code IgnoredEC;
-    switch (V) {
-    case Verdict::Ok: {
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.NativeLoaded;
-      break;
-    }
-    case Verdict::Corrupt: {
-      fs::rename(Path, Path + ".corrupt", IgnoredEC);
-      if (IgnoredEC)
-        fs::remove(Path, IgnoredEC);
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.NativeQuarantined;
-      break;
-    }
-    case Verdict::Skew: {
-      fs::remove(Path, IgnoredEC);
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.NativeSkewed;
-      break;
-    }
-    }
-  }
+  // As for .mjo entries, the source-hash check runs at adoption time.
+  load(NativeKind, nativeStamp(NativeExtra), filesOf(NativeKind),
+       [&](ser::ByteReader &R, const std::string &Path) {
+         NativeEntry E = decodeNative(R);
+         E.Path = Path;
+         Out.push_back(std::move(E));
+         return 1;
+       });
   return Out;
 }
+
+//===----------------------------------------------------------------------===//
+// Persistent profiles (profiles.mjp)
+//===----------------------------------------------------------------------===//
 
 std::string RepoStore::profilePath() const {
   return Dir + "/" + kProfileFileName;
 }
 
-std::string RepoStore::encodeProfiles(const std::vector<ProfileSummary> &Ps) {
-  ser::ByteWriter P;
-  P.u32(static_cast<uint32_t>(Ps.size()));
-  for (const ProfileSummary &S : Ps) {
-    P.str(S.Name);
-    P.u64(S.Invocations);
-    P.u64(S.OtherSignatures);
-    size_t N = std::min(S.Sigs.size(), kProfileTopK);
-    P.u32(static_cast<uint32_t>(N));
-    for (size_t I = 0; I != N; ++I) {
-      ser::writeTypeSignature(P, S.Sigs[I].Sig);
-      P.u64(S.Sigs[I].Count);
-    }
-  }
-  std::string Payload = P.take();
-  ser::ByteWriter W;
-  W.u32(kProfileMagic);
-  W.u32(kProfileFormatVersion);
-  W.u64(buildStamp());
-  W.u64(Payload.size());
-  W.u32(hashing::crc32(Payload));
-  std::string File = W.take();
-  File += Payload;
-  return File;
-}
-
 bool RepoStore::saveProfiles(const std::vector<ProfileSummary> &Ps) {
   obs::TraceScope Span("repo.save_profiles", "repo", Dir.c_str());
-  try {
-    faults::maybeThrow(faults::Site::RepoSave);
-    if (!Usable)
-      throw std::runtime_error("store unusable");
+  return write(ProfileKind, buildStamp(), Usable, profilePath(), [&] {
     // A summary whose name could not have come from a MATLAB identifier is
-    // damage; persisting it would just feed loadProfiles a corrupt rung.
+    // damage; persisting it would only make the next load quarantine.
     std::vector<ProfileSummary> Clean;
     Clean.reserve(Ps.size());
     for (const ProfileSummary &S : Ps)
       if (safeFileName(S.Name))
         Clean.push_back(S);
-    std::string Bytes = encodeProfiles(Clean);
-    std::string Error;
-    if (!atomicfile::writeFileAtomic(profilePath(), Bytes, &Error))
-      throw std::runtime_error(Error);
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.ProfilesSaved;
-    return true;
-  } catch (...) {
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.ProfileSaveFailures;
-    return false;
-  }
+    return encodeProfiles(Clean);
+  });
 }
 
 std::vector<RepoStore::ProfileSummary> RepoStore::loadProfiles() {
@@ -575,94 +475,14 @@ std::vector<RepoStore::ProfileSummary> RepoStore::loadProfiles() {
   std::error_code ExistsEC;
   if (!fs::exists(Path, ExistsEC) || ExistsEC)
     return Out; // a missing profile file is a routine cold start
-
-  // The same ladder as .mjo entries; there is no source-hash rung because
-  // profiles are advisory - a stale profile mis-ranks the queue, and the
-  // engine guards observed signatures against the live arity before use.
-  enum class Verdict { Ok, Corrupt, Skew } V = Verdict::Corrupt;
-  try {
-    faults::maybeThrow(faults::Site::RepoLoad);
-    std::error_code SzEC;
-    uint64_t Size = fs::file_size(Path, SzEC);
-    if (SzEC || Size > kMaxFileBytes)
-      throw ser::SerializeError("unreadable or oversized file");
-    std::string Bytes;
-    if (!atomicfile::readFile(Path, Bytes))
-      throw ser::SerializeError("cannot read file");
-
-    ser::ByteReader R(Bytes);
-    if (R.u32() != kProfileMagic)
-      throw ser::SerializeError("bad magic");
-    if (R.u32() != kProfileFormatVersion) {
-      V = Verdict::Skew;
-      throw ser::SerializeError("format version skew");
-    }
-    if (R.u64() != buildStamp()) {
-      V = Verdict::Skew;
-      throw ser::SerializeError("build stamp skew");
-    }
-    uint64_t PayloadSize = R.u64();
-    uint32_t Crc = R.u32();
-    if (PayloadSize != R.remaining())
-      throw ser::SerializeError("payload size mismatch");
-    if (hashing::crc32(static_cast<const void *>(
-                           Bytes.data() + (Bytes.size() - PayloadSize)),
-                       static_cast<size_t>(PayloadSize)) != Crc)
-      throw ser::SerializeError("checksum mismatch");
-
-    uint32_t Count = R.u32();
-    std::vector<ProfileSummary> Decoded;
-    Decoded.reserve(Count);
-    for (uint32_t I = 0; I != Count; ++I) {
-      ProfileSummary S;
-      S.Name = R.str();
-      if (!safeFileName(S.Name))
-        throw ser::SerializeError("invalid function name");
-      S.Invocations = R.u64();
-      S.OtherSignatures = R.u64();
-      uint32_t NSigs = R.u32();
-      if (NSigs > kProfileTopK)
-        throw ser::SerializeError("signature count out of range");
-      S.Sigs.reserve(NSigs);
-      for (uint32_t J = 0; J != NSigs; ++J) {
-        ProfileSig PS;
-        PS.Sig = ser::readTypeSignature(R);
-        PS.Count = R.u64();
-        PS.SigStr = PS.Sig.str();
-        S.Sigs.push_back(std::move(PS));
-      }
-      Decoded.push_back(std::move(S));
-    }
-    if (!R.atEnd())
-      throw ser::SerializeError("trailing bytes after payload");
-    Out = std::move(Decoded);
-    V = Verdict::Ok;
-  } catch (...) {
-    // fall through to the verdict handling below
-  }
-
-  std::error_code IgnoredEC;
-  switch (V) {
-  case Verdict::Ok: {
-    std::lock_guard<std::mutex> L(Mutex);
-    Stats.ProfilesLoaded += Out.size();
-    break;
-  }
-  case Verdict::Corrupt: {
-    fs::rename(Path, Path + ".corrupt", IgnoredEC);
-    if (IgnoredEC)
-      fs::remove(Path, IgnoredEC);
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.ProfilesQuarantined;
-    break;
-  }
-  case Verdict::Skew: {
-    fs::remove(Path, IgnoredEC);
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.ProfilesSkewed;
-    break;
-  }
-  }
+  // There is no source-hash check: profiles are advisory - a stale profile
+  // mis-ranks the queue, and the engine guards observed signatures against
+  // the live arity before use.
+  load(ProfileKind, buildStamp(), {Path},
+       [&](ser::ByteReader &R, const std::string &) {
+         Out = decodeProfiles(R);
+         return Out.size();
+       });
   return Out;
 }
 

@@ -12,13 +12,12 @@
 /// `<function>.<sighash>.mjo`, written crash-safely (temp file + fsync +
 /// atomic rename; see support/AtomicFile.h).
 ///
-/// Every file carries a header with a format version, the engine build
-/// stamp, the source .m file's content hash, and a CRC32 of the payload.
-/// Loading walks a validation ladder - magic, format version, build stamp,
-/// payload size, checksum, bounds-checked decode - and any rung that fails
-/// quarantines the file (renamed to `*.corrupt`, or deleted for benign
-/// version/build skew) and the engine transparently recompiles. Corruption
-/// degrades to a cold compile, never a crash or a wrong answer.
+/// Every file - `.mjo` entries, `.mjn` native payloads beside them, and
+/// `profiles.mjp` - is one support/Envelope container (see
+/// support/Envelope.h for the header, the verdicts and the quarantine
+/// policy); this store keeps only the three payload codecs. The `.mjo`/`.mjn` payloads
+/// carry the source .m file's content hash, checked at adoption time.
+/// Corruption degrades to a cold compile, never a crash or a wrong answer.
 ///
 /// Thread-safe: saves run on the engine's idle-priority pool while the
 /// interactive thread may be erasing entries for a reloaded function.
@@ -29,8 +28,11 @@
 #define MAJIC_REPO_REPOSTORE_H
 
 #include "repo/Repository.h"
+#include "support/ByteStream.h"
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -41,7 +43,7 @@ namespace majic {
 struct RepoStoreStats {
   uint64_t Saved = 0;        ///< entries written successfully
   uint64_t SaveFailures = 0; ///< saves that failed (I/O or injected fault)
-  uint64_t Loaded = 0;       ///< entries that passed the validation ladder
+  uint64_t Loaded = 0;       ///< entries that opened and decoded clean
   uint64_t Quarantined = 0;  ///< corrupt files renamed to *.corrupt
   uint64_t Skewed = 0;       ///< discarded for format/build-stamp skew
   uint64_t StaleSource = 0;  ///< discarded because the source hash drifted
@@ -76,8 +78,8 @@ public:
     std::string Path;        ///< the file it came from
   };
 
-  /// Reads and validates every entry in the store. Files failing the
-  /// validation ladder are quarantined or discarded (see stats()); this
+  /// Reads and validates every entry in the store. Files the envelope or
+  /// the decoder refuses are quarantined or discarded (see stats()); this
   /// never throws and never crashes, whatever the bytes on disk are.
   std::vector<Entry> loadAll();
 
@@ -124,19 +126,15 @@ public:
   /// save(): a failed write only costs next session's hot-first ordering.
   bool saveProfiles(const std::vector<ProfileSummary> &Profiles);
 
-  /// Reads the profile summary file through the same validation ladder as
-  /// .mjo entries (magic, format version, build stamp, payload size, CRC32,
-  /// bounds-checked decode). A corrupt file is quarantined (*.corrupt), a
-  /// build/format-skewed one deleted; either way this returns empty and
-  /// the session cold-starts its profile. Never throws.
+  /// Reads the profile summary file through the envelope, stamped like
+  /// .mjo entries. A corrupt file is quarantined (*.corrupt), a skewed one
+  /// deleted; either way this returns empty and the session cold-starts
+  /// its profile. Never throws.
   std::vector<ProfileSummary> loadProfiles();
 
   /// Full path of the profile summary file (even when the store directory
   /// could not be created).
   std::string profilePath() const;
-
-  /// Serialized image of a profile summary file; exposed for fuzz tests.
-  static std::string encodeProfiles(const std::vector<ProfileSummary> &Ps);
 
   //===--------------------------------------------------------------------===//
   // Native payloads (.mjn): machine code beside the IR
@@ -178,22 +176,13 @@ public:
                   uint32_t NumOuts, const std::string &SoBytes,
                   uint64_t SourceHash);
 
-  /// Reads and validates every .mjn entry through the same ladder as
-  /// loadAll() (magic, format version, native build stamp, payload size,
-  /// CRC32, bounds-checked decode; *.corrupt quarantine on failure).
+  /// Reads and validates every .mjn entry like loadAll(), under the
+  /// native stamp.
   std::vector<NativeEntry> loadAllNative();
 
   /// Deletes every on-disk native version of \p FunctionName (runtime
   /// quarantine or source turnover; the .mjo files are left alone).
   void eraseNative(const std::string &FunctionName);
-
-  /// Serialized file image of one native entry; exposed so the loader
-  /// fuzz tests can corrupt known-good bytes. \p StampExtra plays the
-  /// role of setNativeStampExtra for the static encoder.
-  static std::string encodeNative(const std::string &FunctionName,
-                                  const TypeSignature &Sig, uint32_t NumOuts,
-                                  const std::string &SoBytes,
-                                  uint64_t SourceHash, uint64_t StampExtra);
 
   RepoStoreStats stats() const;
 
@@ -204,11 +193,31 @@ public:
 
   const std::string &directory() const { return Dir; }
 
-  /// Serialized file image of one entry (header + payload); exposed so the
-  /// loader fuzz tests can corrupt known-good bytes.
-  static std::string encode(const CompiledObject &Obj, uint64_t SourceHash);
-
 private:
+  /// One payload kind: envelope magic and version, file extension, and
+  /// the stats fields its outcomes count into (defined in RepoStore.cpp).
+  struct Kind;
+  static const Kind ObjKind, NativeKind, ProfileKind;
+
+  /// The kind's files in the store whose names start with \p Prefix,
+  /// sorted.
+  std::vector<std::string> filesOf(const Kind &K,
+                                   const std::string &Prefix = "") const;
+  /// Seals \p Payload() and writes it atomically to \p Path when
+  /// \p Allowed; counts the outcome. Never throws.
+  bool write(const Kind &K, uint64_t Stamp, bool Allowed,
+             const std::string &Path,
+             const std::function<std::string()> &Payload);
+  /// Opens each of \p Paths and hands the payload to \p Decode, which
+  /// returns how many items it loaded; settles and counts every file.
+  void load(const Kind &K, uint64_t Stamp,
+            const std::vector<std::string> &Paths,
+            const std::function<uint64_t(ser::ByteReader &,
+                                         const std::string &Path)> &Decode);
+  void eraseFiles(const std::string &FunctionName,
+                  std::initializer_list<const Kind *> Kinds);
+  void count(uint64_t RepoStoreStats::*Field, uint64_t N = 1);
+
   std::string entryPath(const CompiledObject &Obj) const;
   std::string nativePath(const std::string &FunctionName,
                          const TypeSignature &Sig) const;

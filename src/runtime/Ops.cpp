@@ -613,12 +613,38 @@ Value rt::vertcat(std::span<const Value *const> Parts) {
 // Indexing
 //===----------------------------------------------------------------------===//
 
+[[noreturn]] static void throwNotPositive(double X) {
+  throw MatlabError(
+      format("subscript indices must be positive integers (got %g)", X));
+}
+
+[[noreturn]] static void throwOutOfRange(const char *What, size_t Index,
+                                         size_t DimLen) {
+  throw MatlabError(format("index out of bounds: %s index %zu exceeds "
+                           "dimension length %zu",
+                           What, Index, DimLen));
+}
+
 size_t rt::checkSubscript(double X) {
   double R = std::round(X);
   if (std::abs(X - R) > 1e-8 || R < 1)
-    throw MatlabError(
-        format("subscript indices must be positive integers (got %g)", X));
+    throwNotPositive(X);
   return static_cast<size_t>(R) - 1;
+}
+
+void rt::throwBadRead(int64_t I, size_t Numel) {
+  if (I < 1)
+    throwNotPositive(static_cast<double>(I));
+  throwOutOfRange("linear", static_cast<size_t>(I), Numel);
+}
+
+void rt::throwBadRead(int64_t R, int64_t C, size_t Rows, size_t Cols) {
+  for (int64_t X : {R, C})
+    if (X < 1)
+      throwNotPositive(static_cast<double>(X));
+  if (static_cast<size_t>(R) > Rows)
+    throwOutOfRange("row", static_cast<size_t>(R), Rows);
+  throwOutOfRange("column", static_cast<size_t>(C), Cols);
 }
 
 Indexer Indexer::fromValue(const Value &V, size_t DimLen) {
@@ -653,9 +679,7 @@ static void checkInRange(const Indexer &I, size_t DimLen, const char *What) {
     return;
   for (size_t X : I.indices())
     if (X >= DimLen)
-      throw MatlabError(format("index out of bounds: %s index %zu exceeds "
-                               "dimension length %zu",
-                               What, X + 1, DimLen));
+      throwOutOfRange(What, X + 1, DimLen);
 }
 
 Value rt::index1(const Value &AIn, const Indexer &I) {

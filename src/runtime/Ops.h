@@ -153,6 +153,14 @@ Value elemwiseReal2(const Value &A, const Value &B, const char *Name,
 /// tolerance). Returns the 0-based index; throws MatlabError otherwise.
 size_t checkSubscript(double X);
 
+/// Raises the error for a checked scalar read A(I) or A(R, C) whose 1-based
+/// subscripts failed the bounds check, worded exactly as the interpreter's
+/// indexing words it: the compiled tiers call these so every executor's
+/// error text agrees. Subscripts below 1 are reported first, then those
+/// past their dimension; row before column within each.
+[[noreturn]] void throwBadRead(int64_t I, size_t Numel);
+[[noreturn]] void throwBadRead(int64_t R, int64_t C, size_t Rows, size_t Cols);
+
 /// Renders a value the way the MATLAB command window displays "Name = ...".
 std::string displayValue(const Value &V, const std::string &Name);
 

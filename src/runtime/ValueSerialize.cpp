@@ -6,8 +6,6 @@
 
 #include "runtime/ValueSerialize.h"
 
-#include "support/Hashing.h"
-
 #include <limits>
 
 using namespace majic;
@@ -97,7 +95,7 @@ Value majic::ser::readValue(ByteReader &R) {
   return V;
 }
 
-std::string majic::ser::encodeWorkspaceImage(const WorkspaceImage &W) {
+std::string majic::ser::encodeWorkspace(const WorkspaceImage &W) {
   ByteWriter P;
   P.u32(static_cast<uint32_t>(W.Sources.size()));
   for (const WorkspaceImage::SourceDef &S : W.Sources) {
@@ -109,34 +107,11 @@ std::string majic::ser::encodeWorkspaceImage(const WorkspaceImage &W) {
     P.str(Var.Name);
     writeValue(P, *Var.V);
   }
-  std::string Payload = P.take();
-
-  ByteWriter H;
-  H.u32(kWorkspaceMagic);
-  H.u32(kWorkspaceFormatVersion);
-  H.u64(Payload.size());
-  H.u32(hashing::crc32(Payload));
-  std::string Out = H.take();
-  Out += Payload;
-  return Out;
+  return P.take();
 }
 
-WorkspaceImage majic::ser::decodeWorkspaceImage(const std::string &Bytes) {
-  ByteReader R(Bytes);
-  if (R.u32() != kWorkspaceMagic)
-    throw SerializeError("bad workspace magic");
-  uint32_t Version = R.u32();
-  if (Version != kWorkspaceFormatVersion)
-    throw WorkspaceSkew(Version);
-  uint64_t PayloadSize = R.u64();
-  uint32_t Crc = R.u32();
-  if (PayloadSize != R.remaining())
-    throw SerializeError("payload size disagrees with file size");
-  if (hashing::crc32(static_cast<const void *>(
-                         Bytes.data() + (Bytes.size() - R.remaining())),
-                     R.remaining()) != Crc)
-    throw SerializeError("checksum mismatch");
-
+WorkspaceImage majic::ser::decodeWorkspace(std::string_view Payload) {
+  ByteReader R(Payload.data(), Payload.size());
   WorkspaceImage W;
   uint32_t NSources = R.arrayLen(kSourceBytes);
   W.Sources.reserve(NSources);

@@ -8,18 +8,9 @@
 /// Binary (de)serialization of interactive workspaces for session
 /// hibernation: when the service's live-session cap is hit, an idle
 /// session's state is snapshotted to disk (`.mjws`) and its slot freed; a
-/// later request resurrects it transparently. MaJIC's responsiveness story
-/// assumes an interactive session whose state survives the compiler's
-/// adventures, so the snapshot gets the same crash-safety discipline as
-/// the `.mjo` code store: a validation ladder of
-///
-///   magic -> format version -> payload size -> CRC32 -> bounds-checked
-///   decode
-///
-/// where any rung's failure classifies the snapshot as corrupt (quarantine
-/// on disk, session restarts empty with a loud error) rather than ever
-/// admitting a torn workspace. A version-skew failure is its own verdict:
-/// an old snapshot after an upgrade is routine turnover, deleted silently.
+/// later request resurrects it transparently. This is the payload codec
+/// only: service/SnapshotStore seals it in the support/Envelope container,
+/// which owns the header, the validation ladder and the quarantine policy.
 ///
 /// The payload is self-contained: the session's interactive function
 /// definitions (source text, replayed through the engine so compiled code
@@ -39,28 +30,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace majic {
 namespace ser {
-
-/// "MJWS" little-endian, the workspace snapshot magic.
-constexpr uint32_t kWorkspaceMagic = 0x53574a4d;
-
-/// Version of the snapshot encoding itself. Unlike compiled code, a
-/// workspace carries no ABI beyond the Value model, so this only bumps
-/// when the byte layout below changes.
-constexpr uint32_t kWorkspaceFormatVersion = 1;
-
-/// Raised when a snapshot's format version differs from ours: not
-/// corruption but turnover, so stores delete rather than quarantine.
-class WorkspaceSkew : public SerializeError {
-public:
-  explicit WorkspaceSkew(uint32_t Found)
-      : SerializeError("workspace format version " + std::to_string(Found) +
-                       " (want " + std::to_string(kWorkspaceFormatVersion) +
-                       ")") {}
-};
 
 /// Everything a session needs to come back from disk: the interactive
 /// function definitions in submission order and the workspace variables
@@ -87,13 +61,13 @@ void writeValue(ByteWriter &W, const Value &V);
 /// flag disagreeing with the class).
 Value readValue(ByteReader &R);
 
-/// Full snapshot: ladder header + payload.
-std::string encodeWorkspaceImage(const WorkspaceImage &W);
+/// The workspace payload.
+std::string encodeWorkspace(const WorkspaceImage &W);
 
-/// Walks the full ladder; throws WorkspaceSkew on a version mismatch and
-/// SerializeError on everything else (bad magic, size mismatch, checksum
-/// mismatch, malformed payload, trailing bytes).
-WorkspaceImage decodeWorkspaceImage(const std::string &Bytes);
+/// Decodes a workspace payload; throws SerializeError on anything
+/// malformed (overrunning lengths, a variable name that is not an
+/// identifier, a bad value encoding, trailing bytes).
+WorkspaceImage decodeWorkspace(std::string_view Payload);
 
 } // namespace ser
 } // namespace majic

@@ -7,6 +7,7 @@
 #include "service/SnapshotStore.h"
 
 #include "support/AtomicFile.h"
+#include "support/Envelope.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
@@ -21,6 +22,12 @@ namespace {
 
 const char *const kExtension = ".mjws";
 const char *const kPrefix = "session-";
+constexpr uint32_t kMagic = 0x53574a4d; // "MJWS" little-endian
+/// Bumps when the workspace payload layout changes.
+constexpr uint32_t kVersion = 2;
+/// A workspace carries no ABI beyond the Value model, which the version
+/// already covers: the stamp is a constant.
+constexpr uint64_t kStamp = 0;
 
 /// Parses "session-<16 hex digits>.mjws"; anything else in the directory
 /// (quarantined files, temp strays, unrelated droppings) is not a
@@ -76,7 +83,8 @@ bool SnapshotStore::save(uint64_t Id, const ser::WorkspaceImage &Img) {
   bool Ok = false;
   try {
     faults::maybeThrow(faults::Site::SessionSnapshotSave);
-    std::string Bytes = ser::encodeWorkspaceImage(Img);
+    std::string Bytes =
+        envelope::seal(kMagic, kVersion, kStamp, ser::encodeWorkspace(Img));
     faults::killPoint(faults::Site::SessionSnapshotSave);
     std::string Error;
     Ok = atomicfile::writeFileAtomic(pathFor(Id), Bytes, &Error);
@@ -106,57 +114,47 @@ SnapshotStore::LoadStatus SnapshotStore::load(uint64_t Id,
   if (!Usable || !fs::exists(Path, EC) || EC)
     return LoadStatus::Missing;
 
-  enum class Verdict { Corrupt, Skew, Ok } V = Verdict::Corrupt;
-  std::string Reason = "unknown";
+  envelope::Verdict V = envelope::Verdict::Corrupt;
+  std::string Reason;
   try {
     faults::maybeThrow(faults::Site::SessionSnapshotLoad);
-    std::error_code SzEC;
-    uint64_t Size = fs::file_size(Path, SzEC);
-    if (SzEC || Size > kMaxFileBytes)
-      throw ser::SerializeError("unreadable or oversized file");
     std::string Bytes;
-    if (!atomicfile::readFile(Path, Bytes))
-      throw ser::SerializeError("cannot read file");
+    if (!envelope::readFile(Path, kMaxFileBytes, Bytes))
+      throw ser::SerializeError("unreadable or oversized file");
     faults::killPoint(faults::Site::SessionSnapshotLoad);
-    Out = ser::decodeWorkspaceImage(Bytes);
-    V = Verdict::Ok;
-  } catch (const ser::WorkspaceSkew &E) {
-    V = Verdict::Skew;
-    Reason = E.what();
+    envelope::Opened O = envelope::open(Bytes, kMagic, kVersion, kStamp);
+    Reason = O.Reason;
+    if (O.V == envelope::Verdict::Ok)
+      Out = ser::decodeWorkspace(O.Payload);
+    V = O.V;
   } catch (const std::exception &E) {
     Reason = E.what();
   }
 
-  std::error_code IgnoredEC;
   switch (V) {
-  case Verdict::Ok: {
+  case envelope::Verdict::Ok: {
     faults::killPoint(faults::Site::SessionSnapshotLoad);
     std::lock_guard<std::mutex> L(Mutex);
     ++Stats.Loaded;
     return LoadStatus::Ok;
   }
-  case Verdict::Corrupt: {
-    // Quarantine, don't delete: the bytes are evidence, and the rename
-    // takes the file out of the .mjws namespace so the session is never
-    // offered the same torn snapshot twice. If even the rename fails,
-    // fall back to removal.
+  case envelope::Verdict::Corrupt: {
+    // The session is never offered the same torn snapshot twice: the
+    // envelope's quarantine renames it out of the .mjws namespace.
     std::fprintf(stderr,
                  "majic: workspace snapshot for session %llu failed "
                  "validation (%s); quarantined as '%s.corrupt', session "
                  "restarts empty\n",
                  (unsigned long long)Id, Reason.c_str(), Path.c_str());
-    fs::rename(Path, Path + ".corrupt", IgnoredEC);
-    if (IgnoredEC)
-      fs::remove(Path, IgnoredEC);
+    envelope::settle(Path, V);
     std::lock_guard<std::mutex> L(Mutex);
     ++Stats.Quarantined;
     return LoadStatus::Corrupt;
   }
-  case Verdict::Skew: {
-    // A different snapshot format owns this file; discarding it is
-    // routine turnover, not corruption - the session restarts empty
+  case envelope::Verdict::Skew: {
+    // Routine turnover, not corruption: the session restarts empty
     // without the corruption klaxon.
-    fs::remove(Path, IgnoredEC);
+    envelope::settle(Path, V);
     std::lock_guard<std::mutex> L(Mutex);
     ++Stats.Skewed;
     return LoadStatus::Missing;

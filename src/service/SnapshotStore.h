@@ -7,20 +7,19 @@
 /// \file
 /// The on-disk side of session hibernation: one `session-<id>.mjws` file
 /// per hibernated workspace under MAJIC_SESSION_DIR, written atomically
-/// (temp + fsync + rename via support/AtomicFile) and validated on the way
-/// back in by runtime/ValueSerialize's ladder. The store's verdicts mirror
-/// the `.mjo` code store exactly:
+/// (temp + fsync + rename via support/AtomicFile). The file is the
+/// runtime/ValueSerialize workspace payload in the support/Envelope
+/// container (see support/Envelope.h), whose verdicts map to load
+/// statuses:
 ///
 ///   Ok      the workspace decoded clean; the caller owns deleting the
 ///           file once the resurrected session is live (a snapshot must
 ///           never outlive the state it describes, or a later crash could
 ///           resurrect the past).
-///   Missing no snapshot - nothing was ever saved, or a completed
-///           resurrect consumed it.
-///   Corrupt any ladder rung failed: the file is renamed `*.corrupt`
-///           (evidence, and out of the `.mjws` namespace) and the session
-///           restarts empty. Version skew is the one exception - routine
-///           turnover, deleted silently.
+///   Missing no snapshot - nothing was ever saved, a completed resurrect
+///           consumed it, or it was skew (removed silently).
+///   Corrupt the envelope or the payload decoder refused it: the file is
+///           quarantined and the session restarts empty, loudly.
 ///
 /// Fault sites `session-snapshot-save` / `session-snapshot-load` gate the
 /// two paths for both throw-mode sweeps (clean failure handling) and

@@ -15,9 +15,9 @@
 /// The reader is written for hostile input: every length is checked against
 /// the bytes that remain, and any violation raises SerializeError - it must
 /// never crash, overflow, or allocate unboundedly, because the stores feed
-/// it bytes that may have been torn or rotted on disk (each store's
+/// it bytes that may have been torn or rotted on disk (the support/Envelope
 /// checksum catches virtually all corruption first; this is the second
-/// layer of the validation ladder).
+/// layer).
 ///
 //===----------------------------------------------------------------------===//
 

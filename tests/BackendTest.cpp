@@ -303,6 +303,34 @@ TEST(Backend, SubscriptErrorAgrees) {
                  {4});
 }
 
+/// The out-of-range reads whose error text every executor must share with
+/// the interpreter, byte for byte: linear reads past the end and at 0 of a
+/// 1x3, and 2-D reads past a 3x3's rows, columns and both (row first).
+const char *kOobLinear = "function r = f(k)\nx = [1 2 3];\nr = x(k);\n";
+const char *kOob2D = "function r = f(i, j)\nA = [1 2 3; 4 5 6; 7 8 9];\n"
+                     "r = A(i, j);\n";
+const std::vector<std::pair<const char *, std::vector<double>>> kOobCases = {
+    {kOobLinear, {7}}, {kOobLinear, {0}}, {kOob2D, {4, 1}},
+    {kOob2D, {1, 4}},  {kOob2D, {4, 4}}};
+
+TEST(Backend, OutOfRangeErrorTextIsTheInterpreters) {
+  for (const auto &[Src, Args] : kOobCases) {
+    EngineOptions Interp;
+    Interp.Policy = CompilePolicy::InterpretOnly;
+    RunOutcome Expected = runWith(Interp, Src, "f", Args, 1);
+    ASSERT_TRUE(Expected.Threw) << Src;
+    for (CompilePolicy P : {CompilePolicy::Jit, CompilePolicy::Falcon,
+                            CompilePolicy::Mcc}) {
+      EngineOptions O;
+      O.Policy = P;
+      RunOutcome Got = runWith(O, Src, "f", Args, 1);
+      EXPECT_TRUE(Got.Threw) << Src;
+      EXPECT_EQ(Got.ErrorMessage, Expected.ErrorMessage)
+          << Src << " policy " << int(P);
+    }
+  }
+}
+
 TEST(Backend, UndefinedOutputErrorAgrees) {
   checkSoundness("function r = f(n)\nif n > 100\nr = 1;\nend\n", "f", {3});
 }

@@ -321,6 +321,49 @@ TEST_F(NativeEngineTest, NativeErrorTextMatchesVm) {
   EXPECT_EQ(NativeMsg, VmMsg);
 }
 
+TEST_F(NativeEngineTest, OutOfRangeErrorTextIsTheInterpreters) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  const char *Linear = "function r = f(k)\nx = [1 2 3];\nr = x(k);\n";
+  const char *TwoD = "function r = f(i, j)\nA = [1 2 3; 4 5 6; 7 8 9];\n"
+                     "r = A(i, j);\n";
+  struct Case {
+    const char *Src;
+    std::vector<double> Good, Bad;
+  };
+  const Case Cases[] = {{Linear, {2}, {7}},       {Linear, {2}, {0}},
+                        {TwoD, {2, 2}, {4, 1}},   {TwoD, {2, 2}, {1, 4}},
+                        {TwoD, {2, 2}, {4, 4}}};
+  auto args = [](const std::vector<double> &Xs) {
+    std::vector<ValuePtr> Out;
+    for (double X : Xs)
+      Out.push_back(intArg(X));
+    return Out;
+  };
+  for (const Case &C : Cases) {
+    // A valid read first (promoting f to native where the tier is on),
+    // then the bad one.
+    auto errorText = [&](EngineOptions O, uint64_t WantHits) {
+      fs::remove_all(Dir);
+      Engine E(std::move(O));
+      EXPECT_TRUE(E.addSource("f", C.Src));
+      E.callFunction("f", args(C.Good), 1, SourceLoc());
+      EXPECT_EQ(E.nativeHits(), WantHits);
+      try {
+        E.callFunction("f", args(C.Bad), 1, SourceLoc());
+      } catch (MatlabError &ME) {
+        return ME.message();
+      }
+      return std::string("<no error>");
+    };
+    EngineOptions Interp;
+    Interp.Policy = CompilePolicy::InterpretOnly;
+    std::string Want = errorText(std::move(Interp), 0);
+    EXPECT_NE(Want, "<no error>");
+    EXPECT_EQ(errorText(nativeOpts(), 1), Want);
+  }
+}
+
 TEST_F(NativeEngineTest, InjectedFaultsDegradeToVmSilently) {
   if (!hostCompilerAvailable())
     GTEST_SKIP() << "no C compiler on host";
@@ -517,59 +560,6 @@ TEST_F(NativeStoreTest, RoundTrip) {
   EXPECT_EQ(Entries[0].SourceHash, 12345u);
   EXPECT_EQ(Entries[0].SoBytes, std::string("so-bytes\0with-nul", 17));
   EXPECT_EQ(S.stats().NativeLoaded, 1u);
-}
-
-TEST_F(NativeStoreTest, BitFlipQuarantines) {
-  saveOne(7);
-  fs::path P = onlyMjn();
-  ASSERT_FALSE(P.empty());
-  {
-    std::fstream F(P, std::ios::in | std::ios::out | std::ios::binary);
-    F.seekp(static_cast<std::streamoff>(fs::file_size(P)) - 3);
-    F.put('\x5a');
-  }
-  RepoStore S(Dir.string());
-  S.setNativeStampExtra(7);
-  EXPECT_TRUE(S.loadAllNative().empty());
-  EXPECT_EQ(S.stats().NativeQuarantined, 1u);
-  EXPECT_TRUE(anyCorrupt());
-  EXPECT_TRUE(onlyMjn().empty()); // renamed away, never served again
-}
-
-TEST_F(NativeStoreTest, TruncationQuarantines) {
-  saveOne(7);
-  fs::path P = onlyMjn();
-  ASSERT_FALSE(P.empty());
-  fs::resize_file(P, 10);
-  RepoStore S(Dir.string());
-  S.setNativeStampExtra(7);
-  EXPECT_TRUE(S.loadAllNative().empty());
-  EXPECT_EQ(S.stats().NativeQuarantined, 1u);
-  EXPECT_TRUE(anyCorrupt());
-}
-
-TEST_F(NativeStoreTest, GarbageFileQuarantines) {
-  fs::create_directories(Dir);
-  std::ofstream(Dir / "junk.0000.mjn") << "this was never a native entry";
-  RepoStore S(Dir.string());
-  S.setNativeStampExtra(7);
-  EXPECT_TRUE(S.loadAllNative().empty());
-  EXPECT_EQ(S.stats().NativeQuarantined, 1u);
-  EXPECT_TRUE(anyCorrupt());
-}
-
-TEST_F(NativeStoreTest, StampSkewDiscardsQuietly) {
-  saveOne(/*Extra=*/7);
-  // A different stamp extra models an ABI bump or a compiler upgrade: the
-  // entry is plausible bytes from the wrong world - dropped, not
-  // quarantined, and the file removed so it is not re-judged every start.
-  RepoStore S(Dir.string());
-  S.setNativeStampExtra(8);
-  EXPECT_TRUE(S.loadAllNative().empty());
-  EXPECT_EQ(S.stats().NativeSkewed, 1u);
-  EXPECT_EQ(S.stats().NativeQuarantined, 0u);
-  EXPECT_FALSE(anyCorrupt());
-  EXPECT_TRUE(onlyMjn().empty());
 }
 
 TEST_F(NativeStoreTest, SharedWritableDirRefusesNativePayloads) {
