@@ -84,6 +84,9 @@ private:
                                bool Statement = false);
   std::vector<Operand> genBuiltinCall(const IndexOrCallExpr *IC,
                                       size_t NumOuts, bool Statement);
+  std::vector<Operand> emitCall(Opcode Op, const std::string &Name,
+                                const std::vector<int32_t> &ArgRegs,
+                                size_t NumOuts, bool Statement);
   void genIndexedStore(const LValue &LV, Operand RHS, const Type &RHSType,
                        const Stmt *S);
   void storeToHome(int Slot, Operand V);
@@ -1699,17 +1702,25 @@ std::vector<Operand> CodeGen::genCall(const IndexOrCallExpr *IC,
       throw CannotCompile();
     ArgRegs.push_back(toP(genExpr(A), typeOf(A)).R0);
   }
+  return emitCall(Opcode::CallU, IC->base()->name(), ArgRegs, NumOuts,
+                  Statement);
+}
+
+/// Emits a CallU/CallB of \p Name on boxed arguments, with one fresh P
+/// register per output.
+std::vector<Operand> CodeGen::emitCall(Opcode Op, const std::string &Name,
+                                       const std::vector<int32_t> &ArgRegs,
+                                       size_t NumOuts, bool Statement) {
   std::vector<int32_t> DstRegs;
   std::vector<Operand> Outs;
-  for (size_t K = 0; K != std::max<size_t>(NumOuts, 0); ++K) {
+  for (size_t K = 0; K != NumOuts; ++K) {
     DstRegs.push_back(B.newP());
     Outs.push_back(Operand::p(DstRegs.back()));
   }
-  Instr In = Instr::make(Opcode::CallU, B.pool(DstRegs),
-                         static_cast<int32_t>(DstRegs.size()),
-                         B.pool(ArgRegs), static_cast<int32_t>(ArgRegs.size()));
-  In.Imm.I = IR->internName(IC->base()->name()) |
-             (Statement ? kStatementCallFlag : 0);
+  Instr In = Instr::make(Op, B.pool(DstRegs),
+                         static_cast<int32_t>(DstRegs.size()), B.pool(ArgRegs),
+                         static_cast<int32_t>(ArgRegs.size()));
+  In.Imm.I = IR->internName(Name) | (Statement ? kStatementCallFlag : 0);
   B.emit(In);
   return Outs;
 }
@@ -1751,6 +1762,24 @@ std::vector<Operand> CodeGen::genBuiltinCall(const IndexOrCallExpr *IC,
                  A.R0, C.R0);
       return {Operand::f(Dst)};
     }
+  }
+
+  // abs of a complex scalar held as a (re, im) register pair is
+  // hypot(re, im), exactly what the builtin computes for a complex value. A
+  // boxed operand keeps the call even when typed complex: at run time it may
+  // hold a real, for which the builtin takes fabs (the two differ in the
+  // sign of a NaN).
+  if (Fast && Def->Intrinsic == ScalarIntrinsic::Abs && NumOuts <= 1 &&
+      IC->args().size() == 1 && cplxScalarType(typeOf(IC->args()[0]))) {
+    Operand Z = genExpr(IC->args()[0]);
+    if (Z.K == Operand::Kind::CPair) {
+      int32_t Dst = B.newF();
+      B.emitImmI(Opcode::FIntr2, static_cast<int64_t>(ScalarIntrinsic::Hypot),
+                 Dst, Z.R0, Z.R1);
+      return {Operand::f(Dst)};
+    }
+    return emitCall(Opcode::CallB, Name, {toP(Z, typeOf(IC->args()[0])).R0},
+                    NumOuts, Statement);
   }
 
   // Preallocated arrays: zeros/ones with scalar arguments (Section 2.6.1
@@ -1801,19 +1830,7 @@ std::vector<Operand> CodeGen::genBuiltinCall(const IndexOrCallExpr *IC,
     for (size_t K = 1; K != IC->args().size(); ++K)
       ArgRegs.push_back(toP(genExpr(IC->args()[K]),
                             typeOf(IC->args()[K])).R0);
-    std::vector<int32_t> DstRegs;
-    std::vector<Operand> Outs;
-    for (size_t K = 0; K != NumOuts; ++K) {
-      DstRegs.push_back(B.newP());
-      Outs.push_back(Operand::p(DstRegs.back()));
-    }
-    Instr In = Instr::make(Opcode::CallB, B.pool(DstRegs),
-                           static_cast<int32_t>(DstRegs.size()),
-                           B.pool(ArgRegs),
-                           static_cast<int32_t>(ArgRegs.size()));
-    In.Imm.I = IR->internName(Name) | (Statement ? kStatementCallFlag : 0);
-    B.emit(In);
-    return Outs;
+    return emitCall(Opcode::CallB, Name, ArgRegs, NumOuts, Statement);
   }
 
   // Elementwise fusion: an intrinsic map over a fusable array chain
@@ -1829,18 +1846,7 @@ std::vector<Operand> CodeGen::genBuiltinCall(const IndexOrCallExpr *IC,
       throw CannotCompile();
     ArgRegs.push_back(toP(genExpr(A), typeOf(A)).R0);
   }
-  std::vector<int32_t> DstRegs;
-  std::vector<Operand> Outs;
-  for (size_t K = 0; K != NumOuts; ++K) {
-    DstRegs.push_back(B.newP());
-    Outs.push_back(Operand::p(DstRegs.back()));
-  }
-  Instr In = Instr::make(Opcode::CallB, B.pool(DstRegs),
-                         static_cast<int32_t>(DstRegs.size()), B.pool(ArgRegs),
-                         static_cast<int32_t>(ArgRegs.size()));
-  In.Imm.I = IR->internName(Name) | (Statement ? kStatementCallFlag : 0);
-  B.emit(In);
-  return Outs;
+  return emitCall(Opcode::CallB, Name, ArgRegs, NumOuts, Statement);
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,12 +14,15 @@
 
 #include "ast/Parser.h"
 #include "backend/Compiler.h"
+#include "native/NativeCompiler.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 using namespace majic;
 
@@ -30,16 +33,24 @@ struct RunOutcome {
   std::string Output;
   bool Threw = false;
   std::string ErrorMessage;
+  uint64_t NativeHits = 0;
 };
 
+std::vector<Value> intArgs(const std::vector<double> &Xs) {
+  std::vector<Value> Args;
+  for (double X : Xs)
+    Args.push_back(Value::intScalar(X));
+  return Args;
+}
+
 RunOutcome runWith(EngineOptions Opts, const std::string &Source,
-                   const std::string &Fn, std::vector<double> ScalarArgs,
+                   const std::string &Fn, const std::vector<Value> &ArgValues,
                    size_t NumOuts) {
   Engine E(Opts);
   EXPECT_TRUE(E.addSource(Fn, Source)) << E.diagnostics();
   std::vector<ValuePtr> Args;
-  for (double A : ScalarArgs)
-    Args.push_back(makeValue(Value::intScalar(A)));
+  for (const Value &A : ArgValues)
+    Args.push_back(makeValue(A));
   RunOutcome Out;
   try {
     std::vector<ValuePtr> Rs = E.callFunction(Fn, Args, NumOuts, SourceLoc());
@@ -50,6 +61,7 @@ RunOutcome runWith(EngineOptions Opts, const std::string &Source,
     Out.ErrorMessage = Err.message();
   }
   Out.Output = E.context().output();
+  Out.NativeHits = E.nativeHits();
   return Out;
 }
 
@@ -61,20 +73,29 @@ void expectSameValue(const Value &A, const Value &B, const std::string &Cfg) {
     EXPECT_EQ(A.stringValue(), B.stringValue()) << Cfg;
     return;
   }
+  // Bit for bit: the sign of a zero and of a NaN count.
+  auto Bits = [](double X) { return std::bit_cast<uint64_t>(X); };
   for (size_t I = 0, E = A.numel(); I != E; ++I) {
-    double AR = A.re(I), BR = B.re(I);
-    if (AR != AR) // NaN
-      EXPECT_NE(BR, BR) << Cfg << " elem " << I;
-    else
-      EXPECT_DOUBLE_EQ(AR, BR) << Cfg << " elem " << I;
-    EXPECT_DOUBLE_EQ(A.im(I), B.im(I)) << Cfg << " elem " << I;
+    EXPECT_EQ(Bits(A.re(I)), Bits(B.re(I)))
+        << Cfg << " elem " << I << ": " << A.re(I) << " vs " << B.re(I);
+    EXPECT_EQ(Bits(A.im(I)), Bits(B.im(I)))
+        << Cfg << " elem " << I << " (imag): " << A.im(I) << " vs "
+        << B.im(I);
   }
 }
 
+bool hostCompilerAvailable() {
+  static const bool Available = native::NativeCompiler("cc").available();
+  return Available;
+}
+
 /// Runs \p Source's function \p Fn under the interpreter and under every
-/// compiled configuration, asserting identical behavior.
+/// compiled configuration, asserting identical behavior. \p Native adds
+/// the native tier (one cc invocation per call, so only where it is the
+/// subject of the test).
 void checkSoundness(const std::string &Source, const std::string &Fn,
-                    std::vector<double> Args, size_t NumOuts = 1) {
+                    const std::vector<Value> &Args, size_t NumOuts = 1,
+                    bool Native = false) {
   EngineOptions Ref;
   Ref.Policy = CompilePolicy::InterpretOnly;
   RunOutcome Expected = runWith(Ref, Source, Fn, Args, NumOuts);
@@ -140,9 +161,25 @@ void checkSoundness(const std::string &Source, const std::string &Fn,
     O.InlineCalls = false;
     Configs.push_back({"jit-noinline", O});
   }
+#ifndef __SANITIZE_THREAD__
+  // The first call already compiles, loads and runs machine code. (Under
+  // TSan the uninstrumented generated .so cannot be loaded.)
+  if (Native && hostCompilerAvailable()) {
+    EngineOptions O;
+    O.Policy = CompilePolicy::Jit;
+    O.BackgroundCompileThreads = 0;
+    O.NativeTier = true;
+    O.NativeHotThreshold = 1;
+    Configs.push_back({"native", O});
+  }
+#endif
 
   for (const Config &C : Configs) {
     RunOutcome Got = runWith(C.Opts, Source, Fn, Args, NumOuts);
+    // A run that throws counts no native hit, even when native code threw.
+    if (C.Opts.NativeTier && !Got.Threw) {
+      EXPECT_GT(Got.NativeHits, 0u) << C.Name << ": not served native";
+    }
     EXPECT_EQ(Expected.Threw, Got.Threw)
         << C.Name << ": " << Got.ErrorMessage;
     if (Expected.Threw || Got.Threw)
@@ -153,6 +190,12 @@ void checkSoundness(const std::string &Source, const std::string &Fn,
                       std::string(C.Name) + " result " + std::to_string(I));
     EXPECT_EQ(Expected.Output, Got.Output) << C.Name;
   }
+}
+
+void checkSoundness(const std::string &Source, const std::string &Fn,
+                    std::initializer_list<double> IntArgs,
+                    size_t NumOuts = 1, bool Native = false) {
+  checkSoundness(Source, Fn, intArgs(IntArgs), NumOuts, Native);
 }
 
 //===----------------------------------------------------------------------===//
@@ -193,9 +236,51 @@ TEST(Backend, VectorGrowthInLoop) {
 }
 
 TEST(Backend, ComplexScalarIteration) {
+  // c from an imaginary literal: a constant register pair.
   checkSoundness("function m = f(n)\nc = -0.4 + 0.6i;\nz = 0;\n"
                  "for k = 1:n\nz = z * z + c;\nend\nm = abs(z);\n",
-                 "f", {12});
+                 "f", {12}, 1, /*Native=*/true);
+
+  // abs of a complex register pair lowers to hypot: m reads the loop's
+  // pair, a the parameter's (unboxed in the prologue, so every bit of the
+  // input reaches hypot).
+  const char *Src = "function [m, a] = f(n, c)\nz = 0;\n"
+                    "for k = 1:n\nz = z * z + c;\nend\nm = abs(z);\n"
+                    "a = abs(c);\n";
+  checkSoundness(Src, "f",
+                 {Value::intScalar(12), Value::complexScalar(-0.4, 0.6)}, 2,
+                 /*Native=*/true);
+
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  // The x86 default NaN, which Inf - Inf produces there: sign bit set.
+  const double NegNaN = std::bit_cast<double>(0xfff8000000000000ull);
+  const double Sub = std::numeric_limits<double>::denorm_min();
+  // |re|, |im| near 1e308 overflow a naive sqrt(re^2 + im^2).
+  const std::pair<double, double> Edges[] = {
+      {0.0, 0.0},        {-0.0, -0.0},     {-0.0, 0.0},
+      {0.0, -0.0},       {Inf, 0.0},       {-Inf, -0.0},
+      {0.0, -Inf},       {Inf, NaN},       {NegNaN, -Inf},
+      {NaN, 0.0},        {NegNaN, 0.0},    {0.0, NegNaN},
+      {NegNaN, -0.0},    {NegNaN, NegNaN}, {NaN, 1.0},
+      {Sub, -Sub},       {-Sub, 0.0},      {2.2e-308, 3e-310},
+      {1e308, 1e308},    {-1e308, 1.2e308}, {-1.7e308, 1e308}};
+  for (auto [Re, Im] : Edges) {
+    SCOPED_TRACE(::testing::Message() << "c = " << Re << " + " << Im << "i");
+    checkSoundness(Src, "f",
+                   {Value::intScalar(1), Value::complexScalar(Re, Im)}, 2,
+                   /*Native=*/true);
+  }
+
+  // A boxed operand typed complex that holds a real at run time stays on
+  // the builtin, which takes fabs: abs(-NaN) has its sign bit clear.
+  const char *Boxed = "function a = f(n, x)\nw = 0;\nw(1) = x;\n"
+                      "if n > 1\nw = 1i;\nend\na = abs(w);\n";
+  for (double X : {NegNaN, -0.0, -Inf, -1e308}) {
+    SCOPED_TRACE(::testing::Message() << "x = " << X);
+    checkSoundness(Boxed, "f", {Value::intScalar(1), Value::scalar(X)}, 1,
+                   /*Native=*/true);
+  }
 }
 
 TEST(Backend, SmallVectorOps) {
@@ -317,13 +402,13 @@ TEST(Backend, OutOfRangeErrorTextIsTheInterpreters) {
   for (const auto &[Src, Args] : kOobCases) {
     EngineOptions Interp;
     Interp.Policy = CompilePolicy::InterpretOnly;
-    RunOutcome Expected = runWith(Interp, Src, "f", Args, 1);
+    RunOutcome Expected = runWith(Interp, Src, "f", intArgs(Args), 1);
     ASSERT_TRUE(Expected.Threw) << Src;
     for (CompilePolicy P : {CompilePolicy::Jit, CompilePolicy::Falcon,
                             CompilePolicy::Mcc}) {
       EngineOptions O;
       O.Policy = P;
-      RunOutcome Got = runWith(O, Src, "f", Args, 1);
+      RunOutcome Got = runWith(O, Src, "f", intArgs(Args), 1);
       EXPECT_TRUE(Got.Threw) << Src;
       EXPECT_EQ(Got.ErrorMessage, Expected.ErrorMessage)
           << Src << " policy " << int(P);
@@ -799,10 +884,10 @@ TEST(Deopt, OutputAndRandRolledBackOnRetry) {
                     "y = sqrt(3 - n);\ns = r + imag(y);\n";
   EngineOptions Interp;
   Interp.Policy = CompilePolicy::InterpretOnly;
-  RunOutcome Ref = runWith(Interp, Src, "f", {7}, 1);
+  RunOutcome Ref = runWith(Interp, Src, "f", intArgs({7}), 1);
   EngineOptions Jit;
   Jit.Policy = CompilePolicy::Jit;
-  RunOutcome Got = runWith(Jit, Src, "f", {7}, 1);
+  RunOutcome Got = runWith(Jit, Src, "f", intArgs({7}), 1);
   ASSERT_FALSE(Got.Threw) << Got.ErrorMessage;
   EXPECT_EQ(Ref.Output, Got.Output);
   EXPECT_DOUBLE_EQ(Ref.Results[0].re(0), Got.Results[0].re(0));

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -120,6 +121,41 @@ TEST(CEmitter, ElementwiseChainEmitsOneFusedLoop) {
   EXPECT_EQ(Src.find("for (long long k"), Src.rfind("for (long long k"));
   EXPECT_EQ(Src.find("mlfTimes"), std::string::npos);
   EXPECT_EQ(Src.find("mlfPlus"), std::string::npos);
+}
+
+bool hasOpcode(const IRFunction &F, Opcode Op) {
+  return std::any_of(F.Code.begin(), F.Code.end(),
+                     [Op](const Instr &I) { return I.Op == Op; });
+}
+
+TEST(CEmitter, MandelNeverCallsTheHost) {
+  // mandel as the JIT sees perfbench's hot call mandel(20, 40): the complex
+  // iteration lives in register pairs and abs(z) is hypot on the pair, so
+  // the loop neither boxes a value nor calls a builtin.
+  std::ifstream In(mlibDirectory() + "/mandel.m");
+  std::stringstream SS;
+  SS << In.rdbuf();
+  Compiled C(SS.str(),
+             {Type::scalar(IntrinsicType::Int, Range::constant(20)),
+              Type::scalar(IntrinsicType::Int, Range::constant(40))});
+  EXPECT_FALSE(hasOpcode(*C.Code, Opcode::CallB)) << C.Code->print();
+  EXPECT_FALSE(hasOpcode(*C.Code, Opcode::BoxC)) << C.Code->print();
+  std::string Src = C.emit();
+  EXPECT_EQ(Src.find("mlfCallBuiltin(\"abs\""), std::string::npos) << Src;
+  EXPECT_EQ(Src.find("mlfComplexScalar"), std::string::npos) << Src;
+  EXPECT_NE(Src.find("hypot("), std::string::npos) << Src;
+}
+
+TEST(CEmitter, BoxedComplexTypedAbsKeepsTheBuiltin) {
+  // w is an indexed-assignment target, so it lives boxed; typed complex, it
+  // may still hold a real, whose abs is fabs, not hypot.
+  Compiled C("function a = f(n, x)\nw = 0;\nw(1) = x;\n"
+             "if n > 1\nw = 1i;\nend\na = abs(w);\n",
+             {Type::scalar(IntrinsicType::Int),
+              Type::scalar(IntrinsicType::Real)});
+  std::string Src = C.emit();
+  EXPECT_NE(Src.find("mlfCallBuiltin(\"abs\""), std::string::npos) << Src;
+  EXPECT_EQ(Src.find("hypot("), std::string::npos) << Src;
 }
 
 TEST(CEmitter, EveryCorpusBenchmarkEmits) {
