@@ -10,6 +10,7 @@
 #include "ir/Builder.h"
 #include "runtime/Builtins.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 
@@ -20,15 +21,24 @@ namespace {
 
 /// Where a value currently lives during code selection.
 struct Operand {
-  enum class Kind : uint8_t { F, I, P, CPair };
+  enum class Kind : uint8_t { F, I, P, CPair, Vec };
   Kind K = Kind::P;
-  int32_t R0 = -1;
+  int32_t R0 = -1; // for Vec: the id of its VecRegs
   int32_t R1 = -1; // imaginary register for CPair
 
   static Operand f(int32_t R) { return {Kind::F, R, -1}; }
   static Operand i(int32_t R) { return {Kind::I, R, -1}; }
   static Operand p(int32_t R) { return {Kind::P, R, -1}; }
   static Operand c(int32_t Re, int32_t Im) { return {Kind::CPair, Re, Im}; }
+  static Operand v(int32_t Id) { return {Kind::Vec, Id, -1}; }
+};
+
+/// A small real array of exact shape held in registers: one F register per
+/// element, column-major, plus the class it boxes to.
+struct VecRegs {
+  ShapeBound Shape;
+  MClass Cls = MClass::Real;
+  std::vector<int32_t> Els;
 };
 
 /// A variable's home storage.
@@ -66,6 +76,7 @@ private:
   }
 
   void assignHomes();
+  std::vector<bool> vectorHomes(const std::vector<bool> &ForceBoxed);
   void genPrologue();
   void genEpilogue();
 
@@ -80,6 +91,10 @@ private:
   Operand genUnary(const UnaryExpr *E);
   Operand genMatrixLit(const MatrixExpr *E);
   Operand genIndexRead(const IndexOrCallExpr *IC);
+  bool unrollsLiteral(const MatrixExpr *E) const;
+  std::optional<ShapeBound> unrolledShape(const BinaryExpr *E) const;
+  std::optional<size_t> constElementIndex(const IndexOrCallExpr *IC,
+                                          const ShapeBound &Shape) const;
   std::vector<Operand> genCall(const IndexOrCallExpr *IC, size_t NumOuts,
                                bool Statement = false);
   std::vector<Operand> genBuiltinCall(const IndexOrCallExpr *IC,
@@ -90,7 +105,7 @@ private:
   void genIndexedStore(const LValue &LV, Operand RHS, const Type &RHSType,
                        const Stmt *S);
   void storeToHome(int Slot, Operand V);
-  void displayVar(const std::string &Name, const VarHome &Home);
+  void displayVar(const std::string &Name, int Slot);
 
   //===--------------------------------------------------------------------===
   // Conversions
@@ -112,6 +127,8 @@ private:
     }
     case Operand::Kind::CPair:
       return Operand::f(V.R0); // real part; callers ensure real typing
+    case Operand::Kind::Vec:
+      return toF(toP(V, Type::top()));
     }
     majic_unreachable("invalid operand kind");
   }
@@ -135,11 +152,14 @@ private:
       B.emit(Opcode::FToI, R, V.R0);
       return Operand::i(R);
     }
+    case Operand::Kind::Vec:
+      return toI(toP(V, Type::top()));
     }
     majic_unreachable("invalid operand kind");
   }
 
-  /// Boxes to a P register. \p T guides the boxed class.
+  /// Boxes to a P register. \p T guides the boxed class; a register vector
+  /// boxes to its own class.
   Operand toP(Operand V, const Type &T) {
     switch (V.K) {
     case Operand::Kind::P:
@@ -160,6 +180,8 @@ private:
       B.emit(Opcode::BoxC, R, V.R0, V.R1);
       return Operand::p(R);
     }
+    case Operand::Kind::Vec:
+      return materialize(Vecs[V.R0]);
     }
     majic_unreachable("invalid operand kind");
   }
@@ -179,6 +201,8 @@ private:
       B.emit(Opcode::UnboxReIm, Re, Im, V.R0);
       return Operand::c(Re, Im);
     }
+    case Operand::Kind::Vec:
+      return toCPair(toP(V, Type::top()));
     }
     majic_unreachable("invalid operand kind");
   }
@@ -208,6 +232,8 @@ private:
       B.emit(Opcode::IsTrue, R, V.R0);
       return R;
     }
+    case Operand::Kind::Vec:
+      return toCond(toP(V, Type::top()));
     }
     majic_unreachable("invalid operand kind");
   }
@@ -224,8 +250,31 @@ private:
       return Operand::c(H.R0, H.R1);
     case Operand::Kind::P:
       return Operand::p(H.R0);
+    case Operand::Kind::Vec:
+      return Operand::v(H.R0);
     }
     majic_unreachable("invalid home kind");
+  }
+
+  /// Boxes register vector \p V into a fresh array: the one copy of the
+  /// unrolled NewMat + StoreEl sequence.
+  Operand materialize(const VecRegs &V) {
+    int32_t Rows = B.iconst(static_cast<int64_t>(V.Shape.Rows));
+    int32_t Cols = B.iconst(static_cast<int64_t>(V.Shape.Cols));
+    int32_t Dst = B.newP();
+    B.emitImmI(Opcode::NewMat, static_cast<int64_t>(V.Cls), Dst, Rows, Cols);
+    for (size_t Idx = 0; Idx != V.Els.size(); ++Idx) {
+      Instr St = Instr::make(Opcode::StoreEl, Dst,
+                             B.iconst(static_cast<int64_t>(Idx)), V.Els[Idx]);
+      St.Imm.I = static_cast<int64_t>(V.Cls);
+      B.emit(St);
+    }
+    return Operand::p(Dst);
+  }
+
+  Operand newVec(ShapeBound Shape, MClass Cls, std::vector<int32_t> Els) {
+    Vecs.push_back({Shape, Cls, std::move(Els)});
+    return Operand::v(static_cast<int32_t>(Vecs.size()) - 1);
   }
 
   /// The MClass immediate for unboxed element stores.
@@ -297,6 +346,7 @@ private:
   IRBuilder B;
 
   std::vector<VarHome> Homes;
+  std::vector<VecRegs> Vecs; ///< register vectors, indexed by Operand::R0
   std::vector<EndContext> EndStack;
   std::vector<IRBuilder::Label> BreakLabels;
   std::vector<IRBuilder::Label> ContinueLabels;
@@ -333,10 +383,19 @@ void CodeGen::assignHomes() {
       ForceBoxed[Slot] = true;
   }
 
+  std::vector<bool> InRegs = vectorHomes(ForceBoxed);
+
   for (unsigned Slot = 0; Slot != NumSlots; ++Slot) {
     VarHome H;
     Type T = slotType(static_cast<int>(Slot));
-    if (!generic() && !ForceBoxed[Slot] && !T.isBottom()) {
+    if (InRegs[Slot]) {
+      ShapeBound Shape = *T.exactShape();
+      std::vector<int32_t> Els(Shape.numel());
+      for (int32_t &R : Els)
+        R = B.newF();
+      H.K = Operand::Kind::Vec;
+      H.R0 = newVec(Shape, storeClassOf(T), std::move(Els)).R0;
+    } else if (!generic() && !ForceBoxed[Slot] && !T.isBottom()) {
       if (intScalarType(T)) {
         H.K = Operand::Kind::I;
         H.R0 = B.newI();
@@ -355,6 +414,187 @@ void CodeGen::assignHomes() {
     }
     Homes[Slot] = H;
   }
+}
+
+/// Picks the slots that live as register vectors. A small real array of
+/// exact shape lives in registers, one F register per element, when every
+/// definition produces registers: an unrolled literal, an unrolled
+/// elementwise op, or a copy of another such slot. Parameters, loop
+/// variables and multiple-assignment targets come from boxes. No definition
+/// may be logical, even where the summary joins it to a number: a register
+/// vector boxes back with one class, and a logical value must stay a
+/// logical array, or x(m) would stop being a mask.
+///
+/// Every other use of a register vector (a call argument, an output,
+/// display, `end`, a variable subscript, a non-unrolled op) boxes it again
+/// with a fresh NewMat + StoreEl, where a boxed slot allocates once per
+/// definition. So a slot also stays boxed when such an escape sits in a
+/// loop, or when it has more escapes than definitions.
+std::vector<bool> CodeGen::vectorHomes(const std::vector<bool> &ForceBoxed) {
+  const Function &F = *FI.F;
+  unsigned NumSlots = FI.Symbols.numSlots();
+  auto VecShape = [&](int Slot) -> std::optional<ShapeBound> {
+    Type T = slotType(Slot);
+    auto Shape = T.exactShape();
+    if (generic() || ForceBoxed[Slot] || !realArrayType(T) || !Shape ||
+        Shape->numel() < 2 || Shape->numel() > Opts.MaxUnrollNumel)
+      return std::nullopt;
+    return Shape;
+  };
+  std::vector<bool> InRegs(NumSlots, false);
+  for (unsigned Slot = 0; Slot != NumSlots; ++Slot)
+    InRegs[Slot] = VecShape(static_cast<int>(Slot)).has_value();
+  bool Changed = false;
+  auto Drop = [&](int Slot) {
+    if (Slot >= 0 && InRegs[Slot]) {
+      InRegs[Slot] = false;
+      Changed = true;
+    }
+  };
+  for (int Slot : F.paramSlots())
+    Drop(Slot);
+  auto DefInRegs = [&](int Slot, const Expr *RHS) {
+    Type T = typeOf(RHS);
+    if (intrinsicLE(T.intrinsic(), IntrinsicType::Bool))
+      return false;
+    std::optional<ShapeBound> Shape;
+    if (const auto *M = dyn_cast<MatrixExpr>(RHS)) {
+      if (unrollsLiteral(M))
+        Shape = T.exactShape();
+    } else if (const auto *Bin = dyn_cast<BinaryExpr>(RHS)) {
+      Shape = unrolledShape(Bin);
+    } else if (const auto *Id = dyn_cast<IdentExpr>(RHS)) {
+      if (Id->symKind() == SymKind::Variable && InRegs[Id->varSlot()])
+        Shape = VecShape(Id->varSlot());
+    }
+    return Shape && *Shape == *VecShape(Slot);
+  };
+
+  // Escapes, mirroring what genExpr does with a register vector. \p Free
+  // means the consumer takes the registers as they are: an unrolled op, a
+  // copy into another register vector, a suppressed expression statement.
+  std::vector<unsigned> Defs(NumSlots), Escapes(NumSlots);
+  std::vector<bool> EscapesInLoop(NumSlots);
+  unsigned LoopDepth = 0;
+  auto Escape = [&](int Slot) {
+    if (Slot < 0 || !InRegs[Slot])
+      return;
+    ++Escapes[Slot];
+    if (LoopDepth != 0)
+      EscapesInLoop[Slot] = true;
+  };
+  auto Use = [&](auto &Self, const Expr *E, bool Free) -> void {
+    switch (E->getKind()) {
+    case Expr::Kind::Ident:
+      if (!Free && cast<IdentExpr>(E)->symKind() == SymKind::Variable)
+        Escape(cast<IdentExpr>(E)->varSlot());
+      return;
+    case Expr::Kind::Unary: {
+      const auto *U = cast<UnaryExpr>(E);
+      Self(Self, U->operand(), Free && U->op() == UnaryOpKind::Plus);
+      return;
+    }
+    case Expr::Kind::Binary: {
+      const auto *Bin = cast<BinaryExpr>(E);
+      bool Unrolled = unrolledShape(Bin).has_value();
+      Self(Self, Bin->lhs(), Unrolled);
+      Self(Self, Bin->rhs(), Unrolled);
+      return;
+    }
+    case Expr::Kind::ShortCircuit:
+      Self(Self, cast<ShortCircuitExpr>(E)->lhs(), false);
+      Self(Self, cast<ShortCircuitExpr>(E)->rhs(), false);
+      return;
+    case Expr::Kind::Range: {
+      const auto *R = cast<RangeExpr>(E);
+      Self(Self, R->lo(), false);
+      if (R->step())
+        Self(Self, R->step(), false);
+      Self(Self, R->hi(), false);
+      return;
+    }
+    case Expr::Kind::Matrix:
+      for (const auto &Row : cast<MatrixExpr>(E)->rows())
+        for (const Expr *Elem : Row)
+          Self(Self, Elem, false);
+      return;
+    case Expr::Kind::IndexOrCall: {
+      const auto *IC = cast<IndexOrCallExpr>(E);
+      if (IC->base()->symKind() == SymKind::Variable) {
+        int Slot = IC->base()->varSlot();
+        if (IC->args().empty()) {
+          Self(Self, IC->base(), Free); // x() is x
+          return;
+        }
+        if (InRegs[Slot] && constElementIndex(IC, *VecShape(Slot)))
+          return;
+        Escape(Slot);
+      }
+      for (const Expr *A : IC->args())
+        Self(Self, A, false);
+      return;
+    }
+    default:
+      return;
+    }
+  };
+  auto Walk = [&](auto &Self, const Block &Body) -> void {
+    for (const Stmt *S : Body) {
+      if (const auto *ES = dyn_cast<ExprStmt>(S)) {
+        Use(Use, ES->expr(), !ES->displays());
+      } else if (const auto *A = dyn_cast<AssignStmt>(S)) {
+        const LValue &LV0 = A->targets().front();
+        Use(Use, A->rhs(),
+            !A->isMulti() && !LV0.HasParens && LV0.VarSlot >= 0 &&
+                InRegs[LV0.VarSlot]);
+        for (const LValue &LV : A->targets()) {
+          for (const Expr *Idx : LV.Indices)
+            Use(Use, Idx, false);
+          if (LV.VarSlot >= 0 && !LV.HasParens) {
+            ++Defs[LV.VarSlot];
+            if (InRegs[LV.VarSlot] &&
+                (A->isMulti() || !DefInRegs(LV.VarSlot, A->rhs())))
+              Drop(LV.VarSlot);
+          }
+          if (A->displays())
+            Escape(LV.VarSlot);
+        }
+      } else if (const auto *If = dyn_cast<IfStmt>(S)) {
+        for (const IfStmt::Branch &Br : If->branches()) {
+          Use(Use, Br.Cond, false);
+          Self(Self, Br.Body);
+        }
+        Self(Self, If->elseBlock());
+      } else if (const auto *W = dyn_cast<WhileStmt>(S)) {
+        ++LoopDepth;
+        Use(Use, W->cond(), false);
+        Self(Self, W->body());
+        --LoopDepth;
+      } else if (const auto *For = dyn_cast<ForStmt>(S)) {
+        Drop(For->loopVarSlot());
+        Use(Use, For->iterand(), false);
+        ++LoopDepth;
+        Self(Self, For->body());
+        --LoopDepth;
+      }
+    }
+  };
+
+  // Dropping a slot can disqualify copies of it and turn copies into it
+  // into escapes: iterate to a fixpoint.
+  do {
+    Changed = false;
+    std::fill(Defs.begin(), Defs.end(), 0);
+    std::fill(Escapes.begin(), Escapes.end(), 0);
+    std::fill(EscapesInLoop.begin(), EscapesInLoop.end(), false);
+    Walk(Walk, F.body());
+    for (int Slot : F.outSlots())
+      Escape(Slot);
+    for (unsigned Slot = 0; Slot != NumSlots; ++Slot)
+      if (EscapesInLoop[Slot] || Escapes[Slot] > Defs[Slot])
+        Drop(static_cast<int>(Slot));
+  } while (Changed);
+  return InRegs;
 }
 
 void CodeGen::genPrologue() {
@@ -383,6 +623,7 @@ void CodeGen::genPrologue() {
       B.emit(Opcode::UnboxReIm, H.R0, H.R1, Tmp);
       break;
     case Operand::Kind::P:
+    case Operand::Kind::Vec: // parameters never get a register vector
       break;
     }
   }
@@ -512,7 +753,7 @@ void CodeGen::genAssign(const AssignStmt *A) {
       else
         storeToHome(LV.VarSlot, Rs[T]);
       if (A->displays())
-        displayVar(LV.Name, Homes[LV.VarSlot]);
+        displayVar(LV.Name, LV.VarSlot);
     }
     return;
   }
@@ -524,26 +765,11 @@ void CodeGen::genAssign(const AssignStmt *A) {
   else
     storeToHome(LV.VarSlot, RHS);
   if (A->displays())
-    displayVar(LV.Name, Homes[LV.VarSlot]);
+    displayVar(LV.Name, LV.VarSlot);
 }
 
-void CodeGen::displayVar(const std::string &Name, const VarHome &Home) {
-  Operand V;
-  switch (Home.K) {
-  case Operand::Kind::F:
-    V = Operand::f(Home.R0);
-    break;
-  case Operand::Kind::I:
-    V = Operand::i(Home.R0);
-    break;
-  case Operand::Kind::CPair:
-    V = Operand::c(Home.R0, Home.R1);
-    break;
-  case Operand::Kind::P:
-    V = Operand::p(Home.R0);
-    break;
-  }
-  Operand P = toP(V, Type::top());
+void CodeGen::displayVar(const std::string &Name, int Slot) {
+  Operand P = toP(readVar(Slot), Type::top());
   B.emitImmI(Opcode::Display, IR->internName(Name), P.R0);
 }
 
@@ -570,6 +796,27 @@ void CodeGen::storeToHome(int Slot, Operand V) {
   case Operand::Kind::P: {
     Operand P = toP(V, slotType(Slot));
     B.emit(Opcode::MovP, H.R0, P.R0);
+    return;
+  }
+  case Operand::Kind::Vec: {
+    // assignHomes admits only definitions that produce register vectors.
+    if (V.K != Operand::Kind::Vec)
+      throw CannotCompile();
+    std::vector<int32_t> Src = Vecs[V.R0].Els;
+    const std::vector<int32_t> &Dst = Vecs[H.R0].Els;
+    // A source element that is an earlier destination element (the
+    // permutation v = [v(2), v(1)]) is saved before the moves overwrite it.
+    for (size_t K = 0; K != Src.size(); ++K) {
+      auto It = std::find(Dst.begin(), Dst.end(), Src[K]);
+      if (static_cast<size_t>(It - Dst.begin()) < K) {
+        int32_t T = B.newF();
+        B.emit(Opcode::MovF, T, Src[K]);
+        Src[K] = T;
+      }
+    }
+    for (size_t K = 0; K != Src.size(); ++K)
+      if (Src[K] != Dst[K])
+        B.emit(Opcode::MovF, Dst[K], Src[K]);
     return;
   }
   }
@@ -627,6 +874,8 @@ void CodeGen::genFor(const ForStmt *For) {
   case Operand::Kind::P:
     B.emit(Opcode::ColSlice, H.R0, It.R0, K);
     break;
+  case Operand::Kind::Vec:
+    majic_unreachable("loop variables never get a register vector");
   }
 
   BreakLabels.push_back(Exit);
@@ -708,6 +957,8 @@ void CodeGen::genCountedRangeFor(const ForStmt *For, const RangeExpr *R) {
     case Operand::Kind::P:
       B.emit(Opcode::BoxF, H.R0, VarF);
       break;
+    case Operand::Kind::Vec:
+      majic_unreachable("loop variables never get a register vector");
     }
   }
 
@@ -1175,6 +1426,32 @@ std::optional<Operand> CodeGen::tryFuseElementwise(const Expr *E,
   return emitFuseTree(T);
 }
 
+/// The result shape when genBinary unrolls \p E into element registers: a
+/// real elementwise op of exact shape within the unroll limit whose array
+/// operands have that same shape.
+std::optional<ShapeBound> CodeGen::unrolledShape(const BinaryExpr *E) const {
+  Type LT = typeOf(E->lhs()), RT = typeOf(E->rhs()), ResT = typeOf(E);
+  BinOp Op = E->op();
+  bool ElemwiseOp = Op == BinOp::Add || Op == BinOp::Sub ||
+                    Op == BinOp::ElemMul || Op == BinOp::ElemRDiv ||
+                    Op == BinOp::ElemPow ||
+                    ((Op == BinOp::MatMul || Op == BinOp::MatRDiv) &&
+                     (LT.isScalar() || RT.isScalar()));
+  if (generic() || Opts.MaxUnrollNumel == 0 || !ElemwiseOp ||
+      !realArrayType(LT) || !realArrayType(RT) || !realArrayType(ResT) ||
+      ResT.isScalar())
+    return std::nullopt;
+  auto ResShape = ResT.exactShape();
+  auto OkSide = [&](const Type &T) {
+    return T.isScalar() ||
+           (T.exactShape() && ResShape && *T.exactShape() == *ResShape);
+  };
+  if (!ResShape || ResShape->numel() > Opts.MaxUnrollNumel || !OkSide(LT) ||
+      !OkSide(RT))
+    return std::nullopt;
+  return ResShape;
+}
+
 Operand CodeGen::genBinary(const BinaryExpr *E) {
   Type LT = typeOf(E->lhs()), RT = typeOf(E->rhs());
   Type ResT = typeOf(E);
@@ -1350,81 +1627,61 @@ Operand CodeGen::genBinary(const BinaryExpr *E) {
     return Operand::c(Re, Im);
   }
 
-  // Small fixed-shape element-wise operations unroll completely
-  // (Section 2.6.1: "very effective on small (up to 3x3) matrices and
-  // vectors because it completely eliminates loop overhead").
-  bool ElemwiseOp = Op == BinOp::Add || Op == BinOp::Sub ||
-                    Op == BinOp::ElemMul || Op == BinOp::ElemRDiv ||
-                    Op == BinOp::ElemPow ||
-                    ((Op == BinOp::MatMul || Op == BinOp::MatRDiv) &&
-                     (LT.isScalar() || RT.isScalar()));
-  if (Fast && Opts.MaxUnrollNumel > 0 && ElemwiseOp && realArrayType(LT) &&
-      realArrayType(RT) && realArrayType(ResT) && !ResT.isScalar()) {
-    auto ResShape = ResT.exactShape();
-    auto OkSide = [&](const Type &T) {
-      return T.isScalar() || (T.exactShape() && ResShape &&
-                              *T.exactShape() == *ResShape);
+  // Small fixed-shape element-wise operations unroll completely into
+  // element registers (Section 2.6.1: "very effective on small (up to 3x3)
+  // matrices and vectors because it completely eliminates loop overhead").
+  if (auto ResShape = unrolledShape(E)) {
+    Operand L = genExpr(E->lhs());
+    Operand R = genExpr(E->rhs());
+    // Scalar sides become one F register; register vectors are read in
+    // place; boxed array sides are read with unchecked element loads.
+    auto Side = [&](Operand V, const Type &T) -> Operand {
+      if (T.isScalar())
+        return toF(V);
+      return V.K == Operand::Kind::Vec ? V : toP(V, T);
     };
-    if (ResShape && ResShape->numel() <= Opts.MaxUnrollNumel && OkSide(LT) &&
-        OkSide(RT)) {
-      Operand L = genExpr(E->lhs());
-      Operand R = genExpr(E->rhs());
-      // Scalar sides become one F register; array sides stay boxed and are
-      // read with unchecked element loads.
-      int32_t LScalar = -1, RScalar = -1, LArr = -1, RArr = -1;
-      if (LT.isScalar())
-        LScalar = toF(L).R0;
-      else
-        LArr = toP(L, LT).R0;
-      if (RT.isScalar())
-        RScalar = toF(R).R0;
-      else
-        RArr = toP(R, RT).R0;
-
-      int32_t Rows = B.iconst(static_cast<int64_t>(ResShape->Rows));
-      int32_t Cols = B.iconst(static_cast<int64_t>(ResShape->Cols));
-      int32_t Dst = B.newP();
-      MClass Cls = storeClassOf(ResT);
-      B.emitImmI(Opcode::NewMat, static_cast<int64_t>(Cls), Dst, Rows, Cols);
-      for (uint64_t Idx = 0; Idx != ResShape->numel(); ++Idx) {
-        int32_t IdxReg = B.iconst(static_cast<int64_t>(Idx));
-        int32_t LV = LScalar, RV = RScalar;
-        if (LV < 0) {
-          LV = B.newF();
-          B.emit(Opcode::LoadEl, LV, LArr, IdxReg);
-        }
-        if (RV < 0) {
-          RV = B.newF();
-          B.emit(Opcode::LoadEl, RV, RArr, IdxReg);
-        }
-        int32_t EV = B.newF();
-        switch (Op) {
-        case BinOp::Add:
-          B.emit(Opcode::FAdd, EV, LV, RV);
-          break;
-        case BinOp::Sub:
-          B.emit(Opcode::FSub, EV, LV, RV);
-          break;
-        case BinOp::ElemMul:
-        case BinOp::MatMul:
-          B.emit(Opcode::FMul, EV, LV, RV);
-          break;
-        case BinOp::ElemRDiv:
-        case BinOp::MatRDiv:
-          B.emit(Opcode::FDiv, EV, LV, RV);
-          break;
-        case BinOp::ElemPow:
-          B.emit(Opcode::FPow, EV, LV, RV);
-          break;
-        default:
-          majic_unreachable("unexpected unrolled op");
-        }
-        Instr St = Instr::make(Opcode::StoreEl, Dst, IdxReg, EV);
-        St.Imm.I = static_cast<int64_t>(Cls);
-        B.emit(St);
+    L = Side(L, LT);
+    R = Side(R, RT);
+    std::vector<int32_t> Els(ResShape->numel());
+    for (size_t Idx = 0; Idx != Els.size(); ++Idx) {
+      int32_t IdxReg = -1;
+      auto Element = [&](Operand V) {
+        if (V.K == Operand::Kind::F)
+          return V.R0;
+        if (V.K == Operand::Kind::Vec)
+          return Vecs[V.R0].Els[Idx];
+        if (IdxReg < 0)
+          IdxReg = B.iconst(static_cast<int64_t>(Idx));
+        int32_t El = B.newF();
+        B.emit(Opcode::LoadEl, El, V.R0, IdxReg);
+        return El;
+      };
+      int32_t LV = Element(L), RV = Element(R);
+      int32_t EV = B.newF();
+      switch (Op) {
+      case BinOp::Add:
+        B.emit(Opcode::FAdd, EV, LV, RV);
+        break;
+      case BinOp::Sub:
+        B.emit(Opcode::FSub, EV, LV, RV);
+        break;
+      case BinOp::ElemMul:
+      case BinOp::MatMul:
+        B.emit(Opcode::FMul, EV, LV, RV);
+        break;
+      case BinOp::ElemRDiv:
+      case BinOp::MatRDiv:
+        B.emit(Opcode::FDiv, EV, LV, RV);
+        break;
+      case BinOp::ElemPow:
+        B.emit(Opcode::FPow, EV, LV, RV);
+        break;
+      default:
+        majic_unreachable("unexpected unrolled op");
       }
-      return Operand::p(Dst);
+      Els[Idx] = EV;
     }
+    return newVec(*ResShape, storeClassOf(ResT), std::move(Els));
   }
 
   // Fused BLAS patterns (Section 2.6.1's dgemv selection rule).
@@ -1486,39 +1743,34 @@ Operand CodeGen::genBinary(const BinaryExpr *E) {
 // Matrix literals
 //===----------------------------------------------------------------------===//
 
-Operand CodeGen::genMatrixLit(const MatrixExpr *E) {
+/// True when \p E is a small, exactly shaped, real literal of scalars,
+/// built fully unrolled (Section 2.6.1: vector concatenation "completely
+/// unrolled when exact array shapes are known").
+bool CodeGen::unrollsLiteral(const MatrixExpr *E) const {
   Type T = typeOf(E);
   auto Exact = T.exactShape();
+  if (generic() || Opts.MaxUnrollNumel == 0 || !Exact ||
+      Exact->numel() > Opts.MaxUnrollNumel || !realArrayType(T) ||
+      E->rows().empty())
+    return false;
+  for (const auto &Row : E->rows())
+    for (const Expr *Elem : Row)
+      if (!realScalarType(typeOf(Elem)))
+        return false;
+  return true;
+}
 
-  // Fully unrolled construction for small, exactly shaped, real literals
-  // (Section 2.6.1: vector concatenation "completely unrolled when exact
-  // array shapes are known").
-  bool CanUnroll = !generic() && Opts.MaxUnrollNumel > 0 && Exact &&
-                   Exact->numel() <= Opts.MaxUnrollNumel &&
-                   realArrayType(T) && !E->rows().empty();
-  if (CanUnroll) {
-    for (const auto &Row : E->rows())
-      for (const Expr *Elem : Row)
-        CanUnroll &= realScalarType(typeOf(Elem));
-  }
-  if (CanUnroll) {
-    int32_t Rows = B.iconst(static_cast<int64_t>(Exact->Rows));
-    int32_t Cols = B.iconst(static_cast<int64_t>(Exact->Cols));
-    int32_t Dst = B.newP();
-    B.emitImmI(Opcode::NewMat, static_cast<int64_t>(storeClassOf(T)), Dst,
-               Rows, Cols);
+Operand CodeGen::genMatrixLit(const MatrixExpr *E) {
+  if (unrollsLiteral(E)) {
+    Type T = typeOf(E);
+    ShapeBound Exact = *T.exactShape();
+    std::vector<int32_t> Els(Exact.numel());
     for (size_t RIdx = 0; RIdx != E->rows().size(); ++RIdx) {
       const auto &Row = E->rows()[RIdx];
-      for (size_t CIdx = 0; CIdx != Row.size(); ++CIdx) {
-        Operand V = toF(genExpr(Row[CIdx]));
-        int32_t Idx = B.iconst(
-            static_cast<int64_t>(CIdx * Exact->Rows + RIdx));
-        Instr St = Instr::make(Opcode::StoreEl, Dst, Idx, V.R0);
-        St.Imm.I = static_cast<int64_t>(storeClassOf(T));
-        B.emit(St);
-      }
+      for (size_t CIdx = 0; CIdx != Row.size(); ++CIdx)
+        Els[CIdx * Exact.Rows + RIdx] = toF(genExpr(Row[CIdx])).R0;
     }
-    return Operand::p(Dst);
+    return newVec(Exact, storeClassOf(T), std::move(Els));
   }
 
   // Generic: horzcat each row, vertcat the rows.
@@ -1573,12 +1825,45 @@ int32_t CodeGen::genScalarIndex(const Expr *Arg, int32_t BaseP, unsigned Dim,
   return R;
 }
 
+/// The 0-based element of an array of shape \p Shape that \p IC reads, when
+/// its one or two subscripts are in-range integral constants: literals, or
+/// variables whose value inference pinned.
+std::optional<size_t>
+CodeGen::constElementIndex(const IndexOrCallExpr *IC,
+                           const ShapeBound &Shape) const {
+  if (IC->args().empty() || IC->args().size() > 2)
+    return std::nullopt;
+  std::vector<double> Subs;
+  for (const Expr *A : IC->args()) {
+    const auto *Id = dyn_cast<IdentExpr>(A);
+    if (!isa<NumberExpr>(A) && !(Id && Id->symKind() == SymKind::Variable))
+      return std::nullopt;
+    auto C = typeOf(A).constantValue();
+    if (!C || *C < 1 || *C != std::floor(*C))
+      return std::nullopt;
+    Subs.push_back(*C);
+  }
+  if (Subs.size() == 1)
+    return Subs[0] <= Shape.numel()
+               ? std::optional<size_t>(static_cast<size_t>(Subs[0]) - 1)
+               : std::nullopt;
+  if (Subs[0] > Shape.Rows || Subs[1] > Shape.Cols)
+    return std::nullopt;
+  return (static_cast<size_t>(Subs[1]) - 1) * Shape.Rows +
+         (static_cast<size_t>(Subs[0]) - 1);
+}
+
 Operand CodeGen::genIndexRead(const IndexOrCallExpr *IC) {
   int Slot = IC->base()->varSlot();
   Operand Base = readVar(Slot);
   Type BaseT = slotType(Slot);
   if (IC->args().empty())
     return Base; // x() is x
+  if (Base.K == Operand::Kind::Vec) {
+    const VecRegs &V = Vecs[Base.R0];
+    if (auto Idx = constElementIndex(IC, V.Shape))
+      return Operand::f(V.Els[*Idx]);
+  }
   Operand BaseP = toP(Base, BaseT);
 
   // Fast path: scalar real element read.

@@ -13,8 +13,14 @@
 ///    assignments are inlined to single instructions,
 ///  - scalar and F90-like index operations are inlined, with subscript
 ///    checks omitted where inference proved them redundant,
-///  - small fixed-shape vector operations are fully unrolled,
-///  - small temporaries of known shape are preallocated (NewMat),
+///  - small fixed-shape vector operations are fully unrolled, and small
+///    real arrays of exact shape live in F registers, one per element:
+///    literals, elementwise ops, variables defined only by those, and
+///    constant-subscript reads of them never touch a box; any other use
+///    materializes the array with NewMat + StoreEl, so a variable with
+///    such a use in a loop, or with more of them than definitions, stays
+///    boxed,
+///  - zeros/ones of scalar sizes allocate directly (NewMat),
 ///  - a*X+Y / A*x patterns fuse into BLAS calls (Axpy/Gemv),
 ///  - everything else falls back to the boxed runtime library under the
 ///    implicit default rule (complex-matrix generic operations).

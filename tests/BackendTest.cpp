@@ -89,21 +89,14 @@ bool hostCompilerAvailable() {
   return Available;
 }
 
-/// Runs \p Source's function \p Fn under the interpreter and under every
-/// compiled configuration, asserting identical behavior. \p Native adds
-/// the native tier (one cc invocation per call, so only where it is the
-/// subject of the test).
-void checkSoundness(const std::string &Source, const std::string &Fn,
-                    const std::vector<Value> &Args, size_t NumOuts = 1,
-                    bool Native = false) {
-  EngineOptions Ref;
-  Ref.Policy = CompilePolicy::InterpretOnly;
-  RunOutcome Expected = runWith(Ref, Source, Fn, Args, NumOuts);
+struct Config {
+  const char *Name;
+  EngineOptions Opts;
+};
 
-  struct Config {
-    const char *Name;
-    EngineOptions Opts;
-  };
+/// Every compiled configuration. \p Native adds the native tier (one cc
+/// invocation per call, so only where it is the subject of the test).
+std::vector<Config> compiledConfigs(bool Native) {
   std::vector<Config> Configs;
   {
     EngineOptions O;
@@ -173,8 +166,19 @@ void checkSoundness(const std::string &Source, const std::string &Fn,
     Configs.push_back({"native", O});
   }
 #endif
+  return Configs;
+}
 
-  for (const Config &C : Configs) {
+/// Runs \p Source's function \p Fn under the interpreter and under every
+/// compiled configuration, asserting identical behavior.
+void checkSoundness(const std::string &Source, const std::string &Fn,
+                    const std::vector<Value> &Args, size_t NumOuts = 1,
+                    bool Native = false) {
+  EngineOptions Ref;
+  Ref.Policy = CompilePolicy::InterpretOnly;
+  RunOutcome Expected = runWith(Ref, Source, Fn, Args, NumOuts);
+
+  for (const Config &C : compiledConfigs(Native)) {
     RunOutcome Got = runWith(C.Opts, Source, Fn, Args, NumOuts);
     // A run that throws counts no native hit, even when native code threw.
     if (C.Opts.NativeTier && !Got.Threw) {
@@ -461,6 +465,115 @@ TEST(Backend, TrigPipeline) {
   checkSoundness("function s = f(n)\ns = 0;\nfor k = 1:n\n"
                  "s = s + sin(k) * cos(k) + atan2(k, n) + exp(-k);\nend\n",
                  "f", {15});
+}
+
+//===----------------------------------------------------------------------===//
+// Small fixed-shape vectors in registers: every executor, native included
+//===----------------------------------------------------------------------===//
+
+TEST(VectorHome, PermutationReadsBeforeItWrites) {
+  // Each right-hand side reads elements the same assignment overwrites.
+  checkSoundness("function [v, w] = f(n)\nv = [1 2];\nw = [1 2 3];\n"
+                 "for k = 1:n\nv = [v(2), v(1) + k];\n"
+                 "w = [w(3), w(1), w(2)];\nw = [w(2), w(2), w(1) * 2];\n"
+                 "end\n",
+                 "f", {7}, 2, /*Native=*/true);
+}
+
+TEST(VectorHome, DefinitionsJoinAcrossBranches) {
+  // fractal's shape: one of three register-built literals per step, an
+  // integer-valued literal before the loop, and scalars read back out.
+  const char *Src =
+      "function [s, p] = f(n)\npx = 0;\npy = 0;\ns = 0;\np = [0 1];\n"
+      "for k = 1:n\nr = mod(k * 7, 10) / 10;\n"
+      "if r < 0.2\np = [0.5 * px, 0.16 * py];\n"
+      "elseif r < 0.7\np = [0.85 * px + 0.04 * py, -0.04 * px + 0.85 * py + 1.6];\n"
+      "else\np = [-0.15 * px + 0.28 * py, 0.26 * px + 0.24 * py + 0.44];\n"
+      "end\npx = p(1);\npy = p(2);\ns = s + px - py;\nend\n";
+  checkSoundness(Src, "f", {0}, 2);
+  checkSoundness(Src, "f", {40}, 2, /*Native=*/true);
+}
+
+TEST(VectorHome, UnrollCapBoundary) {
+  // A 3x3 sits at the unroll cap and lives in registers; a 1x10 is over it
+  // and stays boxed.
+  checkSoundness("function [s, M, z] = f(a)\nM = [a, 1, 2; 3, a, 4; 5, 6, a];\n"
+                 "z = [1 2 3 4 5 6 7 8 9 a];\n"
+                 "for k = 1:a\nM = M .* 0.5 + M / k;\nz = z * 2 - k;\nend\n"
+                 "s = M(2, 3) + M(3, 1) + M(7) + z(10) + z(1);\n",
+                 "f", {5}, 3, /*Native=*/true);
+}
+
+TEST(VectorHome, EscapesMaterializeTheArray) {
+  // Four register vectors built in the loop, each boxed again after it: a
+  // displays its integer literal in a real slot, b goes into a builtin and
+  // displays as an assignment, c displays bare and goes into a user
+  // function (inlined, and a real call under jit-noinline), d is an output.
+  // No escape sits in the loop, and none has more escapes than
+  // definitions, so all four stay in registers.
+  checkSoundness("function [t, d] = f(n)\nx = n + 1;\na = [n, x]\n"
+                 "b = [n, 1];\nc = [1, n];\nd = [2, n];\n"
+                 "for k = 1:n\na = [a(2), a(1) + a(2)] * 0.5;\n"
+                 "b = [b(2), b(1) + b(2)];\nc = [c(2), c(1) - c(2)];\n"
+                 "d = d * 0.5 + k;\nend\n"
+                 "t = a(1) + sum(b);\nb = b * 0.5\nc\nt = t + scale(c, n);\n"
+                 "function y = scale(x, c)\ny = x(1) * c - x(2);\n",
+                 "f", {6}, 2, /*Native=*/true);
+}
+
+TEST(VectorHome, EndAndVariableSubscripts) {
+  // r and q are read through end and a variable subscript after the loop
+  // and stay in registers; p is read that way inside the loop, where each
+  // read would build an array, and stays boxed.
+  checkSoundness("function s = f(n)\nr = [n, 2 * n, 3 * n];\nq = [n, 1];\n"
+                 "p = [1, n, 2];\ns = 0;\n"
+                 "for k = 1:3\nr = r + k;\nq = [q(2), q(1)];\np = p * 2;\n"
+                 "s = s + p(k) + p(end);\nend\n"
+                 "s = s + r(end) + r(end - 1) + q(n - 2);\n",
+                 "f", {4}, 1, /*Native=*/true);
+}
+
+TEST(VectorHome, BoxedDefinitionsStayBoxed) {
+  // A loop over columns, a multiple assignment, a parameter (under
+  // jit-noinline) and zeros() all define small exact arrays from boxes.
+  checkSoundness("function s = f(n)\nM = [1 2 3; 4 5 6];\ns = 0;\n"
+                 "for col = M\ncol = col * 2;\ns = s + col(1) * col(2);\nend\n"
+                 "[v, i] = max([n 1; 2 n]);\nv = v + i;\n"
+                 "z = zeros(1, 2);\nz(2) = n;\nz = z + 1;\n"
+                 "s = s + v(1) + v(2) + twice(z);\n"
+                 "function y = twice(x)\nx = x * 2;\ny = x(1) + x(2);\n",
+                 "f", {3});
+}
+
+TEST(VectorHome, ConstantOutOfRangeReadErrorText) {
+  // r(3) on a 1x2 is a constant subscript the register vector cannot
+  // serve: it reads the boxed array and raises the interpreter's error.
+  for (const char *Src :
+       {"function s = f(n)\nr = [n, n + 1];\nr = r * 2;\ns = r(3);\n",
+        "function s = f(n)\nr = [n, n + 1];\ns = r(2, 1);\n",
+        "function s = f(n)\nr = [n, n + 1];\ns = r(1, 3);\n"}) {
+    EngineOptions Interp;
+    Interp.Policy = CompilePolicy::InterpretOnly;
+    RunOutcome Expected = runWith(Interp, Src, "f", intArgs({2}), 1);
+    ASSERT_TRUE(Expected.Threw) << Src;
+    for (const Config &C : compiledConfigs(/*Native=*/true)) {
+      RunOutcome Got = runWith(C.Opts, Src, "f", intArgs({2}), 1);
+      EXPECT_TRUE(Got.Threw) << C.Name << ": " << Src;
+      EXPECT_EQ(Got.ErrorMessage, Expected.ErrorMessage) << C.Name << ": "
+                                                         << Src;
+    }
+  }
+}
+
+TEST(VectorHome, LogicalOnOnePathStaysAMask) {
+  // m joins a logical and a numeric 1x3, a numeric summary: a register
+  // vector would box the mask back as numbers and x(m) would read x(0).
+  const char *Src = "function s = f(n)\nx = [10 20 30];\n"
+                    "if n > 2\nm = [n > 2, n < 0, n > 1];\n"
+                    "else\nm = [1 2 3];\n"
+                    "end\ny = x(m);\ns = sum(y) + numel(y);\n";
+  checkSoundness(Src, "f", {3}, 1, /*Native=*/true);
+  checkSoundness(Src, "f", {1});
 }
 
 //===----------------------------------------------------------------------===//

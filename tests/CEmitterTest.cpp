@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Disambiguate.h"
+#include "analysis/Inliner.h"
 #include "ast/Parser.h"
 #include "backend/CEmitter.h"
 #include "backend/Compiler.h"
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 using namespace majic;
@@ -123,8 +125,8 @@ TEST(CEmitter, ElementwiseChainEmitsOneFusedLoop) {
   EXPECT_EQ(Src.find("mlfPlus"), std::string::npos);
 }
 
-bool hasOpcode(const IRFunction &F, Opcode Op) {
-  return std::any_of(F.Code.begin(), F.Code.end(),
+bool hasOpcode(const std::vector<Instr> &Code, Opcode Op) {
+  return std::any_of(Code.begin(), Code.end(),
                      [Op](const Instr &I) { return I.Op == Op; });
 }
 
@@ -138,12 +140,179 @@ TEST(CEmitter, MandelNeverCallsTheHost) {
   Compiled C(SS.str(),
              {Type::scalar(IntrinsicType::Int, Range::constant(20)),
               Type::scalar(IntrinsicType::Int, Range::constant(40))});
-  EXPECT_FALSE(hasOpcode(*C.Code, Opcode::CallB)) << C.Code->print();
-  EXPECT_FALSE(hasOpcode(*C.Code, Opcode::BoxC)) << C.Code->print();
+  EXPECT_FALSE(hasOpcode(C.Code->Code, Opcode::CallB)) << C.Code->print();
+  EXPECT_FALSE(hasOpcode(C.Code->Code, Opcode::BoxC)) << C.Code->print();
   std::string Src = C.emit();
   EXPECT_EQ(Src.find("mlfCallBuiltin(\"abs\""), std::string::npos) << Src;
   EXPECT_EQ(Src.find("mlfComplexScalar"), std::string::npos) << Src;
   EXPECT_NE(Src.find("hypot("), std::string::npos) << Src;
+}
+
+/// An mlib program compiled as the engine compiles perfbench's hot call:
+/// callees inlined, the signature read off the argument values, then code
+/// selection and register allocation.
+struct CorpusProgram {
+  SourceManager SM;
+  Diagnostics Diags;
+  std::unique_ptr<Module> Mod;
+  std::unique_ptr<Function> Inlined;
+  std::unique_ptr<FunctionInfo> Info;
+  std::optional<CompileResult> R;
+
+  CorpusProgram(const std::string &Name, double Arg, CodeGenMode Mode) {
+    std::ifstream In(mlibDirectory() + "/" + Name + ".m");
+    std::stringstream SS;
+    SS << In.rdbuf();
+    Mod = parseModule(Name, SS.str(), SM, Diags);
+    EXPECT_NE(Mod, nullptr) << Diags.render(SM);
+    disambiguate(*Mod->mainFunction(), *Mod);
+    FunctionResolver Resolve = [this](const std::string &N) {
+      return static_cast<const Function *>(Mod->findFunction(N));
+    };
+    Inlined = inlineFunctionCalls(*Mod->mainFunction(), Mod->context(),
+                                  Resolve);
+    Info = disambiguate(*Inlined, *Mod);
+    CompileRequest Req;
+    Req.FI = Info.get();
+    Req.Sig = TypeSignature::ofValues({makeValue(Value::intScalar(Arg))});
+    Req.Mode = Mode;
+    R = compileFunction(Req);
+    EXPECT_TRUE(R.has_value()) << Name;
+  }
+
+  const IRFunction &code() const { return *R->Code; }
+  std::string emit() const { return emitCSource(*R->Code, R->Sig); }
+};
+
+/// Each loop's instructions: a backward branch and everything from its
+/// target up to it.
+std::vector<std::vector<Instr>> irLoops(const IRFunction &F) {
+  std::vector<std::vector<Instr>> Loops;
+  for (size_t I = 0; I != F.Code.size(); ++I)
+    if (F.Code[I].Op == Opcode::Br && F.Code[I].A >= 0 &&
+        static_cast<size_t>(F.Code[I].A) <= I)
+      Loops.emplace_back(F.Code.begin() + F.Code[I].A,
+                         F.Code.begin() + I + 1);
+  return Loops;
+}
+
+/// Each loop's C text: from a label to the backward goto that targets it.
+std::vector<std::string> cLoops(const std::string &Src) {
+  std::vector<std::string> Loops;
+  for (size_t At = Src.find("goto L"); At != std::string::npos;
+       At = Src.find("goto L", At + 1)) {
+    std::string Label = Src.substr(At + 5, Src.find(';', At) - At - 5);
+    size_t Def = Src.find(Label + ":;");
+    if (Def != std::string::npos && Def < At)
+      Loops.push_back(Src.substr(Def, At - Def));
+  }
+  return Loops;
+}
+
+TEST(CEmitter, SmallVectorLoopsKeepNoBoxes) {
+  // orbec's and orbrk's 1x2 and 1x4 state vectors (orbrk's gravrk inlined)
+  // live in F registers: no step allocates an array or copies a handle.
+  for (CodeGenMode Mode : {CodeGenMode::Jit, CodeGenMode::Optimized}) {
+    for (auto [Name, Arg] : {std::pair<const char *, double>{"orbec", 2000},
+                             {"orbrk", 400}}) {
+      SCOPED_TRACE(::testing::Message() << Name << " mode " << int(Mode));
+      CorpusProgram P(Name, Arg, Mode);
+      // The optimizer's unroller may add a back-edge; none may box.
+      auto Loops = irLoops(P.code());
+      ASSERT_FALSE(Loops.empty()) << P.code().print();
+      for (const auto &Loop : Loops) {
+        EXPECT_FALSE(hasOpcode(Loop, Opcode::NewMat)) << P.code().print();
+        EXPECT_FALSE(hasOpcode(Loop, Opcode::MovP)) << P.code().print();
+      }
+      std::string Src = P.emit();
+      auto CLoops = cLoops(Src);
+      ASSERT_EQ(CLoops.size(), Loops.size()) << Src;
+      for (const std::string &Loop : CLoops) {
+        EXPECT_EQ(Loop.find("mlfZeros"), std::string::npos) << Loop;
+        EXPECT_EQ(Loop.find("mxRetain"), std::string::npos) << Loop;
+      }
+    }
+  }
+}
+
+TEST(CEmitter, FractalLoopCallsTheHostOnlyForRand) {
+  // fractal's point p is one of three register-built literals per step.
+  // What is left of the host is rand, its unbox, and the inline stores
+  // into the history arrays.
+  CorpusProgram P("fractal", 3000, CodeGenMode::Jit);
+  auto Loops = irLoops(P.code());
+  ASSERT_EQ(Loops.size(), 2u) << P.code().print();
+  EXPECT_FALSE(hasOpcode(Loops[0], Opcode::NewMat)) << P.code().print();
+  EXPECT_FALSE(hasOpcode(Loops[0], Opcode::MovP)) << P.code().print();
+  std::string Src = P.emit();
+  auto CLoops = cLoops(Src);
+  ASSERT_EQ(CLoops.size(), 2u) << Src;
+  std::set<std::string> Calls;
+  const std::string &Body = CLoops[0];
+  for (size_t At = Body.find("mlf"); At != std::string::npos;
+       At = Body.find("mlf", At + 1)) {
+    size_t End = Body.find_first_of("( ;", At);
+    Calls.insert(Body.substr(At, End - At));
+  }
+  EXPECT_EQ(Calls, (std::set<std::string>{"mlfCallBuiltin", "mlfGetScalar",
+                                           "mlfStore", "mlfPoll", "mlf_ops"}))
+      << Body;
+  EXPECT_NE(Body.find("mlfCallBuiltin(\"rand\""), std::string::npos) << Body;
+  EXPECT_EQ(Body.find("mlfCallBuiltin("), Body.rfind("mlfCallBuiltin("));
+}
+
+size_t countOpcode(const std::vector<Instr> &Code, Opcode Op) {
+  return std::count_if(Code.begin(), Code.end(),
+                       [Op](const Instr &I) { return I.Op == Op; });
+}
+
+TEST(CEmitter, VectorEscapesAllocateNoMoreThanABox) {
+  // A register vector boxes again at every use that needs an array. A slot
+  // keeps its box when such a use sits in a loop or when it has more such
+  // uses than definitions, so no code allocates more arrays than it did
+  // with the slot boxed.
+  for (CodeGenMode Mode : {CodeGenMode::Jit, CodeGenMode::Optimized}) {
+    SCOPED_TRACE(::testing::Message() << "mode " << int(Mode));
+    // Stencil weights defined before the loop, read with a variable
+    // subscript and passed to a builtin inside it: no step allocates.
+    Compiled Weights("function s = f(n)\nw = [0.25 0.5 0.25];\ns = 0;\n"
+                     "for k = 1:n\nj = mod(k, 3) + 1;\n"
+                     "s = s + w(j) + sum(w);\nend\n",
+                     {Type::scalar(IntrinsicType::Int)}, Mode);
+    auto Loops = irLoops(*Weights.Code);
+    ASSERT_EQ(Loops.size(), 1u) << Weights.Code->print();
+    EXPECT_FALSE(hasOpcode(Loops[0], Opcode::NewMat)) << Weights.Code->print();
+
+    // Defined in the loop and read through end and a variable subscript:
+    // one array per step, as the definition itself allocates when boxed.
+    Compiled Ends("function s = f(n)\nr = [n, 2 * n, 3 * n];\ns = 0;\n"
+                  "for k = 1:3\nr = r + k;\n"
+                  "s = s + r(k) + r(end) + r(end - 1);\nend\n",
+                  {Type::scalar(IntrinsicType::Int)}, Mode);
+    Loops = irLoops(*Ends.Code);
+    ASSERT_EQ(Loops.size(), 1u) << Ends.Code->print();
+    EXPECT_EQ(countOpcode(Loops[0], Opcode::NewMat), 1u)
+        << Ends.Code->print();
+
+    // Escapes after the loop, no more than the definitions: the loop stays
+    // register code and the array is built once per escape after it.
+    Compiled After("function [t, r] = f(n)\nr = [n, n + 1];\n"
+                   "for k = 1:n\nr = [r(2), r(1) + r(2)];\nend\n"
+                   "t = sum(r);\n",
+                   {Type::scalar(IntrinsicType::Int)}, Mode);
+    Loops = irLoops(*After.Code);
+    ASSERT_EQ(Loops.size(), 1u) << After.Code->print();
+    EXPECT_FALSE(hasOpcode(Loops[0], Opcode::NewMat)) << After.Code->print();
+    EXPECT_EQ(countOpcode(After.Code->Code, Opcode::NewMat), 2u)
+        << After.Code->print();
+
+    // More escapes than definitions: the one box is built once and shared.
+    Compiled Shared("function [t, u] = f(n)\nw = [n, 1];\nt = sum(w);\n"
+                    "u = prod(w);\n",
+                    {Type::scalar(IntrinsicType::Int)}, Mode);
+    EXPECT_EQ(countOpcode(Shared.Code->Code, Opcode::NewMat), 1u)
+        << Shared.Code->print();
+  }
 }
 
 TEST(CEmitter, BoxedComplexTypedAbsKeepsTheBuiltin) {

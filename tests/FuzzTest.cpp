@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -769,5 +770,176 @@ TEST_P(EwFusionFuzz, BitIdenticalAcrossConfigsAndThreadCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EwFusionFuzz,
                          ::testing::Range<uint64_t>(1, 61));
+
+//===----------------------------------------------------------------------===//
+// Small-vector fuzzing: a 1x3 vector w that the compiled code keeps in F
+// registers, built from literals, rotated, scaled, read with constant
+// subscripts inside scalar expressions and summed into the output. Escapes
+// into builtins come one per statement; one inside a loop keeps w boxed.
+// A separate generator, so ProgramGen's seeds keep their programs.
+//===----------------------------------------------------------------------===//
+
+class SmallVecGen {
+public:
+  explicit SmallVecGen(uint64_t Seed) : R(Seed) {}
+
+  std::string generate() {
+    Src = "function out = vfuzz(n)\n"
+          "a = n + 1;\n"
+          "b = 3;\n"
+          "c = 0.5;\n"
+          "w = [a, b, c];\n";
+    unsigned NumStmts = 3 + pick(6);
+    for (unsigned S = 0; S != NumStmts; ++S)
+      statement(1);
+    Src += "out = [a + b + c + sum(w), w(1), w(2), w(3)];\n";
+    return Src;
+  }
+
+private:
+  unsigned pick(unsigned N) { return static_cast<unsigned>(R.nextU64() % N); }
+
+  std::string scalarExpr(unsigned Depth) {
+    static const char *Leaves[] = {"a", "b", "c", "w(1)", "w(2)", "w(3)",
+                                   "2", "-1", "0.25"};
+    switch (Depth > 2 ? 0 : pick(5)) {
+    case 0:
+      return Leaves[pick(sizeof(Leaves) / sizeof(Leaves[0]))];
+    case 1: {
+      static const char *Ops[] = {" + ", " - ", " * "};
+      return "(" + scalarExpr(Depth + 1) + Ops[pick(3)] +
+             scalarExpr(Depth + 1) + ")";
+    }
+    case 2:
+      return "(" + scalarExpr(Depth + 1) + " / (abs(" +
+             scalarExpr(Depth + 1) + ") + 1))";
+    case 3:
+      return "cos(" + scalarExpr(Depth + 1) + ")";
+    default:
+      return "w(" + std::to_string(1 + pick(3)) + ")";
+    }
+  }
+
+  void statement(unsigned Depth) {
+    switch (Depth > 2 ? pick(5) : pick(8)) {
+    case 0:
+      Src += "w = [" + scalarExpr(1) + ", " + scalarExpr(2) + ", " +
+             scalarExpr(2) + "];\n";
+      return;
+    case 1: {
+      static const char *Perms[] = {"[w(3), w(1), w(2)]", "[w(2), w(3), w(1)]",
+                                    "[w(2), w(1), w(3)]", "[w(1), w(1), w(2)]"};
+      Src += std::string("w = ") + Perms[pick(4)] + ";\n";
+      return;
+    }
+    case 2:
+      Src += "w = w .* " + scalarExpr(2) + " + w;\n";
+      return;
+    case 3:
+      Src += "w = (w - " + scalarExpr(2) + ") / 4;\n";
+      return;
+    case 4: {
+      static const char *Vars[] = {"a", "b", "c"};
+      Src += std::string(Vars[pick(3)]) + " = " + scalarExpr(1) + ";\n";
+      return;
+    }
+    case 5:
+      Src += "if " + scalarExpr(2) + " > " + scalarExpr(2) + "\n";
+      statement(Depth + 1);
+      if (pick(2)) {
+        Src += "else\n";
+        statement(Depth + 1);
+      }
+      Src += "end\n";
+      return;
+    case 6:
+      Src += "for k = 1:" + std::to_string(2 + pick(5)) + "\n";
+      statement(Depth + 1);
+      if (pick(2))
+        Src += "w = [w(2), w(3), w(1) + k];\n";
+      Src += "end\n";
+      return;
+    default: {
+      // An escape into a builtin mid-function.
+      static const char *Escapes[] = {"sum(w)", "min(w)", "numel(w)"};
+      Src += std::string("b = ") + Escapes[pick(3)] + ";\n";
+      return;
+    }
+    }
+  }
+
+  Rng R;
+  std::string Src;
+};
+
+class SmallVecSoundness : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SmallVecSoundness, RegisterVectorsAgreeWithInterpreter) {
+  SmallVecGen Gen(GetParam());
+  std::string Src = Gen.generate();
+  auto Run = [&Src](EngineOptions Opts) {
+    Engine E(Opts);
+    EwOutcome Out;
+    EXPECT_TRUE(E.addSource("vfuzz", Src)) << E.diagnostics();
+    try {
+      auto R = E.callFunction("vfuzz", {makeValue(Value::intScalar(5))}, 1,
+                              SourceLoc());
+      Out.V = *R[0];
+    } catch (const MatlabError &Err) {
+      Out.Threw = true;
+      Out.Error = Err.message();
+    }
+    Out.Output = E.context().output();
+    return Out;
+  };
+
+  EngineOptions Interp;
+  Interp.Policy = CompilePolicy::InterpretOnly;
+  EwOutcome Ref = Run(Interp);
+
+  std::vector<std::pair<const char *, EngineOptions>> Configs;
+  EngineOptions Jit;
+  Jit.Policy = CompilePolicy::Jit;
+  Configs.push_back({"jit", Jit});
+  EngineOptions NoFusion = Jit;
+  NoFusion.FuseElementwise = false;
+  Configs.push_back({"jit-nofusion", NoFusion});
+  EngineOptions SpillAll = Jit;
+  SpillAll.RegAlloc.SpillEverything = true;
+  Configs.push_back({"jit-spillall", SpillAll});
+#ifndef __SANITIZE_THREAD__
+  // Seeds 1-20 also run as machine code (one cc invocation each).
+  if (GetParam() <= 20 && nativeHostCompilerAvailable()) {
+    EngineOptions Native = Jit;
+    Native.BackgroundCompileThreads = 0;
+    Native.NativeTier = true;
+    Native.NativeHotThreshold = 1;
+    Configs.push_back({"native", Native});
+  }
+#endif
+  for (const auto &[Name, Opts] : Configs) {
+    EwOutcome Got = Run(Opts);
+    ASSERT_EQ(Ref.Threw, Got.Threw)
+        << Name << " error='" << Got.Error << "' vs ref='" << Ref.Error
+        << "'\nprogram:\n"
+        << Src;
+    if (Ref.Threw) {
+      EXPECT_EQ(Ref.Error, Got.Error) << Name << "\n" << Src;
+    } else {
+      // Int and Real are one class to a program; compare the values.
+      ASSERT_EQ(Ref.V.numel(), Got.V.numel()) << Name << "\n" << Src;
+      for (size_t I = 0; I != Ref.V.numel(); ++I)
+        EXPECT_EQ(std::bit_cast<uint64_t>(Ref.V.re(I)),
+                  std::bit_cast<uint64_t>(Got.V.re(I)))
+            << Name << " elem " << I << ": " << Ref.V.re(I) << " vs "
+            << Got.V.re(I) << "\n"
+            << Src;
+    }
+    EXPECT_EQ(Ref.Output, Got.Output) << Name << "\n" << Src;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SmallVecSoundness,
+                         ::testing::Range<uint64_t>(1, 41));
 
 } // namespace
