@@ -36,13 +36,8 @@ echo "== tsan: thread-sanitized build + concurrency tests =="
 cmake -B build-tsan -S . -DMAJIC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j >/dev/null
-# hibernate_crash_test is deliberately absent from the filter: its
-# fork()+SIGKILL harness is incompatible with TSan's runtime.
-# native_test is absent too: it dlopens generated (uninstrumented) .so
-# files, which TSan's runtime rejects. It runs in the release and ASan
-# sweeps above; the native suites inside fuzz_test and service_test
-# self-gate with #ifndef __SANITIZE_THREAD__ for the same reason.
-ctest --test-dir build-tsan --output-on-failure \
-  -R "async_compile_test|robustness_test|fuzz_test|support_test|kernel_test|repo_store_test|obs_test|service_test|value_serialize_test|envelope_test"
+# The suites labelled `tsan` in tests/CMakeLists.txt (which says why
+# hibernate_crash_test and native_test are not among them).
+ctest --test-dir build-tsan --output-on-failure -L tsan
 
 echo "== all checks passed =="

@@ -61,6 +61,26 @@ const std::string UntypedSig = "(untyped)";
 constexpr uint64_t kRespeculateMissStreak = 2;
 constexpr uint64_t kRespeculateDeopts = 2;
 
+/// Compiled versions kept per function; a new one past the cap evicts the
+/// least-used.
+constexpr size_t kMaxVersionsPerFunction = 8;
+
+/// The context's PRNG seed at construction.
+constexpr uint64_t kRandSeed = 0x9e3779b97f4a7c15ull;
+
+/// A copy of \p Obj sharing its immutable code body (CompiledObject is
+/// move-only: its hit counter is atomic).
+CompiledObject cloneObject(const CompiledObject &Obj) {
+  CompiledObject C;
+  C.FunctionName = Obj.FunctionName;
+  C.Sig = Obj.Sig;
+  C.Code = Obj.Code;
+  C.Mode = Obj.Mode;
+  C.CompileSeconds = Obj.CompileSeconds;
+  C.From = Obj.From;
+  return C;
+}
+
 } // namespace
 
 Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
@@ -68,23 +88,11 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   // later engines leave whatever schedule the tests armed via the API.
   static bool FaultEnvLoaded = (faults::loadEnv(), true);
   (void)FaultEnvLoaded;
-  // Environment knobs fill in limits the embedder left unset.
-  if (!Opts.Limits.MaxAllocBytes)
-    Opts.Limits.MaxAllocBytes = envLimit("MAJIC_MAX_ALLOC_BYTES");
-  if (!Opts.Limits.MaxOps)
-    Opts.Limits.MaxOps = envLimit("MAJIC_MAX_OPS");
-  if (!Opts.Limits.MaxWallMillis)
-    Opts.Limits.MaxWallMillis = envLimit("MAJIC_MAX_WALL_MILLIS");
 
-  Ctx.Rand.reseed(Opts.RandSeed);
+  Ctx.Rand.reseed(kRandSeed);
   Ctx.Exec.OpBudget = Opts.Limits.MaxOps;
   Ctx.Exec.TimeBudgetNs = Opts.Limits.MaxWallMillis * 1000000ull;
-  uint64_t ByteLimit = Opts.Limits.MaxAllocBytes;
-  if (Opts.Limits.MaxLiveElements) {
-    uint64_t ElemBytes = Opts.Limits.MaxLiveElements * sizeof(double);
-    ByteLimit = ByteLimit ? std::min(ByteLimit, ElemBytes) : ElemBytes;
-  }
-  if (ByteLimit) {
+  if (uint64_t ByteLimit = Opts.Limits.MaxAllocBytes) {
     if (Opts.PerSessionLimits) {
       // The budget binds to this engine's own account, installed around
       // each top-level invocation: any number of engines can carry
@@ -92,8 +100,8 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
       MemAccount.setLimit(ByteLimit);
     } else {
       // Matrix storage is charged against a process-wide account (the
-      // tracking allocator cannot see engine state), so apply the stricter
-      // of the two limits globally and lift it again at shutdown.
+      // tracking allocator cannot see engine state), so apply the limit
+      // globally and lift it again at shutdown.
       mem::setLimitBytes(ByteLimit);
       OwnsMemLimit = true;
     }
@@ -112,7 +120,7 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   if (uint64_t Hot = envLimit("MAJIC_NATIVE_HOT"))
     Opts.NativeHotThreshold = static_cast<unsigned>(Hot);
   CfgHash = sharedCacheConfigHash(Opts);
-  Repo.setVersionCap(Opts.MaxVersionsPerFunction);
+  Repo.setVersionCap(kMaxVersionsPerFunction);
   // Wire the observability subsystem. The repository's hit/miss/eviction
   // counters and the engine's own counters register as externally-owned
   // instruments; member order guarantees the registry outlives them. The
@@ -138,8 +146,11 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   Inst.CompileSeconds = &Metrics.histogram("compile.seconds");
   Inst.InferSeconds = &Metrics.histogram("compile.infer.seconds");
   Inst.CodeGenSeconds = &Metrics.histogram("compile.codegen.seconds");
-  Inst.VmRunSeconds = &Metrics.histogram("vm.run.seconds");
-  Inst.InterpRunSeconds = &Metrics.histogram("interp.run.seconds");
+  Inst.RunSeconds[size_t(Tier::Native)] =
+      &Metrics.histogram("native.run.seconds");
+  Inst.RunSeconds[size_t(Tier::Vm)] = &Metrics.histogram("vm.run.seconds");
+  Inst.RunSeconds[size_t(Tier::Interp)] =
+      &Metrics.histogram("interp.run.seconds");
   Inst.FusionGroups = &Metrics.counter("fusion.groups");
   Inst.FusionOpsFused = &Metrics.counter("fusion.ops_fused");
   Inst.FusionTempsElided = &Metrics.counter("fusion.temps_elided");
@@ -202,7 +213,7 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
       Store->setNativeStampExtra(hashing::fnv1a(
           &StampFacts, sizeof(StampFacts), hashing::fnv1a("majic-native")));
       for (RepoStore::NativeEntry &E : Store->loadAllNative())
-        PendingNativeWarm[E.FunctionName].push_back(std::move(E));
+        PendingWarmNative[E.FunctionName].push_back(std::move(E));
     }
   }
   // The profile summary lives beside the .mjo entries unless an explicit
@@ -263,65 +274,45 @@ void Engine::shutdown() {
   if (ShutdownDone)
     return;
   ShutdownDone = true;
-  if (OwnedSpecPool) {
-    // Workers observe Draining under SpecMutex and persist synchronously
-    // from then on, so nothing re-enqueues while the pool tears down (the
-    // old destructor nulled the pool member before joining, which raced
-    // the workers' own reads of it).
+  if (SpecPool) {
     {
+      // From here on no job is queued: workers persist synchronously
+      // instead of enqueueing onto a pool that is mid-teardown (owned) or
+      // possibly paused (shared), and no new speculation is accepted.
       std::lock_guard<std::mutex> L(SpecMutex);
       Draining = true;
     }
-    // A paused pool would never drain its queue; the pool destructor joins
-    // after finishing queued tasks, so un-pause first. In-flight tasks
-    // touch the repository and the speculation bookkeeping, which must
-    // outlive them - hence join before anything else is torn down.
-    OwnedSpecPool->setPaused(false);
-    OwnedSpecPool.reset();
+    if (OwnedSpecPool) {
+      // A paused pool would never drain its queue; the pool destructor
+      // joins after finishing queued tasks, so un-pause first. In-flight
+      // tasks touch the repository and the speculation bookkeeping, which
+      // must outlive them - hence join before anything else is torn down.
+      OwnedSpecPool->setPaused(false);
+      OwnedSpecPool.reset();
+    } else {
+      // Shared pool: it outlives this engine and may be serving other
+      // sessions, so never drain or pause it. Cancel this engine's
+      // still-queued jobs, then wait out only the ones already running.
+      {
+        std::lock_guard<std::mutex> L(SpecMutex);
+        for (auto It = QueuedJobs.begin(); It != QueuedJobs.end();) {
+          if (!SpecPool->cancel(It->Id)) {
+            ++It; // already running; its task keeps its own books
+            continue;
+          }
+          --PendingJobs[size_t(It->Kind)];
+          if (It->Kind == JobKind::Compile) {
+            // The speculation bookkeeping the compile would have done.
+            InFlight.erase(
+                std::find(InFlight.begin(), InFlight.end(), It->Name));
+            Spec.Dropped.inc();
+          }
+          It = QueuedJobs.erase(It);
+        }
+      }
+      awaitJobs({JobKind::Compile, JobKind::Save, JobKind::Native});
+    }
     std::lock_guard<std::mutex> L(SpecMutex);
-    SpecPool = nullptr;
-  } else if (SpecPool) {
-    // Shared pool: it outlives this engine and may be serving other
-    // sessions, so never drain or pause it. Cancel this engine's
-    // still-queued tasks (doing the bookkeeping their bodies would have),
-    // then wait out only the ones already running.
-    std::unique_lock<std::mutex> L(SpecMutex);
-    Draining = true;
-    for (auto It = QueuedIds.begin(); It != QueuedIds.end();) {
-      if (!SpecPool->cancel(It->second)) {
-        ++It; // already running; its body does its own bookkeeping
-        continue;
-      }
-      const std::string &Name = It->first;
-      auto QIt = std::find(QueuedOrder.begin(), QueuedOrder.end(), Name);
-      if (QIt != QueuedOrder.end())
-        QueuedOrder.erase(QIt);
-      auto FIt = std::find(InFlight.begin(), InFlight.end(), Name);
-      if (FIt != InFlight.end())
-        InFlight.erase(FIt);
-      --PendingCompiles;
-      Spec.Dropped.inc();
-      It = QueuedIds.erase(It);
-    }
-    for (auto It = QueuedSaveIds.begin(); It != QueuedSaveIds.end();) {
-      if (SpecPool->cancel(*It)) {
-        --PendingSaves;
-        It = QueuedSaveIds.erase(It);
-      } else {
-        ++It;
-      }
-    }
-    for (auto It = QueuedNativeIds.begin(); It != QueuedNativeIds.end();) {
-      if (SpecPool->cancel(*It)) {
-        --PendingNative;
-        It = QueuedNativeIds.erase(It);
-      } else {
-        ++It;
-      }
-    }
-    SpecIdleCv.wait(L, [this] {
-      return PendingCompiles == 0 && PendingSaves == 0 && PendingNative == 0;
-    });
     SpecPool = nullptr;
   }
   // Persist the profile summary now that all recording is quiesced; the
@@ -377,32 +368,36 @@ bool Engine::addSource(const std::string &Name, const std::string &Source) {
   }
   if (!Mod)
     return false;
+  registerModule(std::move(Mod), Source);
+  return true;
+}
 
-  Module *M = Mod.get();
-  Modules.push_back(std::move(Mod));
+void Engine::registerModule(std::unique_ptr<Module> Mod,
+                            const std::string &Source) {
+  Module &M = *Modules.emplace_back(std::move(Mod));
   ScopedPhaseTimer T(Phases, Phase::Disambiguate);
   LastLoadedNames.clear();
   uint64_t SrcHash = hashing::fnv1a(Source);
-  for (const auto &F : M->functions()) {
+  for (const auto &F : M.functions()) {
+    const std::string &Name = F->name();
     LoadedFunction LF;
     LF.F = F.get();
-    LF.M = M;
-    LF.Info = disambiguate(*F, *M);
+    LF.M = &M;
+    LF.Info = disambiguate(*F, M);
     // New source shadows any previous definition; drop stale code and
     // make sure in-flight background compiles of the old source are
     // dropped rather than published.
-    invalidateFunction(F->name());
-    Functions[F->name()] = std::move(LF);
-    seedObservedSignatures(F->name(), Functions[F->name()]);
-    LastLoadedNames.push_back(F->name());
+    invalidateFunction(Name);
+    seedObservedSignatures(Name, Functions[Name] = std::move(LF));
+    LastLoadedNames.push_back(Name);
     {
       std::lock_guard<std::mutex> L(SpecMutex);
-      SourceHashByFn[F->name()] = SrcHash;
-      ErasedFns.erase(F->name());
+      SourceHashByFn[Name] = SrcHash;
+      // Defined again, the name is no longer a removed one: it persists.
+      ErasedFns.erase(Name);
     }
-    adoptWarmEntries(F->name(), SrcHash);
+    adoptWarmEntries(Name, SrcHash);
   }
-  return true;
 }
 
 bool Engine::loadFile(const std::string &Path) {
@@ -502,21 +497,12 @@ const std::shared_ptr<FunctionInfo> &Engine::compileView(LoadedFunction &LF) {
   return LF.InlinedInfo;
 }
 
-CompileRequest Engine::makeRequest(const FunctionInfo *FI,
-                                   const TypeSignature &Sig, CodeGenMode Mode,
-                                   bool Optimistic) const {
-  CompileRequest Req;
-  Req.FI = FI;
-  Req.Sig = Sig;
-  Req.Mode = Mode;
-  Req.Platform = Opts.Platform;
-  Req.Infer = Opts.Infer;
-  Req.Infer.OptimisticRealMath &= Optimistic;
-  Req.RegAlloc = Opts.RegAlloc;
-  Req.UnrollSmallVectors =
-      Mode == CodeGenMode::Jit ? Opts.Platform.JitUnrollsSmallVectors : true;
-  Req.FuseElementwise = Opts.FuseElementwise;
-  return Req;
+Engine::LoadedFunction *Engine::compilable(const std::string &Name) {
+  LoadedFunction *LF = find(Name);
+  if (!LF || LF->F->isScript() || isQuarantined(Name) ||
+      compileView(*LF)->HasAmbiguousSymbols)
+    return nullptr;
+  return LF;
 }
 
 CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
@@ -524,47 +510,53 @@ CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
                                            CodeGenMode Mode,
                                            CompiledObject::Origin From,
                                            bool Optimistic) {
-  LoadedFunction *LF = find(Name);
-  if (!LF || LF->F->isScript())
+  LoadedFunction *LF = compilable(Name);
+  if (!LF)
     return nullptr;
-  if (isQuarantined(Name))
-    return nullptr;
-  const std::shared_ptr<FunctionInfo> &FI = compileView(*LF);
-  if (FI->HasAmbiguousSymbols)
-    return nullptr;
-
   uint64_t Gen;
-  uint64_t SrcHash = 0;
-  bool HaveSrcHash = false;
   {
     std::lock_guard<std::mutex> L(SpecMutex);
     Gen = SourceGeneration[Name];
-    auto HIt = SourceHashByFn.find(Name);
-    if (HIt != SourceHashByFn.end()) {
-      SrcHash = HIt->second;
-      HaveSrcHash = true;
-    }
   }
+  return compileAndPublish(Name, *compileView(*LF), Sig, Mode, From,
+                           Optimistic, Gen);
+}
+
+CompiledObjectPtr Engine::compileAndPublish(const std::string &Name,
+                                            const FunctionInfo &FI,
+                                            const TypeSignature &Sig,
+                                            CodeGenMode Mode,
+                                            CompiledObject::Origin From,
+                                            bool Optimistic, uint64_t Gen) {
+  // Publishing under the lock invalidateFunction bumps the generation
+  // under: an invalidate or reload while a worker compiled makes its
+  // object stale, and it is dropped instead of published.
+  auto Publish = [&](CompiledObject Obj) -> CompiledObjectPtr {
+    CompiledObjectPtr Published;
+    {
+      std::lock_guard<std::mutex> L(SpecMutex);
+      if (SourceGeneration[Name] != Gen)
+        return nullptr;
+      Repo.insert(std::move(Obj));
+      Published = Repo.lookup(Name, Sig);
+    }
+    if (Published)
+      saveToStore(*Published);
+    return Published;
+  };
   // Cross-session reuse: another session may already have compiled exactly
   // this (source, signature, configuration). A hit clones the immutable
   // code body into this engine's repository - zero compile work.
+  std::optional<uint64_t> SrcHash = sourceHash(Name);
   std::string CacheKey;
-  if (Opts.SharedCache && HaveSrcHash) {
+  if (Opts.SharedCache && SrcHash) {
     CacheKey =
-        SharedCodeCache::key(Name, SrcHash, CfgHash, Mode, Optimistic, Sig);
+        SharedCodeCache::key(Name, *SrcHash, CfgHash, Mode, Optimistic, Sig);
     if (CompiledObjectPtr Cached = Opts.SharedCache->lookup(CacheKey)) {
       try {
-        CompiledObject Obj;
-        Obj.FunctionName = Name;
-        Obj.Sig = Cached->Sig;
-        Obj.Code = Cached->Code;
-        Obj.Mode = Cached->Mode;
+        CompiledObject Obj = cloneObject(*Cached);
         Obj.CompileSeconds = 0; // this session spent nothing
-        Obj.From = Cached->From;
-        Repo.insert(std::move(Obj));
-        CompiledObjectPtr Adopted = Repo.lookup(Name, Sig);
-        if (Adopted)
-          return Adopted;
+        return Publish(std::move(Obj));
       } catch (...) {
         // An injected repo-insert fault costs one compile; fall through.
       }
@@ -576,7 +568,17 @@ CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
   // caller transparently falls back to the interpreter.
   try {
     Timer Total;
-    CompileRequest Req = makeRequest(FI.get(), Sig, Mode, Optimistic);
+    CompileRequest Req;
+    Req.FI = &FI;
+    Req.Sig = Sig;
+    Req.Mode = Mode;
+    Req.Platform = Opts.Platform;
+    Req.Infer = Opts.Infer;
+    Req.Infer.OptimisticRealMath &= Optimistic;
+    Req.RegAlloc = Opts.RegAlloc;
+    Req.UnrollSmallVectors =
+        Mode == CodeGenMode::Jit ? Opts.Platform.JitUnrollsSmallVectors : true;
+    Req.FuseElementwise = Opts.FuseElementwise;
     std::optional<CompileResult> Result = compileFunction(Req);
     if (!Result)
       return nullptr;
@@ -598,14 +600,10 @@ CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
     Obj.From = From;
     Inst.CompileSeconds->observe(Obj.CompileSeconds);
     Profiles.recordCompile(Name, Obj.CompileSeconds);
-    Repo.insert(std::move(Obj));
-    CompiledObjectPtr Inserted = Repo.lookup(Name, Sig);
-    if (Inserted) {
-      saveToStore(*Inserted);
-      if (Opts.SharedCache && !CacheKey.empty())
-        Opts.SharedCache->publish(CacheKey, Inserted, SrcHash);
-    }
-    return Inserted;
+    CompiledObjectPtr Published = Publish(std::move(Obj));
+    if (Published && !CacheKey.empty())
+      Opts.SharedCache->publish(CacheKey, Published, *SrcHash);
+    return Published;
   } catch (...) {
     noteCompileFailure(Name, Gen);
     return nullptr;
@@ -616,22 +614,36 @@ CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
 // Persistent repository (warm start)
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// The source-hash rung of the validation ladder: takes \p Name's entries
+/// out of \p Pending and returns those compiled from the source text that
+/// hashes to \p SrcHash. The others must not shadow the new source: their
+/// files are deleted, and the new source recompiles on demand.
+template <typename EntryT>
+std::vector<EntryT>
+takeMatching(std::unordered_map<std::string, std::vector<EntryT>> &Pending,
+             const std::string &Name, uint64_t SrcHash, RepoStore &Store) {
+  std::vector<EntryT> Matching;
+  auto It = Pending.find(Name);
+  if (It == Pending.end())
+    return Matching;
+  for (EntryT &E : It->second) {
+    if (E.SourceHash == SrcHash)
+      Matching.push_back(std::move(E));
+    else
+      Store.discardStale(E.Path);
+  }
+  Pending.erase(It);
+  return Matching;
+}
+} // namespace
+
 void Engine::adoptWarmEntries(const std::string &Name, uint64_t SrcHash) {
-  if (!Store)
+  // Native entries are adopted only for functions with .mjo entries
+  // pending.
+  if (!Store || !PendingWarm.count(Name))
     return;
-  auto It = PendingWarm.find(Name);
-  if (It == PendingWarm.end())
-    return;
-  std::vector<RepoStore::Entry> Entries = std::move(It->second);
-  PendingWarm.erase(It);
-  for (RepoStore::Entry &E : Entries) {
-    if (E.SourceHash != SrcHash) {
-      // The .m text changed since this was compiled: the final rung of the
-      // validation ladder fails, and the entry must not shadow the new
-      // source. Delete the file; the new source recompiles on demand.
-      Store->discardStale(E.Path);
-      continue;
-    }
+  for (RepoStore::Entry &E : takeMatching(PendingWarm, Name, SrcHash, *Store)) {
     try {
       Repo.insert(std::move(E.Obj));
       Store->noteAdopted();
@@ -647,16 +659,8 @@ void Engine::adoptWarmEntries(const std::string &Name, uint64_t SrcHash) {
   // with zero compiler invocations. Any loader refusal (injected fault,
   // ABI drift the stamp missed) discards the file and the function simply
   // stays on the VM until re-promoted.
-  auto NIt = PendingNativeWarm.find(Name);
-  if (NIt == PendingNativeWarm.end())
-    return;
-  std::vector<RepoStore::NativeEntry> NEntries = std::move(NIt->second);
-  PendingNativeWarm.erase(NIt);
-  for (RepoStore::NativeEntry &E : NEntries) {
-    if (E.SourceHash != SrcHash) {
-      Store->discardStale(E.Path);
-      continue;
-    }
+  for (RepoStore::NativeEntry &E :
+       takeMatching(PendingWarmNative, Name, SrcHash, *Store)) {
     try {
       std::vector<uint8_t> So(E.SoBytes.begin(), E.SoBytes.end());
       std::shared_ptr<native::NativeModule> Mod =
@@ -674,98 +678,62 @@ void Engine::adoptWarmEntries(const std::string &Name, uint64_t SrcHash) {
   }
 }
 
+std::optional<uint64_t> Engine::sourceHash(const std::string &Name) const {
+  std::lock_guard<std::mutex> L(SpecMutex);
+  auto It = SourceHashByFn.find(Name);
+  if (It == SourceHashByFn.end())
+    return std::nullopt;
+  return It->second;
+}
+
 void Engine::saveToStore(const CompiledObject &Obj) {
   if (!Store || !Obj.Code)
     return;
-  uint64_t SrcHash;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    auto It = SourceHashByFn.find(Obj.FunctionName);
-    if (It == SourceHashByFn.end())
-      return;
-    SrcHash = It->second;
-  }
-  // Clone for the task: CompiledObject is move-only (atomic hit counter)
-  // and the repository keeps the original. The IR itself is shared.
-  auto Clone = std::make_shared<CompiledObject>();
-  Clone->FunctionName = Obj.FunctionName;
-  Clone->Sig = Obj.Sig;
-  Clone->Code = Obj.Code;
-  Clone->Mode = Obj.Mode;
-  Clone->CompileSeconds = Obj.CompileSeconds;
-  Clone->From = Obj.From;
-  RepoStore *S = Store.get();
+  std::optional<uint64_t> SrcHash = sourceHash(Obj.FunctionName);
+  if (!SrcHash)
+    return;
+  // The task gets its own copy; the repository keeps the original.
+  auto Clone = std::make_shared<CompiledObject>(cloneObject(Obj));
+  auto Save = [this, Clone, SrcHash = *SrcHash] {
+    persistUnlessErased(Clone->FunctionName, /*Native=*/false,
+                        [&] { Store->save(*Clone, SrcHash); });
+  };
   {
     // Persisting rides the idle-priority pool like speculative compiles:
-    // the interactive thread never waits for the disk. The pool pointer is
-    // read under SpecMutex because this path runs on workers, which must
-    // observe shutdown's Draining/clearing writes - while draining, save
-    // synchronously instead of enqueueing onto a pool that is mid-teardown
-    // (owned) or possibly paused (shared).
-    std::unique_lock<std::mutex> L(SpecMutex);
-    if (SpecPool && !Draining) {
-      ++PendingSaves;
-      // Enqueueing while holding SpecMutex (the established SpecMutex ->
-      // pool-mutex order) makes id tracking race-free: the worker's first
-      // action in the task body is to take SpecMutex, so the id is in
-      // QueuedSaveIds - and in the box - before the body can look.
-      auto IdBox = std::make_shared<ThreadPool::TaskId>(0);
-      try {
-        ThreadPool::TaskId Id =
-            SpecPool->enqueue([this, S, Clone, SrcHash, IdBox] {
-              {
-                std::lock_guard<std::mutex> L2(SpecMutex);
-                QueuedSaveIds.erase(*IdBox);
-              }
-              runStoreSave(*S, *Clone, SrcHash);
-              {
-                std::lock_guard<std::mutex> L2(SpecMutex);
-                --PendingSaves;
-              }
-              SpecIdleCv.notify_all();
-            });
-        *IdBox = Id;
-        QueuedSaveIds.insert(Id);
-        return;
-      } catch (...) {
-        // Injected pool-enqueue fault: undo the pending count and fall
-        // back to the synchronous path (save() itself never throws).
-        --PendingSaves;
-      }
-    }
-  }
-  runStoreSave(*S, *Clone, SrcHash);
-}
-
-void Engine::runStoreSave(RepoStore &S, const CompiledObject &Obj,
-                          uint64_t SrcHash) {
-  {
+    // the interactive thread never waits for the disk.
     std::lock_guard<std::mutex> L(SpecMutex);
-    if (ErasedFns.count(Obj.FunctionName))
+    if (enqueueJob(JobKind::Save, Obj.FunctionName, Save))
       return;
   }
-  S.save(Obj, SrcHash);
+  Save();
+}
+
+void Engine::persistUnlessErased(const std::string &Name, bool Native,
+                                 const std::function<void()> &Write) {
+  {
+    std::lock_guard<std::mutex> L(SpecMutex);
+    if (ErasedFns.count(Name))
+      return;
+  }
+  Write();
   // Re-check after the write: handleRemovedSource sets the tombstone
-  // before calling Store->erase, so if we do not see it here, our file
+  // before erasing the files, so if we do not see it here, our file
   // landed before the erase scanned the directory and the eraser removes
   // it; if we do see it, the erase may have run first and missed the file,
   // and we take it back out ourselves. Either way nothing survives.
   bool Erased;
   {
     std::lock_guard<std::mutex> L(SpecMutex);
-    Erased = ErasedFns.count(Obj.FunctionName) != 0;
+    Erased = ErasedFns.count(Name) != 0;
   }
   if (Erased)
-    S.erase(Obj.FunctionName);
+    Native ? Store->eraseNative(Name) : Store->erase(Name);
 }
 
 void Engine::flushRepoStore() {
-  // A compile still in flight may yet queue a save, so wait out both.
-  // Native compile tasks save their .so inline, so they count too.
-  std::unique_lock<std::mutex> L(SpecMutex);
-  SpecIdleCv.wait(L, [this] {
-    return PendingSaves == 0 && PendingCompiles == 0 && PendingNative == 0;
-  });
+  // A compile still in flight may yet queue a save, and native builds
+  // save their .so inline, so wait out every kind.
+  awaitJobs({JobKind::Compile, JobKind::Save, JobKind::Native});
 }
 
 RepoStoreStats Engine::repoStoreStats() const {
@@ -810,8 +778,8 @@ void Engine::handleRemovedSource(const SourceSnooper::Change &C) {
       // A deleted function must not keep steering speculation either.
       ObservedSigByFn.erase(Fn);
       // Tombstone before erasing the files: a background save queued
-      // before this removal must not recreate them (runStoreSave checks
-      // the tombstone on both sides of its write).
+      // before this removal must not recreate them (persistUnlessErased
+      // checks the tombstone on both sides of its write).
       if (Store)
         ErasedFns.insert(Fn);
     }
@@ -828,45 +796,86 @@ bool Engine::precompileWithArgs(const std::string &Name,
 }
 
 bool Engine::precompileSpeculative(const std::string &Name) {
-  LoadedFunction *LF = find(Name);
-  if (!LF || LF->F->isScript())
+  LoadedFunction *LF = compilable(Name);
+  if (!LF)
     return false;
-  const std::shared_ptr<FunctionInfo> &FI = compileView(*LF);
-  if (FI->HasAmbiguousSymbols)
-    return false;
-  // What users actually call beats what the hint pass guesses; the guess
-  // stays as the cold-start fallback.
-  TypeSignature SpecSig;
-  if (observedSignatureFor(Name, LF->F->params().size(), SpecSig))
-    Spec.ObservedSigCompiles.inc();
-  else
-    SpecSig = speculateSignature(*FI, Opts.Infer);
-  return compileAndInsert(Name, SpecSig, CodeGenMode::Optimized,
+  TypeSignature Sig = speculationSignature(Name, *compileView(*LF), nullptr);
+  return compileAndInsert(Name, Sig, CodeGenMode::Optimized,
                           CompiledObject::Origin::Speculative) != nullptr;
 }
 
+TypeSignature Engine::speculationSignature(const std::string &Name,
+                                           const FunctionInfo &FI,
+                                           const TypeSignature *Forced) {
+  // What users actually call beats what the hint pass guesses; the guess
+  // stays as the cold-start fallback. Arity is checked against the live
+  // analysis view so a stale persisted profile can never force a
+  // wrong-arity compile.
+  size_t Arity = FI.F->params().size();
+  TypeSignature Sig;
+  if (Forced && Forced->size() == Arity)
+    Sig = *Forced;
+  else if (!observedSignatureFor(Name, Arity, Sig))
+    return speculateSignature(FI, Opts.Infer);
+  Spec.ObservedSigCompiles.inc();
+  return Sig;
+}
+
 //===----------------------------------------------------------------------===//
-// Background speculation (the compile queue)
+// Background jobs: speculation (the compile queue), saves, native builds
 //===----------------------------------------------------------------------===//
+
+bool Engine::enqueueJob(JobKind K, const std::string &Name,
+                        std::function<void()> Run) {
+  // Workers call this too (a compile queues its save), so the pool pointer
+  // is read here, under SpecMutex, where shutdown clears it.
+  if (!SpecPool || Draining)
+    return false;
+  auto It = QueuedJobs.insert(QueuedJobs.end(), {K, Name});
+  try {
+    It->Id = SpecPool->enqueue([this, K, It, Run = std::move(Run)] {
+      {
+        std::lock_guard<std::mutex> L(SpecMutex);
+        QueuedJobs.erase(It);
+      }
+      Run();
+      {
+        std::lock_guard<std::mutex> L(SpecMutex);
+        --PendingJobs[size_t(K)];
+      }
+      SpecIdleCv.notify_all();
+    });
+  } catch (...) {
+    // Injected pool-enqueue fault: no job, and nothing left to wait for.
+    QueuedJobs.erase(It);
+    return false;
+  }
+  ++PendingJobs[size_t(K)];
+  return true;
+}
+
+void Engine::awaitJobs(std::initializer_list<JobKind> Kinds) {
+  std::unique_lock<std::mutex> L(SpecMutex);
+  SpecIdleCv.wait(L, [&] {
+    return std::all_of(Kinds.begin(), Kinds.end(),
+                       [&](JobKind K) { return PendingJobs[size_t(K)] == 0; });
+  });
+}
 
 bool Engine::speculateAsync(const std::string &Name,
                             const TypeSignature *SigOverride) {
   if (!SpecPool)
     return false;
-  LoadedFunction *LF = find(Name);
-  if (!LF || LF->F->isScript())
-    return false;
-  if (isQuarantined(Name))
-    return false;
   // The analysis view is built here, on the engine's thread (it mutates
   // the LoadedFunction); speculative inference and the compile pipeline -
   // both pure over the FunctionInfo - run on the worker, keeping the
   // interactive thread's share of the request to parse + disambiguate.
-  const std::shared_ptr<FunctionInfo> &View = compileView(*LF);
-  if (View->HasAmbiguousSymbols)
+  LoadedFunction *LF = compilable(Name);
+  if (!LF)
     return false;
-
-  std::shared_ptr<const FunctionInfo> FI = View;
+  std::shared_ptr<const FunctionInfo> FI = compileView(*LF);
+  // Pins the inlined clone FI's nodes point into: reloading the function
+  // on this thread must not pull it out from under the worker.
   std::shared_ptr<const Function> KeepAlive = LF->InlinedF;
   std::optional<TypeSignature> Forced;
   if (SigOverride)
@@ -879,29 +888,16 @@ bool Engine::speculateAsync(const std::string &Name,
       Spec.DedupedRequests.inc();
       return false;
     }
-    InFlight.push_back(Name);
     uint64_t Gen = SourceGeneration[Name];
-    // Enqueue under SpecMutex so the task id lands in QueuedIds before any
-    // promoteSpeculation can look for it. Safe against the workers: they
-    // release the pool lock before running a task, so SpecMutex ->
-    // pool-mutex is the only order these two locks are ever taken in.
-    // Count the request only once the pool accepted it: a throwing enqueue
-    // (injected pool-enqueue fault) must leave no bookkeeping behind, or
-    // drainCompiles would wait forever on a task that does not exist.
-    ThreadPool::TaskId Id;
-    try {
-      Id = SpecPool->enqueue([this, Name, FI, KeepAlive, Gen, Forced] {
-        backgroundCompile(Name, FI, KeepAlive, Gen, Forced);
-      });
-    } catch (...) {
-      InFlight.pop_back();
+    auto Compile = [this, Name, FI, KeepAlive, Gen, Forced] {
+      backgroundCompile(Name, *FI, Gen, Forced ? &*Forced : nullptr);
+    };
+    if (!enqueueJob(JobKind::Compile, Name, Compile)) {
       Spec.Failed.inc();
       return false;
     }
+    InFlight.push_back(Name);
     Spec.Queued.inc();
-    ++PendingCompiles;
-    QueuedIds[Name] = Id;
-    QueuedOrder.push_back(Name);
   }
   obs::traceInstant("speculate.queue", "engine", Name);
   return true;
@@ -911,18 +907,15 @@ bool Engine::promoteSpeculation(const std::string &Name) {
   if (!SpecPool)
     return false;
   std::lock_guard<std::mutex> L(SpecMutex);
-  auto It = QueuedIds.find(Name);
-  if (It == QueuedIds.end())
+  auto It = std::find_if(QueuedJobs.begin(), QueuedJobs.end(),
+                         [&](const QueuedJob &J) {
+                           return J.Kind == JobKind::Compile && J.Name == Name;
+                         });
+  // The pool may have handed the task to a worker that hasn't left the
+  // ledger yet; promote() refuses once the task left the queue.
+  if (It == QueuedJobs.end() || !SpecPool->promote(It->Id))
     return false;
-  // The pool may have handed the task to a worker that hasn't erased its
-  // bookkeeping yet; promote() refuses once the task left the queue.
-  if (!SpecPool->promote(It->second))
-    return false;
-  auto QIt = std::find(QueuedOrder.begin(), QueuedOrder.end(), Name);
-  if (QIt != QueuedOrder.end() && QIt != QueuedOrder.begin()) {
-    QueuedOrder.erase(QIt);
-    QueuedOrder.insert(QueuedOrder.begin(), Name);
-  }
+  QueuedJobs.splice(QueuedJobs.begin(), QueuedJobs, It);
   Spec.Promoted.inc();
   return true;
 }
@@ -941,157 +934,38 @@ void Engine::resumeBackgroundCompiles() {
 
 std::vector<std::string> Engine::queuedSpeculations() const {
   std::lock_guard<std::mutex> L(SpecMutex);
-  return QueuedOrder;
+  std::vector<std::string> Names;
+  for (const QueuedJob &J : QueuedJobs)
+    if (J.Kind == JobKind::Compile)
+      Names.push_back(J.Name);
+  return Names;
 }
 
-void Engine::backgroundCompile(std::string Name,
-                               std::shared_ptr<const FunctionInfo> FI,
-                               std::shared_ptr<const Function> KeepAlive,
-                               uint64_t Gen,
-                               std::optional<TypeSignature> Forced) {
-  // KeepAlive pins the inlined clone FI's nodes point into; reloading the
-  // function on the main thread must not pull it out from under us.
-  (void)KeepAlive;
-  {
-    // No longer queued: promotion from here on is a no-op.
-    std::lock_guard<std::mutex> L(SpecMutex);
-    QueuedIds.erase(Name);
-    auto It = std::find(QueuedOrder.begin(), QueuedOrder.end(), Name);
-    if (It != QueuedOrder.end())
-      QueuedOrder.erase(It);
-  }
+void Engine::backgroundCompile(const std::string &Name, const FunctionInfo &FI,
+                               uint64_t Gen, const TypeSignature *Forced) {
   Timer Total;
-  // A worker exception must never escape into the pool (it would be
-  // swallowed there, silently losing the bookkeeping below); capture it
-  // and convert it into a Failed + quarantine record instead.
-  std::optional<CompileResult> Result;
-  TypeSignature Sig;
-  bool Crashed = false;
-  CompiledObjectPtr CacheHit;
-  std::string CacheKey;
-  uint64_t SrcHash = 0;
-  try {
-    // Signature pick order: an explicit override (re-speculation), then
-    // the most-called observed signature, then the backward-hint guess.
-    // Arity is checked against the live analysis view so a stale persisted
-    // profile can never force a wrong-arity compile.
-    size_t Arity = FI->F->params().size();
-    if (Forced && Forced->size() == Arity) {
-      Sig = std::move(*Forced);
-      Spec.ObservedSigCompiles.inc();
-    } else if (observedSignatureFor(Name, Arity, Sig)) {
-      Spec.ObservedSigCompiles.inc();
-    } else {
-      Sig = speculateSignature(*FI, Opts.Infer);
-    }
-    // Cross-session reuse on the background path too: a sibling session's
-    // speculative compile of the same (source, signature, configuration)
-    // serves this one for free.
-    if (Opts.SharedCache) {
-      bool HaveSrcHash = false;
-      {
-        std::lock_guard<std::mutex> L(SpecMutex);
-        auto HIt = SourceHashByFn.find(Name);
-        if (HIt != SourceHashByFn.end()) {
-          SrcHash = HIt->second;
-          HaveSrcHash = true;
-        }
-      }
-      if (HaveSrcHash) {
-        CacheKey = SharedCodeCache::key(Name, SrcHash, CfgHash,
-                                        CodeGenMode::Optimized,
-                                        /*Optimistic=*/true, Sig);
-        CacheHit = Opts.SharedCache->lookup(CacheKey);
-      }
-    }
-    if (!CacheHit) {
-      CompileRequest Req = makeRequest(FI.get(), Sig, CodeGenMode::Optimized,
-                                       /*Optimistic=*/true);
-      Result = compileFunction(Req);
-    }
-  } catch (...) {
-    Crashed = true;
-  }
-  double Seconds = Total.seconds();
-
-  CompiledObject Obj;
-  if (CacheHit) {
-    Obj.FunctionName = Name;
-    Obj.Sig = CacheHit->Sig;
-    Obj.Code = CacheHit->Code;
-    Obj.Mode = CacheHit->Mode;
-    Obj.CompileSeconds = 0; // this session spent nothing
-    Obj.From = CacheHit->From;
-  } else if (Result) {
-    Phases.add(Phase::TypeInference, Result->TypeInferSeconds);
-    Phases.add(Phase::CodeGen, Result->CodeGenSeconds);
-    Inst.InferSeconds->observe(Result->TypeInferSeconds);
-    Inst.CodeGenSeconds->observe(Result->CodeGenSeconds);
-    Inst.FusionGroups->inc(Result->Fusion.Groups);
-    Inst.FusionOpsFused->inc(Result->Fusion.OpsFused);
-    Inst.FusionTempsElided->inc(Result->Fusion.TempsElided);
-    Inst.CompileSeconds->observe(Seconds);
-    Profiles.recordCompile(Name, Seconds);
-    Obj.FunctionName = Name;
-    Obj.Sig = Sig;
-    Obj.Code = std::move(Result->Code);
-    Obj.Mode = CodeGenMode::Optimized;
-    Obj.CompileSeconds = Seconds;
-    Obj.From = CompiledObject::Origin::Speculative;
-  }
   CompiledObjectPtr Published;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    SpecBackgroundSeconds += Seconds;
-    // Publish only when the source generation is unchanged: an invalidate
-    // or reload while we compiled makes this object stale.
-    bool Stale = SourceGeneration[Name] != Gen;
-    if ((Result || CacheHit) && !Stale) {
-      try {
-        Repo.insert(std::move(Obj));
-        Published = Repo.lookup(Name, Sig);
-        Spec.Completed.inc();
-      } catch (...) {
-        Crashed = true;
-        Spec.Dropped.inc();
-      }
-    } else {
-      Spec.Dropped.inc();
-    }
-    // Quarantine on a crash, but only against the generation we compiled:
-    // if the source was reloaded meanwhile, the fresh source keeps its
-    // chance to compile.
-    if (Crashed) {
-      Spec.Failed.inc();
-      if (!Stale)
-        Quarantined[Name] = Gen;
-    }
+  // A worker exception must never escape into the pool (it would be
+  // swallowed there, silently losing the bookkeeping below); the signature
+  // pick runs inference, which fails like any compile.
+  try {
+    Published = compileAndPublish(
+        Name, FI, speculationSignature(Name, FI, Forced),
+        CodeGenMode::Optimized, CompiledObject::Origin::Speculative,
+        /*Optimistic=*/true, Gen);
+  } catch (...) {
+    noteCompileFailure(Name, Gen);
   }
-  // Queue the persist before releasing the compile's pending count (and
-  // outside SpecMutex, which saveToStore takes): a drainCompiles() +
-  // flushRepoStore() sequence must find either PendingCompiles or
-  // PendingSaves nonzero until the object is actually on disk. Freshly
-  // compiled (not cache-served) objects are also published for the
-  // sibling sessions.
-  if (Published) {
-    saveToStore(*Published);
-    if (Result && Opts.SharedCache && !CacheKey.empty())
-      Opts.SharedCache->publish(CacheKey, Published, SrcHash);
-  }
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    InFlight.erase(std::find(InFlight.begin(), InFlight.end(), Name));
-    --PendingCompiles;
-  }
-  SpecIdleCv.notify_all();
+  std::lock_guard<std::mutex> L(SpecMutex);
+  SpecBackgroundSeconds += Total.seconds();
+  (Published ? Spec.Completed : Spec.Dropped).inc();
+  InFlight.erase(std::find(InFlight.begin(), InFlight.end(), Name));
 }
 
 void Engine::drainCompiles() {
   // Native compiles count as compiles: tests that drain before asserting
   // on tier state must not race the background cc invocation.
-  std::unique_lock<std::mutex> L(SpecMutex);
-  SpecIdleCv.wait(
-      L, [this] { return PendingCompiles == 0 && PendingNative == 0; });
+  awaitJobs({JobKind::Compile, JobKind::Native});
 }
 
 bool Engine::speculationInFlight(const std::string &Name) const {
@@ -1414,13 +1288,29 @@ std::string Engine::metricsJson() {
 // Invocation
 //===----------------------------------------------------------------------===//
 
-namespace {
-struct DepthGuard {
+/// Brackets one invocation. A top-level one gets a fresh op budget and,
+/// with per-session limits, the engine's own memory account and interrupt
+/// token for its whole extent (parallelFor propagates both into its
+/// chunks). Nested calls, a script's callees included, spend their
+/// caller's.
+class Engine::InvocationScope {
+public:
+  explicit InvocationScope(Engine &E) : Depth(E.CallDepth) {
+    if (Depth++ != 0)
+      return;
+    E.Ctx.Exec.reset();
+    if (E.Opts.PerSessionLimits) {
+      Acct.emplace(&E.MemAccount);
+      Token.emplace(&E.IntrToken);
+    }
+  }
+  ~InvocationScope() { --Depth; }
+
+private:
+  std::optional<mem::ScopedAccount> Acct;
+  std::optional<exec::ScopedToken> Token;
   unsigned &Depth;
-  explicit DepthGuard(unsigned &Depth) : Depth(Depth) { ++Depth; }
-  ~DepthGuard() { --Depth; }
 };
-} // namespace
 
 std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
                                            std::vector<ValuePtr> Args,
@@ -1437,26 +1327,11 @@ std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
                       Loc);
   if (CallDepth >= Opts.MaxCallDepth)
     throw MatlabError("maximum recursion depth exceeded", Loc);
-  // A fresh top-level invocation gets a fresh op budget; nested calls
-  // (including scripts' callees) spend their caller's. Per-session limits
-  // install the engine's own memory account and interrupt token for the
-  // whole invocation (parallelFor propagates both into its chunks).
-  std::optional<mem::ScopedAccount> AcctScope;
-  std::optional<exec::ScopedToken> TokenScope;
-  if (CallDepth == 0) {
-    Ctx.Exec.reset();
-    if (Opts.PerSessionLimits) {
-      AcctScope.emplace(&MemAccount);
-      TokenScope.emplace(&IntrToken);
-    }
-  }
-  DepthGuard Guard(CallDepth);
+  InvocationScope Scope(*this);
 
   if (Opts.Policy == CompilePolicy::InterpretOnly || LF->F->isScript()) {
     Profiles.recordInvocation(Name, UntypedSig);
-    auto R = interpretCall(*LF, std::move(Args), NumOuts);
-    recordFirstResult();
-    return R;
+    return interpretCall(*LF, std::move(Args), NumOuts);
   }
 
   TypeSignature Sig = TypeSignature::ofValues(Args);
@@ -1476,9 +1351,7 @@ std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
     promoteSpeculation(Name);
     InterpFallbacks.inc();
     Spec.InFlightInterpreted.inc();
-    auto R = interpretCall(*LF, std::move(Args), NumOuts);
-    recordFirstResult();
-    return R;
+    return interpretCall(*LF, std::move(Args), NumOuts);
   }
   if (!Obj) {
     // Miss: compile according to policy. When a version with the same
@@ -1528,15 +1401,11 @@ std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
   }
   if (!Obj) {
     InterpFallbacks.inc();
-    auto R = interpretCall(*LF, std::move(Args), NumOuts);
-    recordFirstResult();
-    return R;
+    return interpretCall(*LF, std::move(Args), NumOuts);
   }
   // Obj is a shared handle: even if a background recompile replaces this
   // version in the repository mid-execution, the object stays alive.
-  auto R = runCompiled(*Obj, std::move(Args), NumOuts);
-  recordFirstResult();
-  return R;
+  return runCompiled(*Obj, std::move(Args), NumOuts);
 }
 
 bool Engine::knowsFunction(const std::string &Name) {
@@ -1592,56 +1461,28 @@ Engine::nativeModuleFor(const CompiledObject &Obj) {
   // sessions, so a warm start re-promotes immediately).
   if (Profiles.invocations(Obj.FunctionName) < Opts.NativeHotThreshold)
     return nullptr;
-  std::shared_ptr<const IRFunction> Code = Obj.Code;
+  uint64_t Gen;
   {
-    std::unique_lock<std::mutex> L(SpecMutex);
+    std::lock_guard<std::mutex> L(SpecMutex);
     if (Draining)
       return nullptr;
     auto [It, New] = NativeVersions.emplace(Key, NativeVersion());
     if (!New)
       return It->second.St == NativeVersion::State::Ready ? It->second.Module
                                                           : nullptr;
-    const uint64_t Gen = SourceGeneration[Obj.FunctionName];
+    Gen = SourceGeneration[Obj.FunctionName];
     // Compile off-thread when a pool exists: the invocation that crossed
     // the threshold still runs on the VM while cc works in the
     // background (the paper's "the user never waits", applied to a
-    // compiler we do not control). The id bookkeeping mirrors
-    // saveToStore so shutdown can cancel queued tasks.
-    if (SpecPool && !Draining) {
-      ++PendingNative;
-      auto IdBox = std::make_shared<ThreadPool::TaskId>(0);
-      try {
-        ThreadPool::TaskId Id = SpecPool->enqueue(
-            [this, Name = Obj.FunctionName, Sig = Obj.Sig, Code, Gen,
-             IdBox] {
-              {
-                std::lock_guard<std::mutex> L2(SpecMutex);
-                QueuedNativeIds.erase(*IdBox);
-              }
-              buildNative(Name, Sig, Code, Gen);
-              {
-                std::lock_guard<std::mutex> L2(SpecMutex);
-                --PendingNative;
-              }
-              SpecIdleCv.notify_all();
-            });
-        *IdBox = Id;
-        QueuedNativeIds.insert(Id);
-        return nullptr;
-      } catch (...) {
-        // Injected pool-enqueue fault: fall through to the synchronous
-        // path below.
-        --PendingNative;
-      }
-    }
-    L.unlock();
-    buildNative(Obj.FunctionName, Obj.Sig, Code, Gen);
+    // compiler we do not control).
+    auto Build = [this, Name = Obj.FunctionName, Sig = Obj.Sig,
+                  Code = Obj.Code, Gen] { buildNative(Name, Sig, Code, Gen); };
+    if (enqueueJob(JobKind::Native, Obj.FunctionName, Build))
+      return nullptr;
   }
-  std::lock_guard<std::mutex> L(SpecMutex);
-  auto It = NativeVersions.find(Key);
-  if (It != NativeVersions.end() && It->second.St == NativeVersion::State::Ready)
-    return It->second.Module;
-  return nullptr;
+  // No pool: building here settles the version.
+  buildNative(Obj.FunctionName, Obj.Sig, Obj.Code, Gen);
+  return nativeModuleFor(Obj);
 }
 
 void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
@@ -1680,29 +1521,14 @@ void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
     NV.Module = std::move(Mod);
   }
   // Persist the .so beside the .mjo so the next session warm-starts into
-  // machine code with zero compiler invocations. Same erased-function
-  // tombstone discipline as runStoreSave.
+  // machine code with zero compiler invocations.
   if (!Store)
     return;
-  uint64_t SrcHash;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    if (ErasedFns.count(Name))
-      return;
-    auto It = SourceHashByFn.find(Name);
-    if (It == SourceHashByFn.end())
-      return;
-    SrcHash = It->second;
-  }
-  Store->saveNative(Name, Sig, NumOuts,
-                    std::string(So.begin(), So.end()), SrcHash);
-  bool Erased;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    Erased = ErasedFns.count(Name) != 0;
-  }
-  if (Erased)
-    Store->eraseNative(Name);
+  if (std::optional<uint64_t> SrcHash = sourceHash(Name))
+    persistUnlessErased(Name, /*Native=*/true, [&] {
+      Store->saveNative(Name, Sig, NumOuts, std::string(So.begin(), So.end()),
+                        *SrcHash);
+    });
 }
 
 void Engine::quarantineNative(const std::string &Name,
@@ -1721,6 +1547,28 @@ void Engine::quarantineNative(const std::string &Name,
   obs::traceInstant("native.quarantine", "native", Name);
 }
 
+template <typename RunFn>
+auto Engine::timedRun(Tier T, const std::string &Name, RunFn &&Run)
+    -> decltype(Run()) {
+  if (CallDepth != 1)
+    return Run();
+  ScopedPhaseTimer PT(Phases, Phase::Execute);
+  Timer Clock;
+  auto R = Run();
+  recordRun(T, Name, Clock.seconds());
+  return R;
+}
+
+void Engine::recordRun(Tier T, const std::string &Name, double Seconds) {
+  static constexpr void (obs::FunctionProfiles::*Record[])(
+      const std::string &, double) = {&obs::FunctionProfiles::recordNativeRun,
+                                      &obs::FunctionProfiles::recordVmRun,
+                                      &obs::FunctionProfiles::recordInterpRun};
+  Inst.RunSeconds[size_t(T)]->observe(Seconds);
+  (Profiles.*Record[size_t(T)])(Name, Seconds);
+  recordFirstResult();
+}
+
 bool Engine::runNativeTier(const CompiledObject &Obj,
                            const std::vector<ValuePtr> &Args, size_t NumOuts,
                            const Rng &SavedRand, size_t OutputMark,
@@ -1733,19 +1581,12 @@ bool Engine::runNativeTier(const CompiledObject &Obj,
   // restores the snapshots and degrades to the VM, so the tiers are
   // distinguishable only by speed.
   try {
-    if (CallDepth == 1) {
-      ScopedPhaseTimer T(Phases, Phase::Execute);
-      Timer Run;
-      Out = native::runNative(Mod->entry(), Obj.FunctionName, Mod->numOuts(),
-                              Ctx, NativeHostAdapter, Args, NumOuts);
-      Profiles.recordNativeRun(Obj.FunctionName, Run.seconds());
-      // Counted only after the call returns: deopts and quarantined runs
-      // must not inflate native.hits relative to native.deopts/failures.
-      NativeHits.inc();
-      return true;
-    }
-    Out = native::runNative(Mod->entry(), Obj.FunctionName, Mod->numOuts(),
-                            Ctx, NativeHostAdapter, Args, NumOuts);
+    Out = timedRun(Tier::Native, Obj.FunctionName, [&] {
+      return native::runNative(Mod->entry(), Obj.FunctionName, Mod->numOuts(),
+                               Ctx, NativeHostAdapter, Args, NumOuts);
+    });
+    // Counted only after the call returns: deopts and quarantined runs
+    // must not inflate native.hits relative to native.deopts/failures.
     NativeHits.inc();
     return true;
   } catch (const DeoptError &) {
@@ -1790,16 +1631,8 @@ std::vector<ValuePtr> Engine::runCompiled(const CompiledObject &Obj,
       return NativeOut;
   }
   try {
-    if (CallDepth == 1) {
-      ScopedPhaseTimer T(Phases, Phase::Execute);
-      Timer Run;
-      auto R = Machine->run(*Obj.Code, Args, NumOuts);
-      double Seconds = Run.seconds();
-      Inst.VmRunSeconds->observe(Seconds);
-      Profiles.recordVmRun(Obj.FunctionName, Seconds);
-      return R;
-    }
-    return Machine->run(*Obj.Code, Args, NumOuts);
+    return timedRun(Tier::Vm, Obj.FunctionName,
+                    [&] { return Machine->run(*Obj.Code, Args, NumOuts); });
   } catch (const DeoptError &) {
     // An optimistic guard failed (sqrt of a negative value, ...): undo the
     // attempt, replace the compiled version with a pessimistic one, retry.
@@ -1823,47 +1656,30 @@ std::vector<ValuePtr> Engine::runCompiled(const CompiledObject &Obj,
     }
     Ctx.Rand = SavedRand;
     Ctx.truncateOutput(OutputMark);
-    std::string Name = Obj.FunctionName;
-    TypeSignature Sig = Obj.Sig;
-    CodeGenMode Mode = Obj.Mode;
-    CompiledObject::Origin From = Obj.From;
-    CompiledObjectPtr Repl =
-        compileAndInsert(Name, Sig, Mode, From, /*Optimistic=*/false);
+    CompiledObjectPtr Repl = compileAndInsert(
+        Obj.FunctionName, Obj.Sig, Obj.Mode, Obj.From, /*Optimistic=*/false);
     if (!Repl) {
       InterpFallbacks.inc();
-      LoadedFunction *LF = find(Name);
+      LoadedFunction *LF = find(Obj.FunctionName);
       if (!LF)
-        throw MatlabError("deoptimization of unknown function '" + Name + "'");
+        throw MatlabError("deoptimization of unknown function '" +
+                          Obj.FunctionName + "'");
       return interpretCall(*LF, std::move(Args), NumOuts);
     }
     // Pessimistic code selects no optimistic guards; a second DeoptError
     // cannot occur from this object.
-    if (CallDepth == 1) {
-      ScopedPhaseTimer T(Phases, Phase::Execute);
-      Timer Run;
-      auto R = Machine->run(*Repl->Code, std::move(Args), NumOuts);
-      double Seconds = Run.seconds();
-      Inst.VmRunSeconds->observe(Seconds);
-      Profiles.recordVmRun(Repl->FunctionName, Seconds);
-      return R;
-    }
-    return Machine->run(*Repl->Code, std::move(Args), NumOuts);
+    return timedRun(Tier::Vm, Repl->FunctionName, [&] {
+      return Machine->run(*Repl->Code, std::move(Args), NumOuts);
+    });
   }
 }
 
 std::vector<ValuePtr> Engine::interpretCall(LoadedFunction &LF,
                                             std::vector<ValuePtr> Args,
                                             size_t NumOuts) {
-  if (CallDepth == 1) {
-    ScopedPhaseTimer T(Phases, Phase::Execute);
-    Timer Run;
-    auto R = Interp->run(*LF.F, std::move(Args), NumOuts);
-    double Seconds = Run.seconds();
-    Inst.InterpRunSeconds->observe(Seconds);
-    Profiles.recordInterpRun(LF.F->name(), Seconds);
-    return R;
-  }
-  return Interp->run(*LF.F, std::move(Args), NumOuts);
+  return timedRun(Tier::Interp, LF.F->name(), [&] {
+    return Interp->run(*LF.F, std::move(Args), NumOuts);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -1899,23 +1715,7 @@ std::string Engine::runScript(const std::string &Source) {
       Known |= D.Text == Source;
     if (!Known)
       InteractiveDefs.push_back({Name, Source});
-    Modules.push_back(std::move(Mod));
-    Module *M = Modules.back().get();
-    uint64_t SrcHash = hashing::fnv1a(Source);
-    for (const auto &F : M->functions()) {
-      LoadedFunction LF;
-      LF.F = F.get();
-      LF.M = M;
-      LF.Info = disambiguate(*F, *M);
-      invalidateFunction(F->name());
-      Functions[F->name()] = std::move(LF);
-      seedObservedSignatures(F->name(), Functions[F->name()]);
-      {
-        std::lock_guard<std::mutex> L(SpecMutex);
-        SourceHashByFn[F->name()] = SrcHash;
-      }
-      adoptWarmEntries(F->name(), SrcHash);
-    }
+    registerModule(std::move(Mod), Source);
     return "";
   }
 
@@ -1940,18 +1740,9 @@ std::string Engine::runScript(const std::string &Source) {
 
   try {
     ScopedPhaseTimer T(Phases, Phase::Execute);
-    // The script itself is a top-level invocation: it gets a fresh op
-    // budget (and, per-session, the engine's memory account and interrupt
-    // token), and the depth guard keeps callFunction (depth >= 1 from
-    // here) from resetting the budget mid-script.
-    Ctx.Exec.reset();
-    std::optional<mem::ScopedAccount> AcctScope;
-    std::optional<exec::ScopedToken> TokenScope;
-    if (CallDepth == 0 && Opts.PerSessionLimits) {
-      AcctScope.emplace(&MemAccount);
-      TokenScope.emplace(&IntrToken);
-    }
-    DepthGuard Guard(CallDepth);
+    // The script itself is a top-level invocation, so the functions it
+    // calls (depth >= 1 from here) never reset the budget mid-script.
+    InvocationScope Scope(*this);
     Interp->runScript(*Script, Slots);
     recordFirstResult();
   } catch (const MatlabError &E) {

@@ -10,8 +10,12 @@
 /// compiler, and the invocation path that ties them together:
 ///
 ///   invocation -> repository lookup (signature safety + best match)
-///              -> hit:   run compiled code in the register VM
+///              -> hit:   run the version's native module when it has been
+///                        promoted (NativeTier), else the register VM
 ///              -> miss:  compile (policy-dependent) or interpret
+///
+/// Speculative compiles, store saves and native builds run as background
+/// jobs on one pool, kept in one ledger (DESIGN.md "Background jobs").
 ///
 /// Compilation policies model the paper's four measured configurations:
 ///   InterpretOnly - the MATLAB-6 baseline (t_i)
@@ -45,6 +49,8 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -71,11 +77,8 @@ const char *compilePolicyName(CompilePolicy P);
 /// running the program; the engine (workspace, repository, statistics)
 /// stays intact and usable afterwards.
 struct ExecutionLimits {
-  /// Maximum live matrix elements across all values (each element is one
-  /// double, plus another for complex storage).
-  uint64_t MaxLiveElements = 0;
-  /// Maximum live matrix-storage bytes. When both element and byte limits
-  /// are set, the stricter one wins.
+  /// Maximum live matrix-storage bytes (8 per real element, 16 per complex
+  /// one).
   uint64_t MaxAllocBytes = 0;
   /// Operation budget per top-level invocation (VM instructions plus
   /// interpreted statements); bounds runaway loops.
@@ -100,7 +103,6 @@ struct EngineOptions {
   /// environment variable (any non-empty value) forces this off, for
   /// A/B measurement without recompiling the embedder.
   bool FuseElementwise = true;
-  uint64_t RandSeed = 0x9e3779b97f4a7c15ull;
   /// Third execution tier above the register VM: hot compiled functions
   /// are rendered to C, compiled out of process by the system C compiler,
   /// and dlopen'd; subsequent invocations run machine code. Off by
@@ -157,9 +159,6 @@ struct EngineOptions {
   /// option fields still work). The service disables them for session
   /// engines so N sessions cannot race dumps into one file.
   bool EnvFallbacks = true;
-  /// Cap on compiled versions kept per function; the least-used version is
-  /// evicted when a new one would exceed it. 0 = unlimited.
-  unsigned MaxVersionsPerFunction = 8;
   /// Directory for the persistent code repository (warm start). Empty
   /// falls back to the MAJIC_REPO_DIR environment variable; when both are
   /// empty the repository is in-memory only. Compiled objects are written
@@ -505,29 +504,49 @@ private:
   /// on the engine's thread: building the view mutates the LoadedFunction.
   const std::shared_ptr<FunctionInfo> &compileView(LoadedFunction &LF);
 
-  /// Compiles \p Name for \p Sig in \p Mode and inserts into the
-  /// repository. Returns the inserted object or null. \p Optimistic
-  /// controls guarded real-domain math (disabled when recompiling after a
-  /// deoptimization).
+  /// Registers every function of \p Mod (parsed from \p Source): each
+  /// shadows its previous definition, takes the source hash, is no longer
+  /// a removed function, and adopts its validated warm-start entries.
+  void registerModule(std::unique_ptr<Module> Mod, const std::string &Source);
+
+  /// \p Name's entry when it can be compiled: loaded, not a script, not
+  /// quarantined, and no ambiguous symbols in its compile view.
+  LoadedFunction *compilable(const std::string &Name);
+
+  /// compileAndPublish from the engine thread, at \p Name's current source
+  /// generation. \p Optimistic controls guarded real-domain math (off when
+  /// recompiling after a deopt).
   CompiledObjectPtr compileAndInsert(const std::string &Name,
                                      const TypeSignature &Sig,
                                      CodeGenMode Mode,
                                      CompiledObject::Origin From,
                                      bool Optimistic = true);
 
-  /// Builds the compile request for \p FI (shared across the synchronous
-  /// and background paths).
-  CompileRequest makeRequest(const FunctionInfo *FI, const TypeSignature &Sig,
-                             CodeGenMode Mode, bool Optimistic) const;
+  /// The one compile pipeline, for foreground and background compiles: a
+  /// shared-cache hit is cloned, a miss is compiled and instrumented. The
+  /// object is published (repository, store, shared cache) only while
+  /// \p Name is still at source generation \p Gen, which the engine
+  /// thread's own compiles always are. Returns the published object, or
+  /// null; a compiler exception quarantines \p Name at \p Gen.
+  CompiledObjectPtr compileAndPublish(const std::string &Name,
+                                      const FunctionInfo &FI,
+                                      const TypeSignature &Sig,
+                                      CodeGenMode Mode,
+                                      CompiledObject::Origin From,
+                                      bool Optimistic, uint64_t Gen);
 
-  /// Worker-side body of speculateAsync: picks the signature (override,
-  /// then most-called observed, then backward-hint guess), compiles, and
-  /// publishes unless the source generation moved (invalidate/reload)
-  /// while in flight.
-  void backgroundCompile(std::string Name,
-                         std::shared_ptr<const FunctionInfo> FI,
-                         std::shared_ptr<const Function> KeepAlive,
-                         uint64_t Gen, std::optional<TypeSignature> Forced);
+  /// The signature a speculative compile of \p Name targets: \p Forced
+  /// (re-speculation), else the most-called observed signature, else the
+  /// backward-hint guess. Any pick but the guess counts as an observed
+  /// compile.
+  TypeSignature speculationSignature(const std::string &Name,
+                                     const FunctionInfo &FI,
+                                     const TypeSignature *Forced);
+
+  /// The Compile job: compiles \p Name from \p FI (source generation
+  /// \p Gen) and keeps the speculation counters.
+  void backgroundCompile(const std::string &Name, const FunctionInfo &FI,
+                         uint64_t Gen, const TypeSignature *Forced);
 
   /// The most-called observed signature of \p Name when one was published
   /// and its arity matches \p Arity (an arity mismatch means the profile
@@ -558,20 +577,26 @@ private:
   /// Records the time-to-first-result counter (top-level calls only).
   void recordFirstResult();
 
+  class InvocationScope;
+
   /// Runs the source-hash rung of the validation ladder over \p Name's
   /// pending warm-start entries: matching entries are published to the
   /// repository, drifted ones are discarded from disk.
   void adoptWarmEntries(const std::string &Name, uint64_t SrcHash);
 
-  /// Persists \p Obj to the on-disk store, on the idle pool when one
-  /// exists. Never throws; a failed save only costs a future recompile.
+  /// Persists \p Obj to the on-disk store, as a Save job when the pool
+  /// takes one. Never throws; a failed save only costs a future recompile.
   void saveToStore(const CompiledObject &Obj);
 
-  /// The body of one store save (pool task or synchronous fallback):
-  /// honors the erased-function tombstone on both sides of the write, so
-  /// a save racing a source removal can never leave an entry on disk.
-  void runStoreSave(RepoStore &S, const CompiledObject &Obj,
-                    uint64_t SrcHash);
+  /// Runs \p Write, a store write for \p Name, against the tombstone that
+  /// handleRemovedSource sets: checked on both sides of the write, so a
+  /// write racing a source removal never leaves a file behind. \p Native
+  /// picks which of the function's files the second check erases.
+  void persistUnlessErased(const std::string &Name, bool Native,
+                           const std::function<void()> &Write);
+
+  /// \p Name's current source hash (under SpecMutex), if it has one.
+  std::optional<uint64_t> sourceHash(const std::string &Name) const;
 
   /// Reacts to the snooper reporting a deleted .m file: the functions it
   /// defined stop resolving and their compiled versions - in memory and on
@@ -581,6 +606,16 @@ private:
   std::vector<ValuePtr> runCompiled(const CompiledObject &Obj,
                                     std::vector<ValuePtr> Args,
                                     size_t NumOuts);
+
+  enum class Tier : uint8_t { Native, Vm, Interp };
+  /// Returns \p Run(). A top-level run (CallDepth 1) is also timed into
+  /// the Execute phase, "<tier>.run.seconds" and \p Name's profile, and
+  /// counts as a first result. Always inlined, so it adds no frame to the
+  /// call-recursion cycle.
+  template <typename RunFn>
+  [[gnu::always_inline]] inline auto timedRun(Tier T, const std::string &Name,
+                                              RunFn &&Run) -> decltype(Run());
+  void recordRun(Tier T, const std::string &Name, double Seconds);
   std::vector<ValuePtr> interpretCall(LoadedFunction &LF,
                                       std::vector<ValuePtr> Args,
                                       size_t NumOuts);
@@ -633,6 +668,27 @@ private:
   /// and the profile layer's invocation and signature counts.
   void observeSignature(LoadedFunction &LF, const TypeSignature &Sig);
 
+  //===--------------------------------------------------------------------===
+  // Background jobs
+  //===--------------------------------------------------------------------===
+
+  /// Every kind of work this engine puts on the pool. drainCompiles waits
+  /// for Compile and Native jobs; flushRepoStore and shutdown for all.
+  enum class JobKind : uint8_t { Compile, Save, Native };
+  static constexpr size_t kNumJobKinds = 3;
+
+  /// Queues \p Run as a \p K job for function \p Name and enters it in the
+  /// ledger. The caller holds SpecMutex: the task's first act is to take
+  /// it, so the ledger entry exists before the task can look for it
+  /// (SpecMutex -> pool mutex is the only order the two are taken in).
+  /// Returns false, leaving no trace, when there is no pool, the engine
+  /// is draining or the pool refused the task; the caller then runs the
+  /// job itself or gives it up.
+  bool enqueueJob(JobKind K, const std::string &Name,
+                  std::function<void()> Run);
+
+  /// Blocks until no job of the kinds in \p Kinds is queued or running.
+  void awaitJobs(std::initializer_list<JobKind> Kinds);
 
   //===--------------------------------------------------------------------===
   // Observability. Declared before every other member: components register
@@ -649,8 +705,8 @@ private:
     obs::Histogram *CompileSeconds = nullptr;
     obs::Histogram *InferSeconds = nullptr;
     obs::Histogram *CodeGenSeconds = nullptr;
-    obs::Histogram *VmRunSeconds = nullptr;
-    obs::Histogram *InterpRunSeconds = nullptr;
+    /// "<tier>.run.seconds" of top-level runs, indexed by Tier.
+    obs::Histogram *RunSeconds[3] = {};
     /// Elementwise-fusion outcomes, accumulated across every compile
     /// (foreground and speculative) from CompileResult::Fusion.
     obs::Counter *FusionGroups = nullptr;
@@ -733,13 +789,7 @@ private:
   /// Validated .mjn entries waiting for their source (and its hash) to be
   /// loaded, exactly like PendingWarm. Engine-thread only.
   std::unordered_map<std::string, std::vector<RepoStore::NativeEntry>>
-      PendingNativeWarm;
-  /// Pool task ids of native compiles still in the queue; shutdown on a
-  /// shared pool cancels through these. Guarded by SpecMutex.
-  std::unordered_set<ThreadPool::TaskId> QueuedNativeIds;
-  /// Native compiles queued or running on the pool. Guarded by SpecMutex;
-  /// drainCompiles/flushRepoStore/shutdown wait on it via SpecIdleCv.
-  unsigned PendingNative = 0;
+      PendingWarmNative;
   /// True when this engine installed the process-wide memory limit (so the
   /// destructor knows to lift it).
   bool OwnsMemLimit = false;
@@ -806,10 +856,19 @@ private:
   /// synchronously instead of enqueueing onto a pool that may be paused or
   /// mid-teardown, and no new speculation is accepted.
   bool Draining = false;
-  /// Pool task ids of store saves still sitting in the queue (erased when
-  /// a worker starts one); shutdown on a shared pool cancels through
-  /// these. Guarded by SpecMutex.
-  std::unordered_set<ThreadPool::TaskId> QueuedSaveIds;
+  /// The job ledger. Jobs still in the pool's queue, in the order the
+  /// workers will pick them up (promotion moves an entry to the front, as
+  /// the pool does); a job leaves when a worker starts it or shutdown
+  /// cancels it.
+  struct QueuedJob {
+    JobKind Kind;
+    std::string Name;
+    ThreadPool::TaskId Id = 0;
+  };
+  std::list<QueuedJob> QueuedJobs;
+  /// Jobs queued or running, per JobKind; awaitJobs waits on these via
+  /// SpecIdleCv.
+  unsigned PendingJobs[kNumJobKinds] = {};
   /// Per-session byte budget and interrupt token (PerSessionLimits);
   /// internally synchronized.
   mem::Account MemAccount;
@@ -820,12 +879,6 @@ private:
   /// name (one speculative compile per function at a time) because the
   /// speculated signature is only computed on the worker.
   std::vector<std::string> InFlight;
-  /// Pool task ids of compiles still sitting in the queue (erased when a
-  /// worker starts the task); promoteSpeculation reorders through these.
-  std::unordered_map<std::string, ThreadPool::TaskId> QueuedIds;
-  /// The same queued compiles in worker pick-up order (mirrors the pool's
-  /// queue; inspection + promotion bookkeeping).
-  std::vector<std::string> QueuedOrder;
   /// Source generation per function; bumped on invalidation so stale
   /// in-flight results are dropped instead of published.
   std::unordered_map<std::string, uint64_t> SourceGeneration;
@@ -838,9 +891,6 @@ private:
   /// engine thread when a signature overtakes the previous best and read
   /// by the workers when picking what to speculate. Guarded by SpecMutex.
   std::unordered_map<std::string, TypeSignature> ObservedSigByFn;
-  unsigned PendingCompiles = 0;
-  /// Store saves still queued or running on the pool (flushRepoStore).
-  unsigned PendingSaves = 0;
   /// The speculation counters, migrated onto the registry ("spec.*");
   /// speculationStats() composes the legacy struct from them. The
   /// double-valued timers stay plain and SpecMutex-guarded.

@@ -240,7 +240,7 @@ TEST(EngineAsync, InvalidationDropsInFlightResults) {
 }
 
 TEST(EngineAsync, DrainedResultsMatchSynchronousSpeculation) {
-  // With a fixed RandSeed, background speculation + drain produces the
+  // With a fixed seed, background speculation + drain produces the
   // same numeric results as the synchronous pre-async path.
   const char *Source = "function y = noisy(n)\ny = 0;\n"
                        "for k = 1:n\ny = y + rand() * k;\nend\n";
@@ -248,8 +248,8 @@ TEST(EngineAsync, DrainedResultsMatchSynchronousSpeculation) {
     EngineOptions O;
     O.Policy = CompilePolicy::Speculative;
     O.BackgroundCompileThreads = Threads;
-    O.RandSeed = 0xfeedbeef;
     Engine E(O);
+    E.context().Rand.reseed(0xfeedbeef);
     EXPECT_TRUE(E.addSource("noisy", Source));
     if (Threads > 0) {
       EXPECT_TRUE(E.speculateAsync("noisy"));
@@ -442,6 +442,52 @@ TEST(EngineAsync, SnoopQueuesAndStatsAddUp) {
   EXPECT_EQ(S.Completed + S.Dropped, 3u);
   EXPECT_EQ(E.repository().totalObjects(), S.Completed);
   EXPECT_GT(S.BackgroundCompileSeconds, 0.0);
+}
+
+TEST(EngineAsync, ShutdownOnSharedPoolCancelsEveryQueuedJobKind) {
+  // A session on a shared pool must never wait for that pool: shutdown
+  // cancels its queued speculative compile, store save and native build
+  // without running them, even when the pool is paused.
+  namespace fs = std::filesystem;
+  const fs::path Dir = fs::path(::testing::TempDir()) / "majic_async_shared";
+  fs::remove_all(Dir);
+  ThreadPool Pool(1);
+  Pool.setPaused(true);
+  {
+    EngineOptions O;
+    O.Policy = CompilePolicy::Speculative;
+    O.SharedSpecPool = &Pool;
+    O.RepoDir = Dir.string();
+    O.EnvFallbacks = false;
+#ifndef __SANITIZE_THREAD__
+    // Generated modules are uninstrumented, so the native job only joins
+    // outside TSan (the build is cancelled before it runs either way).
+    O.NativeTier = true;
+    O.NativeHotThreshold = 1;
+#endif
+    Engine E(O);
+    ASSERT_TRUE(E.addSource("countdown", kCountdownV1));
+    ASSERT_TRUE(E.addSource("twice", "function y = twice(x)\ny = 2 * x;\n"));
+    ASSERT_TRUE(E.speculateAsync("countdown"));
+    // A foreground JIT compile queues its save and, once hot, the native
+    // build of the version it produced.
+    auto R = E.callFunction("twice", {makeValue(Value::intScalar(4))}, 1,
+                            SourceLoc());
+    EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 8);
+    EXPECT_EQ(Pool.queueDepth(), E.nativeTierAvailable() ? 3u : 2u);
+
+    uint64_t DroppedBefore = E.speculationStats().Dropped;
+    E.shutdown();
+    EXPECT_EQ(Pool.queueDepth(), 0u);
+    EXPECT_EQ(E.speculationStats().Dropped, DroppedBefore + 1);
+    EXPECT_FALSE(E.speculationInFlight("countdown"));
+    EXPECT_TRUE(E.queuedSpeculations().empty());
+  }
+  for (const fs::directory_entry &F : fs::directory_iterator(Dir)) {
+    EXPECT_NE(F.path().extension(), ".mjo") << F.path();
+    EXPECT_NE(F.path().extension(), ".mjn") << F.path();
+  }
+  fs::remove_all(Dir);
 }
 
 } // namespace

@@ -860,6 +860,38 @@ TEST(EngineObs, SnapshotMatchesAccessorsAndCoversSubsystems) {
   EXPECT_NE(J.find("spec.queued"), std::string::npos);
 }
 
+// Every tier times its top-level runs into "<tier>.run.seconds".
+TEST(EngineObs, EachTierRecordsItsRunHistogram) {
+  auto CountOf = [](const obs::MetricsSnapshot &S, const std::string &Name) {
+    for (const obs::HistogramSnapshot &H : S.Histograms)
+      if (H.Name == Name)
+        return H.Count;
+    return uint64_t(0);
+  };
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.BackgroundCompileThreads = 0;
+  O.EnvFallbacks = false;
+#ifndef __SANITIZE_THREAD__
+  // Generated modules are uninstrumented; TSan refuses to load them.
+  O.NativeTier = true;
+  O.NativeHotThreshold = 2;
+#endif
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("addone", kAddOne));
+  for (int I = 0; I != 3; ++I)
+    E.callFunction("addone", {intArg(I)}, 1, SourceLoc());
+  obs::MetricsSnapshot S = E.sampleMetrics();
+  // The first two calls run on the VM. The second one reaches the hotness
+  // threshold and, with no pool, builds the native module on the spot.
+  uint64_t Native = E.nativeHits();
+  EXPECT_EQ(CountOf(S, "vm.run.seconds") + Native, 3u);
+  EXPECT_EQ(CountOf(S, "native.run.seconds"), Native);
+  if (E.nativeTierAvailable()) {
+    EXPECT_EQ(Native, 2u);
+  }
+}
+
 TEST(EngineObs, DumpsTraceAndMetricsAtDestruction) {
   namespace fs = std::filesystem;
   TraceSandbox Sandbox;

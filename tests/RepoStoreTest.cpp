@@ -342,6 +342,35 @@ TEST_F(RepoStoreTest, QueuedSaveDoesNotResurrectRemovedSource) {
   EXPECT_EQ(E2.repoStoreStats().Loaded, 0u);
 }
 
+TEST_F(RepoStoreTest, InteractiveRedefinitionAfterRemovalPersists) {
+  fs::path SrcDir = Dir / "src";
+  fs::path StoreDir = Dir / "store";
+  fs::create_directories(SrcDir);
+  { std::ofstream(SrcDir / "ff.m") << kSource; }
+
+  EngineOptions O = syncOpts();
+  O.RepoDir = StoreDir.string();
+  Engine E(O);
+  E.watchDirectory(SrcDir.string());
+  ASSERT_EQ(E.snoop(), 1u);
+  E.callFunction("ff", {intArg(kArg)}, 1, SourceLoc());
+  ASSERT_EQ(E.repoStoreStats().Saved, 1u);
+  fs::remove(SrcDir / "ff.m");
+  ASSERT_EQ(E.snoop(), 0u);
+
+  // The removal tombstoned ff. Defining it again at the prompt brings it
+  // back like loading a file would, persistence included.
+  EXPECT_EQ(E.runScript(kSource), "");
+  auto R = E.callFunction("ff", {intArg(kArg)}, 1, SourceLoc());
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), kExpect);
+  E.flushRepoStore();
+  EXPECT_EQ(E.repoStoreStats().Saved, 2u);
+  unsigned Entries = 0;
+  for (const fs::directory_entry &F : fs::directory_iterator(StoreDir))
+    Entries += F.path().extension() == ".mjo";
+  EXPECT_EQ(Entries, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Multiple versions and functions round-trip
 //===----------------------------------------------------------------------===//

@@ -128,7 +128,7 @@ TEST_F(RobustnessTest, MemoryLimitIsRecoverable) {
 TEST_F(RobustnessTest, ElementLimitCountsAsBytes) {
   EngineOptions O;
   O.Policy = CompilePolicy::InterpretOnly;
-  O.Limits.MaxLiveElements = 1000; // 8 KB ceiling
+  O.Limits.MaxAllocBytes = 8000; // 1000 doubles
   Engine E(O);
   std::string Out = E.runScript("a = zeros(100, 100);\n");
   EXPECT_NE(Out.find("out of memory"), std::string::npos) << Out;
@@ -308,8 +308,8 @@ TEST_F(RobustnessTest, BackgroundCompileFaultQuarantines) {
 TEST_F(RobustnessTest, VersionCapEvictsLeastUsed) {
   EngineOptions O;
   O.Policy = CompilePolicy::Jit;
-  O.MaxVersionsPerFunction = 4;
   Engine E(O);
+  E.repository().setVersionCap(4);
   ASSERT_TRUE(E.addSource("f", "function y = f(x)\ny = x * 2;\n"));
 
   auto ShapeArg = [](size_t Cols) {
@@ -342,8 +342,8 @@ TEST_F(RobustnessTest, VersionCapEvictsLeastUsed) {
 TEST_F(RobustnessTest, VersionCapHoldsOverLongSession) {
   EngineOptions O;
   O.Policy = CompilePolicy::Jit;
-  O.MaxVersionsPerFunction = 4;
   Engine E(O);
+  E.repository().setVersionCap(4);
   ASSERT_TRUE(E.addSource("f", "function y = f(x)\ny = x * 2;\n"));
 
   for (int I = 0; I != 1000; ++I) {
