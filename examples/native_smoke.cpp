@@ -7,18 +7,22 @@
 // Scriptable smoke check for the native (emitted-C) tier, used by CI:
 //
 //   native_smoke <storedir> cold
-//     runs a hot function past the promotion threshold against the
-//     persistent store in <storedir>. Asserts the system compiler was
-//     invoked (native.compiles >= 1), the promoted version actually
-//     served calls (native.hits >= 1), nothing failed, and the .so
-//     payload was persisted as a .mjn file.
+//     runs a hot function and a recursive one (fibonacci) past the
+//     promotion threshold against the persistent store in <storedir>.
+//     Asserts the system compiler was invoked (native.compiles >= 1), the
+//     promoted versions actually served calls (native.hits >= 1) and
+//     fibonacci's general version called itself directly in machine code
+//     (native.direct_calls >= 1), nothing failed, and the .so payloads
+//     were persisted as .mjn files.
 //
 //   native_smoke <storedir> warm
-//     a fresh session on the same store. Asserts the first call is
-//     served natively with ZERO compiler invocations and zero
-//     foreground JIT compiles - the warm-start contract. Run with
+//     a fresh session on the same store. Asserts the first call of each
+//     function is served natively with ZERO compiler invocations and zero
+//     foreground JIT compiles - the warm-start contract - and that the
+//     adopted fibonacci code recurses directly. Run with
 //     MAJIC_METRICS=metrics.json and the CI job greps
-//     `"native.compiles": 0` from the dump as an independent check.
+//     `"native.compiles": 0` and a nonzero `"native.direct_calls"` from
+//     the dump as an independent check.
 //
 //   native_smoke <storedir> nocc
 //     leaves EngineOptions::NativeCC empty so the MAJIC_NATIVE_CC
@@ -59,6 +63,17 @@ const char *kHotSource = "function y = hotfn(n)\n"
 constexpr long kArg = 100;
 constexpr double kExpect = 338350; // sum k^2, k=1..100
 
+// mlib/fibonacci.m: its general version calls itself with an int result.
+const char *kRecSource = "function f = fibonacci(n)\n"
+                         "if n <= 1\n"
+                         "  f = n;\n"
+                         "else\n"
+                         "  f = fibonacci(n - 1) + fibonacci(n - 2);\n"
+                         "end\n";
+
+constexpr long kRecArg = 12;
+constexpr double kRecExpect = 144;
+
 EngineOptions options(const std::string &StoreDir, bool ExplicitCC) {
   EngineOptions O;
   O.Policy = CompilePolicy::Jit;
@@ -89,30 +104,51 @@ bool callChecks(Engine &E) {
   return !R.empty() && R[0]->scalarValue() == kExpect;
 }
 
+/// The same for fibonacci(kRecArg).
+bool recCallChecks(Engine &E) {
+  auto R = E.callFunction("fibonacci",
+                          {makeValue(Value::intScalar(kRecArg))}, 1,
+                          SourceLoc());
+  return !R.empty() && R[0]->scalarValue() == kRecExpect;
+}
+
+bool addSources(Engine &E) {
+  return E.addSource("hotfn", kHotSource) &&
+         E.addSource("fibonacci", kRecSource);
+}
+
 int runCold(const std::string &StoreDir) {
   Engine E(options(StoreDir, /*ExplicitCC=*/true));
   if (!E.nativeTierAvailable())
     return fail("cold: system compiler 'cc' not usable");
-  if (!E.addSource("hotfn", kHotSource))
+  if (!addSources(E))
     return fail("cold: addSource rejected the corpus");
 
   // Threshold is 2: call 1 runs on the VM, call 2 promotes, call 3 reuses.
-  for (int I = 0; I != 3; ++I)
+  // fibonacci's recursive calls promote its general version during call 1.
+  for (int I = 0; I != 3; ++I) {
     if (!callChecks(E))
       return fail("cold: hotfn(100) != 338350");
+    if (!recCallChecks(E))
+      return fail("cold: fibonacci(12) != 144");
+  }
 
   if (E.nativeCompiles() < 1)
     return fail("cold: hot function was never promoted to native");
   if (E.nativeHits() < 1)
     return fail("cold: native version never served a call");
+  if (E.nativeDirectCalls() < 1)
+    return fail("cold: fibonacci never called itself directly");
   if (E.nativeFailures() != 0 || E.nativeDeopts() != 0)
     return fail("cold: native tier reported failures");
   E.flushRepoStore();
   if (countFiles(StoreDir, ".mjn") == 0)
     return fail("cold: no .mjn payload persisted");
-  std::printf("native_smoke: cold OK (%llu native compile(s), %llu hit(s))\n",
+  std::printf("native_smoke: cold OK (%llu native compile(s), %llu hit(s), "
+              "%llu direct call(s))\n",
               static_cast<unsigned long long>(E.nativeCompiles()),
-              static_cast<unsigned long long>(E.nativeHits()));
+              static_cast<unsigned long long>(E.nativeHits()),
+              static_cast<unsigned long long>(E.nativeDirectCalls()));
   return 0;
 }
 
@@ -123,20 +159,27 @@ int runWarm(const std::string &StoreDir) {
     return fail("warm: no persisted .mjn payload loaded");
   if (St.NativeQuarantined != 0 || St.NativeSkewed != 0)
     return fail("warm: persisted .mjn payload was rejected");
-  if (!E.addSource("hotfn", kHotSource))
+  if (!addSources(E))
     return fail("warm: addSource rejected the corpus");
 
   // The warm-start contract: served natively, zero compiler invocations.
   if (!callChecks(E))
     return fail("warm: hotfn(100) != 338350");
-  if (E.nativeCompiles() != 0)
-    return fail("warm: first call invoked the system compiler");
-  if (E.nativeHits() == 0)
+  if (E.nativeHits() != 1)
     return fail("warm: first call was not served by the native tier");
+  if (!recCallChecks(E))
+    return fail("warm: fibonacci(12) != 144");
+  if (E.nativeCompiles() != 0)
+    return fail("warm: first calls invoked the system compiler");
+  if (E.nativeHits() < 3)
+    return fail("warm: fibonacci's versions were not served natively");
+  if (E.nativeDirectCalls() == 0)
+    return fail("warm: adopted fibonacci code did not recurse directly");
   if (E.jitCompiles() != 0)
-    return fail("warm: first call paid a foreground JIT compile");
-  std::printf("native_smoke: warm OK (native hit, zero compiler "
-              "invocations)\n");
+    return fail("warm: first calls paid a foreground JIT compile");
+  std::printf("native_smoke: warm OK (native hits, %llu direct call(s), "
+              "zero compiler invocations)\n",
+              static_cast<unsigned long long>(E.nativeDirectCalls()));
   return 0;
 }
 
@@ -146,13 +189,17 @@ int runNoCc(const std::string &StoreDir) {
   Engine E(options(StoreDir, /*ExplicitCC=*/false));
   if (E.nativeTierAvailable())
     return fail("nocc: expected the native tier to be unavailable");
-  if (!E.addSource("hotfn", kHotSource))
+  if (!addSources(E))
     return fail("nocc: addSource rejected the corpus");
 
-  for (int I = 0; I != 3; ++I)
+  for (int I = 0; I != 3; ++I) {
     if (!callChecks(E))
       return fail("nocc: hotfn(100) != 338350 on the VM fallback");
-  if (E.nativeCompiles() != 0 || E.nativeHits() != 0)
+    if (!recCallChecks(E))
+      return fail("nocc: fibonacci(12) != 144 on the VM fallback");
+  }
+  if (E.nativeCompiles() != 0 || E.nativeHits() != 0 ||
+      E.nativeDirectCalls() != 0)
     return fail("nocc: native counters moved without a compiler");
   E.flushRepoStore();
   if (countFiles(StoreDir, ".mjn") != 0)

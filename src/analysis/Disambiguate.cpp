@@ -230,6 +230,10 @@ private:
 
 } // namespace
 
+bool FunctionInfo::callsItself() const {
+  return std::find(Callees.begin(), Callees.end(), F->name()) != Callees.end();
+}
+
 std::unique_ptr<FunctionInfo>
 majic::disambiguate(Function &F, Module &M,
                     const std::vector<std::string> *Predefined) {

@@ -64,6 +64,12 @@ struct FunctionInfo {
   /// Per-slot: definitely assigned on every path reaching the function
   /// exit. The code generator boxes output variables that are not.
   std::vector<bool> DefiniteAtExit;
+  /// For the analysis of an inlined clone: the analysis of the function as
+  /// written, over which inference finds the function's own output type.
+  std::shared_ptr<const FunctionInfo> Uninlined;
+
+  /// True when the function calls itself by name.
+  bool callsItself() const;
 };
 
 /// Runs disambiguation on \p F (mutating the AST's symbol annotations and

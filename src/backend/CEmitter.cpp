@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -186,6 +187,52 @@ std::string iLit(int64_t X) {
   return format("%lld", static_cast<long long>(X));
 }
 
+/// The typed convention (ArgF/ArgI/OutI, CallSelf): the body becomes a
+/// static C function taking the parameters as double/long long and
+/// returning the result unboxed, and a self-call is a plain C call of it.
+/// The exported entry is the one place that converts between boxes and C
+/// scalars: it unboxes the arguments, calls the body once and boxes the
+/// result.
+struct TypedBody {
+  std::string Name;
+  std::vector<bool> IntParam;
+  bool BoxedResult = true; ///< StoreOut, not OutI: may be unassigned
+
+  const char *resultType() const {
+    return BoxedResult ? "mxValue *" : "long long";
+  }
+};
+
+/// Applies when the function uses the typed convention. CodeGen then takes
+/// every parameter through ArgF/ArgI, gives the function one output, and
+/// makes each CallSelf pass the parameters in their registers' classes.
+std::optional<TypedBody> typedBody(const IRFunction &F) {
+  TypedBody T;
+  T.IntParam.assign(F.NumParams, false);
+  bool Typed = false;
+  for (const Instr &In : F.Code) {
+    switch (In.Op) {
+    case Opcode::ArgI:
+      T.IntParam.at(static_cast<size_t>(In.Imm.I)) = true;
+      [[fallthrough]];
+    case Opcode::ArgF:
+    case Opcode::CallSelf:
+      Typed = true;
+      break;
+    case Opcode::OutI:
+      Typed = true;
+      T.BoxedResult = false;
+      break;
+    default:
+      break;
+    }
+  }
+  if (!Typed)
+    return std::nullopt;
+  T.Name = cIdentifier(F.Name) + "_typed";
+  return T;
+}
+
 } // namespace
 
 std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
@@ -223,9 +270,25 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
     Out += "};\n";
   }
 
-  Out += format("\nint %s_compiled(mxValue **args, int nargs, "
-                "mxValue **outs, int nouts) {\n",
-                cIdentifier(F.Name).c_str());
+  std::optional<TypedBody> Typed = typedBody(F);
+  if (Typed) {
+    Out += format("\nstatic %s %s(mlfCallState *cs", Typed->resultType(),
+                  Typed->Name.c_str());
+    for (size_t P = 0; P != F.NumParams; ++P)
+      Out += format(", %s a%zu", Typed->IntParam[P] ? "long long" : "double",
+                    P);
+    Out += ") {\n";
+    Out += format("  %s mlf_out = 0;\n", Typed->resultType());
+  } else {
+    Out += format("\nint %s_compiled(mxValue **args, int nargs, "
+                  "mxValue **outs, int nouts) {\n",
+                  cIdentifier(F.Name).c_str());
+  }
+  const std::string Return = Typed ? "return mlf_out;" : "return 0;";
+  // The unassigned-output error of the direct caller's boxed result.
+  const std::string Unassigned = cStringEscape(format(
+      "output argument '%s' of '%s' not assigned",
+      F.OutNames.empty() ? "1" : F.OutNames[0].c_str(), F.Name.c_str()));
 
   // Declarations. Registers are assigned along every path that reads
   // them, but the C compiler cannot always prove that across the goto
@@ -447,7 +510,7 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
       break;
     }
     case Opcode::Ret:
-      Line = "return 0;";
+      Line = Return;
       break;
     case Opcode::BoxF:
       Line = preg(In.A) + " = mlfScalar(" + freg(In.B) + ");";
@@ -706,10 +769,41 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
                                  static_cast<long long>(In.Imm.I));
       break;
     case Opcode::StoreOut:
-      Line = format("if (%lld < nouts) outs[%lld] = mxRetain(%s);",
-                    static_cast<long long>(In.Imm.I),
-                    static_cast<long long>(In.Imm.I), preg(In.A).c_str());
+      Line = Typed ? "mlf_out = " + preg(In.A) + ";"
+                   : format("if (%lld < nouts) outs[%lld] = mxRetain(%s);",
+                            static_cast<long long>(In.Imm.I),
+                            static_cast<long long>(In.Imm.I),
+                            preg(In.A).c_str());
       break;
+    case Opcode::ArgF:
+    case Opcode::ArgI:
+      Line = (In.Op == Opcode::ArgF ? freg(In.A) : ireg(In.A)) +
+             format(" = a%lld;", static_cast<long long>(In.Imm.I));
+      break;
+    case Opcode::OutI:
+      Line = "mlf_out = " + ireg(In.A) + ";";
+      break;
+    case Opcode::CallSelf: {
+      // The callee's boxes are freed once the result is read.
+      int64_t Imm = In.Imm.I;
+      const int32_t Regs[selfcall::kMaxArgs] = {In.B, In.C, In.D};
+      std::string Dst = ireg(In.A);
+      std::string Args;
+      for (unsigned K = 0; K != selfcall::numArgs(Imm); ++K)
+        Args += ", " + (selfcall::argIsInt(Imm, K) ? ireg(Regs[K])
+                                                    : freg(Regs[K]));
+      std::string Call = Typed->Name + "(cs" + Args + ")";
+      if (Typed->BoxedResult)
+        Line = format("{ mxValue *r; long long mlf_mark = mlfBoxMark(cs); "
+                      "mlfDirectEnter(cs); r = %s; if (!r) mlfRaise(\"%s\"); "
+                      "%s = mlfGetIntScalar(r); "
+                      "mlfDirectLeave(cs, mlf_mark); }",
+                      Call.c_str(), Unassigned.c_str(), Dst.c_str());
+      else
+        Line = "{ long long mlf_mark = mlfBoxMark(cs); mlfDirectEnter(cs); " +
+               Dst + " = " + Call + "; mlfDirectLeave(cs, mlf_mark); }";
+      break;
+    }
     case Opcode::FSpLd:
       Line = freg(In.A) + format(" = fsp[%lld];",
                                  static_cast<long long>(In.Imm.I));
@@ -738,9 +832,31 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
     Out += "  " + Line + "\n";
   }
   if (Labels.count(static_cast<int32_t>(F.Code.size())))
-    Out += format("L%zu:;\n  return 0;\n", F.Code.size());
+    Out += format("L%zu:;\n  %s\n", F.Code.size(), Return.c_str());
   else if (F.Code.empty() || F.Code.back().Op != Opcode::Ret)
-    Out += "  return 0;\n"; // -Wreturn-type: no path may fall off the end
+    Out += "  " + Return + "\n"; // -Wreturn-type: no path may fall off the end
   Out += "}\n";
+  if (!Typed)
+    return Out;
+
+  // The exported entry: unbox the arguments, run the body at the depth the
+  // host call already counted, box the result.
+  Out += format("\nint %s_compiled(mxValue **args, int nargs, "
+                "mxValue **outs, int nouts) {\n",
+                cIdentifier(F.Name).c_str());
+  Out += "  mlfCallState *cs = mlfGetCallState();\n";
+  std::string Args;
+  for (size_t P = 0; P != F.NumParams; ++P) {
+    bool IsInt = Typed->IntParam[P];
+    Out += format("  %s a%zu = %s((%zu < nargs) ? args[%zu] : 0);\n",
+                  IsInt ? "long long" : "double", P,
+                  IsInt ? "mlfGetIntScalar" : "mlfGetScalar", P, P);
+    Args += format(", a%zu", P);
+  }
+  Out += format("  %s r = %s(cs%s);\n", Typed->resultType(),
+                Typed->Name.c_str(), Args.c_str());
+  Out += format("  if (0 < nouts) outs[0] = %s(r);\n",
+                Typed->BoxedResult ? "mxRetain" : "mlfIntScalar");
+  Out += "  return 0;\n}\n";
   return Out;
 }

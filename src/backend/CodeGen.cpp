@@ -77,6 +77,7 @@ private:
 
   void assignHomes();
   std::vector<bool> vectorHomes(const std::vector<bool> &ForceBoxed);
+  bool typedSelfConvention() const;
   void genPrologue();
   void genEpilogue();
 
@@ -97,6 +98,8 @@ private:
                                           const ShapeBound &Shape) const;
   std::vector<Operand> genCall(const IndexOrCallExpr *IC, size_t NumOuts,
                                bool Statement = false);
+  std::optional<Operand> genSelfCall(const IndexOrCallExpr *IC,
+                                     const std::vector<Operand> &Args);
   std::vector<Operand> genBuiltinCall(const IndexOrCallExpr *IC,
                                       size_t NumOuts, bool Statement);
   std::vector<Operand> emitCall(Opcode Op, const std::string &Name,
@@ -346,6 +349,9 @@ private:
   IRBuilder B;
 
   std::vector<VarHome> Homes;
+  /// The function takes its parameters and gives its result unboxed
+  /// (ArgF/ArgI/OutI), and self-calls become CallSelf.
+  bool TypedSelf = false;
   std::vector<VecRegs> Vecs; ///< register vectors, indexed by Operand::R0
   std::vector<EndContext> EndStack;
   std::vector<IRBuilder::Label> BreakLabels;
@@ -597,15 +603,49 @@ std::vector<bool> CodeGen::vectorHomes(const std::vector<bool> &ForceBoxed) {
   return InRegs;
 }
 
+/// The typed self-call convention applies when inference gave self-calls
+/// an int scalar result (TypeAnnotations::SelfResult, which is never real:
+/// see inferTypes), the function has one output, held in an I register or
+/// in a box, and every parameter lives in an F or I register. Then a
+/// self-call whose arguments arrive in those same registers passes them
+/// and takes its result unboxed.
+bool CodeGen::typedSelfConvention() const {
+  const Function &F = *FI.F;
+  const Type &R = Ann.SelfResult;
+  if (generic() || !R.isScalar() || R.intrinsic() != IntrinsicType::Int ||
+      F.outs().size() != 1 || F.outSlots()[0] < 0)
+    return false;
+  size_t NumParams = std::min(F.params().size(), Sig.size());
+  if (NumParams != Sig.size() || NumParams > selfcall::kMaxArgs)
+    return false;
+  for (size_t P = 0; P != NumParams; ++P) {
+    int Slot = F.paramSlots()[P];
+    if (Slot < 0 || (Homes[Slot].K != Operand::Kind::F &&
+                     Homes[Slot].K != Operand::Kind::I))
+      return false;
+  }
+  // A register output must box exactly as OutI does.
+  int Out = F.outSlots()[0];
+  return Homes[Out].K == Operand::Kind::P ||
+         (Homes[Out].K == Operand::Kind::I &&
+          slotType(Out).intrinsic() != IntrinsicType::Bool);
+}
+
 void CodeGen::genPrologue() {
   const Function &F = *FI.F;
   size_t NumParams = std::min(F.params().size(), Sig.size());
   IR->NumParams = NumParams;
+  TypedSelf = typedSelfConvention();
   for (size_t P = 0; P != NumParams; ++P) {
     int Slot = F.paramSlots()[P];
     if (Slot < 0)
       continue;
     const VarHome &H = Homes[Slot];
+    if (TypedSelf) {
+      B.emitImmI(H.K == Operand::Kind::F ? Opcode::ArgF : Opcode::ArgI,
+                 static_cast<int64_t>(P), H.R0);
+      continue;
+    }
     if (H.K == Operand::Kind::P) {
       B.emitImmI(Opcode::LoadParam, static_cast<int64_t>(P), H.R0);
       continue;
@@ -633,10 +673,15 @@ void CodeGen::genEpilogue() {
   B.bind(EpilogueLabel);
   const Function &F = *FI.F;
   IR->NumOuts = F.outs().size();
+  IR->OutNames = F.outs();
   for (size_t O = 0; O != F.outs().size(); ++O) {
     int Slot = F.outSlots()[O];
     if (Slot < 0)
       continue;
+    if (TypedSelf && Homes[Slot].K == Operand::Kind::I) {
+      B.emitImmI(Opcode::OutI, static_cast<int64_t>(O), Homes[Slot].R0);
+      continue;
+    }
     Operand V = readVar(Slot);
     Operand P = toP(V, slotType(Slot));
     B.emitImmI(Opcode::StoreOut, static_cast<int64_t>(O), P.R0);
@@ -1980,15 +2025,56 @@ std::vector<Operand> CodeGen::genCall(const IndexOrCallExpr *IC,
   if (IC->base()->symKind() == SymKind::Builtin)
     return genBuiltinCall(IC, NumOuts, Statement);
 
-  // User function call through the resolver (and the repository).
+  // User function call through the resolver (and the repository). A
+  // self-call that inference gave the function's own result type may
+  // become a CallSelf: its operands are all selected before any is boxed.
+  const bool SelfCall = TypedSelf && NumOuts == 1 && !Statement &&
+                        IC->base()->name() == FI.F->name() &&
+                        typeOf(IC) == Ann.SelfResult;
+  std::vector<Operand> Args;
   std::vector<int32_t> ArgRegs;
   for (const Expr *A : IC->args()) {
     if (isa<ColonWildcardExpr>(A) || isa<EndRefExpr>(A))
       throw CannotCompile();
-    ArgRegs.push_back(toP(genExpr(A), typeOf(A)).R0);
+    Operand V = genExpr(A);
+    if (SelfCall)
+      Args.push_back(V);
+    else
+      ArgRegs.push_back(toP(V, typeOf(A)).R0);
+  }
+  if (SelfCall) {
+    if (std::optional<Operand> R = genSelfCall(IC, Args))
+      return {*R};
+    for (size_t K = 0; K != Args.size(); ++K)
+      ArgRegs.push_back(toP(Args[K], typeOf(IC->args()[K])).R0);
   }
   return emitCall(Opcode::CallU, IC->base()->name(), ArgRegs, NumOuts,
                   Statement);
+}
+
+/// Emits CallSelf when every argument already sits in a register of its
+/// parameter's class and is not logical, so that boxing it as CallSelf
+/// does (BoxF/BoxI) gives the callee the value and class CallU's boxing
+/// would. Otherwise the call stays a CallU.
+std::optional<Operand> CodeGen::genSelfCall(const IndexOrCallExpr *IC,
+                                            const std::vector<Operand> &Args) {
+  const Function &F = *FI.F;
+  if (Args.size() != IR->NumParams)
+    return std::nullopt;
+  int32_t Regs[selfcall::kMaxArgs] = {-1, -1, -1};
+  unsigned IntMask = 0;
+  for (size_t K = 0; K != Args.size(); ++K) {
+    if (Args[K].K != Homes[F.paramSlots()[K]].K ||
+        typeOf(IC->args()[K]).intrinsic() == IntrinsicType::Bool)
+      return std::nullopt;
+    Regs[K] = Args[K].R0;
+    IntMask |= unsigned(Args[K].K == Operand::Kind::I) << K;
+  }
+  int32_t Dst = B.newI();
+  Instr In = Instr::make(Opcode::CallSelf, Dst, Regs[0], Regs[1], Regs[2]);
+  In.Imm.I = selfcall::encode(static_cast<unsigned>(Args.size()), IntMask);
+  B.emit(In);
+  return Operand::i(Dst);
 }
 
 /// Emits a CallU/CallB of \p Name on boxed arguments, with one fresh P

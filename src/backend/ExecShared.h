@@ -27,6 +27,10 @@
 #include "support/Error.h"
 #include "support/StringUtils.h"
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 namespace majic {
 namespace exec {
 
@@ -85,6 +89,49 @@ inline const Value &requireRealData(const Value &V) {
   if (V.isComplex())
     throw DeoptError{ScalarIntrinsic::None, 0.0};
   return V;
+}
+
+/// UnboxF: the real scalar of \p V.
+inline double realScalar(const Value &V) {
+  return requireRealData(V).scalarValue();
+}
+
+/// UnboxI: the integer scalar of \p V (within 1e-8 of an integer).
+inline int64_t integerScalar(const Value &V) {
+  double X = realScalar(V);
+  double R = std::round(X);
+  if (std::abs(X - R) > 1e-8)
+    throw MatlabError(format("expected an integer value, got %g", X));
+  return static_cast<int64_t>(R);
+}
+
+/// Ret: the \p NumOuts outputs a caller asked for out of the function's
+/// \p Outs (one per declared output, null where unassigned), with the
+/// interpreter's rules and error texts. At nargout 0 the first output is
+/// returned when it is assigned.
+inline std::vector<ValuePtr> takeOutputs(std::vector<ValuePtr> &Outs,
+                                         size_t NumOuts,
+                                         const std::string &Fn,
+                                         const std::vector<std::string> &Names) {
+  if (NumOuts == 0) {
+    if (!Outs.empty() && Outs[0])
+      return {std::move(Outs[0])};
+    return {};
+  }
+  std::vector<ValuePtr> Taken;
+  Taken.reserve(NumOuts);
+  for (size_t K = 0; K != NumOuts; ++K) {
+    if (K >= Outs.size())
+      throw MatlabError(
+          format("too many output arguments from '%s'", Fn.c_str()));
+    if (!Outs[K])
+      throw MatlabError(format(
+          "output argument '%s' of '%s' not assigned",
+          K < Names.size() ? Names[K].c_str() : std::to_string(K + 1).c_str(),
+          Fn.c_str()));
+    Taken.push_back(std::move(Outs[K]));
+  }
+  return Taken;
 }
 
 /// The resolved output of a fused elementwise program: shape + class of

@@ -137,7 +137,7 @@ private:
 };
 
 void ValueNumbering::visit(Instr &In) {
-  const InstrOperands &Ops = instrOperands(In.Op);
+  const InstrOperands Ops = instrOperands(In);
 
   // Canonicalize F/I use operands through copies. The version-checked copy
   // map makes this safe without SSA. Keys are physical field slots.
@@ -391,7 +391,7 @@ bool hoistOneLoop(IRFunction &F, const LoopMeta &L, OptimizeStats &Stats) {
     std::unordered_map<int64_t, unsigned> DefCount;
     for (uint32_t Pos = L.HeaderIndex; Pos < L.ExitIndex; ++Pos) {
       const Instr &In = F.Code[Pos];
-      const InstrOperands &Ops = instrOperands(In.Op);
+      const InstrOperands Ops = instrOperands(In);
       const int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
       for (unsigned K = 0; K != 4; ++K) {
         OperandKind OK = Ops.Fields[K];
@@ -409,7 +409,7 @@ bool hoistOneLoop(IRFunction &F, const LoopMeta &L, OptimizeStats &Stats) {
       Instr &In = F.Code[Pos];
       if (!isHoistableInstr(In.Op))
         continue;
-      const InstrOperands &Ops = instrOperands(In.Op);
+      const InstrOperands Ops = instrOperands(In);
       const int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
       bool Invariant = true;
       for (unsigned K = 1; K != 4 && Invariant; ++K) {
@@ -667,7 +667,7 @@ bool mergeEwFuseOnce(IRFunction &F, OptimizeStats &Stats, FusionStats *FS) {
   // exactly as DCE counts them, so StoreOut/call liveness is respected).
   std::unordered_map<int32_t, unsigned> PUses;
   for (const Instr &In : F.Code) {
-    const InstrOperands &Ops = instrOperands(In.Op);
+    const InstrOperands Ops = instrOperands(In);
     const int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
     for (unsigned K = 0; K != 4; ++K) {
       OperandKind OK = Ops.Fields[K];
@@ -730,7 +730,7 @@ bool mergeEwFuseOnce(IRFunction &F, OptimizeStats &Stats, FusionStats *FS) {
       }
       // Any other P definition in the gap must not clobber the forwarded
       // result or a producer operand.
-      const InstrOperands &Ops = instrOperands(In.Op);
+      const InstrOperands Ops = instrOperands(In);
       const int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
       bool Clobbers = false;
       for (unsigned K = 0; K != 4 && !Clobbers; ++K) {
@@ -875,7 +875,7 @@ void runDCE(IRFunction &F, OptimizeStats &Stats) {
       return (Cls << 32) | static_cast<uint32_t>(R);
     };
     for (const Instr &In : F.Code) {
-      const InstrOperands &Ops = instrOperands(In.Op);
+      const InstrOperands Ops = instrOperands(In);
       const int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
       for (unsigned K = 0; K != 4; ++K) {
         OperandKind OK = Ops.Fields[K];
@@ -897,7 +897,7 @@ void runDCE(IRFunction &F, OptimizeStats &Stats) {
     for (Instr &In : F.Code) {
       if (!isPureInstr(In.Op) || In.Op == Opcode::Nop)
         continue;
-      const InstrOperands &Ops = instrOperands(In.Op);
+      const InstrOperands Ops = instrOperands(In);
       const int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
       bool AnyDef = false, AllDead = true;
       for (unsigned K = 0; K != 4; ++K) {

@@ -23,8 +23,8 @@ struct OpFields {
                     FieldKind::None};
 };
 
-OpFields fieldsOf(Opcode Op) {
-  const InstrOperands &Ops = instrOperands(Op);
+OpFields fieldsOf(const Instr &In) {
+  const InstrOperands Ops = instrOperands(In);
   OpFields R;
   for (unsigned K = 0; K != 4; ++K) {
     switch (Ops.Fields[K]) {
@@ -74,7 +74,7 @@ std::vector<Interval> buildIntervals(const IRFunction &F, bool WantF) {
 
   for (size_t Pos = 0; Pos != F.Code.size(); ++Pos) {
     const Instr &In = F.Code[Pos];
-    OpFields OF = fieldsOf(In.Op);
+    OpFields OF = fieldsOf(In);
     const int32_t *Ops[4] = {&In.A, &In.B, &In.C, &In.D};
     for (unsigned K = 0; K != 4; ++K) {
       FieldKind FK = OF.F[K];
@@ -229,7 +229,7 @@ RegAllocStats majic::allocateRegisters(IRFunction &F,
   for (size_t Pos = 0; Pos != F.Code.size(); ++Pos) {
     NewPos[Pos] = static_cast<int32_t>(NewCode.size());
     Instr In = F.Code[Pos];
-    OpFields OF = fieldsOf(In.Op);
+    OpFields OF = fieldsOf(In);
     int32_t *Ops[4] = {&In.A, &In.B, &In.C, &In.D};
 
     struct PendingStore {
@@ -253,9 +253,10 @@ RegAllocStats majic::allocateRegisters(IRFunction &F,
       }
       // Spilled: operate through the scratch register reserved for this
       // field position. Fields A..D map to scratches 0,1,2,0 — safe for
-      // every current opcode because no opcode has a same-class def in
-      // field A together with a use in field D (see instrOperands); adding
-      // one would need a fourth scratch or per-instruction assignment.
+      // every current opcode because none has a same-class def in field A
+      // together with a use in field D (see instrOperands), except
+      // CallSelf, which reads all its arguments before it writes A; any
+      // other would need a fourth scratch or per-instruction assignment.
       int32_t Scratch = static_cast<int32_t>(K % NumScratch);
       int32_t SlotId = Asn.Slot[V];
       assert(SlotId >= 0 && "register neither assigned nor spilled");

@@ -44,10 +44,13 @@ bool evalCond(CondCode CC, double A, double B) {
 // both tiers must promote classes, guard intrinsics, and validate register
 // contents identically.
 using exec::checkIntrinsicGuard;
+using exec::integerScalar;
 using exec::promoteClass;
+using exec::realScalar;
 using exec::requireRealData;
 using exec::requireValue;
 using exec::storeDirect;
+using exec::takeOutputs;
 
 /// Minimum elements before the fused elementwise loop goes parallel
 /// (matches the interpreter's ElemGrain: these loops are memory-bound).
@@ -322,6 +325,10 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
   size_t PC = 0;
   uint64_t Count = 0;
 
+  static const ValuePtr Absent;
+  auto Param = [&](int64_t K) -> const ValuePtr & {
+    return K < static_cast<int64_t>(Args.size()) ? Args[K] : Absent;
+  };
   auto GatherArgs = [&](int32_t Off, int32_t N) {
     std::vector<ValuePtr> Out;
     Out.reserve(N);
@@ -448,28 +455,10 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
         continue;
       }
       break;
-    case Opcode::Ret: {
+    case Opcode::Ret:
       Ctx.Exec.consume(Count & 0xFF); // the tail not covered by the poll
       InstrCount += Count;
-      if (NumOuts == 0) {
-        // nargout = 0: optional first output for ans/display semantics.
-        if (!Outs.empty() && Outs[0])
-          return {Outs[0]};
-        return {};
-      }
-      if (NumOuts > std::max<size_t>(Outs.size(), 1))
-        throw MatlabError(format("too many output arguments from '%s'",
-                                 F.Name.c_str()));
-      for (size_t K = 0; K != NumOuts; ++K) {
-        if (K >= Outs.size() || !Outs[K])
-          throw MatlabError(
-              format("output argument %zu of '%s' not assigned", K + 1,
-                     F.Name.c_str()));
-      }
-      return std::vector<ValuePtr>(
-          std::make_move_iterator(Outs.begin()),
-          std::make_move_iterator(Outs.begin() + NumOuts));
-    }
+      return takeOutputs(Outs, NumOuts, F.Name, F.OutNames);
 
     case Opcode::BoxF:
       PR[In.A] = makeScalar(FR[In.B]);
@@ -484,16 +473,11 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       PR[In.A] = makeValue(Value::complexScalar(FR[In.B], FR[In.C]));
       break;
     case Opcode::UnboxF:
-      FR[In.A] = requireRealData(requireValue(PR[In.B])).scalarValue();
+      FR[In.A] = realScalar(requireValue(PR[In.B]));
       break;
-    case Opcode::UnboxI: {
-      double X = requireRealData(requireValue(PR[In.B])).scalarValue();
-      double R = std::round(X);
-      if (std::abs(X - R) > 1e-8)
-        throw MatlabError(format("expected an integer value, got %g", X));
-      IR[In.A] = static_cast<int64_t>(R);
+    case Opcode::UnboxI:
+      IR[In.A] = integerScalar(requireValue(PR[In.B]));
       break;
-    }
     case Opcode::UnboxReIm: {
       const Value &V = requireValue(PR[In.C]);
       if (!V.isScalar())
@@ -787,13 +771,38 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       break;
 
     case Opcode::LoadParam:
-      PR[In.A] = In.Imm.I < static_cast<int64_t>(Args.size())
-                     ? Args[In.Imm.I]
-                     : nullptr;
+      PR[In.A] = Param(In.Imm.I);
       break;
     case Opcode::StoreOut:
       Outs[In.Imm.I] = PR[In.A];
       break;
+    case Opcode::ArgF:
+      FR[In.A] = realScalar(requireValue(Param(In.Imm.I)));
+      break;
+    case Opcode::ArgI:
+      IR[In.A] = integerScalar(requireValue(Param(In.Imm.I)));
+      break;
+    case Opcode::OutI:
+      Outs[In.Imm.I] = makeValue(Value::intScalar(double(IR[In.A])));
+      break;
+    case Opcode::CallSelf: {
+      // CallU's path with the operands boxed as BoxF/BoxI box them and the
+      // result unboxed as UnboxI unboxes it.
+      const int32_t Regs[selfcall::kMaxArgs] = {In.B, In.C, In.D};
+      std::vector<ValuePtr> CallArgs;
+      CallArgs.reserve(selfcall::numArgs(In.Imm.I));
+      for (unsigned K = 0; K != selfcall::numArgs(In.Imm.I); ++K)
+        CallArgs.push_back(
+            selfcall::argIsInt(In.Imm.I, K)
+                ? makeValue(Value::intScalar(double(IR[Regs[K]])))
+                : makeScalar(FR[Regs[K]]));
+      std::vector<ValuePtr> Rs = Resolver.callFunction(
+          F.Name, std::move(CallArgs), 1, SourceLoc());
+      if (Rs.empty())
+        throw MatlabError("not enough output arguments");
+      IR[In.A] = integerScalar(requireValue(Rs[0]));
+      break;
+    }
 
     case Opcode::FSpLd:
       FR[In.A] = FSp[In.Imm.I];

@@ -133,6 +133,7 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   Metrics.registerCounter("native.failures", NativeFailures);
   Metrics.registerCounter("native.deopts", NativeDeopts);
   Metrics.registerCounter("native.hits", NativeHits);
+  Metrics.registerCounter("native.direct_calls", NativeDirectCalls);
   Metrics.registerCounter("spec.queued", Spec.Queued);
   Metrics.registerCounter("spec.completed", Spec.Completed);
   Metrics.registerCounter("spec.dropped", Spec.Dropped);
@@ -494,6 +495,7 @@ const std::shared_ptr<FunctionInfo> &Engine::compileView(LoadedFunction &LF) {
   // Inlining invalidates the symbol table (Section 2: "which then
   // necessitates the re-building of the symbol table").
   LF.InlinedInfo = disambiguate(*LF.InlinedF, *LF.M);
+  LF.InlinedInfo->Uninlined = LF.Info;
   return LF.InlinedInfo;
 }
 
@@ -1326,7 +1328,7 @@ std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
                              Name.c_str()),
                       Loc);
   if (CallDepth >= Opts.MaxCallDepth)
-    throw MatlabError("maximum recursion depth exceeded", Loc);
+    throw MatlabError(kMaxRecursionMessage, Loc);
   InvocationScope Scope(*this);
 
   if (Opts.Policy == CompilePolicy::InterpretOnly || LF->F->isScript()) {
@@ -1583,7 +1585,8 @@ bool Engine::runNativeTier(const CompiledObject &Obj,
   try {
     Out = timedRun(Tier::Native, Obj.FunctionName, [&] {
       return native::runNative(Mod->entry(), Obj.FunctionName, Mod->numOuts(),
-                               Ctx, NativeHostAdapter, Args, NumOuts);
+                               Obj.Code->OutNames, Ctx, NativeHostAdapter,
+                               Args, NumOuts);
     });
     // Counted only after the call returns: deopts and quarantined runs
     // must not inflate native.hits relative to native.deopts/failures.

@@ -403,6 +403,8 @@ public:
   uint64_t nativeFailures() const { return NativeFailures.value(); }
   uint64_t nativeDeopts() const { return NativeDeopts.value(); }
   uint64_t nativeHits() const { return NativeHits.value(); }
+  /// Self-calls machine code made directly, without entering the engine.
+  uint64_t nativeDirectCalls() const { return NativeDirectCalls.value(); }
 
   /// True when the native tier is on and its C compiler probed usable.
   bool nativeTierAvailable() const {
@@ -750,18 +752,23 @@ private:
   obs::Counter NativeFailures;  ///< registered as "native.failures"
   obs::Counter NativeDeopts;    ///< registered as "native.deopts"
   obs::Counter NativeHits;      ///< registered as "native.hits"
+  obs::Counter NativeDirectCalls; ///< registered as "native.direct_calls"
 
   //===--------------------------------------------------------------------===
   // Native tier state
   //===--------------------------------------------------------------------===
 
   /// Bridges Opcode::CallU from machine code back into the engine's own
-  /// dispatch (repository lookup, tiering, interpreter fallback).
+  /// dispatch (repository lookup, tiering, interpreter fallback), and
+  /// lends direct self-calls the engine's call depth.
   struct NativeHostBridge : native::NativeHost {
     Engine *E = nullptr;
     std::vector<ValuePtr> callFunction(const std::string &Name,
                                        std::vector<ValuePtr> Args,
                                        size_t NumOuts) override;
+    unsigned &callDepth() override { return E->CallDepth; }
+    unsigned maxCallDepth() const override { return E->Opts.MaxCallDepth; }
+    void noteDirectCalls(uint64_t N) override { E->NativeDirectCalls.inc(N); }
   } NativeHostAdapter;
   /// Present when NativeTier is on (even if the compiler probe failed -
   /// available() distinguishes). Null when the tier is off.

@@ -9,6 +9,7 @@
 #include "analysis/Dataflow.h"
 #include "runtime/Builtins.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace majic;
@@ -38,10 +39,15 @@ class TypeDomain {
 public:
   using State = std::vector<Type>;
 
+  /// \p Self, when non-null, is the type safe self-calls return. \p Strict
+  /// makes bottom (no value: the expression never completes) propagate
+  /// through every operation, which the self-call fixpoint needs: a path
+  /// through a self-call of unknown result then adds nothing.
   TypeDomain(const FunctionInfo &FI, const TypeSignature &Sig,
-             const InferOptions &Opts, TypeAnnotations &Ann)
+             const InferOptions &Opts, TypeAnnotations &Ann,
+             const Type *Self, bool Strict)
       : FI(FI), Sig(Sig), Opts(Opts), Ann(Ann),
-        Calc(TypeCalculator::instance()) {
+        Calc(TypeCalculator::instance()), Self(Self), Strict(Strict) {
     Ann.SlotSummary.assign(FI.Symbols.numSlots(), Type::bottom());
   }
 
@@ -99,6 +105,16 @@ private:
   void indexedAssign(const AssignStmt *A, const LValue &LV, const Type &RHS,
                      State &S);
 
+  /// Under Strict, true when an operand has no value (so neither has the
+  /// operation).
+  template <typename... Ts> bool noValue(const Ts &...Operands) const {
+    return Strict && (Operands.isBottom() || ...);
+  }
+  bool noValue(const std::vector<Type> &Operands) const {
+    return Strict && std::any_of(Operands.begin(), Operands.end(),
+                                 [](const Type &T) { return T.isBottom(); });
+  }
+
   void record(const Expr *E, const Type &T) {
     if (!Recording)
       return;
@@ -137,6 +153,8 @@ private:
   const InferOptions &Opts;
   TypeAnnotations &Ann;
   const TypeCalculator &Calc;
+  const Type *Self;
+  bool Strict;
   bool Widen = false;
   bool Recording = false;
 
@@ -431,16 +449,21 @@ std::vector<Type> TypeDomain::evalCallLike(const IndexOrCallExpr *IC, State &S,
     ArgTypes.push_back(evalExpr(A, S));
 
   switch (IC->base()->symKind()) {
-  case SymKind::Builtin: {
-    std::vector<Type> Out =
-        Calc.builtin(IC->base()->name(), ArgTypes, NumOuts, Opts);
-    return Out;
-  }
+  case SymKind::Builtin:
+    if (noValue(ArgTypes))
+      return std::vector<Type>(std::max<size_t>(NumOuts, 1), Type::bottom());
+    return Calc.builtin(IC->base()->name(), ArgTypes, NumOuts, Opts);
   case SymKind::UserFunction:
+    // A self-call the compiled version would accept returns the function's
+    // own output type.
+    if (Self && NumOuts <= 1 && IC->base()->name() == FI.F->name() &&
+        TypeSignature(ArgTypes).safeFor(Sig))
+      return {*Self};
+    [[fallthrough]];
   case SymKind::Ambiguous:
   default:
-    // No interprocedural propagation: user-call results are top. Inlining
-    // (which runs before inference) removes the cases that matter.
+    // No other interprocedural propagation: user-call results are top.
+    // Inlining (which runs before inference) removes the cases that matter.
     return std::vector<Type>(std::max<size_t>(NumOuts, 1), Type::top());
   }
 }
@@ -458,12 +481,14 @@ Type TypeDomain::evalMatrixLit(const MatrixExpr *M, State &S) {
   uint64_t RowsLo = 0, RowsHi = 0, ColsLo = ShapeBound::kUnknownDim,
            ColsHi = 0;
   bool AllExact = true;
+  bool NoValue = false;
 
   for (const auto &Row : M->rows()) {
     uint64_t RLo = 0, RHi = 1, CLo = 0, CHi = 0;
     bool RowExact = true;
     for (const Expr *Elem : Row) {
       Type T = evalExpr(Elem, S);
+      NoValue |= noValue(T);
       IntrinsicType EIT = T.intrinsic() == IntrinsicType::Bool
                               ? IntrinsicType::Bool
                               : T.intrinsic();
@@ -490,6 +515,8 @@ Type TypeDomain::evalMatrixLit(const MatrixExpr *M, State &S) {
   }
   if (M->rows().empty())
     return emptyMatrixType();
+  if (NoValue)
+    return Type::bottom();
   if (IT == IntrinsicType::Bottom)
     IT = IntrinsicType::Real;
   if (!intrinsicLE(IT, IntrinsicType::Complex) && IT != IntrinsicType::String)
@@ -520,7 +547,7 @@ Type TypeDomain::evalExpr(const Expr *E, State &S) {
       switch (Id->symKind()) {
       case SymKind::Variable: {
         const Type &V = S[Id->varSlot()];
-        return V.isBottom() ? Type::top() : V;
+        return V.isBottom() && !Strict ? Type::top() : V;
       }
       case SymKind::Builtin:
         return Calc.builtin(Id->name(), {}, 1, Opts).front();
@@ -536,12 +563,17 @@ Type TypeDomain::evalExpr(const Expr *E, State &S) {
       return Type::scalar(IntrinsicType::Int, Range::nonNegative());
     case Expr::Kind::Unary: {
       const auto *U = cast<UnaryExpr>(E);
-      return Calc.unary(U->op(), evalExpr(U->operand(), S), Opts);
+      Type A = evalExpr(U->operand(), S);
+      if (noValue(A))
+        return Type::bottom();
+      return Calc.unary(U->op(), A, Opts);
     }
     case Expr::Kind::Binary: {
       const auto *B = cast<BinaryExpr>(E);
       Type L = evalExpr(B->lhs(), S);
       Type R = evalExpr(B->rhs(), S);
+      if (noValue(L, R))
+        return Type::bottom();
       return Calc.binary(B->op(), L, R, Opts);
     }
     case Expr::Kind::ShortCircuit: {
@@ -556,8 +588,12 @@ Type TypeDomain::evalExpr(const Expr *E, State &S) {
       Type Hi = evalExpr(R->hi(), S);
       if (R->step()) {
         Type Step = evalExpr(R->step(), S);
+        if (noValue(Lo, Step, Hi))
+          return Type::bottom();
         return Calc.colon(Lo, &Step, Hi, Opts);
       }
+      if (noValue(Lo, Hi))
+        return Type::bottom();
       return Calc.colon(Lo, nullptr, Hi, Opts);
     }
     case Expr::Kind::Matrix:
@@ -567,7 +603,7 @@ Type TypeDomain::evalExpr(const Expr *E, State &S) {
       if (IC->base()->symKind() == SymKind::Variable) {
         const Type &Base = S[IC->base()->varSlot()];
         if (Base.isBottom())
-          return Type::top();
+          return Strict ? Type::bottom() : Type::top();
         return evalIndexRead(IC, Base, S);
       }
       std::vector<Type> Out = evalCallLike(IC, S, 1);
@@ -587,25 +623,82 @@ Type TypeDomain::evalExpr(const Expr *E, State &S) {
 // Driver
 //===----------------------------------------------------------------------===//
 
-InferResult majic::inferTypes(const FunctionInfo &FI, const TypeSignature &Sig,
-                              const InferOptions &Opts) {
-  InferResult Result;
-  Result.Signature = Sig;
+namespace {
 
-  TypeDomain Domain(FI, Sig, Opts, Result.Ann);
+/// One inference run: the dataflow to a fixpoint, then a recording pass
+/// over the converged solution (annotations, safety facts and the storage
+/// summary all derive from final states only).
+TypeAnnotations runInference(const FunctionInfo &FI, const TypeSignature &Sig,
+                             const InferOptions &Opts, const Type *Self,
+                             bool Strict) {
+  TypeAnnotations Ann;
+  TypeDomain Domain(FI, Sig, Opts, Ann, Self, Strict);
   auto BlockIn = runForwardDataflow(*FI.Cfg, Domain, Opts.MaxPasses);
 
-  // Recording pass over the converged solution: annotations, safety facts
-  // and the storage summary are all derived from final states only.
-  Result.Ann.SlotSummary.assign(FI.Symbols.numSlots(), Type::bottom());
+  Ann.SlotSummary.assign(FI.Symbols.numSlots(), Type::bottom());
   Domain.setRecording(true);
   // Entry parameter types contribute to the summary.
   for (size_t P = 0; P != FI.F->params().size() && P != Sig.size(); ++P) {
     int Slot = FI.F->paramSlots()[P];
     if (Slot >= 0)
-      Result.Ann.SlotSummary[Slot] =
-          Result.Ann.SlotSummary[Slot].join(Opts.normalize(Sig[P]));
+      Ann.SlotSummary[Slot] =
+          Ann.SlotSummary[Slot].join(Opts.normalize(Sig[P]));
   }
   replayDataflow(*FI.Cfg, Domain, BlockIn);
+  return Ann;
+}
+
+/// Rounds of the self-call fixpoint before it gives up (top).
+constexpr unsigned kSelfResultRounds = 4;
+
+/// The first output's type under \p Sig when safe self-calls return it:
+/// the join of every value the output slot is assigned (the exit value is
+/// one of them), iterated from bottom. Ranges and maximum shapes that still
+/// grow after the first step widen to top. Bottom means no call returns.
+Type selfResultType(const FunctionInfo &FI, const TypeSignature &Sig,
+                    const InferOptions &Opts) {
+  const Function &F = *FI.F;
+  if (F.outs().empty() || F.outSlots()[0] < 0)
+    return Type::top();
+  int OutSlot = F.outSlots()[0];
+  Type R = Type::bottom();
+  for (unsigned Round = 0; Round != kSelfResultRounds; ++Round) {
+    Type N = runInference(FI, Sig, Opts, &R, /*Strict=*/true)
+                 .SlotSummary[OutSlot];
+    if (N.le(R))
+      return R;
+    if (N.intrinsic() == IntrinsicType::Top)
+      return Type::top(); // no class to learn: as good as giving up
+    Type J = R.join(N);
+    if (Round != 0) {
+      if (!(J.maxShape() == R.maxShape()))
+        J.setShape(J.minShape(), ShapeBound::top());
+      if (!(J.range() == R.range()))
+        J.setRange(Range::top());
+    }
+    R = Opts.normalize(J);
+  }
+  return Type::top();
+}
+
+} // namespace
+
+InferResult majic::inferTypes(const FunctionInfo &FI, const TypeSignature &Sig,
+                              const InferOptions &Opts) {
+  InferResult Result;
+  Result.Signature = Sig;
+  if (!FI.callsItself()) {
+    Result.Ann = runInference(FI, Sig, Opts, nullptr, /*Strict=*/false);
+    return Result;
+  }
+  Type Self = selfResultType(FI.Uninlined ? *FI.Uninlined : FI, Sig, Opts);
+  // Only an int scalar result is given out. A real-typed result may be of
+  // class int at run time, and a typed home would rebox it as real where a
+  // box keeps the class the next call's signature sees; a call that never
+  // returns (bottom) has no value to type.
+  if (!Self.isScalar() || Self.intrinsic() != IntrinsicType::Int)
+    Self = Type::top();
+  Result.Ann = runInference(FI, Sig, Opts, &Self, /*Strict=*/false);
+  Result.Ann.SelfResult = Self;
   return Result;
 }

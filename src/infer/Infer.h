@@ -54,6 +54,12 @@ struct TypeAnnotations {
   /// class the code generator assigns to the variable.
   std::vector<Type> SlotSummary;
 
+  /// The first output's type under the signature being compiled, as the
+  /// self-call fixpoint found it, when that is an int scalar. Every
+  /// self-call whose arguments are safe for that signature is annotated
+  /// with it; top otherwise.
+  Type SelfResult = Type::top();
+
   Type typeOf(const Expr *E) const {
     auto It = ExprTypes.find(E);
     return It == ExprTypes.end() ? Type::top() : It->second;
@@ -75,6 +81,13 @@ struct InferResult {
 /// Runs forward (JIT-mode) type inference over \p FI with parameter types
 /// \p Sig. \p Sig may have fewer entries than the function has parameters
 /// (missing ones are treated as never-assigned).
+///
+/// A function that calls itself first gets its own output type: a small
+/// fixpoint over the un-inlined body (FunctionInfo::Uninlined, else \p FI)
+/// in which self-call results start at bottom and ranges widen to top after
+/// one step. When that type is an int scalar, the main pass gives it to
+/// every self-call whose argument types are safe for \p Sig
+/// (TypeSignature::safeFor).
 InferResult inferTypes(const FunctionInfo &FI, const TypeSignature &Sig,
                        const InferOptions &Opts = InferOptions());
 

@@ -167,6 +167,14 @@ const char *majic::opcodeName(Opcode Op) {
     return "psp.ld";
   case Opcode::PSpSt:
     return "psp.st";
+  case Opcode::ArgF:
+    return "argf";
+  case Opcode::ArgI:
+    return "argi";
+  case Opcode::OutI:
+    return "outi";
+  case Opcode::CallSelf:
+    return "callself";
   }
   majic_unreachable("invalid opcode");
 }

@@ -141,7 +141,19 @@ enum class Opcode : uint8_t {
   ISpSt,
   PSpLd,
   PSpSt,
+
+  // The typed calling convention of a function that calls itself directly
+  // (appended, so the numbers of the opcodes above stay put). Each means
+  // exactly what the boxed pair beside it means; native code passes these
+  // parameters and the result unboxed.
+  ArgF,     // F[A] = real scalar of args[Imm.I]      (LoadParam + UnboxF)
+  ArgI,     // I[A] = integer scalar of args[Imm.I]   (LoadParam + UnboxI)
+  OutI,     // outs[Imm.I] = int scalar(I[A])         (BoxI + StoreOut)
+  CallSelf, // I[A] = this function (B, C, D): F/I registers, see selfcall
 };
+
+/// The highest opcode (serialization bound).
+constexpr Opcode kLastOpcode = Opcode::CallSelf;
 
 const char *opcodeName(Opcode Op);
 
@@ -192,6 +204,25 @@ constexpr bool isFusableBinOp(rt::BinOp Op) {
 /// CallB/CallU Imm flag: the call is a statement (MATLAB nargout = 0).
 /// Destination registers receive the optional outputs or null.
 constexpr int64_t kStatementCallFlag = int64_t(1) << 30;
+
+/// CallSelf's Imm: the argument count (its arguments sit in fields B, C, D
+/// in order) and which of them are I rather than F registers. The call
+/// asks for one output, an integer scalar. A register machine boxes the
+/// arguments and calls through the resolver like CallU; native code calls
+/// its own typed body.
+namespace selfcall {
+
+constexpr unsigned kMaxArgs = 3;
+
+constexpr int64_t encode(unsigned NumArgs, unsigned IntArgMask) {
+  return int64_t(NumArgs) | (int64_t(IntArgMask) << 2);
+}
+constexpr unsigned numArgs(int64_t Imm) { return unsigned(Imm & 3); }
+constexpr bool argIsInt(int64_t Imm, unsigned K) {
+  return (Imm >> (2 + K)) & 1;
+}
+
+} // namespace selfcall
 
 /// Condition codes for FCmp/ICmp (Imm.I).
 enum class CondCode : int64_t { LT, LE, GT, GE, EQ, NE };
@@ -244,6 +275,9 @@ public:
   std::string Name;
   size_t NumParams = 0;
   size_t NumOuts = 0;
+  /// The declared output names (NumOuts of them), for the interpreter's
+  /// "output argument 'r' of 'f' not assigned".
+  std::vector<std::string> OutNames;
 
   std::vector<Instr> Code;
   std::vector<int32_t> Pool;        ///< Operand lists for call-like ops.

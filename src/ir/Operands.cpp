@@ -109,14 +109,24 @@ struct Table {
     Set(Opcode::ISpSt, make(OK::UseI));
     Set(Opcode::PSpLd, make(OK::DefP));
     Set(Opcode::PSpSt, make(OK::UseP));
+    Set(Opcode::ArgF, make(OK::DefF));
+    Set(Opcode::ArgI, make(OK::DefI));
+    Set(Opcode::OutI, make(OK::UseI));
   }
 };
 
 } // namespace
 
-const InstrOperands &majic::instrOperands(Opcode Op) {
+InstrOperands majic::instrOperands(const Instr &In) {
   static const Table T;
-  return T.Entries[static_cast<size_t>(Op)];
+  if (In.Op != Opcode::CallSelf)
+    return T.Entries[static_cast<size_t>(In.Op)];
+  InstrOperands Ops;
+  int64_t Imm = In.Imm.I;
+  Ops.Fields[0] = OK::DefI;
+  for (unsigned K = 0; K != selfcall::numArgs(Imm); ++K)
+    Ops.Fields[K + 1] = selfcall::argIsInt(Imm, K) ? OK::UseI : OK::UseF;
+  return Ops;
 }
 
 PoolRanges majic::poolRanges(const Instr &In) {

@@ -37,8 +37,9 @@ struct InstrOperands {
   bool PoolUses = false;
 };
 
-/// Operand semantics of \p Op.
-const InstrOperands &instrOperands(Opcode Op);
+/// Operand semantics of \p In (fixed per opcode, except CallSelf, whose
+/// field classes its immediate selects).
+InstrOperands instrOperands(const Instr &In);
 
 /// Pool-resident P-register operand ranges of an instruction.
 struct PoolRanges {

@@ -8,6 +8,7 @@
 
 #include "runtime/Builtins.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace majic;
@@ -70,6 +71,9 @@ void majic::ser::writeIRFunction(ByteWriter &W, const IRFunction &F) {
   W.str(F.Name);
   W.u64(F.NumParams);
   W.u64(F.NumOuts);
+  W.u32(static_cast<uint32_t>(F.OutNames.size()));
+  for (const std::string &N : F.OutNames)
+    W.str(N);
 
   W.u32(static_cast<uint32_t>(F.Code.size()));
   for (const Instr &In : F.Code) {
@@ -117,10 +121,15 @@ IRFunction majic::ser::readIRFunction(ByteReader &R) {
   F.NumOuts = R.u64();
   if (F.NumParams > (1u << 20) || F.NumOuts > (1u << 20))
     throw SerializeError("implausible parameter count");
+  uint32_t NumOutNames = R.arrayLen(4);
+  if (NumOutNames > F.NumOuts)
+    throw SerializeError("more output names than outputs");
+  for (uint32_t O = 0; O != NumOutNames; ++O)
+    F.OutNames.push_back(R.str());
 
   uint32_t NumInstr = R.arrayLen(kInstrBytes);
   F.Code.reserve(NumInstr);
-  constexpr uint8_t MaxOp = static_cast<uint8_t>(Opcode::PSpSt);
+  constexpr uint8_t MaxOp = static_cast<uint8_t>(kLastOpcode);
   for (uint32_t I = 0; I != NumInstr; ++I) {
     Instr In;
     uint8_t Op = R.u8();
@@ -249,6 +258,7 @@ void majic::ser::validateIRFunction(const IRFunction &F) {
       throw SerializeError("invalid matrix class");
   };
 
+  bool HasSelfCall = false;
   for (const Instr &In : F.Code) {
     switch (In.Op) {
     case Opcode::Nop:
@@ -547,8 +557,49 @@ void majic::ser::validateIRFunction(const IRFunction &F) {
       RegP(In.A);
       Index(In.Imm.I, F.NumPSpill, "P spill slot out of range");
       break;
+    case Opcode::ArgF:
+      RegF(In.A);
+      Index(In.Imm.I, F.NumParams, "parameter index out of range");
+      break;
+    case Opcode::ArgI:
+      RegI(In.A);
+      Index(In.Imm.I, F.NumParams, "parameter index out of range");
+      break;
+    case Opcode::OutI:
+      RegI(In.A);
+      Index(In.Imm.I, F.NumOuts, "output index out of range");
+      break;
+    case Opcode::CallSelf: {
+      // The callee is this function: its arguments fill its parameters,
+      // and it must have the output the call asks for.
+      int64_t Imm = In.Imm.I;
+      unsigned NumArgs = selfcall::numArgs(Imm);
+      if (Imm < 0 || Imm >= selfcall::encode(0, 1u << NumArgs) ||
+          NumArgs != F.NumParams || F.NumOuts != 1)
+        throw SerializeError("invalid self-call");
+      HasSelfCall = true;
+      RegI(In.A);
+      const int32_t Args[selfcall::kMaxArgs] = {In.B, In.C, In.D};
+      for (unsigned K = 0; K != selfcall::kMaxArgs; ++K) {
+        if (K >= NumArgs) {
+          if (Args[K] != -1)
+            throw SerializeError("invalid self-call");
+          continue;
+        }
+        selfcall::argIsInt(Imm, K) ? RegI(Args[K]) : RegF(Args[K]);
+      }
+      break;
+    }
     }
   }
+
+  // A function that calls itself directly takes its parameters unboxed
+  // (ArgF/ArgI), which its native typed body relies on.
+  if (HasSelfCall &&
+      std::any_of(F.Code.begin(), F.Code.end(), [](const Instr &In) {
+        return In.Op == Opcode::LoadParam;
+      }))
+    throw SerializeError("self-call in a function with boxed parameters");
 
   // The only ways not to fall through an instruction are Ret and an
   // unconditional Br (whose target is validated above); anything else as

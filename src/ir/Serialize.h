@@ -51,7 +51,9 @@ namespace ser {
 /// reuse object files, so a timestamp both churns without a semantic
 /// change and - worse - stays fixed when a semantic change lands in a
 /// different translation unit.
-constexpr uint32_t kCodeABIVersion = 3; // v3: EwFuse fused elementwise op
+// v3: EwFuse fused elementwise op. v4: output names; the typed self-call
+// convention (ArgF/ArgI/OutI/CallSelf).
+constexpr uint32_t kCodeABIVersion = 4;
 
 // SerializeError / ByteWriter / ByteReader live in support/ByteStream.h so
 // the runtime's workspace serializer (runtime/ValueSerialize) can share

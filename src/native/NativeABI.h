@@ -35,7 +35,8 @@
 namespace majic {
 namespace native {
 
-constexpr int kNativeABIVersion = 1;
+// v2: typed direct self-calls (MxCallState, call_state, raise, release).
+constexpr int kNativeABIVersion = 2;
 
 /// The C-visible public prefix of a boxed value ("mxValue" on the C
 /// side). All fields are caches of the underlying Value, refreshed by
@@ -47,6 +48,20 @@ struct MxPub {
   long long Numel;
   int WClass;      ///< fast-store class cache, -1 = slow path required
   int Klass;       ///< MClass as an int (Complex = 3 triggers deopt reads)
+};
+
+/// The bookkeeping of the direct self-calls one native run makes
+/// ("mlfCallState" on the C side). A direct call raises the engine's call
+/// depth and checks it against the same limit a call through the host
+/// meets; Calls counts the direct calls made and paces their polls.
+/// Boxes is the number of boxes the run holds: a direct call that returns
+/// frees the boxes its callee made (release), so a recursion holds boxes
+/// for the levels still running, not for every call it made.
+struct MxCallState {
+  unsigned *Depth;
+  unsigned MaxDepth;
+  long long Calls;
+  long long Boxes;
 };
 
 /// The sentinel generated code passes for a colon (`:`) index argument.
@@ -110,6 +125,11 @@ struct MajicNativeApi {
   void (*call_function)(const char *Name, int Stmt, int NDsts, ...);
   void (*display)(MxPub *P, const char *Name);
   void (*poll)(long long N);
+
+  // Direct self-calls.
+  MxCallState *(*call_state)(void);
+  void (*raise)(const char *Message); ///< throws MatlabError(Message)
+  void (*release)(long long Mark);    ///< frees the boxes past the Mark'th
 };
 
 /// `<fn>_compiled`: the module entry point. Returns 0 on a normal Ret;

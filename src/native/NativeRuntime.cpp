@@ -25,6 +25,7 @@
 #include "obs/Trace.h"
 #include "runtime/Blas.h"
 #include "runtime/Builtins.h"
+#include "runtime/CallResolver.h"
 #include "runtime/Context.h"
 #include "runtime/Ops.h"
 #include "support/Error.h"
@@ -70,6 +71,7 @@ struct NativeFrame {
   Context *Ctx = nullptr;
   NativeHost *Host = nullptr;
   NativeFrame *Prev = nullptr;
+  MxCallState Calls = {};
 
   MxPub *box(ValuePtr P);
 };
@@ -111,6 +113,7 @@ MxPub *NativeFrame::box(ValuePtr P) {
   if (!P)
     return nullptr; // null registers stay null pointers, as in the VM
   Boxes.emplace_back();
+  Calls.Boxes = static_cast<long long>(Boxes.size());
   Box &B = Boxes.back();
   B.V = std::move(P);
   refresh(&B);
@@ -223,6 +226,11 @@ void hostCallBuiltin(NativeFrame *Fr, const char *Name, int Stmt, int NDsts,
   }
 }
 
+/// Charges a call one op, like a direct self-call. Out of line: the budget
+/// error's text would otherwise grow the frame of every call through the
+/// host, which a recursion stacks once per level.
+[[gnu::noinline]] void chargeCall(Context &Ctx) { Ctx.Exec.consume(1); }
+
 void hostCallFunction(NativeFrame *Fr, const char *Name, int Stmt, int NDsts,
                       va_list Ap) {
   std::vector<MxPub **> Dsts(static_cast<size_t>(NDsts));
@@ -238,6 +246,7 @@ void hostCallFunction(NativeFrame *Fr, const char *Name, int Stmt, int NDsts,
       throw MatlabError("internal: null argument value");
     CallArgs.push_back(boxOf(ArgPs[K])->V);
   }
+  chargeCall(*Fr->Ctx);
   std::vector<ValuePtr> Rs = Fr->Host->callFunction(
       Name, std::move(CallArgs), Stmt ? 0 : static_cast<size_t>(NDsts));
   for (int K = 0; K != NDsts; ++K) {
@@ -322,7 +331,7 @@ MxPub *shimRetain(MxPub *P) {
 double shimGetScalar(MxPub *P) {
   NativeFrame *Fr = CurFrame;
   try {
-    return exec::requireRealData(val(P)).scalarValue();
+    return exec::realScalar(val(P));
   }
   MLF_SHIM_END;
 }
@@ -330,11 +339,7 @@ double shimGetScalar(MxPub *P) {
 long long shimGetIntScalar(MxPub *P) {
   NativeFrame *Fr = CurFrame;
   try {
-    double X = exec::requireRealData(val(P)).scalarValue();
-    double R = std::round(X);
-    if (std::abs(X - R) > 1e-8)
-      throw MatlabError(format("expected an integer value, got %g", X));
-    return static_cast<long long>(R);
+    return exec::integerScalar(val(P));
   }
   MLF_SHIM_END;
 }
@@ -732,6 +737,25 @@ void shimPoll(long long N) {
   MLF_SHIM_END;
 }
 
+MxCallState *shimCallState() { return &CurFrame->Calls; }
+
+/// Frees the boxes a direct callee made. Only the callee's own registers
+/// pointed at them (its parameters and result are C scalars), and the
+/// caller has read the result, so nothing can reach them any more.
+void shimRelease(long long Mark) {
+  NativeFrame *Fr = CurFrame;
+  Fr->Boxes.resize(static_cast<size_t>(Mark));
+  Fr->Calls.Boxes = Mark;
+}
+
+void shimRaise(const char *Message) {
+  NativeFrame *Fr = CurFrame;
+  try {
+    throw MatlabError(Message);
+  }
+  MLF_SHIM_END;
+}
+
 /// Minimal-frame setjmp wrapper: keeping the setjmp in a function whose
 /// locals are all parameters sidesteps -Wclobbered and keeps the
 /// longjmp's reentry point trivial. Returns -1 when a callback trapped
@@ -757,14 +781,15 @@ const MajicNativeApi &majic::native::hostApiTable() {
       shimRange3,      shimColonV,      shimCat,        shimIndexLoad,
       shimIndexAssign, shimEwAlloc,     shimGemv,       shimAxpy,
       shimCallBuiltin, shimCallFunction, shimDisplay,   shimPoll,
+      shimCallState,   shimRaise,       shimRelease,
   };
   return Api;
 }
 
 std::vector<ValuePtr> majic::native::runNative(
     NativeEntryFn Entry, const std::string &Name, size_t FnNumOuts,
-    Context &Ctx, NativeHost &Host, const std::vector<ValuePtr> &Args,
-    size_t NumOuts) {
+    const std::vector<std::string> &OutNames, Context &Ctx, NativeHost &Host,
+    const std::vector<ValuePtr> &Args, size_t NumOuts) {
   // The fault site fires before any observable side effect, so the
   // engine can treat an injected native-run fault as "tier unavailable"
   // and replay in the VM with identical results.
@@ -772,9 +797,15 @@ std::vector<ValuePtr> majic::native::runNative(
   faults::maybeThrow(faults::Site::NativeRun);
   obs::TraceScope Span("native.run", "exec", Name.c_str());
 
-  NativeFrame Frame;
+  // On the heap: a recursion through the host nests one runNative per
+  // level, and the jump buffer and box deque would make this frame the
+  // largest of the cycle (MaxCallDepth must be reachable on an 8 MB stack).
+  auto Owned = std::make_unique<NativeFrame>();
+  NativeFrame &Frame = *Owned;
   Frame.Ctx = &Ctx;
   Frame.Host = &Host;
+  Frame.Calls = {&Host.callDepth(), Host.maxCallDepth(), 0, 0};
+  const unsigned Depth = Host.callDepth();
   FrameGuard G(&Frame);
 
   std::vector<MxPub *> ArgPs;
@@ -786,32 +817,26 @@ std::vector<ValuePtr> majic::native::runNative(
   int Rc = invokeEntry(Frame, Entry, ArgPs.data(),
                        static_cast<int>(Args.size()), OutPs.data(),
                        static_cast<int>(FnNumOuts));
+  if (Frame.Calls.Calls)
+    Host.noteDirectCalls(static_cast<uint64_t>(Frame.Calls.Calls));
   if (Rc != 0) {
+    // The direct calls the error unwound never lowered the depth.
+    Host.callDepth() = Depth;
     if (Frame.Err)
       std::rethrow_exception(Frame.Err);
     // An entry point returning nonzero without a parked error has no
     // defined meaning; treat it as a deopt so the VM re-runs the call.
     throw DeoptError{ScalarIntrinsic::None, 0.0};
   }
+  // The direct calls since the last poll (every 256th) are still owed.
+  if (uint64_t Owed = static_cast<uint64_t>(Frame.Calls.Calls & 0xff))
+    Ctx.Exec.consume(Owed);
 
-  // VM::run's Ret semantics, verbatim.
-  if (NumOuts == 0) {
-    if (FnNumOuts > 0 && OutPs[0])
-      return {boxOf(OutPs[0])->V};
-    return {};
-  }
-  if (NumOuts > std::max<size_t>(FnNumOuts, 1))
-    throw MatlabError(
-        format("too many output arguments from '%s'", Name.c_str()));
-  std::vector<ValuePtr> Outs;
-  Outs.reserve(NumOuts);
-  for (size_t K = 0; K != NumOuts; ++K) {
-    if (K >= FnNumOuts || !OutPs[K])
-      throw MatlabError(format("output argument %zu of '%s' not assigned",
-                               K + 1, Name.c_str()));
-    Outs.push_back(boxOf(OutPs[K])->V);
-  }
-  return Outs;
+  std::vector<ValuePtr> Outs(FnNumOuts);
+  for (size_t K = 0; K != FnNumOuts; ++K)
+    if (OutPs[K])
+      Outs[K] = boxOf(OutPs[K])->V;
+  return exec::takeOutputs(Outs, NumOuts, Name, OutNames);
 }
 
 const std::string &majic::native::preludeSource() {
@@ -838,6 +863,14 @@ typedef struct mxValue {
   int wclass;
   int klass; /* 0 bool, 1 int, 2 real, 3 complex, 4 string */
 } mxValue;
+
+/* Direct self-call bookkeeping (see mlfDirectEnter). */
+typedef struct mlfCallState {
+  unsigned *depth;
+  unsigned max_depth;
+  long long calls;
+  long long boxes;
+} mlfCallState;
 
 typedef struct MajicNativeApi {
   mxValue *(*box_f)(double);
@@ -879,6 +912,9 @@ typedef struct MajicNativeApi {
   void (*call_function)(const char *, int, int, ...);
   void (*display)(mxValue *, const char *);
   void (*poll)(long long);
+  mlfCallState *(*call_state)(void);
+  void (*raise)(const char *);
+  void (*release)(long long);
 } MajicNativeApi;
 
 static const MajicNativeApi *mlf_api;
@@ -1033,9 +1069,35 @@ static inline double mlf_f64bits(unsigned long long b) {
 #define mlfDisplay(p, name) (mlf_api->display((p), (name)))
 #define mlfPoll(n) (mlf_api->poll(n))
 
+/* Direct self-calls. Entering one raises the engine's call depth after
+ * checking it against the limit a call through the host meets, with the
+ * same text; every 256th call polls the op budget and interrupts, so each
+ * call costs one op (the host charges the rest when the run ends).
+ * Leaving one, after the caller has read the result, frees the boxes the
+ * callee made: those past the mark taken before the call. An error
+ * unwinds to the host, which restores the depth. */
+#define mlfGetCallState() (mlf_api->call_state())
+#define mlfBoxMark(cs) ((cs)->boxes)
+#define mlfDirectEnter(cs)                                                 \
+  do {                                                                     \
+    if (*(cs)->depth >= (cs)->max_depth)                                   \
+      mlf_api->raise("%s");                                                \
+    ++*(cs)->depth;                                                        \
+    if ((++(cs)->calls & 0xff) == 0)                                       \
+      mlf_api->poll(256);                                                  \
+  } while (0)
+#define mlfDirectLeave(cs, mark)                                           \
+  do {                                                                     \
+    --*(cs)->depth;                                                        \
+    if ((cs)->boxes != (mark))                                             \
+      mlf_api->release(mark);                                              \
+  } while (0)
+#define mlfRaise(msg) (mlf_api->raise(msg))
+
 #endif /* MAJIC_MLF_H */
 )MLF",
                                          kNativeABIVersion,
-                                         kNativeABIVersion);
+                                         kNativeABIVersion,
+                                         kMaxRecursionMessage);
   return Text;
 }

@@ -38,14 +38,21 @@ class Context;
 namespace native {
 
 /// What the native tier needs from its embedder to run user-function
-/// calls (Opcode::CallU) - the engine implements this against its own
-/// dispatch, keeping the runtime free of an engine dependency.
+/// calls (Opcode::CallU, and the bookkeeping of Opcode::CallSelf) - the
+/// engine implements this against its own dispatch, keeping the runtime
+/// free of an engine dependency.
 class NativeHost {
 public:
   virtual ~NativeHost() = default;
   virtual std::vector<ValuePtr> callFunction(const std::string &Name,
                                              std::vector<ValuePtr> Args,
                                              size_t NumOuts) = 0;
+  /// The call depth callFunction raises and its limit: a direct self-call
+  /// in machine code raises and checks the same counter.
+  virtual unsigned &callDepth() = 0;
+  virtual unsigned maxCallDepth() const = 0;
+  /// Counts the direct self-calls one native run made.
+  virtual void noteDirectCalls(uint64_t N) = 0;
 };
 
 /// The contents of `majic_mlf.h`: mxValue/MajicNativeApi in C, the
@@ -58,14 +65,15 @@ const MajicNativeApi &hostApiTable();
 
 /// Runs one natively compiled function with the VM's calling convention:
 /// \p FnNumOuts is the function's declared output count (IRFunction
-/// NumOuts), \p NumOuts the caller's nargout. Mirrors VM::run's Ret
-/// semantics (optional first output at nargout 0, "too many output
-/// arguments", "output argument N not assigned") and rethrows anything a
-/// callback trapped. Reentrant: a native function may call back into the
+/// NumOuts), \p OutNames their names, \p NumOuts the caller's nargout.
+/// Shares VM::run's Ret semantics (exec::takeOutputs) and rethrows anything
+/// a callback trapped, after restoring the host's call depth that direct
+/// self-calls raised. Reentrant: a native function may call back into the
 /// engine and land in another native frame.
 std::vector<ValuePtr> runNative(NativeEntryFn Entry, const std::string &Name,
-                                size_t FnNumOuts, Context &Ctx,
-                                NativeHost &Host,
+                                size_t FnNumOuts,
+                                const std::vector<std::string> &OutNames,
+                                Context &Ctx, NativeHost &Host,
                                 const std::vector<ValuePtr> &Args,
                                 size_t NumOuts);
 

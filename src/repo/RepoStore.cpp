@@ -74,7 +74,7 @@ uint64_t buildStamp() {
     uint32_t MaxOpcode;
     uint32_t InstrBytes;
     uint32_t TypeBytes;
-  } Facts = {ser::kCodeABIVersion, static_cast<uint32_t>(Opcode::PSpSt),
+  } Facts = {ser::kCodeABIVersion, static_cast<uint32_t>(kLastOpcode),
              static_cast<uint32_t>(sizeof(Instr)),
              static_cast<uint32_t>(sizeof(Type))};
   return hashing::fnv1a(&Facts, sizeof(Facts),

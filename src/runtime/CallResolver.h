@@ -25,6 +25,11 @@
 
 namespace majic {
 
+/// The error a call raises when it would nest deeper than the engine's
+/// MaxCallDepth, on every tier (native direct self-calls included).
+inline constexpr const char *kMaxRecursionMessage =
+    "maximum recursion depth exceeded";
+
 class CallResolver {
 public:
   virtual ~CallResolver() = default;

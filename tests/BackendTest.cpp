@@ -14,6 +14,7 @@
 
 #include "ast/Parser.h"
 #include "backend/Compiler.h"
+#include "engine/Corpus.h"
 #include "native/NativeCompiler.h"
 
 #include <gtest/gtest.h>
@@ -21,7 +22,9 @@
 #include <bit>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <fstream>
+#include <sstream>
 #include <limits>
 
 using namespace majic;
@@ -169,31 +172,49 @@ std::vector<Config> compiledConfigs(bool Native) {
   return Configs;
 }
 
-/// Runs \p Source's function \p Fn under the interpreter and under every
-/// compiled configuration, asserting identical behavior.
-void checkSoundness(const std::string &Source, const std::string &Fn,
-                    const std::vector<Value> &Args, size_t NumOuts = 1,
-                    bool Native = false) {
+/// Runs \p Source's function \p Fn under the interpreter and under each of
+/// \p Configs, asserting identical behavior: the same results bit for bit,
+/// the same output, and the same error text. \p Adjust, when set, applies
+/// to the interpreter's options and every configuration's.
+void checkSoundnessOn(const std::vector<Config> &Configs,
+                      const std::string &Source, const std::string &Fn,
+                      const std::vector<Value> &Args, size_t NumOuts,
+                      const std::function<void(EngineOptions &)> &Adjust =
+                          nullptr) {
   EngineOptions Ref;
   Ref.Policy = CompilePolicy::InterpretOnly;
+  if (Adjust)
+    Adjust(Ref);
   RunOutcome Expected = runWith(Ref, Source, Fn, Args, NumOuts);
 
-  for (const Config &C : compiledConfigs(Native)) {
-    RunOutcome Got = runWith(C.Opts, Source, Fn, Args, NumOuts);
+  for (const Config &C : Configs) {
+    EngineOptions Opts = C.Opts;
+    if (Adjust)
+      Adjust(Opts);
+    RunOutcome Got = runWith(Opts, Source, Fn, Args, NumOuts);
     // A run that throws counts no native hit, even when native code threw.
-    if (C.Opts.NativeTier && !Got.Threw) {
+    if (Opts.NativeTier && !Got.Threw) {
       EXPECT_GT(Got.NativeHits, 0u) << C.Name << ": not served native";
     }
     EXPECT_EQ(Expected.Threw, Got.Threw)
         << C.Name << ": " << Got.ErrorMessage;
+    EXPECT_EQ(Expected.ErrorMessage, Got.ErrorMessage) << C.Name;
+    EXPECT_EQ(Expected.Output, Got.Output) << C.Name;
     if (Expected.Threw || Got.Threw)
       continue;
     ASSERT_EQ(Expected.Results.size(), Got.Results.size()) << C.Name;
     for (size_t I = 0; I != Expected.Results.size(); ++I)
       expectSameValue(Expected.Results[I], Got.Results[I],
                       std::string(C.Name) + " result " + std::to_string(I));
-    EXPECT_EQ(Expected.Output, Got.Output) << C.Name;
   }
+}
+
+/// checkSoundnessOn every compiled configuration; \p Native adds the
+/// native tier.
+void checkSoundness(const std::string &Source, const std::string &Fn,
+                    const std::vector<Value> &Args, size_t NumOuts = 1,
+                    bool Native = false) {
+  checkSoundnessOn(compiledConfigs(Native), Source, Fn, Args, NumOuts);
 }
 
 void checkSoundness(const std::string &Source, const std::string &Fn,
@@ -768,14 +789,171 @@ TEST(EngineBoundary, ZeroOutputFunctionCallableAsStatement) {
 }
 
 TEST(EngineBoundary, RunawayRecursionGuarded) {
-  Engine E;
-  ASSERT_TRUE(E.addSource("spin", "function y = spin(n)\ny = spin(n + 1);\n"));
-  try {
-    E.callFunction("spin", {makeScalar(1)}, 1, SourceLoc());
-    FAIL() << "expected MatlabError";
-  } catch (const MatlabError &Err) {
-    EXPECT_NE(Err.message().find("recursion depth"), std::string::npos);
+  std::vector<EngineOptions> Tiers(1);
+#ifndef __SANITIZE_THREAD__
+  if (hostCompilerAvailable()) {
+    // Every level is a native run calling the next through the host.
+    EngineOptions Native;
+    Native.BackgroundCompileThreads = 0;
+    Native.NativeTier = true;
+    Native.NativeHotThreshold = 1;
+    Tiers.push_back(Native);
   }
+#endif
+  for (const EngineOptions &O : Tiers) {
+    Engine E(O);
+    ASSERT_TRUE(
+        E.addSource("spin", "function y = spin(n)\ny = spin(n + 1);\n"));
+    try {
+      E.callFunction("spin", {makeScalar(1)}, 1, SourceLoc());
+      FAIL() << "expected MatlabError";
+    } catch (const MatlabError &Err) {
+      EXPECT_EQ(Err.message(), "maximum recursion depth exceeded");
+    }
+    EXPECT_EQ(E.nativeDirectCalls(), 0u);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Recursion: a self-call with an int scalar result becomes CallSelf (on the
+// VM, the resolver's path with the result in a register; in machine code, a
+// direct C call). Every case runs on the interpreter, every VM
+// configuration and the native tier, with inlining on and off.
+//===----------------------------------------------------------------------===//
+
+std::vector<Config> recursionConfigs() {
+  std::vector<Config> Configs = compiledConfigs(/*Native=*/true);
+  for (size_t I = 0, N = Configs.size(); I != N; ++I)
+    if (Configs[I].Opts.NativeTier) {
+      Config NoInline = Configs[I];
+      NoInline.Name = "native-noinline";
+      NoInline.Opts.InlineCalls = false;
+      Configs.push_back(NoInline);
+    }
+  return Configs;
+}
+
+void checkRecursion(const std::string &Source, const std::string &Fn,
+                    const std::vector<Value> &Args,
+                    const std::function<void(EngineOptions &)> &Adjust =
+                        nullptr) {
+  static const std::vector<Config> Configs = recursionConfigs();
+  checkSoundnessOn(Configs, Source, Fn, Args, 1, Adjust);
+}
+
+std::string mlibText(const std::string &Name) {
+  std::ifstream In(mlibDirectory() + "/" + Name + ".m");
+  std::stringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+TEST(Recursion, MlibProgramsWithIntAndRealArguments) {
+  for (double N : {0.0, 1.0, 12.0})
+    checkRecursion(mlibText("fibonacci"), "fibonacci", intArgs({N}));
+  checkRecursion(mlibText("fibonacci"), "fibonacci", {Value::scalar(11)});
+  checkRecursion(mlibText("fibonacci"), "fibonacci", {Value::scalar(6.5)});
+  checkRecursion(mlibText("ackermann"), "ackermann", intArgs({2, 3}));
+  checkRecursion(mlibText("ackermann"), "ackermann", intArgs({1, 0}));
+  checkRecursion(mlibText("ackermann"), "ackermann",
+                 {Value::scalar(2), Value::scalar(2)});
+  checkRecursion(mlibText("ackermann"), "ackermann",
+                 {Value::scalar(1), Value::intScalar(4)});
+}
+
+TEST(Recursion, VectorResultStaysOnTheHostPath) {
+  checkRecursion("function v = f(n)\n"
+                 "if n <= 0\n  v = [1 2];\nelse\n  v = f(n - 1) + n;\nend\n",
+                 "f", intArgs({6}));
+}
+
+TEST(Recursion, MutualRecursion) {
+  checkRecursion("function r = f(n)\n"
+                 "if n <= 0\n  r = 1;\nelse\n  r = g(n - 1) * 2;\nend\n"
+                 "function r = g(n)\n"
+                 "if n <= 0\n  r = 3;\nelse\n  r = f(n - 1) + 1;\nend\n",
+                 "f", intArgs({9}));
+}
+
+TEST(Recursion, OutOfRangeIndexAtDepthTen) {
+  checkRecursion("function r = f(n)\n"
+                 "v = [1 2 3];\n"
+                 "if n == 0\n  r = v(n + 4);\nelse\n  r = f(n - 1) + 1;\nend\n",
+                 "f", intArgs({9}));
+}
+
+TEST(Recursion, UnassignedOutputDeepInTheChain) {
+  // The output stays boxed, so a direct call checks the callee assigned
+  // it. f(5) -> 3 -> 1 -> -1 assigns nothing: the text names the output.
+  const char *Src = "function r = f(n)\n"
+                    "if n > 0\n  r = f(n - 2) + 1;\nelseif n == 0\n"
+                    "  r = 0;\nend\n";
+  checkRecursion(Src, "f", intArgs({5}));
+  // The inlined clone of f does not compile (it is interpreted on every
+  // tier), so the call that returns runs without inlining to be native.
+  checkRecursion(Src, "f", intArgs({6}),
+                 [](EngineOptions &O) { O.InlineCalls = false; });
+}
+
+TEST(Recursion, DeoptDeepInADirectChain) {
+  // sqrt of a negative value at depth 5: optimistic code deoptimizes, the
+  // native module is quarantined, and the answer is the complex one.
+  checkRecursion("function r = f(n)\n"
+                 "if n == 0\n  r = floor(sqrt(n - 5));\n"
+                 "else\n  r = f(n - 1) + 1;\nend\n",
+                 "f", intArgs({4}));
+}
+
+TEST(Recursion, DirectCallsFreeTheirBoxes) {
+  // Each call allocates a 16 KB array. g(16) makes 3,193 calls, 51 MB of
+  // arrays over the run; the levels running at once hold 270 KB, under the
+  // 8 MB limit on every tier.
+  auto Limited = [](EngineOptions &O) { O.Limits.MaxAllocBytes = 8u << 20; };
+  checkRecursion("function r = g(n)\n"
+                 "v = zeros(1, 2000);\n"
+                 "if n <= 1\n  r = n;\n"
+                 "else\n  r = g(n - 1) + g(n - 2) + numel(v) - 2000;\nend\n",
+                 "g", intArgs({16}), Limited);
+  // The output is not definitely assigned, so the result comes back boxed
+  // too. The inlined clone of g does not compile, so g runs without
+  // inlining to be native.
+  checkRecursion("function r = g(n)\n"
+                 "v = zeros(1, 2000);\n"
+                 "if n <= 1\n  r = n;\nend\n"
+                 "if n > 1\n  r = g(n - 1) + g(n - 2) + numel(v) - 2000;\nend\n",
+                 "g", intArgs({16}), [&](EngineOptions &O) {
+                   Limited(O);
+                   O.InlineCalls = false;
+                 });
+}
+
+TEST(Recursion, DeepDirectChainMeetsTheDepthLimit) {
+  // Without inlining every level is a call: 990 levels fit under a
+  // MaxCallDepth of 1000 on every tier, 1,005 fail at the limit.
+  const char *Src = "function r = d(n)\n"
+                    "if n <= 0\n  r = 0;\nelse\n  r = d(n - 1) + 1;\nend\n";
+  auto Limited = [](EngineOptions &O) {
+    O.InlineCalls = false;
+    O.MaxCallDepth = 1000;
+  };
+  checkRecursion(Src, "d", intArgs({990}), Limited);
+  checkRecursion(Src, "d", intArgs({1005}), Limited);
+}
+
+TEST(Recursion, RunawayDepthErrorAtTheSameLevel) {
+  // Each level prints before it recurses, so the output shows where the
+  // depth error fired. Inlined levels do not count toward MaxCallDepth, so
+  // the levels are compared without inlining.
+  auto Shallow = [](EngineOptions &O) {
+    O.MaxCallDepth = 25;
+    O.InlineCalls = false;
+  };
+  checkRecursion("function r = deep(n)\n"
+                 "disp(n);\n"
+                 "if n < 0\n  r = 0;\nelse\n  r = deep(n + 1) + 1;\nend\n",
+                 "deep", intArgs({1}), Shallow);
+  checkRecursion("function y = spin(n)\ndisp(n);\ny = spin(n + 1);\n",
+                 "spin", intArgs({1}), Shallow);
 }
 
 //===----------------------------------------------------------------------===//

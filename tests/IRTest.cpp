@@ -127,9 +127,9 @@ TEST(IRPrinter, RendersEveryEmittedOpcode) {
 TEST(IROperands, MetadataCoversAllOpcodes) {
   // Every opcode must map to operand metadata without tripping asserts, and
   // pool-carrying ops must report consistent ranges.
-  for (int OpInt = 0; OpInt <= static_cast<int>(Opcode::PSpSt); ++OpInt) {
+  for (int OpInt = 0; OpInt <= static_cast<int>(kLastOpcode); ++OpInt) {
     auto Op = static_cast<Opcode>(OpInt);
-    (void)instrOperands(Op);
+    (void)instrOperands(Instr::make(Op));
     (void)opcodeName(Op);
     (void)isPureInstr(Op);
     (void)isHoistableInstr(Op);
@@ -543,6 +543,31 @@ TEST(Serialize, ValidatorRejectsOutOfRangeOperands) {
     IRFunction F = tinyFunction();
     Instr In = Instr::make(Opcode::LoadParam, 0);
     In.Imm.I = -1;
+    F.Code.insert(F.Code.begin(), In);
+    Rejects(std::move(F));
+  }
+  // Self-calls: one I result, one F/I argument per parameter, one output,
+  // parameters taken unboxed.
+  auto SelfCall = [](unsigned NumParams, size_t NumOuts) {
+    IRFunction F = tinyFunction();
+    F.NumParams = NumParams;
+    F.NumOuts = NumOuts;
+    Instr In = Instr::make(Opcode::CallSelf, 0, NumParams ? 0 : -1);
+    In.Imm.I = selfcall::encode(NumParams, /*IntArgMask=*/0);
+    F.Code.insert(F.Code.begin(), In);
+    return F;
+  };
+  EXPECT_NO_THROW(ser::validateIRFunction(SelfCall(1, 1)));
+  Rejects(SelfCall(2, 1)); // fewer arguments than parameters
+  Rejects(SelfCall(1, 2)); // more than one output
+  { // An argument register outside its file.
+    IRFunction F = SelfCall(1, 1);
+    F.Code.front().B = 1;
+    Rejects(std::move(F));
+  }
+  { // A boxed parameter: native code passes every parameter unboxed.
+    IRFunction F = SelfCall(1, 1);
+    Instr In = Instr::make(Opcode::LoadParam, 0);
     F.Code.insert(F.Code.begin(), In);
     Rejects(std::move(F));
   }

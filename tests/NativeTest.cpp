@@ -28,10 +28,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace majic;
@@ -389,9 +392,10 @@ TEST_F(NativeEngineTest, InjectedFaultsDegradeToVmSilently) {
 }
 
 //===----------------------------------------------------------------------===//
-// Recursive calls re-enter the engine through the host bridge and find
-// their module in a per-object memo. Quarantine, reload and invalidation
-// must reach that memo before the next call.
+// Calls from one version to another re-enter the engine through the host
+// bridge and find their module in a per-object memo; the general version
+// then calls itself directly. Quarantine, reload and invalidation must reach
+// that memo before the next call.
 //===----------------------------------------------------------------------===//
 
 const char *kRecSource = "function r = rec(n)\n"
@@ -401,12 +405,30 @@ const char *kRecSource = "function r = rec(n)\n"
                          "  r = rec(n - 1) + 1;\n"
                          "end\n";
 
-/// Calls rec(5) and returns the native hits the call added.
-uint64_t recHits(Engine &E, double Expect) {
-  uint64_t Before = E.nativeHits();
+/// What one rec(5) call added: native runs entered through the engine, and
+/// direct self-calls inside them.
+struct RecRun {
+  uint64_t Hits, Direct;
+  bool operator==(const RecRun &O) const {
+    return Hits == O.Hits && Direct == O.Direct;
+  }
+};
+std::ostream &operator<<(std::ostream &OS, const RecRun &R) {
+  return OS << "{hits " << R.Hits << ", direct " << R.Direct << "}";
+}
+
+/// Native: the top version rec(5) calls the general version once through
+/// the host (rec(4)), which makes the four self-calls down to rec(0)
+/// directly.
+const RecRun kAllNative = {2, 4};
+/// The general version quarantined: only the top version runs natively.
+const RecRun kTopOnly = {1, 0};
+
+RecRun recHits(Engine &E, double Expect) {
+  uint64_t Hits = E.nativeHits(), Direct = E.nativeDirectCalls();
   auto R = E.callFunction("rec", {intArg(5)}, 1, SourceLoc());
   EXPECT_DOUBLE_EQ(R[0]->scalarValue(), Expect);
-  return E.nativeHits() - Before;
+  return {E.nativeHits() - Hits, E.nativeDirectCalls() - Direct};
 }
 
 TEST_F(NativeEngineTest, QuarantinedModuleLeavesRecursiveCalls) {
@@ -417,17 +439,16 @@ TEST_F(NativeEngineTest, QuarantinedModuleLeavesRecursiveCalls) {
   Engine E(O);
   ASSERT_TRUE(E.addSource("rec", kRecSource));
   recHits(E, 12); // promotes rec(5)'s version and the general one
-  // The top version plus five recursive calls of the general version.
-  EXPECT_EQ(recHits(E, 12), 6u);
-  // Fail the first recursive native run: its version is quarantined and
-  // the call completes on the VM.
+  EXPECT_EQ(recHits(E, 12), kAllNative);
+  // Fail the general version's native run: it is quarantined and the call
+  // completes on the VM.
   faults::armAt(faults::Site::NativeRun, 2);
   recHits(E, 12);
   faults::reset();
   EXPECT_EQ(E.nativeFailures(), 1u);
   // From now on only the top version runs natively.
-  EXPECT_EQ(recHits(E, 12), 1u);
-  EXPECT_EQ(recHits(E, 12), 1u);
+  EXPECT_EQ(recHits(E, 12), kTopOnly);
+  EXPECT_EQ(recHits(E, 12), kTopOnly);
 }
 
 TEST_F(NativeEngineTest, ReloadNeverServesTheOldModule) {
@@ -438,7 +459,7 @@ TEST_F(NativeEngineTest, ReloadNeverServesTheOldModule) {
   Engine E(O);
   ASSERT_TRUE(E.addSource("rec", kRecSource));
   recHits(E, 12);
-  EXPECT_EQ(recHits(E, 12), 6u);
+  EXPECT_EQ(recHits(E, 12), kAllNative);
   uint64_t Compiles = E.nativeCompiles();
 
   // Reloading the same text invalidates the function: both versions are
@@ -446,14 +467,14 @@ TEST_F(NativeEngineTest, ReloadNeverServesTheOldModule) {
   ASSERT_TRUE(E.addSource("rec", kRecSource));
   recHits(E, 12);
   EXPECT_EQ(E.nativeCompiles(), Compiles + 2);
-  EXPECT_EQ(recHits(E, 12), 6u);
+  EXPECT_EQ(recHits(E, 12), kAllNative);
 
   // New source, new answers, at every depth.
   std::string Changed = kRecSource;
   Changed.replace(Changed.find("r = 7;"), 6, "r = 100;");
   ASSERT_TRUE(E.addSource("rec", Changed));
   recHits(E, 105);
-  EXPECT_EQ(recHits(E, 105), 6u);
+  EXPECT_EQ(recHits(E, 105), kAllNative);
 }
 
 TEST_F(NativeEngineTest, BackgroundModuleOfReloadedSourceIsDropped) {
@@ -474,9 +495,244 @@ TEST_F(NativeEngineTest, BackgroundModuleOfReloadedSourceIsDropped) {
   ASSERT_TRUE(E.addSource("rec", Changed));
   E.resumeBackgroundCompiles();
   E.drainCompiles();
-  EXPECT_EQ(recHits(E, 105), 0u);
+  EXPECT_EQ(recHits(E, 105), (RecRun{0, 0}));
   E.drainCompiles();
-  EXPECT_EQ(recHits(E, 105), 6u);
+  EXPECT_EQ(recHits(E, 105), kAllNative);
+}
+
+//===----------------------------------------------------------------------===//
+// Direct self-calls: fibonacci's general version recurses inside machine
+// code, yet keeps the op budget and interrupts of a call through the host.
+//===----------------------------------------------------------------------===//
+
+TEST_F(NativeEngineTest, FibonacciRecursesDirectly) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  for (bool Inline : {true, false}) {
+    fs::remove_all(Dir);
+    EngineOptions O = nativeOpts();
+    O.InlineCalls = Inline;
+    Engine E(O);
+    ASSERT_TRUE(E.loadFile(mlibDirectory() + "/fibonacci.m"));
+    auto R = E.callFunction("fibonacci", {intArg(20)}, 1, SourceLoc());
+    EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 6765);
+    // The top version <20> calls the general version through the host;
+    // everything below recurses inside it.
+    uint64_t Hits = E.nativeHits(), Direct = E.nativeDirectCalls();
+    R = E.callFunction("fibonacci", {intArg(20)}, 1, SourceLoc());
+    EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 6765);
+    EXPECT_EQ(E.nativeHits() - Hits, Inline ? 17u : 3u) << Inline;
+    // fib(20) makes 21,891 calls; inlining folds three levels of them.
+    EXPECT_GT(E.nativeDirectCalls() - Direct, Inline ? 1000u : 20000u)
+        << Inline;
+    std::string Metrics = E.metricsJson();
+    EXPECT_NE(Metrics.find("\"native.direct_calls\""), std::string::npos);
+  }
+}
+
+TEST_F(NativeEngineTest, DirectRecursionReachesTheDefaultDepthLimit) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  // One typed C frame per level: the default MaxCallDepth (4000) is
+  // reachable on the stack, and past it the error is the host path's.
+  EngineOptions O = nativeOpts();
+  O.InlineCalls = false;
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("d", "function r = d(n)\n"
+                               "if n <= 0\n  r = 0;\n"
+                               "else\n  r = d(n - 1) + 1;\nend\n"));
+  auto R = E.callFunction("d", {intArg(3990)}, 1, SourceLoc());
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 3990);
+  // d(3990) enters the general version once; its 3,989 calls below are
+  // direct.
+  EXPECT_EQ(E.nativeDirectCalls(), 3989u);
+  try {
+    E.callFunction("d", {intArg(4005)}, 1, SourceLoc());
+    ADD_FAILURE() << "d(4005) nested deeper than MaxCallDepth";
+  } catch (const MatlabError &Err) {
+    EXPECT_EQ(Err.message(), "maximum recursion depth exceeded");
+  }
+  // The error unwound every direct level: the depth is back at zero.
+  R = E.callFunction("d", {intArg(3990)}, 1, SourceLoc());
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 3990);
+}
+
+TEST_F(NativeEngineTest, DirectRecursionStopsAtTheOpBudget) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  for (bool Native : {true, false}) {
+    fs::remove_all(Dir);
+    EngineOptions O = nativeOpts();
+    O.NativeTier = Native;
+    // Machine code counts one op per call and per loop back edge, so it
+    // meets a budget later than the VM, which counts instructions.
+    O.Limits.MaxOps = 200000;
+    Engine E(O);
+    ASSERT_TRUE(E.loadFile(mlibDirectory() + "/fibonacci.m"));
+    auto R = E.callFunction("fibonacci", {intArg(20)}, 1, SourceLoc());
+    EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 6765);
+    // fib(30) makes 2.7 million calls; even with three of every four
+    // levels inlined, one op per remaining call is over the budget.
+    uint64_t Direct = E.nativeDirectCalls();
+    try {
+      E.callFunction("fibonacci", {intArg(30)}, 1, SourceLoc());
+      ADD_FAILURE() << "fibonacci(30) finished within the budget, native="
+                    << Native;
+    } catch (const MatlabError &Err) {
+      EXPECT_EQ(Err.message(), "operation budget exceeded (limit 200000 ops)");
+    }
+    if (Native) {
+      EXPECT_GT(E.nativeDirectCalls() - Direct, 100000u);
+    }
+  }
+}
+
+TEST_F(NativeEngineTest, DirectCallsBetweenPollsAreCharged) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  // Each d(100) makes fewer than 100 direct calls in one native run, fewer
+  // than the 256 between polls: the run charges them when it ends, so
+  // t(1000) spends about 100,000 ops, over a budget of 50,000, as on the VM.
+  for (bool Native : {true, false}) {
+    fs::remove_all(Dir);
+    EngineOptions O = nativeOpts();
+    O.NativeTier = Native;
+    O.InlineCalls = false;
+    O.Limits.MaxOps = 50000;
+    Engine E(O);
+    ASSERT_TRUE(E.addSource("d", "function r = d(n)\n"
+                                 "if n <= 0\n  r = 0;\n"
+                                 "else\n  r = d(n - 1) + 1;\nend\n"));
+    ASSERT_TRUE(E.addSource("t", "function s = t(k)\n"
+                                 "s = 0;\n"
+                                 "for j = 1:k\n  s = s + d(100);\nend\n"));
+    auto R = E.callFunction("t", {intArg(2)}, 1, SourceLoc());
+    EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 200);
+    uint64_t Direct = E.nativeDirectCalls();
+    try {
+      E.callFunction("t", {intArg(1000)}, 1, SourceLoc());
+      ADD_FAILURE() << "t(1000) finished within the budget, native="
+                    << Native;
+    } catch (const MatlabError &Err) {
+      EXPECT_EQ(Err.message(), "operation budget exceeded (limit 50000 ops)");
+    }
+    if (Native) {
+      EXPECT_GT(E.nativeDirectCalls() - Direct, 10000u);
+    }
+  }
+}
+
+TEST_F(NativeEngineTest, DirectRecursionStopsOnInterrupt) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  {
+    // Deterministic: f(20) compiled the general version, which then serves
+    // f(25) whole, in one native run of direct self-calls. The output sink
+    // raises the interrupt at the one f(24) call; only direct self-calls
+    // follow, so their poll (every 256 calls) must stop the run.
+    EngineOptions O = nativeOpts();
+    O.InlineCalls = false;
+    Engine E(O);
+    ASSERT_TRUE(E.addSource("f", "function r = f(n)\n"
+                                 "if n == 24\n  disp(n);\nend\n"
+                                 "if n <= 1\n  r = n;\n"
+                                 "else\n  r = f(n - 1) + f(n - 2);\nend\n"));
+    auto R = E.callFunction("f", {intArg(20)}, 1, SourceLoc());
+    ASSERT_DOUBLE_EQ(R[0]->scalarValue(), 6765);
+    E.context().setSink([&](const std::string &) { E.requestInterrupt(); });
+    uint64_t Direct = E.nativeDirectCalls();
+    try {
+      E.callFunction("f", {intArg(25)}, 1, SourceLoc());
+      ADD_FAILURE() << "f(25) finished after the interrupt";
+    } catch (const MatlabError &Err) {
+      EXPECT_EQ(Err.message(), "execution interrupted");
+    }
+    E.context().setSink(nullptr);
+    E.clearInterrupt();
+    // f(25) makes 242,784 self-calls.
+    EXPECT_LE(E.nativeDirectCalls() - Direct, 256u);
+  }
+
+  Engine E(nativeOpts());
+  ASSERT_TRUE(E.loadFile(mlibDirectory() + "/fibonacci.m"));
+  auto R = E.callFunction("fibonacci", {intArg(30)}, 1, SourceLoc());
+  ASSERT_DOUBLE_EQ(R[0]->scalarValue(), 832040);
+  uint64_t Direct = E.nativeDirectCalls();
+
+  // Another thread interrupts while the native calls run: each call spends
+  // nearly all of its time in direct self-calls, so the interrupt lands in
+  // one of them within a few calls.
+  std::atomic<bool> Stop{false};
+  std::thread Interrupter([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    E.requestInterrupt();
+    while (!Stop.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  std::string Error;
+  for (int Call = 0; Call != 2000 && Error.empty(); ++Call) {
+    try {
+      R = E.callFunction("fibonacci", {intArg(30)}, 1, SourceLoc());
+      EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 832040);
+    } catch (const MatlabError &Err) {
+      Error = Err.message();
+    }
+  }
+  Stop = true;
+  Interrupter.join();
+  E.clearInterrupt();
+  EXPECT_EQ(Error, "execution interrupted");
+  EXPECT_GT(E.nativeDirectCalls(), Direct);
+  // The engine is intact: depth restored, next call fine.
+  R = E.callFunction("fibonacci", {intArg(20)}, 1, SourceLoc());
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 6765);
+}
+
+TEST_F(NativeEngineTest, DirectCallsFreeTheirBoxes) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  // Every call allocates a 16 KB array. g(22) makes 57,313 calls: were a
+  // direct callee's boxes kept until the native run ended, they would hold
+  // 900 MB; freed when it returns, the levels still running hold 350 KB,
+  // well under the 8 MB limit both tiers run with. In the second source the
+  // output is not definitely assigned, so the result comes back boxed too.
+  const char *Sources[] = {
+      "function r = g(n)\n"
+      "v = zeros(1, 2000);\n"
+      "if n <= 1\n  r = n;\n"
+      "else\n  r = g(n - 1) + g(n - 2) + numel(v) - 2000;\nend\n",
+      "function r = g(n)\n"
+      "v = zeros(1, 2000);\n"
+      "if n <= 1\n  r = n;\nend\n"
+      "if n > 1\n  r = g(n - 1) + g(n - 2) + numel(v) - 2000;\nend\n",
+  };
+  for (const char *Src : Sources) {
+    std::string Outcome[2];
+    for (bool Native : {false, true}) {
+      fs::remove_all(Dir);
+      EngineOptions O = nativeOpts();
+      if (!Native)
+        O.Policy = CompilePolicy::InterpretOnly;
+      O.NativeTier = Native;
+      O.InlineCalls = false;
+      O.Limits.MaxAllocBytes = 8u << 20;
+      Engine E(O);
+      ASSERT_TRUE(E.addSource("g", Src));
+      for (double N : {10.0, 22.0}) {
+        try {
+          auto R = E.callFunction("g", {intArg(N)}, 1, SourceLoc());
+          Outcome[Native] += std::to_string(R[0]->scalarValue()) + " ";
+        } catch (const MatlabError &Err) {
+          Outcome[Native] += Err.message() + " ";
+        }
+      }
+      if (Native) {
+        EXPECT_GT(E.nativeDirectCalls(), 50000u) << Src;
+      }
+    }
+    EXPECT_EQ(Outcome[0], "55.000000 17711.000000 ") << Src;
+    EXPECT_EQ(Outcome[1], Outcome[0]) << Src;
+  }
 }
 
 TEST(CompiledObjectId, NeverReusedAndFollowsTheContent) {
