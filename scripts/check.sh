@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the sanitizer sweeps:
 #   1. Release build + full ctest suite
-#   2. AddressSanitizer build + full ctest suite
+#   2. AddressSanitizer + UBSan build (the asan preset) + full ctest suite
 #   3. ThreadSanitizer build + the concurrency-sensitive tests
 #
 # Usage: scripts/check.sh [--fast]
@@ -23,10 +23,9 @@ if [[ $FAST -eq 1 ]]; then
   exit 0
 fi
 
-echo "== asan: address-sanitized build + ctest =="
-cmake -B build-asan -S . -DMAJIC_SANITIZE=address \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-asan -j >/dev/null
+echo "== asan: address- and UB-sanitized build + ctest =="
+cmake --preset asan >/dev/null
+cmake --build --preset asan -j >/dev/null
 # ASan inflates stack frames severalfold; the MaxCallDepth=4000 recursion
 # guard (EngineBoundary.RunawayRecursionGuarded) needs a deeper C stack
 # than the default 8 MB to reach the engine's own limit first.

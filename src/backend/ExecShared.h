@@ -5,14 +5,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Execution helpers shared between the register VM (backend/VM.cpp) and
-/// the native tier's runtime shims (native/NativeRuntime.cpp). Both tiers
-/// must agree bit-for-bit on semantics - element stores promote array
-/// classes the same way, guarded intrinsics deoptimize on the same domain
-/// violations, and a fused elementwise program resolves its result shape
-/// and class (and raises the identical dimension errors) through one
-/// simulation. Keeping one copy here is what makes "native output ==
-/// VM output" a structural property instead of a test-enforced hope.
+/// Every operation the register VM (backend/VM.cpp) and the native tier's
+/// host callbacks (native/NativeRuntime.cpp) perform on boxed values, in
+/// one copy. A VM opcode case only reads its registers and writes the
+/// result back; a native callback only unboxes its `MxPub *` operands and
+/// boxes the result. The semantics and every error text live here:
+///
+///   - register checks: requireValue, requireRealData, realScalar,
+///     integerScalar, complexScalar, checkDefined;
+///   - element access: loadChecked/loadChecked2 (LoadElChk, LoadEl2Chk),
+///     store/store2 (StoreEl, StoreEl2), storeGrow/storeGrow2 (StoreElChk,
+///     StoreEl2Chk), with promoteClass and storeDirect beneath them;
+///   - allocation: zeros (NewMat), fill (FillF), and ewSimulate, the shape
+///     and class pass of a fused elementwise program (EwFuse);
+///   - whole values: indexLoad/indexAssign (LoadIdxG, StoreIdxG), concat
+///     (HorzCat, VertCat), gemv, axpy, display;
+///   - calls: callBuiltin (CallB), callArgs/callResults (CallU,
+///     CallSelf) and takeOutputs (Ret);
+///   - checkIntrinsicGuard, the domain guards of optimistic math.
+///
+/// The functions are inline, so the VM's dispatch loop compiles them in
+/// place. One copy is what makes "native output == VM output", error text
+/// included, a structural property instead of a test-enforced hope.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,14 +35,18 @@
 
 #include "backend/VM.h"
 #include "ir/Instr.h"
+#include "runtime/Blas.h"
 #include "runtime/Builtins.h"
+#include "runtime/Context.h"
 #include "runtime/Ops.h"
 #include "runtime/Value.h"
 #include "support/Error.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace majic {
@@ -71,9 +89,14 @@ inline void checkIntrinsicGuard(ScalarIntrinsic Intr, double X) {
   }
 }
 
-inline Value &requireValue(const ValuePtr &P) {
+/// The value a register holds; a null register is an internal error.
+inline const Value &requireValue(const Value *P) {
   if (!P)
     throw MatlabError("internal: use of an empty value register");
+  return *P;
+}
+inline Value &requireValue(const ValuePtr &P) {
+  requireValue(P.get());
   return *P;
 }
 
@@ -103,6 +126,288 @@ inline int64_t integerScalar(const Value &V) {
   if (std::abs(X - R) > 1e-8)
     throw MatlabError(format("expected an integer value, got %g", X));
   return static_cast<int64_t>(R);
+}
+
+/// UnboxReIm: the real and imaginary parts of a scalar.
+inline void complexScalar(const ValuePtr &P, double &Re, double &Im) {
+  const Value &V = requireValue(P);
+  if (!V.isScalar())
+    throw MatlabError("expected a scalar value");
+  Re = V.re(0);
+  Im = V.im(0);
+}
+
+/// CheckDef: a read of variable \p Name, which must have been assigned.
+inline void checkDefined(const ValuePtr &P, const char *Name) {
+  if (!P)
+    throw MatlabError(format("undefined function or variable '%s'", Name));
+}
+
+//===----------------------------------------------------------------------===//
+// Element access and allocation
+//===----------------------------------------------------------------------===//
+
+/// LoadElChk: element \p Idx (0-based) of a real array, with the
+/// interpreter's out-of-range text.
+inline double loadChecked(const ValuePtr &P, int64_t Idx) {
+  const Value &V = requireRealData(requireValue(P));
+  if (Idx < 0 || static_cast<size_t>(Idx) >= V.numel())
+    rt::throwBadRead(Idx + 1, V.numel());
+  return V.re(static_cast<size_t>(Idx));
+}
+
+/// LoadEl2Chk: element (\p R, \p C), 0-based.
+inline double loadChecked2(const ValuePtr &P, int64_t R, int64_t C) {
+  const Value &V = requireRealData(requireValue(P));
+  if (R < 0 || C < 0 || static_cast<size_t>(R) >= V.rows() ||
+      static_cast<size_t>(C) >= V.cols())
+    rt::throwBadRead(R + 1, C + 1, V.rows(), V.cols());
+  return V.at(static_cast<size_t>(R), static_cast<size_t>(C));
+}
+
+/// StoreEl: stores \p X of class \p C at linear index \p Idx, known to be
+/// in range (copy-on-write, class promotion, imaginary part cleared).
+inline void store(ValuePtr &P, size_t Idx, double X, MClass C) {
+  requireValue(P);
+  Value &V = makeUnique(P);
+  promoteClass(V, C);
+  storeDirect(V, Idx, X);
+}
+
+/// StoreEl2: the same at (\p R, \p C).
+inline void store2(ValuePtr &P, size_t R, size_t C, double X, MClass K) {
+  requireValue(P);
+  Value &V = makeUnique(P);
+  promoteClass(V, K);
+  storeDirect(V, C * V.rows() + R, X);
+}
+
+/// The array a growing store writes: a null register starts empty, and a
+/// negative subscript is rejected.
+inline Value &growTarget(ValuePtr &P, bool Negative) {
+  if (!P)
+    P = makeValue(Value());
+  Value &V = makeUnique(P);
+  if (Negative)
+    throw MatlabError("subscript indices must be positive integers");
+  return V;
+}
+
+/// The scalar a growing store assigns through the runtime.
+inline Value classedScalar(double X, MClass C) {
+  Value S = Value::scalar(X);
+  S.setClass(C);
+  return S;
+}
+
+/// StoreElChk: a store at linear index \p Idx that grows the array (with
+/// the runtime's oversizing) when \p Idx is past its end.
+inline void storeGrow(ValuePtr &P, int64_t Idx, double X, MClass C) {
+  Value &V = growTarget(P, Idx < 0);
+  if (static_cast<size_t>(Idx) < V.numel()) {
+    promoteClass(V, C);
+    storeDirect(V, static_cast<size_t>(Idx), X);
+  } else {
+    rt::indexAssign1(V, rt::Indexer::single(static_cast<size_t>(Idx)),
+                     classedScalar(X, C));
+  }
+}
+
+/// StoreEl2Chk: the same at (\p R, \p C).
+inline void storeGrow2(ValuePtr &P, int64_t R, int64_t C, double X,
+                       MClass K) {
+  Value &V = growTarget(P, R < 0 || C < 0);
+  if (static_cast<size_t>(R) < V.rows() && static_cast<size_t>(C) < V.cols()) {
+    promoteClass(V, K);
+    storeDirect(V, static_cast<size_t>(C) * V.rows() + static_cast<size_t>(R),
+                X);
+  } else {
+    rt::indexAssign2(V, rt::Indexer::single(static_cast<size_t>(R)),
+                     rt::Indexer::single(static_cast<size_t>(C)),
+                     classedScalar(X, K));
+  }
+}
+
+/// NewMat: an \p R x \p C array of zeros of class \p K; a negative extent
+/// counts as 0.
+inline ValuePtr zeros(int64_t R, int64_t C, MClass K) {
+  return makeValue(Value::zeros(static_cast<size_t>(std::max<int64_t>(R, 0)),
+                                static_cast<size_t>(std::max<int64_t>(C, 0)),
+                                K));
+}
+
+/// FillF: sets every element of the array to \p X.
+inline void fill(ValuePtr &P, double X) {
+  requireValue(P);
+  Value &V = makeUnique(P);
+  std::fill(V.reData(), V.reData() + V.numel(), X);
+}
+
+//===----------------------------------------------------------------------===//
+// Whole-value operations
+//
+// An operation on a list of registers takes the list as a count and an
+// accessor: At(K) gives the register of entry K, and is called once per
+// entry, in order (a native callback reads its variadic arguments there).
+//===----------------------------------------------------------------------===//
+
+/// The indexers of a one- or two-subscript index into \p Base. Sub(K) is
+/// a pointer to subscript K's register, or null for a colon.
+template <typename SubAt>
+std::vector<rt::Indexer> indexers(const Value &Base, int N, SubAt Sub) {
+  if (N < 1 || N > 2)
+    throw MatlabError("internal: bad index arity");
+  std::vector<rt::Indexer> Idx;
+  Idx.reserve(static_cast<size_t>(N));
+  for (int K = 0; K != N; ++K) {
+    size_t DimLen =
+        N == 1 ? Base.numel() : (K == 0 ? Base.rows() : Base.cols());
+    const ValuePtr *S = Sub(K);
+    Idx.push_back(S ? rt::Indexer::fromValue(requireValue(*S), DimLen)
+                    : rt::Indexer::colon());
+  }
+  return Idx;
+}
+
+/// LoadIdxG: \p Base indexed by \p N general subscripts.
+template <typename SubAt>
+ValuePtr indexLoad(const ValuePtr &BaseP, int N, SubAt Sub) {
+  const Value &Base = requireValue(BaseP);
+  std::vector<rt::Indexer> Idx = indexers(Base, N, Sub);
+  return makeValue(N == 1 ? rt::index1(Base, Idx[0])
+                          : rt::index2(Base, Idx[0], Idx[1]));
+}
+
+/// StoreIdxG: assigns \p Rhs through \p N general subscripts; a null base
+/// register starts empty.
+template <typename SubAt>
+void indexAssign(ValuePtr &BaseP, const ValuePtr &Rhs, int N, SubAt Sub) {
+  if (!BaseP)
+    BaseP = makeValue(Value());
+  Value &Base = makeUnique(BaseP);
+  std::vector<rt::Indexer> Idx = indexers(Base, N, Sub);
+  if (N == 1)
+    rt::indexAssign1(Base, Idx[0], requireValue(Rhs));
+  else
+    rt::indexAssign2(Base, Idx[0], Idx[1], requireValue(Rhs));
+}
+
+/// HorzCat (\p Horz) and VertCat over \p N parts.
+template <typename PartAt>
+ValuePtr concat(bool Horz, int N, PartAt Part) {
+  std::vector<const Value *> Parts;
+  Parts.reserve(static_cast<size_t>(N));
+  for (int K = 0; K != N; ++K)
+    Parts.push_back(&requireValue(Part(K)));
+  return makeValue(Horz ? rt::horzcat(Parts) : rt::vertcat(Parts));
+}
+
+/// Gemv: A * x, through dgemv when x is a real column of matching length.
+inline ValuePtr gemv(const ValuePtr &AP, const ValuePtr &XP) {
+  const Value &A = requireValue(AP);
+  const Value &X = requireValue(XP);
+  if (A.isComplex() || X.isComplex() || !X.isColVector() ||
+      A.cols() != X.rows())
+    return makeValue(rt::binary(rt::BinOp::MatMul, A, X));
+  Value Y = Value::zeros(A.rows(), 1);
+  blas::dgemv(A.rows(), A.cols(), 1.0, A.reData(), X.reData(), 0.0,
+              Y.reData());
+  return makeValue(std::move(Y));
+}
+
+/// Axpy: a * x + y. The real same-shape case is one pass writing a fresh
+/// array (daxpyz rounds the multiply and the add separately, exactly like
+/// the interpreter's two-op form).
+inline ValuePtr axpy(double A, const ValuePtr &XP, const ValuePtr &YP) {
+  const Value &X = requireValue(XP);
+  const Value &Y = requireValue(YP);
+  if (X.isComplex() || Y.isComplex() || X.rows() != Y.rows() ||
+      X.cols() != Y.cols())
+    return makeValue(rt::binary(
+        rt::BinOp::Add, rt::binary(rt::BinOp::MatMul, Value::scalar(A), X),
+        Y));
+  Value Out = Value::zeros(X.rows(), X.cols());
+  blas::daxpyz(X.numel(), A, X.reData(), Y.reData(), Out.reData());
+  return makeValue(std::move(Out));
+}
+
+/// Display: prints variable \p Name's value. A null register is an absent
+/// optional output: nothing to display.
+inline void display(Context &Ctx, const ValuePtr &P, const std::string &Name) {
+  if (P)
+    Ctx.print(rt::displayValue(*P, Name));
+}
+
+//===----------------------------------------------------------------------===//
+// Calls
+//===----------------------------------------------------------------------===//
+
+/// An argument register, which codegen never leaves null.
+inline const Value &argValue(const ValuePtr &P) {
+  if (!P)
+    throw MatlabError("internal: null argument value");
+  return *P;
+}
+
+/// Hands a call's results to its \p NOuts destinations through Out(K, V).
+/// A statement call may return fewer (its optional outputs are absent, a
+/// null register); an expression call that does calls \p Short, which
+/// throws.
+template <typename R, typename OutTo, typename ShortFn>
+void deliver(std::vector<R> &Rs, bool Statement, int NOuts, OutTo Out,
+             ShortFn Short) {
+  for (int K = 0; K != NOuts; ++K) {
+    if (static_cast<size_t>(K) < Rs.size()) {
+      if constexpr (std::is_same_v<R, Value>)
+        Out(K, makeValue(std::move(Rs[K])));
+      else
+        Out(K, std::move(Rs[K]));
+    } else if (Statement) {
+      Out(K, ValuePtr());
+    } else {
+      Short();
+    }
+  }
+}
+
+/// CallB: builtin \p Def (null when \p Name does not resolve) on \p NArgs
+/// arguments. The registers keep the arguments alive for the call: only
+/// their pointers are passed.
+template <typename ArgAt, typename OutTo>
+void callBuiltin(const BuiltinDef *Def, const char *Name, Context &Ctx,
+                 bool Statement, int NArgs, ArgAt Arg, int NOuts, OutTo Out) {
+  if (!Def)
+    throw MatlabError(format("unknown builtin '%s'", Name));
+  std::vector<const Value *> Ptrs;
+  Ptrs.reserve(static_cast<size_t>(NArgs));
+  for (int K = 0; K != NArgs; ++K)
+    Ptrs.push_back(&argValue(Arg(K)));
+  std::vector<Value> Rs = BuiltinTable::call(
+      *Def, Ctx, Ptrs, Statement ? 0 : static_cast<size_t>(NOuts));
+  deliver(Rs, Statement, NOuts, Out, [Def] {
+    throw MatlabError(
+        format("builtin '%s' returned too few values", Def->Name.c_str()));
+  });
+}
+
+/// The arguments of a user-function call (CallU, CallSelf).
+template <typename ArgAt> std::vector<ValuePtr> callArgs(int NArgs, ArgAt Arg) {
+  std::vector<ValuePtr> Args;
+  Args.reserve(static_cast<size_t>(NArgs));
+  for (int K = 0; K != NArgs; ++K) {
+    auto &&A = Arg(K);
+    argValue(A);
+    Args.push_back(std::forward<decltype(A)>(A));
+  }
+  return Args;
+}
+
+/// The results of a user-function call, handed out as deliver does.
+template <typename OutTo>
+void callResults(std::vector<ValuePtr> &Rs, bool Statement, int NOuts,
+                 OutTo Out) {
+  deliver(Rs, Statement, NOuts, Out,
+          [] { throw MatlabError("not enough output arguments"); });
 }
 
 /// Ret: the \p NumOuts outputs a caller asked for out of the function's
@@ -153,9 +458,7 @@ struct EwPlan {
 inline EwPlan ewSimulate(const Value *const *Ops, int32_t NumOps,
                          const int32_t *Prog, size_t ProgLen) {
   for (int32_t K = 0; K != NumOps; ++K) {
-    if (!Ops[K])
-      throw MatlabError("internal: use of an empty value register");
-    const Value &V = *Ops[K];
+    const Value &V = requireValue(Ops[K]);
     if (V.isComplex() || V.mclass() == MClass::String)
       throw DeoptError{ScalarIntrinsic::None, 0.0};
   }

@@ -8,7 +8,6 @@
 
 #include "backend/ExecShared.h"
 #include "obs/Trace.h"
-#include "runtime/Blas.h"
 #include "runtime/Builtins.h"
 #include "runtime/Ops.h"
 #include "support/Parallel.h"
@@ -40,17 +39,13 @@ bool evalCond(CondCode CC, double A, double B) {
   majic_unreachable("invalid condition code");
 }
 
-// Semantics helpers shared with the native tier (backend/ExecShared.h):
-// both tiers must promote classes, guard intrinsics, and validate register
-// contents identically.
+// The operations on boxed values, shared with the native tier
+// (backend/ExecShared.h): an opcode case only moves its operands.
 using exec::checkIntrinsicGuard;
 using exec::integerScalar;
-using exec::promoteClass;
 using exec::realScalar;
 using exec::requireRealData;
 using exec::requireValue;
-using exec::storeDirect;
-using exec::takeOutputs;
 
 /// Minimum elements before the fused elementwise loop goes parallel
 /// (matches the interpreter's ElemGrain: these loops are memory-bound).
@@ -329,16 +324,19 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
   auto Param = [&](int64_t K) -> const ValuePtr & {
     return K < static_cast<int64_t>(Args.size()) ? Args[K] : Absent;
   };
-  auto GatherArgs = [&](int32_t Off, int32_t N) {
-    std::vector<ValuePtr> Out;
-    Out.reserve(N);
-    for (int32_t K = 0; K != N; ++K) {
-      const ValuePtr &V = PR[F.Pool[Off + K]];
-      if (!V)
-        throw MatlabError("internal: null argument value");
-      Out.push_back(V);
-    }
-    return Out;
+  // Register lists for exec:: operations: entry K of the list at pool
+  // offset Off. The closures copy the register-file pointer rather than
+  // capture it, so it stays in a register in the dispatch loop.
+  const int32_t *const Pool = F.Pool.data();
+  auto PoolReg = [PR, Pool](int32_t Off) {
+    return [PR, Pool, Off](int K) -> const ValuePtr & {
+      return PR[Pool[Off + K]];
+    };
+  };
+  auto ToPoolReg = [PR, Pool](int32_t Off) {
+    return [PR, Pool, Off](int K, ValuePtr V) {
+      PR[Pool[Off + K]] = std::move(V);
+    };
   };
 
   while (true) {
@@ -458,7 +456,7 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
     case Opcode::Ret:
       Ctx.Exec.consume(Count & 0xFF); // the tail not covered by the poll
       InstrCount += Count;
-      return takeOutputs(Outs, NumOuts, F.Name, F.OutNames);
+      return exec::takeOutputs(Outs, NumOuts, F.Name, F.OutNames);
 
     case Opcode::BoxF:
       PR[In.A] = makeScalar(FR[In.B]);
@@ -478,114 +476,54 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
     case Opcode::UnboxI:
       IR[In.A] = integerScalar(requireValue(PR[In.B]));
       break;
-    case Opcode::UnboxReIm: {
-      const Value &V = requireValue(PR[In.C]);
-      if (!V.isScalar())
-        throw MatlabError("expected a scalar value");
-      FR[In.A] = V.re(0);
-      FR[In.B] = V.im(0);
+    case Opcode::UnboxReIm:
+      exec::complexScalar(PR[In.C], FR[In.A], FR[In.B]);
       break;
-    }
     case Opcode::CheckDef:
-      if (!PR[In.A])
-        throw MatlabError(format("undefined function or variable '%s'",
-                                 F.Names[In.Imm.I].c_str()));
+      exec::checkDefined(PR[In.A], F.Names[In.Imm.I].c_str());
       break;
 
-    case Opcode::NewMat: {
-      int64_t R = std::max<int64_t>(IR[In.B], 0);
-      int64_t C = std::max<int64_t>(IR[In.C], 0);
-      PR[In.A] = makeValue(Value::zeros(static_cast<size_t>(R),
-                                        static_cast<size_t>(C),
-                                        static_cast<MClass>(In.Imm.I)));
+    case Opcode::NewMat:
+      PR[In.A] =
+          exec::zeros(IR[In.B], IR[In.C], static_cast<MClass>(In.Imm.I));
       break;
-    }
-    case Opcode::FillF: {
-      Value &V = makeUnique(PR[In.A]);
-      std::fill(V.reData(), V.reData() + V.numel(), In.Imm.F);
+    case Opcode::FillF:
+      exec::fill(PR[In.A], In.Imm.F);
       break;
-    }
 
     case Opcode::LoadEl:
       FR[In.A] = requireRealData(requireValue(PR[In.B]))
                      .re(static_cast<size_t>(IR[In.C]));
       break;
-    case Opcode::LoadElChk: {
-      const Value &V = requireRealData(requireValue(PR[In.B]));
-      int64_t Idx = IR[In.C];
-      if (Idx < 0 || static_cast<size_t>(Idx) >= V.numel())
-        rt::throwBadRead(Idx + 1, V.numel());
-      FR[In.A] = V.re(static_cast<size_t>(Idx));
+    case Opcode::LoadElChk:
+      FR[In.A] = exec::loadChecked(PR[In.B], IR[In.C]);
       break;
-    }
     case Opcode::LoadEl2:
       FR[In.A] = requireRealData(requireValue(PR[In.B]))
                      .at(static_cast<size_t>(IR[In.C]),
                          static_cast<size_t>(IR[In.D]));
       break;
-    case Opcode::LoadEl2Chk: {
-      const Value &V = requireRealData(requireValue(PR[In.B]));
-      int64_t R = IR[In.C], C = IR[In.D];
-      if (R < 0 || C < 0 || static_cast<size_t>(R) >= V.rows() ||
-          static_cast<size_t>(C) >= V.cols())
-        rt::throwBadRead(R + 1, C + 1, V.rows(), V.cols());
-      FR[In.A] = V.at(static_cast<size_t>(R), static_cast<size_t>(C));
+    case Opcode::LoadEl2Chk:
+      FR[In.A] = exec::loadChecked2(PR[In.B], IR[In.C], IR[In.D]);
       break;
-    }
 
-    case Opcode::StoreEl: {
-      Value &V = makeUnique(PR[In.A]);
-      promoteClass(V, static_cast<MClass>(In.Imm.I));
-      storeDirect(V, static_cast<size_t>(IR[In.B]), FR[In.C]);
+    case Opcode::StoreEl:
+      exec::store(PR[In.A], static_cast<size_t>(IR[In.B]), FR[In.C],
+                  static_cast<MClass>(In.Imm.I));
       break;
-    }
-    case Opcode::StoreElChk: {
-      if (!PR[In.A])
-        PR[In.A] = makeValue(Value());
-      Value &V = makeUnique(PR[In.A]);
-      int64_t Idx = IR[In.B];
-      if (Idx < 0)
-        throw MatlabError("subscript indices must be positive integers");
-      if (static_cast<size_t>(Idx) < V.numel()) {
-        promoteClass(V, static_cast<MClass>(In.Imm.I));
-        storeDirect(V, static_cast<size_t>(Idx), FR[In.C]);
-      } else {
-        // Resize-on-write (with oversizing) through the runtime.
-        Value RHS = Value::scalar(FR[In.C]);
-        RHS.setClass(static_cast<MClass>(In.Imm.I));
-        rt::indexAssign1(V, Indexer::single(static_cast<size_t>(Idx)), RHS);
-      }
+    case Opcode::StoreElChk:
+      exec::storeGrow(PR[In.A], IR[In.B], FR[In.C],
+                      static_cast<MClass>(In.Imm.I));
       break;
-    }
-    case Opcode::StoreEl2: {
-      Value &V = makeUnique(PR[In.A]);
-      promoteClass(V, static_cast<MClass>(In.Imm.I));
-      size_t Idx = static_cast<size_t>(IR[In.C]) * V.rows() +
-                   static_cast<size_t>(IR[In.B]);
-      storeDirect(V, Idx, FR[In.D]);
+    case Opcode::StoreEl2:
+      exec::store2(PR[In.A], static_cast<size_t>(IR[In.B]),
+                   static_cast<size_t>(IR[In.C]), FR[In.D],
+                   static_cast<MClass>(In.Imm.I));
       break;
-    }
-    case Opcode::StoreEl2Chk: {
-      if (!PR[In.A])
-        PR[In.A] = makeValue(Value());
-      Value &V = makeUnique(PR[In.A]);
-      int64_t R = IR[In.B], C = IR[In.C];
-      if (R < 0 || C < 0)
-        throw MatlabError("subscript indices must be positive integers");
-      if (static_cast<size_t>(R) < V.rows() &&
-          static_cast<size_t>(C) < V.cols()) {
-        promoteClass(V, static_cast<MClass>(In.Imm.I));
-        storeDirect(V, static_cast<size_t>(C) * V.rows() +
-                           static_cast<size_t>(R),
-                    FR[In.D]);
-      } else {
-        Value RHS = Value::scalar(FR[In.D]);
-        RHS.setClass(static_cast<MClass>(In.Imm.I));
-        rt::indexAssign2(V, Indexer::single(static_cast<size_t>(R)),
-                         Indexer::single(static_cast<size_t>(C)), RHS);
-      }
+    case Opcode::StoreEl2Chk:
+      exec::storeGrow2(PR[In.A], IR[In.B], IR[In.C], FR[In.D],
+                       static_cast<MClass>(In.Imm.I));
       break;
-    }
 
     case Opcode::LenRows:
       IR[In.A] = static_cast<int64_t>(requireValue(PR[In.B]).rows());
@@ -625,146 +563,52 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       break;
 
     case Opcode::HorzCat:
-    case Opcode::VertCat: {
-      std::vector<const Value *> Parts;
-      Parts.reserve(In.C);
-      for (int32_t K = 0; K != In.C; ++K)
-        Parts.push_back(&requireValue(PR[F.Pool[In.B + K]]));
-      PR[In.A] = makeValue(In.Op == Opcode::HorzCat ? rt::horzcat(Parts)
-                                                    : rt::vertcat(Parts));
+    case Opcode::VertCat:
+      PR[In.A] = exec::concat(In.Op == Opcode::HorzCat, In.C, PoolReg(In.B));
       break;
-    }
 
-    case Opcode::LoadIdxG: {
-      const Value &Base = requireValue(PR[In.B]);
-      std::vector<Indexer> Idx;
-      for (int32_t K = 0; K != In.D; ++K) {
-        int32_t Entry = F.Pool[In.C + K];
-        size_t DimLen = In.D == 1 ? Base.numel()
-                                  : (K == 0 ? Base.rows() : Base.cols());
-        if (Entry < 0)
-          Idx.push_back(Indexer::colon());
-        else
-          Idx.push_back(Indexer::fromValue(requireValue(PR[Entry]), DimLen));
-      }
-      if (In.D == 1)
-        PR[In.A] = makeValue(rt::index1(Base, Idx[0]));
-      else
-        PR[In.A] = makeValue(rt::index2(Base, Idx[0], Idx[1]));
-      break;
-    }
+    case Opcode::LoadIdxG:
     case Opcode::StoreIdxG: {
-      if (!PR[In.A])
-        PR[In.A] = makeValue(Value());
-      Value &Base = makeUnique(PR[In.A]);
-      std::vector<Indexer> Idx;
-      for (int32_t K = 0; K != In.D; ++K) {
-        int32_t Entry = F.Pool[In.C + K];
-        size_t DimLen = In.D == 1 ? Base.numel()
-                                  : (K == 0 ? Base.rows() : Base.cols());
-        if (Entry < 0)
-          Idx.push_back(Indexer::colon());
-        else
-          Idx.push_back(Indexer::fromValue(requireValue(PR[Entry]), DimLen));
-      }
-      if (In.D == 1)
-        rt::indexAssign1(Base, Idx[0], requireValue(PR[In.B]));
+      // Pool entry In.C + K names subscript K's register; negative is a
+      // colon.
+      auto Sub = [PR, Pool, Off = In.C](int K) -> const ValuePtr * {
+        int32_t Entry = Pool[Off + K];
+        return Entry < 0 ? nullptr : &PR[Entry];
+      };
+      if (In.Op == Opcode::LoadIdxG)
+        PR[In.A] = exec::indexLoad(PR[In.B], In.D, Sub);
       else
-        rt::indexAssign2(Base, Idx[0], Idx[1], requireValue(PR[In.B]));
+        exec::indexAssign(PR[In.A], PR[In.B], In.D, Sub);
       break;
     }
 
     case Opcode::CallB: {
       int64_t NameId = In.Imm.I & ~kStatementCallFlag;
-      bool Statement = (In.Imm.I & kStatementCallFlag) != 0;
-      const BuiltinDef *Def = Builtins[NameId];
-      if (!Def)
-        throw MatlabError(format("unknown builtin '%s'",
-                                 F.Names[NameId].c_str()));
-      // The registers keep the arguments alive for the call: no handles
-      // are copied, only their pointers.
-      std::vector<const Value *> Ptrs;
-      Ptrs.reserve(In.D);
-      for (int32_t K = 0; K != In.D; ++K) {
-        const ValuePtr &V = PR[F.Pool[In.C + K]];
-        if (!V)
-          throw MatlabError("internal: null argument value");
-        Ptrs.push_back(V.get());
-      }
-      std::vector<Value> Rs = BuiltinTable::call(
-          *Def, Ctx, Ptrs, Statement ? 0 : static_cast<size_t>(In.B));
-      for (int32_t K = 0; K != In.B; ++K) {
-        if (static_cast<size_t>(K) >= Rs.size()) {
-          if (Statement) {
-            PR[F.Pool[In.A + K]] = nullptr; // optional output absent
-            continue;
-          }
-          throw MatlabError(format("builtin '%s' returned too few values",
-                                   Def->Name.c_str()));
-        }
-        PR[F.Pool[In.A + K]] = makeValue(std::move(Rs[K]));
-      }
+      exec::callBuiltin(Builtins[NameId], F.Names[NameId].c_str(), Ctx,
+                        (In.Imm.I & kStatementCallFlag) != 0, In.D,
+                        PoolReg(In.C), In.B, ToPoolReg(In.A));
       break;
     }
     case Opcode::CallU: {
       int64_t NameId = In.Imm.I & ~kStatementCallFlag;
       bool Statement = (In.Imm.I & kStatementCallFlag) != 0;
-      std::vector<ValuePtr> CallArgs = GatherArgs(In.C, In.D);
       std::vector<ValuePtr> Rs = Resolver.callFunction(
-          F.Names[NameId], std::move(CallArgs),
+          F.Names[NameId], exec::callArgs(In.D, PoolReg(In.C)),
           Statement ? 0 : static_cast<size_t>(In.B), SourceLoc());
-      for (int32_t K = 0; K != In.B; ++K) {
-        if (static_cast<size_t>(K) >= Rs.size()) {
-          if (Statement) {
-            PR[F.Pool[In.A + K]] = nullptr;
-            continue;
-          }
-          throw MatlabError("not enough output arguments");
-        }
-        PR[F.Pool[In.A + K]] = Rs[K];
-      }
+      exec::callResults(Rs, Statement, In.B, ToPoolReg(In.A));
       break;
     }
 
     case Opcode::Display:
-      // A null register is an absent optional output: nothing to display.
-      if (PR[In.A])
-        Ctx.print(rt::displayValue(*PR[In.A], F.Names[In.Imm.I]));
+      exec::display(Ctx, PR[In.A], F.Names[In.Imm.I]);
       break;
 
-    case Opcode::Gemv: {
-      const Value &A = requireValue(PR[In.B]);
-      const Value &X = requireValue(PR[In.C]);
-      if (!A.isComplex() && !X.isComplex() && X.isColVector() &&
-          A.cols() == X.rows()) {
-        Value Y = Value::zeros(A.rows(), 1);
-        blas::dgemv(A.rows(), A.cols(), 1.0, A.reData(), X.reData(), 0.0,
-                    Y.reData());
-        PR[In.A] = makeValue(std::move(Y));
-      } else {
-        PR[In.A] = makeValue(rt::binary(rt::BinOp::MatMul, A, X));
-      }
+    case Opcode::Gemv:
+      PR[In.A] = exec::gemv(PR[In.B], PR[In.C]);
       break;
-    }
-    case Opcode::Axpy: {
-      const Value &X = requireValue(PR[In.C]);
-      const Value &Y = requireValue(PR[In.D]);
-      if (!X.isComplex() && !Y.isComplex() && X.rows() == Y.rows() &&
-          X.cols() == Y.cols()) {
-        // Single pass: write a*x + y straight into a fresh array instead of
-        // copying Y and updating it in place (daxpyz rounds the multiply
-        // and add separately, exactly like the interpreter's two-op form).
-        Value Out = Value::zeros(X.rows(), X.cols());
-        blas::daxpyz(X.numel(), FR[In.B], X.reData(), Y.reData(),
-                     Out.reData());
-        PR[In.A] = makeValue(std::move(Out));
-      } else {
-        Value Scaled = rt::binary(rt::BinOp::MatMul,
-                                  Value::scalar(FR[In.B]), X);
-        PR[In.A] = makeValue(rt::binary(rt::BinOp::Add, Scaled, Y));
-      }
+    case Opcode::Axpy:
+      PR[In.A] = exec::axpy(FR[In.B], PR[In.C], PR[In.D]);
       break;
-    }
 
     case Opcode::EwFuse:
       PR[In.A] = makeValue(runEwFuse(F, In, PR));
@@ -789,18 +633,19 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       // CallU's path with the operands boxed as BoxF/BoxI box them and the
       // result unboxed as UnboxI unboxes it.
       const int32_t Regs[selfcall::kMaxArgs] = {In.B, In.C, In.D};
-      std::vector<ValuePtr> CallArgs;
-      CallArgs.reserve(selfcall::numArgs(In.Imm.I));
-      for (unsigned K = 0; K != selfcall::numArgs(In.Imm.I); ++K)
-        CallArgs.push_back(
-            selfcall::argIsInt(In.Imm.I, K)
-                ? makeValue(Value::intScalar(double(IR[Regs[K]])))
-                : makeScalar(FR[Regs[K]]));
+      auto Arg = [&Regs, FR, IR, Imm = In.Imm.I](int K) {
+        return selfcall::argIsInt(Imm, K)
+                   ? makeValue(Value::intScalar(double(IR[Regs[K]])))
+                   : makeScalar(FR[Regs[K]]);
+      };
       std::vector<ValuePtr> Rs = Resolver.callFunction(
-          F.Name, std::move(CallArgs), 1, SourceLoc());
-      if (Rs.empty())
-        throw MatlabError("not enough output arguments");
-      IR[In.A] = integerScalar(requireValue(Rs[0]));
+          F.Name,
+          exec::callArgs(static_cast<int>(selfcall::numArgs(In.Imm.I)), Arg),
+          1, SourceLoc());
+      ValuePtr R;
+      exec::callResults(Rs, false, 1,
+                        [&](int, ValuePtr V) { R = std::move(V); });
+      IR[In.A] = integerScalar(requireValue(R));
       break;
     }
 

@@ -641,9 +641,9 @@ takeMatching(std::unordered_map<std::string, std::vector<EntryT>> &Pending,
 } // namespace
 
 void Engine::adoptWarmEntries(const std::string &Name, uint64_t SrcHash) {
-  // Native entries are adopted only for functions with .mjo entries
-  // pending.
-  if (!Store || !PendingWarm.count(Name))
+  // The .mjo and .mjn rungs run independently: a quarantined .mjo leaves
+  // its function's valid .mjn adoptable on its own.
+  if (!Store)
     return;
   for (RepoStore::Entry &E : takeMatching(PendingWarm, Name, SrcHash, *Store)) {
     try {
@@ -773,6 +773,7 @@ void Engine::handleRemovedSource(const SourceSnooper::Change &C) {
     invalidateFunction(Fn);
     Functions.erase(Fn);
     PendingWarm.erase(Fn);
+    PendingWarmNative.erase(Fn);
     PendingProfileSigs.erase(Fn);
     {
       std::lock_guard<std::mutex> L(SpecMutex);

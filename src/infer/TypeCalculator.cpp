@@ -1261,6 +1261,8 @@ void TypeCalculator::registerConstantBuiltins() {
   };
   Constant("pi", Type::scalar(IntrinsicType::Real,
                               Range::constant(3.14159265358979323846)));
+  Constant("true", Type::scalar(IntrinsicType::Bool, Range::constant(1)));
+  Constant("false", Type::scalar(IntrinsicType::Bool, Range::constant(0)));
   Constant("eps", Type::scalar(IntrinsicType::Real,
                                Range::constant(
                                    std::numeric_limits<double>::epsilon())));

@@ -5,17 +5,17 @@
 //===----------------------------------------------------------------------===//
 //
 // Boxes, the callback table, the setjmp/longjmp error trampoline, and the
-// C prelude. Every callback body mirrors the corresponding VM.cpp opcode
-// case verbatim (through the helpers both share in backend/ExecShared.h),
-// so the two tiers produce bit-identical values and byte-identical error
-// messages.
+// C prelude. A callback holds no semantics of its own: it unboxes its
+// `MxPub *` operands, calls the one copy of the operation the VM's opcode
+// case calls too (backend/ExecShared.h, or a one-line runtime call), and
+// boxes the result, so the two tiers produce bit-identical values and
+// byte-identical error messages by construction.
 //
-// Shim discipline: a callback does all C++ work inside a try block
-// (delegating anything nontrivial to a host* helper so the C++ unwinder
-// cleans up its locals), parks the exception in the frame, and only then
-// longjmps - at that point the shim's own frame holds no live object with
-// a destructor, so the jump crosses plain-C frames only, which C++
-// explicitly permits.
+// Shim discipline: a callback does all C++ work inside attempt(), which
+// parks an exception in the frame, and returns through settle(), which
+// then longjmps - at that point no frame the jump leaves holds a live
+// object with a destructor, so the jump crosses plain-C frames only, which
+// C++ explicitly permits.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +23,6 @@
 
 #include "backend/ExecShared.h"
 #include "obs/Trace.h"
-#include "runtime/Blas.h"
 #include "runtime/Builtins.h"
 #include "runtime/CallResolver.h"
 #include "runtime/Context.h"
@@ -36,6 +35,7 @@
 #include <csetjmp>
 #include <cstdarg>
 #include <deque>
+#include <type_traits>
 
 using namespace majic;
 using namespace majic::native;
@@ -73,6 +73,7 @@ struct NativeFrame {
   NativeFrame *Prev = nullptr;
   MxCallState Calls = {};
 
+  Box *fresh();
   MxPub *box(ValuePtr P);
 };
 
@@ -109,121 +110,36 @@ void refresh(Box *B) {
       (B->V.use_count() == 1 && K <= static_cast<int>(MClass::Real)) ? K : -1;
 }
 
+/// A new box holding no value yet.
+Box *NativeFrame::fresh() {
+  Boxes.emplace_back();
+  Calls.Boxes = static_cast<long long>(Boxes.size());
+  return &Boxes.back();
+}
+
 MxPub *NativeFrame::box(ValuePtr P) {
   if (!P)
     return nullptr; // null registers stay null pointers, as in the VM
-  Boxes.emplace_back();
-  Calls.Boxes = static_cast<long long>(Boxes.size());
-  Box &B = Boxes.back();
-  B.V = std::move(P);
-  refresh(&B);
-  return pubOf(&B);
-}
-
-/// The requireValue twin for ABI pointers.
-Value &val(MxPub *P) {
-  if (!P)
-    throw MatlabError("internal: use of an empty value register");
-  return *boxOf(P)->V;
-}
-
-//===----------------------------------------------------------------------===//
-// Helpers for the variadic callbacks. These run under the shim's try
-// block, so they may use C++ freely - exceptions unwind their frames
-// normally before the shim longjmps.
-//===----------------------------------------------------------------------===//
-
-MxPub *hostCat(NativeFrame *Fr, int Horz, int N, va_list Ap) {
-  std::vector<const Value *> Parts;
-  Parts.reserve(static_cast<size_t>(N));
-  for (int K = 0; K != N; ++K)
-    Parts.push_back(&val(va_arg(Ap, MxPub *)));
-  return Fr->box(
-      makeValue(Horz ? rt::horzcat(Parts) : rt::vertcat(Parts)));
-}
-
-std::vector<Indexer> gatherIndexers(const Value &Base, int N, va_list Ap) {
-  MxPub *Ents[2] = {nullptr, nullptr};
-  if (N < 1 || N > 2)
-    throw MatlabError("internal: bad native index arity");
-  for (int K = 0; K != N; ++K)
-    Ents[K] = va_arg(Ap, MxPub *);
-  std::vector<Indexer> Idx;
-  for (int K = 0; K != N; ++K) {
-    size_t DimLen =
-        N == 1 ? Base.numel() : (K == 0 ? Base.rows() : Base.cols());
-    if (Ents[K] == kColonSentinel)
-      Idx.push_back(Indexer::colon());
-    else
-      Idx.push_back(Indexer::fromValue(val(Ents[K]), DimLen));
-  }
-  return Idx;
-}
-
-MxPub *hostIndexLoad(NativeFrame *Fr, MxPub *BaseP, int N, va_list Ap) {
-  const Value &Base = val(BaseP);
-  std::vector<Indexer> Idx = gatherIndexers(Base, N, Ap);
-  return Fr->box(makeValue(N == 1 ? rt::index1(Base, Idx[0])
-                                  : rt::index2(Base, Idx[0], Idx[1])));
-}
-
-void hostIndexAssign(NativeFrame *Fr, MxPub **BasePP, MxPub *RhsP, int N,
-                     va_list Ap) {
-  if (!*BasePP)
-    *BasePP = Fr->box(makeValue(Value()));
-  Box *B = boxOf(*BasePP);
-  Value &Base = makeUnique(B->V);
-  std::vector<Indexer> Idx = gatherIndexers(Base, N, Ap);
-  if (N == 1)
-    rt::indexAssign1(Base, Idx[0], val(RhsP));
-  else
-    rt::indexAssign2(Base, Idx[0], Idx[1], val(RhsP));
+  Box *B = fresh();
+  B->V = std::move(P);
   refresh(B);
+  return pubOf(B);
 }
 
-MxPub *hostEwAlloc(NativeFrame *Fr, int NOps, va_list Ap) {
-  std::vector<const Value *> Ops(static_cast<size_t>(NOps));
-  for (int K = 0; K != NOps; ++K) {
-    MxPub *P = va_arg(Ap, MxPub *);
-    Ops[K] = P ? boxOf(P)->V.get() : nullptr;
-  }
-  int Len = va_arg(Ap, int);
-  const int *Prog = va_arg(Ap, const int *);
-  exec::EwPlan Plan =
-      exec::ewSimulate(Ops.data(), NOps, Prog, static_cast<size_t>(Len));
-  return Fr->box(makeValue(Value::uninit(Plan.Rows, Plan.Cols, Plan.Class)));
-}
+MxPub *box(ValuePtr P) { return CurFrame->box(std::move(P)); }
 
-void hostCallBuiltin(NativeFrame *Fr, const char *Name, int Stmt, int NDsts,
-                     va_list Ap) {
-  std::vector<MxPub **> Dsts(static_cast<size_t>(NDsts));
-  for (int K = 0; K != NDsts; ++K)
-    Dsts[K] = va_arg(Ap, MxPub **);
-  int NArgs = va_arg(Ap, int);
-  std::vector<const Value *> Ptrs;
-  Ptrs.reserve(static_cast<size_t>(NArgs));
-  for (int K = 0; K != NArgs; ++K) {
-    MxPub *P = va_arg(Ap, MxPub *);
-    if (!P)
-      throw MatlabError("internal: null argument value");
-    Ptrs.push_back(boxOf(P)->V.get());
-  }
-  const BuiltinDef *Def = BuiltinTable::instance().lookup(Name);
-  if (!Def)
-    throw MatlabError(format("unknown builtin '%s'", Name));
-  std::vector<Value> Rs = BuiltinTable::call(
-      *Def, *Fr->Ctx, Ptrs, Stmt ? 0 : static_cast<size_t>(NDsts));
-  for (int K = 0; K != NDsts; ++K) {
-    if (static_cast<size_t>(K) >= Rs.size()) {
-      if (Stmt) {
-        *Dsts[K] = nullptr; // optional output absent
-        continue;
-      }
-      throw MatlabError(
-          format("builtin '%s' returned too few values", Def->Name.c_str()));
-    }
-    *Dsts[K] = Fr->box(makeValue(std::move(Rs[K])));
-  }
+/// The register an ABI pointer names: a box's value, or null.
+const ValuePtr kNullRegister;
+const ValuePtr &reg(MxPub *P) { return P ? boxOf(P)->V : kNullRegister; }
+
+/// Runs an exec:: operation that writes register *\p PP in place, then
+/// recomputes the box's prefix. A null register gets a box whose value
+/// the operation creates, as it would in a VM register.
+template <typename Fn> void update(MxPub **PP, Fn &&Write) {
+  Box *B = *PP ? boxOf(*PP) : CurFrame->fresh();
+  Write(B->V);
+  refresh(B);
+  *PP = pubOf(B);
 }
 
 /// Charges a call one op, like a direct self-call. Out of line: the budget
@@ -231,510 +147,240 @@ void hostCallBuiltin(NativeFrame *Fr, const char *Name, int Stmt, int NDsts,
 /// host, which a recursion stacks once per level.
 [[gnu::noinline]] void chargeCall(Context &Ctx) { Ctx.Exec.consume(1); }
 
-void hostCallFunction(NativeFrame *Fr, const char *Name, int Stmt, int NDsts,
-                      va_list Ap) {
-  std::vector<MxPub **> Dsts(static_cast<size_t>(NDsts));
-  for (int K = 0; K != NDsts; ++K)
-    Dsts[K] = va_arg(Ap, MxPub **);
-  int NArgs = va_arg(Ap, int);
-  std::vector<MxPub *> ArgPs(static_cast<size_t>(NArgs));
-  std::vector<ValuePtr> CallArgs;
-  CallArgs.reserve(static_cast<size_t>(NArgs));
-  for (int K = 0; K != NArgs; ++K) {
-    ArgPs[K] = va_arg(Ap, MxPub *);
-    if (!ArgPs[K])
-      throw MatlabError("internal: null argument value");
-    CallArgs.push_back(boxOf(ArgPs[K])->V);
+//===----------------------------------------------------------------------===//
+// The error trampoline. A callback runs its C++ work through attempt(),
+// which parks an exception in the frame, and returns through settle(),
+// which then longjmps back to invokeEntry. By the time the longjmp runs
+// the catch has finished, and settle's and the callback's frames hold only
+// trivially destructible locals (a variadic callback has ended its
+// va_list), so the jump crosses no frame with a destructor to run, which
+// C++ permits.
+//===----------------------------------------------------------------------===//
+
+template <typename Fn> auto attempt(Fn &&Body) noexcept -> decltype(Body()) {
+  try {
+    return Body();
+  } catch (...) {
+    CurFrame->Err = std::current_exception();
   }
-  chargeCall(*Fr->Ctx);
-  std::vector<ValuePtr> Rs = Fr->Host->callFunction(
-      Name, std::move(CallArgs), Stmt ? 0 : static_cast<size_t>(NDsts));
-  for (int K = 0; K != NDsts; ++K) {
-    if (static_cast<size_t>(K) >= Rs.size()) {
-      if (Stmt) {
-        *Dsts[K] = nullptr;
-        continue;
-      }
-      throw MatlabError("not enough output arguments");
-    }
-    *Dsts[K] = Fr->box(Rs[K]);
+  if constexpr (!std::is_void_v<decltype(Body())>)
+    return {};
+}
+
+void settle() {
+  if (CurFrame->Err)
+    std::longjmp(CurFrame->Jb, 1);
+}
+
+template <typename T> T settle(T R) {
+  static_assert(std::is_trivially_destructible_v<T>);
+  settle();
+  return R;
+}
+
+/// A non-variadic callback's whole body.
+template <typename Fn> auto shim(Fn &&Body) -> decltype(Body()) {
+  if constexpr (std::is_void_v<decltype(Body())>) {
+    attempt(Body);
+    settle();
+  } else {
+    return settle(attempt(Body));
   }
-  // The callee may have retained references to the arguments (their
-  // use counts changed under us): recompute the write caches.
-  for (int K = 0; K != NArgs; ++K)
-    refresh(boxOf(ArgPs[K]));
 }
 
 //===----------------------------------------------------------------------===//
-// The callbacks. MLF_SHIM_END is the error trampoline tail: by the time
-// the longjmp runs, the catch has finished and the shim frame holds only
-// trivially destructible locals.
+// The callbacks. Each unboxes its operands, calls the operation's one copy
+// (backend/ExecShared.h or a runtime call) and boxes the result.
 //===----------------------------------------------------------------------===//
 
-#define MLF_SHIM_END                                                           \
-  catch (...) { Fr->Err = std::current_exception(); }                          \
-  std::longjmp(Fr->Jb, 1)
-
 MxPub *shimBoxF(double X) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeScalar(X));
-  }
-  MLF_SHIM_END;
+  return shim([&] { return box(makeScalar(X)); });
 }
 
 MxPub *shimBoxI(long long X) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeValue(Value::intScalar(static_cast<double>(X))));
-  }
-  MLF_SHIM_END;
+  return shim([&] {
+    return box(makeValue(Value::intScalar(static_cast<double>(X))));
+  });
 }
 
 MxPub *shimBoxB(long long X) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeBool(X != 0));
-  }
-  MLF_SHIM_END;
+  return shim([&] { return box(makeBool(X != 0)); });
 }
 
 MxPub *shimBoxC(double Re, double Im) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeValue(Value::complexScalar(Re, Im)));
-  }
-  MLF_SHIM_END;
+  return shim([&] { return box(makeValue(Value::complexScalar(Re, Im))); });
 }
 
 MxPub *shimStringConst(const char *S) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeValue(Value::str(S)));
-  }
-  MLF_SHIM_END;
+  return shim([&] { return box(makeValue(Value::str(S))); });
 }
 
 MxPub *shimRetain(MxPub *P) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return shim([&]() -> MxPub * {
     if (!P)
       return nullptr;
-    Box *Old = boxOf(P);
-    MxPub *Copy = Fr->box(Old->V);
-    refresh(Old); // now shared: both boxes drop to slow-path stores
+    MxPub *Copy = box(boxOf(P)->V);
+    refresh(boxOf(P)); // now shared: both boxes drop to slow-path stores
     return Copy;
-  }
-  MLF_SHIM_END;
+  });
 }
 
 double shimGetScalar(MxPub *P) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return exec::realScalar(val(P));
-  }
-  MLF_SHIM_END;
+  return shim([&] { return exec::realScalar(exec::requireValue(reg(P))); });
 }
 
 long long shimGetIntScalar(MxPub *P) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return exec::integerScalar(val(P));
-  }
-  MLF_SHIM_END;
+  return shim(
+      [&] { return exec::integerScalar(exec::requireValue(reg(P))); });
 }
 
 void shimGetComplex(MxPub *P, double *Re, double *Im) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    const Value &V = val(P);
-    if (!V.isScalar())
-      throw MatlabError("expected a scalar value");
-    *Re = V.re(0);
-    *Im = V.im(0);
-    return;
-  }
-  MLF_SHIM_END;
+  shim([&] { exec::complexScalar(reg(P), *Re, *Im); });
 }
 
 long long shimIsTrue(MxPub *P) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return val(P).isTrue() ? 1 : 0;
-  }
-  MLF_SHIM_END;
+  return shim([&] { return exec::requireValue(reg(P)).isTrue() ? 1LL : 0LL; });
 }
 
 long long shimCheckSubscript(double X) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return static_cast<long long>(rt::checkSubscript(X));
-  }
-  MLF_SHIM_END;
+  return shim(
+      [&] { return static_cast<long long>(rt::checkSubscript(X)); });
 }
 
 void shimCheckDefined(MxPub *P, const char *Name) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    if (!P)
-      throw MatlabError(
-          format("undefined function or variable '%s'", Name));
-    return;
-  }
-  MLF_SHIM_END;
+  shim([&] { exec::checkDefined(reg(P), Name); });
 }
 
 double shimGuard(int Intr, double X) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return shim([&] {
     exec::checkIntrinsicGuard(static_cast<ScalarIntrinsic>(Intr), X);
     return X;
-  }
-  MLF_SHIM_END;
+  });
 }
 
-double shimPowDeopt(double X, double Y) {
-  NativeFrame *Fr = CurFrame;
-  (void)Y;
-  try {
-    // Negative base, non-integral exponent: the result is complex, which
-    // generated code cannot represent - replay in the general tiers.
-    throw DeoptError{ScalarIntrinsic::None, X};
-  }
-  MLF_SHIM_END;
+double shimPowDeopt(double X, double) {
+  // Negative base, non-integral exponent: the result is complex, which
+  // generated code cannot represent - replay in the general tiers.
+  return shim([&]() -> double { throw DeoptError{ScalarIntrinsic::None, X}; });
 }
 
 double *shimDeoptComplex(void) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    throw DeoptError{ScalarIntrinsic::None, 0.0};
-  }
-  MLF_SHIM_END;
+  return shim(
+      []() -> double * { throw DeoptError{ScalarIntrinsic::None, 0.0}; });
 }
 
+/// mxRows, mxCols and mxNumel of a null register.
 long long shimNullLen(void) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    throw MatlabError("internal: use of an empty value register");
-  }
-  MLF_SHIM_END;
+  return shim([] {
+    return static_cast<long long>(exec::requireValue(kNullRegister).numel());
+  });
 }
 
 MxPub *shimZeros(long long R, long long C, int Klass) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    long long Rc = R < 0 ? 0 : R, Cc = C < 0 ? 0 : C;
-    return Fr->box(makeValue(Value::zeros(static_cast<size_t>(Rc),
-                                          static_cast<size_t>(Cc),
-                                          static_cast<MClass>(Klass))));
-  }
-  MLF_SHIM_END;
+  return shim(
+      [&] { return box(exec::zeros(R, C, static_cast<MClass>(Klass))); });
 }
 
 void shimFill(MxPub *P, double X) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    val(P); // null check with the VM's error
-    Box *B = boxOf(P);
-    Value &V = makeUnique(B->V);
-    std::fill(V.reData(), V.reData() + V.numel(), X);
-    refresh(B);
-    return;
-  }
-  MLF_SHIM_END;
+  shim([&] { update(&P, [&](ValuePtr &V) { exec::fill(V, X); }); });
 }
 
 double shimLoadChk(MxPub *P, long long I) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    const Value &V = exec::requireRealData(val(P));
-    if (I < 0 || static_cast<size_t>(I) >= V.numel())
-      rt::throwBadRead(I + 1, V.numel());
-    return V.re(static_cast<size_t>(I));
-  }
-  MLF_SHIM_END;
+  return shim([&] { return exec::loadChecked(reg(P), I); });
 }
 
 double shimLoad2Chk(MxPub *P, long long R, long long C) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    const Value &V = exec::requireRealData(val(P));
-    if (R < 0 || C < 0 || static_cast<size_t>(R) >= V.rows() ||
-        static_cast<size_t>(C) >= V.cols())
-      rt::throwBadRead(R + 1, C + 1, V.rows(), V.cols());
-    return V.at(static_cast<size_t>(R), static_cast<size_t>(C));
-  }
-  MLF_SHIM_END;
+  return shim([&] { return exec::loadChecked2(reg(P), R, C); });
 }
 
 void shimStoreSlow(MxPub **PP, long long I, double X, int Klass) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    val(*PP);
-    Box *B = boxOf(*PP);
-    Value &V = makeUnique(B->V);
-    exec::promoteClass(V, static_cast<MClass>(Klass));
-    exec::storeDirect(V, static_cast<size_t>(I), X);
-    refresh(B);
-    return;
-  }
-  MLF_SHIM_END;
+  shim([&] {
+    update(PP, [&](ValuePtr &V) {
+      exec::store(V, static_cast<size_t>(I), X, static_cast<MClass>(Klass));
+    });
+  });
 }
 
 void shimStoreGrow(MxPub **PP, long long I, double X, int Klass) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    if (!*PP)
-      *PP = Fr->box(makeValue(Value()));
-    Box *B = boxOf(*PP);
-    Value &V = makeUnique(B->V);
-    if (I < 0)
-      throw MatlabError("subscript indices must be positive integers");
-    if (static_cast<size_t>(I) < V.numel()) {
-      exec::promoteClass(V, static_cast<MClass>(Klass));
-      exec::storeDirect(V, static_cast<size_t>(I), X);
-    } else {
-      Value RHS = Value::scalar(X);
-      RHS.setClass(static_cast<MClass>(Klass));
-      rt::indexAssign1(V, Indexer::single(static_cast<size_t>(I)), RHS);
-    }
-    refresh(B);
-    return;
-  }
-  MLF_SHIM_END;
+  shim([&] {
+    update(PP, [&](ValuePtr &V) {
+      exec::storeGrow(V, I, X, static_cast<MClass>(Klass));
+    });
+  });
 }
 
 void shimStore2Slow(MxPub **PP, long long R, long long C, double X,
                     int Klass) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    val(*PP);
-    Box *B = boxOf(*PP);
-    Value &V = makeUnique(B->V);
-    exec::promoteClass(V, static_cast<MClass>(Klass));
-    exec::storeDirect(V,
-                      static_cast<size_t>(C) * V.rows() +
-                          static_cast<size_t>(R),
-                      X);
-    refresh(B);
-    return;
-  }
-  MLF_SHIM_END;
+  shim([&] {
+    update(PP, [&](ValuePtr &V) {
+      exec::store2(V, static_cast<size_t>(R), static_cast<size_t>(C), X,
+                   static_cast<MClass>(Klass));
+    });
+  });
 }
 
 void shimStore2Grow(MxPub **PP, long long R, long long C, double X,
                     int Klass) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    if (!*PP)
-      *PP = Fr->box(makeValue(Value()));
-    Box *B = boxOf(*PP);
-    Value &V = makeUnique(B->V);
-    if (R < 0 || C < 0)
-      throw MatlabError("subscript indices must be positive integers");
-    if (static_cast<size_t>(R) < V.rows() &&
-        static_cast<size_t>(C) < V.cols()) {
-      exec::promoteClass(V, static_cast<MClass>(Klass));
-      exec::storeDirect(V,
-                        static_cast<size_t>(C) * V.rows() +
-                            static_cast<size_t>(R),
-                        X);
-    } else {
-      Value RHS = Value::scalar(X);
-      RHS.setClass(static_cast<MClass>(Klass));
-      rt::indexAssign2(V, Indexer::single(static_cast<size_t>(R)),
-                       Indexer::single(static_cast<size_t>(C)), RHS);
-    }
-    refresh(B);
-    return;
-  }
-  MLF_SHIM_END;
+  shim([&] {
+    update(PP, [&](ValuePtr &V) {
+      exec::storeGrow2(V, R, C, X, static_cast<MClass>(Klass));
+    });
+  });
 }
 
 MxPub *shimRtBin(int Op, MxPub *A, MxPub *B) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeValue(
-        rt::binary(static_cast<rt::BinOp>(Op), val(A), val(B))));
-  }
-  MLF_SHIM_END;
+  return shim([&] {
+    return box(makeValue(rt::binary(static_cast<rt::BinOp>(Op),
+                                    exec::requireValue(reg(A)),
+                                    exec::requireValue(reg(B)))));
+  });
 }
 
 MxPub *shimRtUn(int Op, MxPub *A) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeValue(rt::unary(static_cast<rt::UnOp>(Op), val(A))));
-  }
-  MLF_SHIM_END;
+  return shim([&] {
+    return box(makeValue(
+        rt::unary(static_cast<rt::UnOp>(Op), exec::requireValue(reg(A)))));
+  });
 }
 
 MxPub *shimColSlice(MxPub *P, long long C) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeValue(rt::index2(
-        val(P), Indexer::colon(), Indexer::single(static_cast<size_t>(C)))));
-  }
-  MLF_SHIM_END;
+  return shim([&] {
+    return box(makeValue(
+        rt::index2(exec::requireValue(reg(P)), Indexer::colon(),
+                   Indexer::single(static_cast<size_t>(C)))));
+  });
 }
 
 MxPub *shimRange3(double A, double S, double B) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeValue(Value::range(A, S, B)));
-  }
-  MLF_SHIM_END;
+  return shim([&] { return box(makeValue(Value::range(A, S, B))); });
 }
 
 MxPub *shimColonV(MxPub *A, MxPub *S, MxPub *B) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeValue(rt::colon(val(A), val(S), val(B))));
-  }
-  MLF_SHIM_END;
+  return shim([&] {
+    return box(makeValue(rt::colon(exec::requireValue(reg(A)),
+                                   exec::requireValue(reg(S)),
+                                   exec::requireValue(reg(B)))));
+  });
 }
 
-MxPub *shimCat(int Horz, int N, ...) {
-  NativeFrame *Fr = CurFrame;
-  va_list Ap;
-  va_start(Ap, N);
-  try {
-    MxPub *R = hostCat(Fr, Horz, N, Ap);
-    va_end(Ap);
-    return R;
-  } catch (...) {
-    Fr->Err = std::current_exception();
-  }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
+MxPub *shimGemv(MxPub *A, MxPub *X) {
+  return shim([&] { return box(exec::gemv(reg(A), reg(X))); });
 }
 
-MxPub *shimIndexLoad(MxPub *Base, int N, ...) {
-  NativeFrame *Fr = CurFrame;
-  va_list Ap;
-  va_start(Ap, N);
-  try {
-    MxPub *R = hostIndexLoad(Fr, Base, N, Ap);
-    va_end(Ap);
-    return R;
-  } catch (...) {
-    Fr->Err = std::current_exception();
-  }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
-}
-
-void shimIndexAssign(MxPub **Base, MxPub *Rhs, int N, ...) {
-  NativeFrame *Fr = CurFrame;
-  va_list Ap;
-  va_start(Ap, N);
-  try {
-    hostIndexAssign(Fr, Base, Rhs, N, Ap);
-    va_end(Ap);
-    return;
-  } catch (...) {
-    Fr->Err = std::current_exception();
-  }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
-}
-
-MxPub *shimEwAlloc(int NOps, ...) {
-  NativeFrame *Fr = CurFrame;
-  va_list Ap;
-  va_start(Ap, NOps);
-  try {
-    MxPub *R = hostEwAlloc(Fr, NOps, Ap);
-    va_end(Ap);
-    return R;
-  } catch (...) {
-    Fr->Err = std::current_exception();
-  }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
-}
-
-MxPub *shimGemv(MxPub *AP, MxPub *XP) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    const Value &A = val(AP);
-    const Value &X = val(XP);
-    if (!A.isComplex() && !X.isComplex() && X.isColVector() &&
-        A.cols() == X.rows()) {
-      Value Y = Value::zeros(A.rows(), 1);
-      blas::dgemv(A.rows(), A.cols(), 1.0, A.reData(), X.reData(), 0.0,
-                  Y.reData());
-      return Fr->box(makeValue(std::move(Y)));
-    }
-    return Fr->box(makeValue(rt::binary(rt::BinOp::MatMul, A, X)));
-  }
-  MLF_SHIM_END;
-}
-
-MxPub *shimAxpy(double A, MxPub *XP, MxPub *YP) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    const Value &X = val(XP);
-    const Value &Y = val(YP);
-    if (!X.isComplex() && !Y.isComplex() && X.rows() == Y.rows() &&
-        X.cols() == Y.cols()) {
-      Value Out = Value::zeros(X.rows(), X.cols());
-      blas::daxpyz(X.numel(), A, X.reData(), Y.reData(), Out.reData());
-      return Fr->box(makeValue(std::move(Out)));
-    }
-    Value Scaled = rt::binary(rt::BinOp::MatMul, Value::scalar(A), X);
-    return Fr->box(makeValue(rt::binary(rt::BinOp::Add, Scaled, Y)));
-  }
-  MLF_SHIM_END;
-}
-
-void shimCallBuiltin(const char *Name, int Stmt, int NDsts, ...) {
-  NativeFrame *Fr = CurFrame;
-  va_list Ap;
-  va_start(Ap, NDsts);
-  try {
-    hostCallBuiltin(Fr, Name, Stmt, NDsts, Ap);
-    va_end(Ap);
-    return;
-  } catch (...) {
-    Fr->Err = std::current_exception();
-  }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
-}
-
-void shimCallFunction(const char *Name, int Stmt, int NDsts, ...) {
-  NativeFrame *Fr = CurFrame;
-  va_list Ap;
-  va_start(Ap, NDsts);
-  try {
-    hostCallFunction(Fr, Name, Stmt, NDsts, Ap);
-    va_end(Ap);
-    return;
-  } catch (...) {
-    Fr->Err = std::current_exception();
-  }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
+MxPub *shimAxpy(double A, MxPub *X, MxPub *Y) {
+  return shim([&] { return box(exec::axpy(A, reg(X), reg(Y))); });
 }
 
 void shimDisplay(MxPub *P, const char *Name) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    // A null register is an absent optional output: nothing to display.
-    if (P)
-      Fr->Ctx->print(rt::displayValue(*boxOf(P)->V, Name));
-    return;
-  }
-  MLF_SHIM_END;
+  shim([&] { exec::display(*CurFrame->Ctx, reg(P), Name); });
 }
 
 void shimPoll(long long N) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    Fr->Ctx->Exec.consume(static_cast<uint64_t>(N));
-    return;
-  }
-  MLF_SHIM_END;
+  shim([&] { CurFrame->Ctx->Exec.consume(static_cast<uint64_t>(N)); });
+}
+
+void shimRaise(const char *Message) {
+  shim([&] { throw MatlabError(Message); });
 }
 
 MxCallState *shimCallState() { return &CurFrame->Calls; }
@@ -748,12 +394,118 @@ void shimRelease(long long Mark) {
   Fr->Calls.Boxes = Mark;
 }
 
-void shimRaise(const char *Message) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    throw MatlabError(Message);
-  }
-  MLF_SHIM_END;
+//===----------------------------------------------------------------------===//
+// The variadic callbacks: va_start and va_end stay in the callback itself,
+// around attempt(), and settle() runs after va_end. The accessors read the
+// arguments in order, one per call, as ExecShared.h's list operations ask.
+//===----------------------------------------------------------------------===//
+
+/// Reads the next argument as a register.
+const ValuePtr &nextReg(va_list &Ap) { return reg(va_arg(Ap, MxPub *)); }
+
+MxPub *shimCat(int Horz, int N, ...) {
+  va_list Ap;
+  va_start(Ap, N);
+  MxPub *R = attempt([&] {
+    return box(exec::concat(Horz != 0, N, [&](int) -> const ValuePtr & {
+      return nextReg(Ap);
+    }));
+  });
+  va_end(Ap);
+  return settle(R);
+}
+
+/// Reads the next argument as a subscript: a register, or null for a colon.
+const ValuePtr *nextSub(va_list &Ap) {
+  MxPub *P = va_arg(Ap, MxPub *);
+  return P == kColonSentinel ? nullptr : &reg(P);
+}
+
+MxPub *shimIndexLoad(MxPub *Base, int N, ...) {
+  va_list Ap;
+  va_start(Ap, N);
+  MxPub *R = attempt([&] {
+    return box(
+        exec::indexLoad(reg(Base), N, [&](int) { return nextSub(Ap); }));
+  });
+  va_end(Ap);
+  return settle(R);
+}
+
+void shimIndexAssign(MxPub **Base, MxPub *Rhs, int N, ...) {
+  va_list Ap;
+  va_start(Ap, N);
+  attempt([&] {
+    update(Base, [&](ValuePtr &V) {
+      exec::indexAssign(V, reg(Rhs), N, [&](int) { return nextSub(Ap); });
+    });
+  });
+  va_end(Ap);
+  settle();
+}
+
+MxPub *shimEwAlloc(int NOps, ...) {
+  va_list Ap;
+  va_start(Ap, NOps);
+  MxPub *R = attempt([&] {
+    std::vector<const Value *> Ops(static_cast<size_t>(NOps));
+    for (const Value *&Op : Ops)
+      Op = nextReg(Ap).get();
+    int Len = va_arg(Ap, int);
+    const int *Prog = va_arg(Ap, const int *);
+    exec::EwPlan Plan =
+        exec::ewSimulate(Ops.data(), NOps, Prog, static_cast<size_t>(Len));
+    return box(makeValue(Value::uninit(Plan.Rows, Plan.Cols, Plan.Class)));
+  });
+  va_end(Ap);
+  return settle(R);
+}
+
+void shimCallBuiltin(const char *Name, int Stmt, int NDsts, ...) {
+  va_list Ap;
+  va_start(Ap, NDsts);
+  attempt([&] {
+    std::vector<MxPub **> Dsts(static_cast<size_t>(NDsts));
+    for (MxPub **&D : Dsts)
+      D = va_arg(Ap, MxPub **);
+    int NArgs = va_arg(Ap, int);
+    exec::callBuiltin(
+        BuiltinTable::instance().lookup(Name), Name, *CurFrame->Ctx,
+        Stmt != 0, NArgs,
+        [&](int) -> const ValuePtr & { return nextReg(Ap); }, NDsts,
+        [&](int K, ValuePtr V) { *Dsts[K] = box(std::move(V)); });
+  });
+  va_end(Ap);
+  settle();
+}
+
+void shimCallFunction(const char *Name, int Stmt, int NDsts, ...) {
+  va_list Ap;
+  va_start(Ap, NDsts);
+  attempt([&] {
+    std::vector<MxPub **> Dsts(static_cast<size_t>(NDsts));
+    for (MxPub **&D : Dsts)
+      D = va_arg(Ap, MxPub **);
+    int NArgs = va_arg(Ap, int);
+    std::vector<MxPub *> ArgPs(static_cast<size_t>(NArgs));
+    for (MxPub *&P : ArgPs)
+      P = va_arg(Ap, MxPub *);
+    NativeFrame *Fr = CurFrame;
+    std::vector<ValuePtr> Args = exec::callArgs(
+        NArgs, [&](int K) -> const ValuePtr & { return reg(ArgPs[K]); });
+    chargeCall(*Fr->Ctx);
+    std::vector<ValuePtr> Rs = Fr->Host->callFunction(
+        Name, std::move(Args), Stmt ? 0 : static_cast<size_t>(NDsts));
+    exec::callResults(Rs, Stmt != 0, NDsts, [&](int K, ValuePtr V) {
+      *Dsts[K] = box(std::move(V));
+    });
+    // The callee may have retained references to the arguments (their
+    // use counts changed under us): recompute the write caches.
+    for (MxPub *P : ArgPs)
+      refresh(boxOf(P));
+  });
+  va_end(Ap);
+  settle();
 }
 
 /// Minimal-frame setjmp wrapper: keeping the setjmp in a function whose

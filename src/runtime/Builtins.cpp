@@ -709,6 +709,12 @@ std::vector<Value> bDet(Context &, Args A, size_t) {
 std::vector<Value> bPi(Context &, Args, size_t) {
   return one(Value::scalar(3.14159265358979323846));
 }
+std::vector<Value> bTrue(Context &, Args, size_t) {
+  return one(Value::boolScalar(true));
+}
+std::vector<Value> bFalse(Context &, Args, size_t) {
+  return one(Value::boolScalar(false));
+}
 std::vector<Value> bInf(Context &, Args, size_t) {
   return one(Value::scalar(std::numeric_limits<double>::infinity()));
 }
@@ -997,6 +1003,8 @@ BuiltinTable::BuiltinTable() {
 
   // Constants.
   Add("pi", 0, 0, 1, bPi);
+  Add("true", 0, 0, 1, bTrue);
+  Add("false", 0, 0, 1, bFalse);
   Add("Inf", 0, 0, 1, bInf);
   Add("inf", 0, 0, 1, bInf);
   Add("NaN", 0, 0, 1, bNan);

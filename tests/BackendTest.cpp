@@ -257,7 +257,11 @@ TEST(Backend, NestedLoops2D) {
 TEST(Backend, VectorGrowthInLoop) {
   checkSoundness("function s = f(n)\nx = 0;\nfor k = 1:n\nx(k) = sqrt(k);\n"
                  "end\ns = sum(x);\n",
-                 "f", {50});
+                 "f", {50}, 1, /*Native=*/true);
+  // The first store creates the variable: its register starts null.
+  checkSoundness("function s = f(n)\nM(2, 3) = n;\nv(n) = 1;\n"
+                 "s = sum(sum(M)) + numel(M) + sum(v) + numel(v);\n",
+                 "f", {9}, 1, /*Native=*/true);
 }
 
 TEST(Backend, ComplexScalarIteration) {
@@ -318,20 +322,20 @@ TEST(Backend, SmallVectorOps) {
 TEST(Backend, MatrixLiteralAndConcat) {
   checkSoundness("function s = f(a)\nM = [a a+1; a+2 a+3];\n"
                  "N = [M; M];\ns = sum(sum(N));\n",
-                 "f", {3});
+                 "f", {3}, 1, /*Native=*/true);
 }
 
 TEST(Backend, RangesAndColonIndexing) {
   checkSoundness("function s = f(n)\nv = 1:n;\nw = v(2:2:end);\n"
                  "s = sum(w) + numel(w);\n",
-                 "f", {17});
+                 "f", {17}, 1, /*Native=*/true);
 }
 
 TEST(Backend, TwoDimColonAssignment) {
   checkSoundness("function s = f(n)\nA = zeros(n, n);\n"
                  "A(:, 2) = ones(n, 1) * 7;\nA(1, :) = 1:n;\n"
                  "s = sum(A(:, 2)) + sum(A(1, :));\n",
-                 "f", {6});
+                 "f", {6}, 1, /*Native=*/true);
 }
 
 TEST(Backend, BuiltinsMix) {
@@ -353,7 +357,7 @@ TEST(Backend, MatVecProducts) {
                  "for i = 1:n\nfor j = 1:n\nA(i, j) = 1 / (i + j);\nend\nend\n"
                  "x = ones(n, 1);\ny = A * x;\nz = A * y + 2 * x;\n"
                  "s = norm(z);\n",
-                 "f", {10});
+                 "f", {10}, 1, /*Native=*/true);
 }
 
 TEST(Backend, RecursionFibonacci) {
@@ -372,7 +376,7 @@ TEST(Backend, MutualCallsWithSubfunctions) {
 TEST(Backend, MultipleOutputs) {
   checkSoundness("function [a, b, c] = f(n)\nv = [3 1 2] * n;\n"
                  "[a, b] = max(v);\nc = numel(v);\n",
-                 "f", {4}, 3);
+                 "f", {4}, 3, /*Native=*/true);
 }
 
 TEST(Backend, EarlyReturn) {
@@ -410,7 +414,7 @@ TEST(Backend, NegativeSqrtGoesComplex) {
 
 TEST(Backend, SubscriptErrorAgrees) {
   checkSoundness("function r = f(n)\nv = zeros(n, 1);\nr = v(n + 1);\n", "f",
-                 {4});
+                 {4}, 1, /*Native=*/true);
 }
 
 /// The out-of-range reads whose error text every executor must share with
@@ -445,10 +449,30 @@ TEST(Backend, UndefinedOutputErrorAgrees) {
   checkSoundness("function r = f(n)\nif n > 100\nr = 1;\nend\n", "f", {3});
 }
 
+TEST(Backend, TrueAndFalseAreBuiltins) {
+  // Every tier once resolved these as user functions and failed alike, so
+  // the interpreter's value is checked before tier agreement is.
+  const char *Src = "function s = f(n)\ns = 0;\n"
+                    "if true\ns = n + false;\nend\n"
+                    "t = false;\nif t\ns = -1;\nend\n"
+                    "s = s * 2 - false + true;\n";
+  EngineOptions Interp;
+  Interp.Policy = CompilePolicy::InterpretOnly;
+  RunOutcome Expected = runWith(Interp, Src, "f", intArgs({4}), 1);
+  ASSERT_FALSE(Expected.Threw) << Expected.ErrorMessage;
+  ASSERT_EQ(Expected.Results.size(), 1u);
+  EXPECT_EQ(Expected.Results[0].scalarValue(), 9.0);
+  checkSoundness(Src, "f", {4}, 1, /*Native=*/true);
+}
+
 TEST(Backend, GrowMatrixTwoDim) {
   checkSoundness("function s = f(n)\nA = 0;\nA(n, n) = 5;\n"
                  "s = numel(A) + A(n, n) + A(1, 1);\n",
-                 "f", {7});
+                 "f", {7}, 1, /*Native=*/true);
+  // Rows and columns grow by different amounts.
+  checkSoundness("function A = f(n)\nA = zeros(2, 3);\nA(n, n + 2) = 5;\n"
+                 "A(1, n + 4) = 2;\n",
+                 "f", {4}, 1, /*Native=*/true);
 }
 
 TEST(Backend, TransposeAndDot) {
@@ -459,7 +483,7 @@ TEST(Backend, TransposeAndDot) {
 TEST(Backend, LogicalIndexing) {
   checkSoundness("function s = f(n)\nv = 1:n;\nm = v(v > 3);\n"
                  "v(v < 3) = 0;\ns = sum(m) + sum(v);\n",
-                 "f", {10});
+                 "f", {10}, 1, /*Native=*/true);
 }
 
 TEST(Backend, CallByValueThroughCompiledCode) {

@@ -276,6 +276,35 @@ TEST_F(NativeEngineTest, TamperedNativeEntryQuarantinedAndRecompiled) {
   EXPECT_FALSE(filesWith(".corrupt").empty());
 }
 
+TEST_F(NativeEngineTest, NativeEntryAdoptedWithoutItsMjo) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  {
+    Engine Cold(nativeOpts());
+    ASSERT_TRUE(Cold.addSource("hot", kHotSource));
+    Cold.callFunction("hot", {intArg(kHotArg)}, 1, SourceLoc());
+    ASSERT_EQ(Cold.repoStoreStats().NativeSaved, 1u);
+  }
+
+  // Flip one byte of the .mjo only: it is quarantined, but the .mjn is
+  // valid on its own and must still be adopted.
+  auto Mjos = filesWith(".mjo");
+  ASSERT_EQ(Mjos.size(), 1u);
+  {
+    std::fstream F(Mjos[0], std::ios::in | std::ios::out | std::ios::binary);
+    F.seekp(static_cast<std::streamoff>(fs::file_size(Mjos[0])) / 2);
+    F.put('\xa5');
+  }
+
+  Engine Warm(nativeOpts());
+  EXPECT_EQ(Warm.repoStoreStats().NativeLoaded, 1u);
+  ASSERT_TRUE(Warm.addSource("hot", kHotSource));
+  auto R = Warm.callFunction("hot", {intArg(kHotArg)}, 1, SourceLoc());
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), kHotExpect);
+  EXPECT_EQ(Warm.nativeCompiles(), 0u);
+  EXPECT_EQ(Warm.nativeHits(), 1u);
+}
+
 TEST_F(NativeEngineTest, MissingCompilerFallsBackToVm) {
   // No skip here: this must pass on compiler-less hosts too.
   EngineOptions O = nativeOpts();
