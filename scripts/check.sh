@@ -2,7 +2,7 @@
 # Tier-1 gate plus the sanitizer sweeps:
 #   1. Release build + full ctest suite
 #   2. AddressSanitizer + UBSan build (the asan preset) + full ctest suite
-#   3. ThreadSanitizer build + the concurrency-sensitive tests
+#   3. ThreadSanitizer build (the tsan preset) + the concurrency-sensitive tests
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast skips the sanitizer builds (tier-1 only).
@@ -32,9 +32,8 @@ cmake --build --preset asan -j >/dev/null
 ( ulimit -s 65536 && ctest --test-dir build-asan --output-on-failure )
 
 echo "== tsan: thread-sanitized build + concurrency tests =="
-cmake -B build-tsan -S . -DMAJIC_SANITIZE=thread \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-tsan -j >/dev/null
+cmake --preset tsan >/dev/null
+cmake --build --preset tsan -j >/dev/null
 # The suites labelled `tsan` in tests/CMakeLists.txt (which says why
 # hibernate_crash_test and native_test are not among them).
 ctest --test-dir build-tsan --output-on-failure -L tsan

@@ -17,6 +17,7 @@
 
 #include "backend/CEmitter.h"
 
+#include "ir/Operands.h"
 #include "runtime/Builtins.h"
 #include "support/StringUtils.h"
 
@@ -342,9 +343,7 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
   bool HasBackEdge = false;
   for (size_t Pos = 0; Pos != F.Code.size(); ++Pos) {
     const Instr &In = F.Code[Pos];
-    if ((In.Op == Opcode::Br || In.Op == Opcode::Brz ||
-         In.Op == Opcode::Brnz) &&
-        In.A <= static_cast<int32_t>(Pos))
+    if (isBranch(In.Op) && In.A <= static_cast<int32_t>(Pos))
       HasBackEdge = true;
   }
   if (HasBackEdge)
@@ -358,7 +357,7 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
   // Branch targets need labels.
   std::set<int32_t> Labels;
   for (const Instr &In : F.Code)
-    if (In.Op == Opcode::Br || In.Op == Opcode::Brz || In.Op == Opcode::Brnz)
+    if (isBranch(In.Op))
       Labels.insert(In.A);
 
   auto PoolArgs = [&](int32_t Off, int32_t N) {

@@ -20,10 +20,6 @@ using namespace majic;
 
 namespace {
 
-bool isBranch(Opcode Op) {
-  return Op == Opcode::Br || Op == Opcode::Brz || Op == Opcode::Brnz;
-}
-
 /// Positions that begin a basic block: entry, branch targets, fallthroughs
 /// after branches.
 std::vector<bool> blockStarts(const IRFunction &F) {
@@ -144,8 +140,8 @@ void ValueNumbering::visit(Instr &In) {
   int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
   for (unsigned K = 0; K != 4; ++K) {
     OperandKind OK = Ops.Fields[K];
-    if ((OK == OperandKind::UseF || OK == OperandKind::UseI) && *Fields[K] >= 0)
-      canon(*Fields[K], OK == OperandKind::UseF);
+    if (isUse(OK) && regClass(OK) != RegClass::P && *Fields[K] >= 0)
+      canon(*Fields[K], regClass(OK) == RegClass::F);
   }
 
   // Constant folding.
@@ -260,46 +256,19 @@ void ValueNumbering::visit(Instr &In) {
   }
 
   // CSE over pure F/I-producing expressions with F/I operands only.
-  bool CSECandidate = false;
-  switch (In.Op) {
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-  case Opcode::FDiv:
-  case Opcode::FNeg:
-  case Opcode::FPow:
-  case Opcode::FIntr1:
-  case Opcode::FIntr2:
-  case Opcode::FCmp:
-  case Opcode::IToF:
-  case Opcode::FToI:
-  case Opcode::IAdd:
-  case Opcode::ISub:
-  case Opcode::IMul:
-  case Opcode::INeg:
-  case Opcode::ICmp:
-  case Opcode::IAnd:
-  case Opcode::IOr:
-  case Opcode::INot:
-    CSECandidate = true;
-    break;
-  default:
-    break;
-  }
-
-  if (CSECandidate) {
+  if (isCSECandidate(In.Op)) {
     std::vector<int64_t> Key;
     Key.push_back(static_cast<int64_t>(In.Op));
     Key.push_back(In.Imm.I);
     for (unsigned K = 1; K != 4; ++K) {
       OperandKind OK = Ops.Fields[K];
-      if (OK == OperandKind::UseF || OK == OperandKind::UseI) {
-        bool UseIsF = OK == OperandKind::UseF;
+      if (isUse(OK)) {
+        bool UseIsF = regClass(OK) == RegClass::F;
         Key.push_back(VNState::key(UseIsF, *Fields[K]));
         Key.push_back(S.version(UseIsF, *Fields[K]));
       }
     }
-    bool DefIsF = Ops.Fields[0] == OperandKind::DefF;
+    bool DefIsF = regClass(Ops.Fields[0]) == RegClass::F;
     auto It = S.Exprs.find(Key);
     if (It != S.Exprs.end() &&
         S.version(DefIsF, It->second.Reg) == It->second.Version) {
@@ -321,9 +290,8 @@ void ValueNumbering::visit(Instr &In) {
   // Generic definition handling for anything else.
   for (unsigned K = 0; K != 4; ++K) {
     OperandKind OK = Ops.Fields[K];
-    if ((OK == OperandKind::DefF || OK == OperandKind::DefI) &&
-        *Fields[K] >= 0)
-      S.define(OK == OperandKind::DefF, *Fields[K]);
+    if (isDef(OK) && regClass(OK) != RegClass::P && *Fields[K] >= 0)
+      S.define(regClass(OK) == RegClass::F, *Fields[K]);
   }
 }
 
@@ -395,13 +363,11 @@ bool hoistOneLoop(IRFunction &F, const LoopMeta &L, OptimizeStats &Stats) {
       const int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
       for (unsigned K = 0; K != 4; ++K) {
         OperandKind OK = Ops.Fields[K];
-        if (OK == OperandKind::DefF) {
-          NoteDef(FDef, *Fields[K]);
-          ++DefCount[(1ll << 32) | *Fields[K]];
-        } else if (OK == OperandKind::DefI) {
-          NoteDef(IDef, *Fields[K]);
-          ++DefCount[*Fields[K]];
-        }
+        if (!isDef(OK) || regClass(OK) == RegClass::P)
+          continue;
+        bool IsF = regClass(OK) == RegClass::F;
+        NoteDef(IsF ? FDef : IDef, *Fields[K]);
+        ++DefCount[IsF ? ((1ll << 32) | *Fields[K]) : *Fields[K]];
       }
     }
 
@@ -414,20 +380,18 @@ bool hoistOneLoop(IRFunction &F, const LoopMeta &L, OptimizeStats &Stats) {
       bool Invariant = true;
       for (unsigned K = 1; K != 4 && Invariant; ++K) {
         OperandKind OK = Ops.Fields[K];
-        if (OK == OperandKind::UseF)
-          Invariant = !IsDef(FDef, *Fields[K]);
-        else if (OK == OperandKind::UseI)
-          Invariant = !IsDef(IDef, *Fields[K]);
-        else if (OK != OperandKind::None)
-          Invariant = false; // P operand: not handled
+        if (OK != OperandKind::None) // P operands and defs: not handled
+          Invariant = isUse(OK) && regClass(OK) != RegClass::P &&
+                      !IsDef(regClass(OK) == RegClass::F ? FDef : IDef,
+                             *Fields[K]);
       }
       if (!Invariant)
         continue;
       // The destination must be defined exactly once in the loop (here).
       OperandKind DefOK = Ops.Fields[0];
-      bool DefIsF = DefOK == OperandKind::DefF;
-      if (DefOK != OperandKind::DefF && DefOK != OperandKind::DefI)
+      if (!isDef(DefOK) || regClass(DefOK) == RegClass::P)
         continue;
+      bool DefIsF = regClass(DefOK) == RegClass::F;
       int64_t Key = DefIsF ? ((1ll << 32) | In.A) : In.A;
       if (DefCount[Key] != 1)
         continue;
@@ -458,8 +422,10 @@ void runLICM(IRFunction &F, OptimizeStats &Stats) {
 // Unrolling
 //===----------------------------------------------------------------------===//
 
-void runUnroll(IRFunction &F, unsigned Factor, unsigned MaxBody,
-               OptimizeStats &Stats) {
+/// Loops with longer bodies are not unrolled.
+constexpr uint32_t kMaxUnrollBody = 48;
+
+void runUnroll(IRFunction &F, unsigned Factor, OptimizeStats &Stats) {
   if (F.Loops.empty() || Factor < 2)
     return;
 
@@ -473,7 +439,7 @@ void runUnroll(IRFunction &F, unsigned Factor, unsigned MaxBody,
   for (size_t LoopIdx = 0; LoopIdx != F.Loops.size(); ++LoopIdx) {
     const LoopMeta L = F.Loops[LoopIdx];
     uint32_t BodySize = L.LatchIndex - L.BodyBegin;
-    if (BodySize == 0 || BodySize > MaxBody)
+    if (BodySize == 0 || BodySize > kMaxUnrollBody)
       continue;
     // Straight-line body: no branches inside, no external jumps into it.
     bool Straight = true;
@@ -585,47 +551,6 @@ void runUnroll(IRFunction &F, unsigned Factor, unsigned MaxBody,
 // Cross-statement EwFuse merging
 //===----------------------------------------------------------------------===//
 
-/// True for instructions that may sit between a merged producer and
-/// consumer: they cannot throw a user-visible MatlabError, print, or touch
-/// the heap, so deferring the producer's execution past them is invisible.
-/// (Guarded FIntr1/2 can throw DeoptError, but a deopt replays the whole
-/// call in the interpreter, which reproduces the original order exactly.)
-bool isEwMergeGapSafe(Opcode Op) {
-  switch (Op) {
-  case Opcode::Nop:
-  case Opcode::FConst:
-  case Opcode::IConst:
-  case Opcode::MovF:
-  case Opcode::MovI:
-  case Opcode::MovP:
-  case Opcode::IToF:
-  case Opcode::FToI:
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-  case Opcode::FDiv:
-  case Opcode::FPow:
-  case Opcode::FNeg:
-  case Opcode::FIntr1:
-  case Opcode::FIntr2:
-  case Opcode::FCmp:
-  case Opcode::IAdd:
-  case Opcode::ISub:
-  case Opcode::IMul:
-  case Opcode::INeg:
-  case Opcode::ICmp:
-  case Opcode::IAnd:
-  case Opcode::IOr:
-  case Opcode::INot:
-  case Opcode::BoxF:
-  case Opcode::BoxI:
-  case Opcode::BoxB:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Maximum stack depth a fused program reaches, or -1 when malformed.
 int ewProgramDepth(const IRFunction &F, int32_t Off, int64_t Len) {
   int Sp = 0, Max = 0;
@@ -671,17 +596,15 @@ bool mergeEwFuseOnce(IRFunction &F, OptimizeStats &Stats, FusionStats *FS) {
     const int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
     for (unsigned K = 0; K != 4; ++K) {
       OperandKind OK = Ops.Fields[K];
-      if (OK == OperandKind::UseP || OK == OperandKind::UseDefP)
+      if (isUse(OK) && regClass(OK) == RegClass::P)
         ++PUses[*Fields[K]];
     }
-    if (Ops.PoolUses || Ops.PoolCall) {
-      PoolRanges PR = poolRanges(In);
-      for (int32_t K = 0; K != PR.UseCount; ++K)
-        if (F.Pool[PR.UseOff + K] >= 0)
-          ++PUses[F.Pool[PR.UseOff + K]];
-      for (int32_t K = 0; K != PR.DefCount; ++K)
-        ++PUses[F.Pool[PR.DefOff + K]];
-    }
+    PoolRanges PR = poolRanges(In);
+    for (int32_t K = 0; K != PR.UseCount; ++K)
+      if (F.Pool[PR.UseOff + K] >= 0)
+        ++PUses[F.Pool[PR.UseOff + K]];
+    for (int32_t K = 0; K != PR.DefCount; ++K)
+      ++PUses[F.Pool[PR.DefOff + K]];
   }
 
   bool Merged = false;
@@ -735,7 +658,7 @@ bool mergeEwFuseOnce(IRFunction &F, OptimizeStats &Stats, FusionStats *FS) {
       bool Clobbers = false;
       for (unsigned K = 0; K != 4 && !Clobbers; ++K) {
         OperandKind OK = Ops.Fields[K];
-        if (OK == OperandKind::DefP || OK == OperandKind::UseDefP)
+        if (isDef(OK) && regClass(OK) == RegClass::P)
           Clobbers = *Fields[K] == CurReg ||
                      std::find(Guarded.begin(), Guarded.end(), *Fields[K]) !=
                          Guarded.end();
@@ -867,50 +790,35 @@ void runDCE(IRFunction &F, OptimizeStats &Stats) {
     Changed = false;
     // Usage counts per class over the whole function.
     std::unordered_map<int64_t, unsigned> Uses;
-    auto Key = [](OperandKind OK, int32_t R) -> int64_t {
-      int64_t Cls = OK == OperandKind::UseF || OK == OperandKind::DefF ? 1
-                    : OK == OperandKind::UseI || OK == OperandKind::DefI
-                        ? 2
-                        : 3;
-      return (Cls << 32) | static_cast<uint32_t>(R);
+    auto Key = [](RegClass C, int32_t R) -> int64_t {
+      return (static_cast<int64_t>(C) << 32) | static_cast<uint32_t>(R);
     };
     for (const Instr &In : F.Code) {
       const InstrOperands Ops = instrOperands(In);
       const int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
-      for (unsigned K = 0; K != 4; ++K) {
-        OperandKind OK = Ops.Fields[K];
-        if (OK == OperandKind::UseF || OK == OperandKind::UseI ||
-            OK == OperandKind::UseP || OK == OperandKind::UseDefP)
-          ++Uses[Key(OK == OperandKind::UseDefP ? OperandKind::UseP : OK,
-                     *Fields[K])];
-      }
-      if (Ops.PoolUses || Ops.PoolCall) {
-        PoolRanges PR = poolRanges(In);
-        for (int32_t K = 0; K != PR.UseCount; ++K)
-          if (F.Pool[PR.UseOff + K] >= 0)
-            ++Uses[Key(OperandKind::UseP, F.Pool[PR.UseOff + K])];
-        // Call destinations count as uses too (they must stay defined).
-        for (int32_t K = 0; K != PR.DefCount; ++K)
-          ++Uses[Key(OperandKind::UseP, F.Pool[PR.DefOff + K])];
-      }
+      for (unsigned K = 0; K != 4; ++K)
+        if (isUse(Ops.Fields[K]))
+          ++Uses[Key(regClass(Ops.Fields[K]), *Fields[K])];
+      PoolRanges PR = poolRanges(In);
+      for (int32_t K = 0; K != PR.UseCount; ++K)
+        if (F.Pool[PR.UseOff + K] >= 0)
+          ++Uses[Key(RegClass::P, F.Pool[PR.UseOff + K])];
+      // Call destinations count as uses too (they must stay defined).
+      for (int32_t K = 0; K != PR.DefCount; ++K)
+        ++Uses[Key(RegClass::P, F.Pool[PR.DefOff + K])];
     }
     for (Instr &In : F.Code) {
-      if (!isPureInstr(In.Op) || In.Op == Opcode::Nop)
+      if (!isPureInstr(In.Op))
         continue;
       const InstrOperands Ops = instrOperands(In);
       const int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
       bool AnyDef = false, AllDead = true;
       for (unsigned K = 0; K != 4; ++K) {
-        OperandKind OK = Ops.Fields[K];
-        if (OK == OperandKind::DefF || OK == OperandKind::DefI ||
-            OK == OperandKind::DefP) {
-          AnyDef = true;
-          OperandKind UseK = OK == OperandKind::DefF   ? OperandKind::UseF
-                             : OK == OperandKind::DefI ? OperandKind::UseI
-                                                       : OperandKind::UseP;
-          if (Uses[Key(UseK, *Fields[K])] != 0)
-            AllDead = false;
-        }
+        if (!isDef(Ops.Fields[K]))
+          continue;
+        AnyDef = true;
+        if (Uses[Key(regClass(Ops.Fields[K]), *Fields[K])] != 0)
+          AllDead = false;
       }
       if (AnyDef && AllDead) {
         In = Instr::make(Opcode::Nop);
@@ -928,16 +836,11 @@ OptimizeStats majic::optimize(IRFunction &F, const OptimizeOptions &Opts) {
   assert(!F.Allocated && "optimize before register allocation");
   OptimizeStats Stats;
   for (unsigned Round = 0; Round != std::max(1u, Opts.Rounds); ++Round) {
-    if (Opts.EnableValueNumbering)
-      ValueNumbering(F, Stats).run();
-    if (Opts.EnableEwFuseMerge)
-      runEwFuseMerge(F, Stats, Opts.Fusion);
-    if (Opts.EnableLICM)
-      runLICM(F, Stats);
-    if (Opts.EnableUnroll)
-      runUnroll(F, Opts.UnrollFactor, Opts.MaxUnrollBodySize, Stats);
-    if (Opts.EnableDCE)
-      runDCE(F, Stats);
+    ValueNumbering(F, Stats).run();
+    runEwFuseMerge(F, Stats, Opts.Fusion);
+    runLICM(F, Stats);
+    runUnroll(F, Opts.UnrollFactor, Stats);
+    runDCE(F, Stats);
   }
   return Stats;
 }

@@ -14,9 +14,15 @@
 ///
 /// Passes, in order, over unallocated IR:
 ///   1. Local value numbering: constant folding, copy propagation, CSE.
-///   2. Loop-invariant code motion over the code generator's loop metadata.
-///   3. Unrolling (factor 2 or 4) of small straight-line counted loops.
-///   4. Dead code elimination and Nop compaction.
+///   2. Cross-statement EwFuse merging: a fused group whose result feeds
+///      exactly one later fused group in the same block is inlined into
+///      it, eliding the intermediate temporary entirely.
+///   3. Loop-invariant code motion over the code generator's loop metadata.
+///   4. Unrolling (factor 2 or 4) of small straight-line counted loops.
+///   5. Dead code elimination and Nop compaction.
+///
+/// Which opcodes each pass may delete, move or merge comes from their
+/// effect class in ir/Opcodes.def.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,16 +36,8 @@ namespace majic {
 struct FusionStats;
 
 struct OptimizeOptions {
-  bool EnableValueNumbering = true;
-  bool EnableLICM = true;
-  bool EnableUnroll = true;
+  /// Unrolling factor of small counted loops; below 2 skips unrolling.
   unsigned UnrollFactor = 2;
-  unsigned MaxUnrollBodySize = 48;
-  bool EnableDCE = true;
-  /// Cross-statement EwFuse merging: a fused group whose result feeds
-  /// exactly one later fused group in the same block is inlined into it,
-  /// eliding the intermediate temporary entirely.
-  bool EnableEwFuseMerge = true;
   /// Pipeline repetitions (the platform's native-compiler quality).
   unsigned Rounds = 1;
   /// When non-null, EwFuse merges adjust these compile-wide fusion

@@ -15,39 +15,24 @@ using namespace majic;
 
 namespace {
 
-/// Maps shared operand metadata to the allocator's view (F/I only).
-enum class FieldKind : uint8_t { None, DefF, UseF, DefI, UseI };
-
-struct OpFields {
-  FieldKind F[4] = {FieldKind::None, FieldKind::None, FieldKind::None,
-                    FieldKind::None};
-};
-
-OpFields fieldsOf(const Instr &In) {
-  const InstrOperands Ops = instrOperands(In);
-  OpFields R;
-  for (unsigned K = 0; K != 4; ++K) {
-    switch (Ops.Fields[K]) {
-    case OperandKind::DefF:
-      R.F[K] = FieldKind::DefF;
-      break;
-    case OperandKind::UseF:
-      R.F[K] = FieldKind::UseF;
-      break;
-    case OperandKind::DefI:
-      R.F[K] = FieldKind::DefI;
-      break;
-    case OperandKind::UseI:
-      R.F[K] = FieldKind::UseI;
-      break;
-    default:
-      break;
-    }
-  }
-  return R;
-}
-
 constexpr unsigned NumScratch = 3;
+
+/// Spilled operands go through the scratch register of their field
+/// position: fields A..D map to scratches 0,1,2,0. That is safe while no
+/// opcode has F or I registers of one class in both A and D. (CallSelf,
+/// whose immediate selects its argument fields' classes, reads all its
+/// arguments before it writes A.)
+constexpr bool fieldsAAndDShareNoScratch() {
+  for (const OpcodeInfo &Info : kOpcodeInfo) {
+    OperandKind A = Info.Fields[0], D = Info.Fields[3];
+    if (A != OperandKind::None && D != OperandKind::None &&
+        regClass(A) != RegClass::P && regClass(A) == regClass(D))
+      return false;
+  }
+  return true;
+}
+static_assert(fieldsAAndDShareNoScratch(),
+              "fields A and D need a fourth scratch register");
 
 struct Interval {
   int32_t VReg;
@@ -58,7 +43,7 @@ struct Interval {
 };
 
 /// Builds conservative live intervals for one register class.
-std::vector<Interval> buildIntervals(const IRFunction &F, bool WantF) {
+std::vector<Interval> buildIntervals(const IRFunction &F, RegClass Want) {
   std::vector<int32_t> First, Last;
   auto Note = [&](int32_t R, int32_t Pos) {
     if (R < 0)
@@ -74,15 +59,12 @@ std::vector<Interval> buildIntervals(const IRFunction &F, bool WantF) {
 
   for (size_t Pos = 0; Pos != F.Code.size(); ++Pos) {
     const Instr &In = F.Code[Pos];
-    OpFields OF = fieldsOf(In);
-    const int32_t *Ops[4] = {&In.A, &In.B, &In.C, &In.D};
-    for (unsigned K = 0; K != 4; ++K) {
-      FieldKind FK = OF.F[K];
-      bool IsF = FK == FieldKind::DefF || FK == FieldKind::UseF;
-      bool IsI = FK == FieldKind::DefI || FK == FieldKind::UseI;
-      if ((WantF && IsF) || (!WantF && IsI))
-        Note(*Ops[K], static_cast<int32_t>(Pos));
-    }
+    const InstrOperands Ops = instrOperands(In);
+    const int32_t Fields[4] = {In.A, In.B, In.C, In.D};
+    for (unsigned K = 0; K != 4; ++K)
+      if (Ops.Fields[K] != OperandKind::None &&
+          regClass(Ops.Fields[K]) == Want)
+        Note(Fields[K], static_cast<int32_t>(Pos));
   }
 
   // Extend intervals across backward branches: any interval overlapping a
@@ -92,7 +74,7 @@ std::vector<Interval> buildIntervals(const IRFunction &F, bool WantF) {
     Changed = false;
     for (size_t Pos = 0; Pos != F.Code.size(); ++Pos) {
       const Instr &In = F.Code[Pos];
-      if (In.Op != Opcode::Br && In.Op != Opcode::Brz && In.Op != Opcode::Brnz)
+      if (!isBranch(In.Op))
         continue;
       int32_t Target = In.A;
       auto BranchPos = static_cast<int32_t>(Pos);
@@ -206,8 +188,8 @@ RegAllocStats majic::allocateRegisters(IRFunction &F,
   assert(!F.Allocated && "function already allocated");
   RegAllocStats Stats;
 
-  std::vector<Interval> FInts = buildIntervals(F, /*WantF=*/true);
-  std::vector<Interval> IInts = buildIntervals(F, /*WantF=*/false);
+  std::vector<Interval> FInts = buildIntervals(F, RegClass::F);
+  std::vector<Interval> IInts = buildIntervals(F, RegClass::I);
   unsigned FSlots = 0, ISlots = 0;
   linearScan(FInts, Platform.NumFRegs, Opts.SpillEverything, FSlots);
   linearScan(IInts, Platform.NumIRegs, Opts.SpillEverything, ISlots);
@@ -229,8 +211,8 @@ RegAllocStats majic::allocateRegisters(IRFunction &F,
   for (size_t Pos = 0; Pos != F.Code.size(); ++Pos) {
     NewPos[Pos] = static_cast<int32_t>(NewCode.size());
     Instr In = F.Code[Pos];
-    OpFields OF = fieldsOf(In);
-    int32_t *Ops[4] = {&In.A, &In.B, &In.C, &In.D};
+    const InstrOperands Ops = instrOperands(In);
+    int32_t *Fields[4] = {&In.A, &In.B, &In.C, &In.D};
 
     struct PendingStore {
       Opcode Op;
@@ -240,27 +222,23 @@ RegAllocStats majic::allocateRegisters(IRFunction &F,
     std::vector<PendingStore> Stores;
 
     for (unsigned K = 0; K != 4; ++K) {
-      FieldKind FK = OF.F[K];
-      if (FK == FieldKind::None || *Ops[K] < 0)
+      OperandKind OK = Ops.Fields[K];
+      if (OK == OperandKind::None || regClass(OK) == RegClass::P ||
+          *Fields[K] < 0)
         continue;
-      bool IsF = FK == FieldKind::DefF || FK == FieldKind::UseF;
-      bool IsDef = FK == FieldKind::DefF || FK == FieldKind::DefI;
+      bool IsF = regClass(OK) == RegClass::F;
       Assignment &Asn = IsF ? FA : IA;
-      int32_t V = *Ops[K];
+      int32_t V = *Fields[K];
       if (Asn.Phys[V] >= 0) {
-        *Ops[K] = Asn.Phys[V];
+        *Fields[K] = Asn.Phys[V];
         continue;
       }
       // Spilled: operate through the scratch register reserved for this
-      // field position. Fields A..D map to scratches 0,1,2,0 — safe for
-      // every current opcode because none has a same-class def in field A
-      // together with a use in field D (see instrOperands), except
-      // CallSelf, which reads all its arguments before it writes A; any
-      // other would need a fourth scratch or per-instruction assignment.
+      // field position (see fieldsAAndDShareNoScratch).
       int32_t Scratch = static_cast<int32_t>(K % NumScratch);
       int32_t SlotId = Asn.Slot[V];
       assert(SlotId >= 0 && "register neither assigned nor spilled");
-      if (!IsDef) {
+      if (!isDef(OK)) {
         Instr Ld = Instr::make(IsF ? Opcode::FSpLd : Opcode::ISpLd, Scratch);
         Ld.Imm.I = SlotId;
         NewCode.push_back(Ld);
@@ -269,7 +247,7 @@ RegAllocStats majic::allocateRegisters(IRFunction &F,
         Stores.push_back({IsF ? Opcode::FSpSt : Opcode::ISpSt, Scratch,
                           SlotId});
       }
-      *Ops[K] = Scratch;
+      *Fields[K] = Scratch;
     }
 
     NewCode.push_back(In);
@@ -285,7 +263,7 @@ RegAllocStats majic::allocateRegisters(IRFunction &F,
   // Patch branch targets to the new layout (targets include the reloads of
   // the instruction they point at).
   for (Instr &In : NewCode) {
-    if (In.Op == Opcode::Br || In.Op == Opcode::Brz || In.Op == Opcode::Brnz)
+    if (isBranch(In.Op))
       In.A = NewPos[In.A];
   }
 

@@ -13,6 +13,10 @@
 ///   I - unboxed 64-bit integer registers (indices, counters, booleans)
 ///   P - boxed Value handles (matrices, strings, anything dynamic)
 ///
+/// Every static fact about an opcode - what it computes, its printed name,
+/// operand kinds, pool layout, immediate kind and effect class - is one
+/// row of ir/Opcodes.def; ir/Operands.h exposes the table.
+///
 /// Before execution, the linear-scan register allocator maps virtual
 /// registers onto the platform's fixed physical register files and inserts
 /// spill traffic (Section 2.6: "register allocation is done using the
@@ -32,128 +36,18 @@
 
 namespace majic {
 
+/// The IR's opcodes, numbered in the order of the rows of ir/Opcodes.def.
 enum class Opcode : uint8_t {
-  Nop,
-
-  // Constants and moves.
-  FConst, // F[A] = Imm.F
-  IConst, // I[A] = Imm.I
-  SConst, // P[A] = string pool [Imm.I]
-  MovF,   // F[A] = F[B]
-  MovI,   // I[A] = I[B]
-  MovP,   // P[A] = P[B]
-  IToF,   // F[A] = double(I[B])
-  FToI,   // I[A] = trunc(F[B])
-  FToIdx, // I[A] = checked 1-based subscript F[B] minus 1 (throws if invalid)
-
-  // Double arithmetic.
-  FAdd, // F[A] = F[B] + F[C]
-  FSub,
-  FMul,
-  FDiv,
-  FNeg,  // F[A] = -F[B]
-  FPow,  // F[A] = pow(F[B], F[C])
-  FCmp,  // I[A] = F[B] <cc Imm.I> F[C]
-  FIntr1, // F[A] = intr(Imm.I)(F[B])
-  FIntr2, // F[A] = intr(Imm.I)(F[B], F[C])
-
-  // Integer arithmetic / logic.
-  IAdd, // I[A] = I[B] + I[C]
-  ISub,
-  IMul,
-  INeg,
-  ICmp, // I[A] = I[B] <cc Imm.I> I[C]
-  IAnd, // I[A] = (I[B] != 0) & (I[C] != 0)
-  IOr,
-  INot, // I[A] = I[B] == 0
-
-  // Control flow. Branch targets (A) are instruction indices, patched by
-  // the builder when labels are bound.
-  Br,   // goto A
-  Brz,  // if (I[B] == 0) goto A
-  Brnz, // if (I[B] != 0) goto A
-  Ret,
-
-  // Boxing and unboxing.
-  BoxF,      // P[A] = scalar(F[B])
-  BoxI,      // P[A] = int scalar(I[B])
-  BoxB,      // P[A] = logical scalar(I[B] != 0)
-  BoxC,      // P[A] = complex scalar(F[B], F[C])
-  UnboxF,    // F[A] = P[B].scalarValue()  (throws unless numeric scalar)
-  UnboxI,    // I[A] = integral scalar of P[B] (throws otherwise)
-  UnboxReIm, // F[A] = re(P[C]), F[B] = im(P[C]) (scalar)
-  CheckDef,  // throw "undefined variable <names[Imm.I]>" if P[A] is null
-
-  // Unboxed array element access. Indices are 0-based and linear (LoadEl /
-  // StoreEl) or (row, col) pairs (LoadEl2 / StoreEl2). The *Chk variants
-  /// carry the MATLAB subscript check; stores additionally take the
-  // resize-on-write slow path when out of bounds.
-  NewMat,      // P[A] = zeros(I[B], I[C]) with class Imm.I
-  FillF,       // fill P[A] elements with Imm.F
-  LoadEl,      // F[A] = P[B].re[I[C]]
-  LoadElChk,   // same plus bounds check
-  LoadEl2,     // F[A] = P[B].at(I[C], I[D])
-  LoadEl2Chk,  // same plus bounds check
-  StoreEl,     // P[A].re[I[B]] = F[C]   (CoW-unique first)
-  StoreElChk,  // same, with bounds + grow path; Imm.I = stored class
-  StoreEl2,    // P[A].at(I[B], I[C]) = F[D]
-  StoreEl2Chk, // same, with bounds + grow path
-  LenRows,     // I[A] = rows(P[B])
-  LenCols,
-  LenNumel,
-  ColSlice, // P[A] = P[B](:, I[C])  (0-based column)
-
-  // Boxed (generic) operations: the "implicit default rule" fallback.
-  MakeRange,  // P[A] = colon(F[B], F[C], F[D])
-  MakeRangeG, // P[A] = colon(P[B], P[C], P[D]) (boxed operands, first-element rule)
-  RtBin,     // P[A] = binary(Imm.I as BinOp, P[B], P[C])
-  RtUn,      // P[A] = unary(Imm.I as UnOp, P[B])
-  IsTrue,    // I[A] = isTrue(P[B])
-  HorzCat,   // P[A] = horzcat(pool[B..B+C))
-  VertCat,   // P[A] = vertcat(pool[B..B+C))
-  LoadIdxG,  // P[A] = P[B](indices); indices in pool[C..C+D), -1 = ':'
-  StoreIdxG, // P[A](indices) = P[B]; indices in pool[C..C+D), -1 = ':'
-  CallB,     // builtin names[Imm.I]: dsts pool[A..A+B), args pool[C..C+D)
-  CallU,     // user function names[Imm.I]: same layout as CallB
-  Display,   // print "names[Imm.I] = <P[A]>"
-
-  // Fused library kernels (Section 2.6.1's dgemv code selection).
-  Gemv, // P[A] = P[B] * P[C]  (real matrix x real vector via BLAS dgemv)
-  Axpy, // P[A] = F[B] * P[C] + P[D]  (real vectors, fused)
-
-  // Fused elementwise expression tree: one loop, one memory pass, zero
-  // intermediate Values. P[A] = program applied elementwise over the
-  // operands pool[B..B+C); the postfix program lives in pool[D..D+Imm.I)
-  // (see namespace ew below). Operand shapes/classes are resolved at run
-  // time exactly as the interpreter would resolve the unfused chain, so
-  // results (values, classes, and error messages) stay bit-identical.
-  EwFuse,
-
-  // Calling convention: arguments and outputs live outside the register
-  // files so allocation cannot disturb them.
-  LoadParam, // P[A] = args[Imm.I]
-  StoreOut,  // outs[Imm.I] = P[A]
-
-  // Spill traffic inserted by the register allocator.
-  FSpLd, // F[A] = fspill[Imm.I]
-  FSpSt, // fspill[Imm.I] = F[A]
-  ISpLd,
-  ISpSt,
-  PSpLd,
-  PSpSt,
-
-  // The typed calling convention of a function that calls itself directly
-  // (appended, so the numbers of the opcodes above stay put). Each means
-  // exactly what the boxed pair beside it means; native code passes these
-  // parameters and the result unboxed.
-  ArgF,     // F[A] = real scalar of args[Imm.I]      (LoadParam + UnboxF)
-  ArgI,     // I[A] = integer scalar of args[Imm.I]   (LoadParam + UnboxI)
-  OutI,     // outs[Imm.I] = int scalar(I[A])         (BoxI + StoreOut)
-  CallSelf, // I[A] = this function (B, C, D): F/I registers, see selfcall
+#define OPCODE(Op, ...) Op,
+#include "ir/Opcodes.def"
 };
 
 /// The highest opcode (serialization bound).
-constexpr Opcode kLastOpcode = Opcode::CallSelf;
+constexpr Opcode kLastOpcode = static_cast<Opcode>(
+    0
+#define OPCODE(...) +1
+#include "ir/Opcodes.def"
+    - 1);
 
 const char *opcodeName(Opcode Op);
 

@@ -6,6 +6,7 @@
 
 #include "ir/Serialize.h"
 
+#include "ir/Operands.h"
 #include "runtime/Builtins.h"
 
 #include <algorithm>
@@ -190,6 +191,62 @@ IRFunction majic::ser::readIRFunction(ByteReader &R) {
 // Structural validation
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+void checkIntrinsic(int64_t I, unsigned Arity) {
+  if (I < 0 || I > static_cast<int64_t>(ScalarIntrinsic::Hypot) ||
+      scalarIntrinsicArity(static_cast<ScalarIntrinsic>(I)) != Arity)
+    throw SerializeError("invalid scalar intrinsic");
+}
+
+/// The postfix program of an EwFuse must be well formed before the VM may
+/// run it: simulate it against the fixed-depth evaluation stack.
+void checkEwProgram(const IRFunction &F, const Instr &In) {
+  int64_t ProgLen = In.Imm.I;
+  if (ProgLen < 2)
+    throw SerializeError("fused program too short");
+  if (In.D < 0 ||
+      static_cast<uint64_t>(In.D) + static_cast<uint64_t>(ProgLen) >
+          F.Pool.size())
+    throw SerializeError("fused program out of bounds");
+  int32_t Sp = 0;
+  for (int64_t K = 0; K != ProgLen; ++K) {
+    int32_t Entry = F.Pool[In.D + K];
+    int32_t Arg = ew::argOf(Entry);
+    switch (ew::opOf(Entry)) {
+    case ew::EwOp::Push:
+      if (Arg < 0 || Arg >= In.C)
+        throw SerializeError("fused operand index out of range");
+      if (++Sp > ew::kMaxEwStack)
+        throw SerializeError("fused program overflows stack");
+      break;
+    case ew::EwOp::Bin:
+      if (Arg < 0 || Arg > static_cast<int32_t>(rt::BinOp::ElemPow) ||
+          !ew::isFusableBinOp(static_cast<rt::BinOp>(Arg)))
+        throw SerializeError("invalid fused binary op");
+      if (Sp < 2)
+        throw SerializeError("fused program underflows stack");
+      --Sp;
+      break;
+    case ew::EwOp::Neg:
+      if (Sp < 1)
+        throw SerializeError("fused program underflows stack");
+      break;
+    case ew::EwOp::Intr:
+      checkIntrinsic(Arg, /*Arity=*/1);
+      if (Sp < 1)
+        throw SerializeError("fused program underflows stack");
+      break;
+    default:
+      throw SerializeError("invalid fused program entry");
+    }
+  }
+  if (Sp != 1)
+    throw SerializeError("fused program leaves stack unbalanced");
+}
+
+} // namespace
+
 void majic::ser::validateIRFunction(const IRFunction &F) {
   const uint32_t NumInstr = static_cast<uint32_t>(F.Code.size());
   // The VM dispatches in an unbounded `Code[PC]` loop that only stops on
@@ -198,21 +255,18 @@ void majic::ser::validateIRFunction(const IRFunction &F) {
   if (NumInstr == 0)
     throw SerializeError("empty code array");
 
-  auto RegF = [&](int32_t R) {
-    if (R < 0 || static_cast<uint32_t>(R) >= F.NumF)
-      throw SerializeError("F register out of range");
-  };
-  auto RegI = [&](int32_t R) {
-    if (R < 0 || static_cast<uint32_t>(R) >= F.NumI)
-      throw SerializeError("I register out of range");
-  };
-  auto RegP = [&](int32_t R) {
-    if (R < 0 || static_cast<uint32_t>(R) >= F.NumP)
-      throw SerializeError("P register out of range");
-  };
-  auto Target = [&](int32_t T) {
-    if (T < 0 || static_cast<uint32_t>(T) >= NumInstr)
-      throw SerializeError("branch target out of range");
+  // Register files and spill frames, indexed by RegClass.
+  const uint32_t NumRegs[] = {F.NumF, F.NumI, F.NumP};
+  const uint32_t NumSlots[] = {F.NumFSpill, F.NumISpill, F.NumPSpill};
+  static const char *const RegRange[] = {"F register out of range",
+                                         "I register out of range",
+                                         "P register out of range"};
+  static const char *const SlotRange[] = {"F spill slot out of range",
+                                          "I spill slot out of range",
+                                          "P spill slot out of range"};
+  auto Reg = [&](RegClass C, int32_t R) {
+    if (R < 0 || static_cast<uint32_t>(R) >= NumRegs[static_cast<size_t>(C)])
+      throw SerializeError(RegRange[static_cast<size_t>(C)]);
   };
   auto Index = [&](int64_t I, size_t N, const char *What) {
     if (I < 0 || static_cast<uint64_t>(I) >= N)
@@ -230,7 +284,7 @@ void majic::ser::validateIRFunction(const IRFunction &F) {
                        F.Pool.size())
       throw SerializeError("pool range out of bounds");
     for (int32_t K = 0; K != Len; ++K)
-      RegP(F.Pool[Off + K]);
+      Reg(RegClass::P, F.Pool[Off + K]);
   };
   // The index list of LoadIdxG/StoreIdxG: one or two subscripts, each a P
   // register or -1 for ':'.
@@ -242,355 +296,107 @@ void majic::ser::validateIRFunction(const IRFunction &F) {
       throw SerializeError("pool range out of bounds");
     for (int32_t K = 0; K != Len; ++K)
       if (F.Pool[Off + K] != -1)
-        RegP(F.Pool[Off + K]);
-  };
-  auto Cond = [&](int64_t I) {
-    if (I < 0 || I > static_cast<int64_t>(CondCode::NE))
-      throw SerializeError("invalid condition code");
-  };
-  auto Intr = [&](int64_t I, unsigned Arity) {
-    if (I < 0 || I > static_cast<int64_t>(ScalarIntrinsic::Hypot) ||
-        scalarIntrinsicArity(static_cast<ScalarIntrinsic>(I)) != Arity)
-      throw SerializeError("invalid scalar intrinsic");
-  };
-  auto Class = [&](int64_t I) {
-    if (I < 0 || I > static_cast<int64_t>(MClass::String))
-      throw SerializeError("invalid matrix class");
+        Reg(RegClass::P, F.Pool[Off + K]);
   };
 
   bool HasSelfCall = false;
   for (const Instr &In : F.Code) {
-    switch (In.Op) {
-    case Opcode::Nop:
-    case Opcode::Ret:
-      break;
-    case Opcode::FConst:
-      RegF(In.A);
-      break;
-    case Opcode::IConst:
-      RegI(In.A);
-      break;
-    case Opcode::SConst:
-      RegP(In.A);
-      Index(In.Imm.I, F.Strings.size(), "string index out of range");
-      break;
-    case Opcode::MovF:
-    case Opcode::FNeg:
-      RegF(In.A);
-      RegF(In.B);
-      break;
-    case Opcode::MovI:
-    case Opcode::INeg:
-    case Opcode::INot:
-      RegI(In.A);
-      RegI(In.B);
-      break;
-    case Opcode::MovP:
-      RegP(In.A);
-      RegP(In.B);
-      break;
-    case Opcode::IToF:
-      RegF(In.A);
-      RegI(In.B);
-      break;
-    case Opcode::FToI:
-    case Opcode::FToIdx:
-      RegI(In.A);
-      RegF(In.B);
-      break;
-    case Opcode::FAdd:
-    case Opcode::FSub:
-    case Opcode::FMul:
-    case Opcode::FDiv:
-    case Opcode::FPow:
-      RegF(In.A);
-      RegF(In.B);
-      RegF(In.C);
-      break;
-    case Opcode::FCmp:
-      RegI(In.A);
-      RegF(In.B);
-      RegF(In.C);
-      Cond(In.Imm.I);
-      break;
-    case Opcode::FIntr1:
-      RegF(In.A);
-      RegF(In.B);
-      Intr(In.Imm.I, 1);
-      break;
-    case Opcode::FIntr2:
-      RegF(In.A);
-      RegF(In.B);
-      RegF(In.C);
-      Intr(In.Imm.I, 2);
-      break;
-    case Opcode::IAdd:
-    case Opcode::ISub:
-    case Opcode::IMul:
-    case Opcode::IAnd:
-    case Opcode::IOr:
-      RegI(In.A);
-      RegI(In.B);
-      RegI(In.C);
-      break;
-    case Opcode::ICmp:
-      RegI(In.A);
-      RegI(In.B);
-      RegI(In.C);
-      Cond(In.Imm.I);
-      break;
-    case Opcode::Br:
-      Target(In.A);
-      break;
-    case Opcode::Brz:
-    case Opcode::Brnz:
-      Target(In.A);
-      RegI(In.B);
-      break;
-    case Opcode::BoxF:
-      RegP(In.A);
-      RegF(In.B);
-      break;
-    case Opcode::BoxI:
-    case Opcode::BoxB:
-      RegP(In.A);
-      RegI(In.B);
-      break;
-    case Opcode::BoxC:
-      RegP(In.A);
-      RegF(In.B);
-      RegF(In.C);
-      break;
-    case Opcode::UnboxF:
-      RegF(In.A);
-      RegP(In.B);
-      break;
-    case Opcode::UnboxI:
-      RegI(In.A);
-      RegP(In.B);
-      break;
-    case Opcode::UnboxReIm:
-      RegF(In.A);
-      RegF(In.B);
-      RegP(In.C);
-      break;
-    case Opcode::CheckDef:
-      RegP(In.A);
-      Index(In.Imm.I, F.Names.size(), "name index out of range");
-      break;
-    case Opcode::NewMat:
-      RegP(In.A);
-      RegI(In.B);
-      RegI(In.C);
-      Class(In.Imm.I);
-      break;
-    case Opcode::FillF:
-      RegP(In.A);
-      break;
-    case Opcode::LoadEl:
-    case Opcode::LoadElChk:
-      RegF(In.A);
-      RegP(In.B);
-      RegI(In.C);
-      break;
-    case Opcode::LoadEl2:
-    case Opcode::LoadEl2Chk:
-      RegF(In.A);
-      RegP(In.B);
-      RegI(In.C);
-      RegI(In.D);
-      break;
-    case Opcode::StoreEl:
-    case Opcode::StoreElChk:
-      RegP(In.A);
-      RegI(In.B);
-      RegF(In.C);
-      Class(In.Imm.I);
-      break;
-    case Opcode::StoreEl2:
-    case Opcode::StoreEl2Chk:
-      RegP(In.A);
-      RegI(In.B);
-      RegI(In.C);
-      RegF(In.D);
-      Class(In.Imm.I);
-      break;
-    case Opcode::LenRows:
-    case Opcode::LenCols:
-    case Opcode::LenNumel:
-    case Opcode::IsTrue:
-      RegI(In.A);
-      RegP(In.B);
-      break;
-    case Opcode::ColSlice:
-      RegP(In.A);
-      RegP(In.B);
-      RegI(In.C);
-      break;
-    case Opcode::MakeRange:
-      RegP(In.A);
-      RegF(In.B);
-      RegF(In.C);
-      RegF(In.D);
-      break;
-    case Opcode::MakeRangeG:
-      RegP(In.A);
-      RegP(In.B);
-      RegP(In.C);
-      RegP(In.D);
-      break;
-    case Opcode::RtBin:
-      RegP(In.A);
-      RegP(In.B);
-      RegP(In.C);
-      if (In.Imm.I < 0 || In.Imm.I > static_cast<int64_t>(rt::BinOp::Or))
-        throw SerializeError("invalid binary op");
-      break;
-    case Opcode::RtUn:
-      RegP(In.A);
-      RegP(In.B);
-      if (In.Imm.I < 0 ||
-          In.Imm.I > static_cast<int64_t>(rt::UnOp::Transpose))
-        throw SerializeError("invalid unary op");
-      break;
-    case Opcode::HorzCat:
-    case Opcode::VertCat:
-      RegP(In.A);
-      PoolP(In.B, In.C);
-      break;
-    case Opcode::LoadIdxG:
-    case Opcode::StoreIdxG:
-      RegP(In.A);
-      RegP(In.B);
-      PoolIdx(In.C, In.D);
-      break;
-    case Opcode::CallB:
-    case Opcode::CallU:
-      Index(In.Imm.I & ~kStatementCallFlag, F.Names.size(),
-            "call name index out of range");
-      PoolP(In.A, In.B); // destinations
-      PoolP(In.C, In.D); // arguments
-      break;
-    case Opcode::Display:
-      RegP(In.A);
-      Index(In.Imm.I, F.Names.size(), "name index out of range");
-      break;
-    case Opcode::Gemv:
-      RegP(In.A);
-      RegP(In.B);
-      RegP(In.C);
-      break;
-    case Opcode::Axpy:
-      RegP(In.A);
-      RegF(In.B);
-      RegP(In.C);
-      RegP(In.D);
-      break;
-    case Opcode::EwFuse: {
-      RegP(In.A);
-      PoolP(In.B, In.C); // operand table: all P registers
-      // The postfix program must be well formed before the VM may run it:
-      // simulate it against the fixed-depth evaluation stack.
-      int64_t ProgLen = In.Imm.I;
-      if (ProgLen < 2)
-        throw SerializeError("fused program too short");
-      if (In.D < 0 || static_cast<uint64_t>(In.D) +
-                              static_cast<uint64_t>(ProgLen) >
-                          F.Pool.size())
-        throw SerializeError("fused program out of bounds");
-      int32_t Sp = 0;
-      for (int64_t K = 0; K != ProgLen; ++K) {
-        int32_t Entry = F.Pool[In.D + K];
-        int32_t Arg = ew::argOf(Entry);
-        switch (ew::opOf(Entry)) {
-        case ew::EwOp::Push:
-          if (Arg < 0 || Arg >= In.C)
-            throw SerializeError("fused operand index out of range");
-          if (++Sp > ew::kMaxEwStack)
-            throw SerializeError("fused program overflows stack");
-          break;
-        case ew::EwOp::Bin:
-          if (Arg < 0 || Arg > static_cast<int32_t>(rt::BinOp::ElemPow) ||
-              !ew::isFusableBinOp(static_cast<rt::BinOp>(Arg)))
-            throw SerializeError("invalid fused binary op");
-          if (Sp < 2)
-            throw SerializeError("fused program underflows stack");
-          --Sp;
-          break;
-        case ew::EwOp::Neg:
-          if (Sp < 1)
-            throw SerializeError("fused program underflows stack");
-          break;
-        case ew::EwOp::Intr:
-          Intr(Arg, /*Arity=*/1);
-          if (Sp < 1)
-            throw SerializeError("fused program underflows stack");
-          break;
-        default:
-          throw SerializeError("invalid fused program entry");
-        }
-      }
-      if (Sp != 1)
-        throw SerializeError("fused program leaves stack unbalanced");
-      break;
-    }
-    case Opcode::LoadParam:
-      RegP(In.A);
-      Index(In.Imm.I, F.NumParams, "parameter index out of range");
-      break;
-    case Opcode::StoreOut:
-      RegP(In.A);
-      Index(In.Imm.I, F.NumOuts, "output index out of range");
-      break;
-    case Opcode::FSpLd:
-    case Opcode::FSpSt:
-      RegF(In.A);
-      Index(In.Imm.I, F.NumFSpill, "F spill slot out of range");
-      break;
-    case Opcode::ISpLd:
-    case Opcode::ISpSt:
-      RegI(In.A);
-      Index(In.Imm.I, F.NumISpill, "I spill slot out of range");
-      break;
-    case Opcode::PSpLd:
-    case Opcode::PSpSt:
-      RegP(In.A);
-      Index(In.Imm.I, F.NumPSpill, "P spill slot out of range");
-      break;
-    case Opcode::ArgF:
-      RegF(In.A);
-      Index(In.Imm.I, F.NumParams, "parameter index out of range");
-      break;
-    case Opcode::ArgI:
-      RegI(In.A);
-      Index(In.Imm.I, F.NumParams, "parameter index out of range");
-      break;
-    case Opcode::OutI:
-      RegI(In.A);
-      Index(In.Imm.I, F.NumOuts, "output index out of range");
-      break;
-    case Opcode::CallSelf: {
+    const OpcodeInfo &Info = opcodeInfo(In.Op);
+    if (In.Op == Opcode::CallSelf) {
       // The callee is this function: its arguments fill its parameters,
-      // and it must have the output the call asks for.
+      // and it must have the output the call asks for. The immediate
+      // selects the classes of the argument fields; the rest stay -1.
       int64_t Imm = In.Imm.I;
       unsigned NumArgs = selfcall::numArgs(Imm);
       if (Imm < 0 || Imm >= selfcall::encode(0, 1u << NumArgs) ||
           NumArgs != F.NumParams || F.NumOuts != 1)
         throw SerializeError("invalid self-call");
-      HasSelfCall = true;
-      RegI(In.A);
       const int32_t Args[selfcall::kMaxArgs] = {In.B, In.C, In.D};
-      for (unsigned K = 0; K != selfcall::kMaxArgs; ++K) {
-        if (K >= NumArgs) {
-          if (Args[K] != -1)
-            throw SerializeError("invalid self-call");
-          continue;
-        }
-        selfcall::argIsInt(Imm, K) ? RegI(Args[K]) : RegF(Args[K]);
-      }
+      for (unsigned K = NumArgs; K != selfcall::kMaxArgs; ++K)
+        if (Args[K] != -1)
+          throw SerializeError("invalid self-call");
+      HasSelfCall = true;
+    }
+
+    // Every register field, by its kind in ir/Opcodes.def.
+    if (isBranch(In.Op) &&
+        (In.A < 0 || static_cast<uint32_t>(In.A) >= NumInstr))
+      throw SerializeError("branch target out of range");
+    const InstrOperands Ops = instrOperands(In);
+    const int32_t Fields[4] = {In.A, In.B, In.C, In.D};
+    for (unsigned K = 0; K != 4; ++K)
+      if (Ops.Fields[K] != OperandKind::None)
+        Reg(regClass(Ops.Fields[K]), Fields[K]);
+
+    const int64_t Imm = In.Imm.I;
+    switch (Info.Imm) {
+    case ImmKind::None:
+    case ImmKind::F64:
+    case ImmKind::I64:
+    case ImmKind::Program:  // after the operand table, below
+    case ImmKind::SelfCall: // above
+      break;
+    case ImmKind::String:
+      Index(Imm, F.Strings.size(), "string index out of range");
+      break;
+    case ImmKind::Cond:
+      if (Imm < 0 || Imm > static_cast<int64_t>(CondCode::NE))
+        throw SerializeError("invalid condition code");
+      break;
+    case ImmKind::Intr1:
+      checkIntrinsic(Imm, 1);
+      break;
+    case ImmKind::Intr2:
+      checkIntrinsic(Imm, 2);
+      break;
+    case ImmKind::Name:
+      Index(Imm, F.Names.size(), "name index out of range");
+      break;
+    case ImmKind::Class:
+      if (Imm < 0 || Imm > static_cast<int64_t>(MClass::String))
+        throw SerializeError("invalid matrix class");
+      break;
+    case ImmKind::BinOp:
+      if (Imm < 0 || Imm > static_cast<int64_t>(rt::BinOp::Or))
+        throw SerializeError("invalid binary op");
+      break;
+    case ImmKind::UnOp:
+      if (Imm < 0 || Imm > static_cast<int64_t>(rt::UnOp::Transpose))
+        throw SerializeError("invalid unary op");
+      break;
+    case ImmKind::Callee:
+      Index(Imm & ~kStatementCallFlag, F.Names.size(),
+            "call name index out of range");
+      break;
+    case ImmKind::Param:
+      Index(Imm, F.NumParams, "parameter index out of range");
+      break;
+    case ImmKind::Out:
+      Index(Imm, F.NumOuts, "output index out of range");
+      break;
+    case ImmKind::Slot: {
+      auto C = static_cast<size_t>(regClass(Info.Fields[0]));
+      Index(Imm, NumSlots[C], SlotRange[C]);
       break;
     }
     }
+
+    switch (Info.Pool) {
+    case PoolLayout::None:
+      break;
+    case PoolLayout::List:
+      PoolP(In.B, In.C);
+      break;
+    case PoolLayout::Subs:
+      PoolIdx(In.C, In.D);
+      break;
+    case PoolLayout::Call:
+      PoolP(In.A, In.B); // destinations
+      PoolP(In.C, In.D); // arguments
+      break;
+    }
+    if (Info.Imm == ImmKind::Program)
+      checkEwProgram(F, In);
   }
 
   // A function that calls itself directly takes its parameters unboxed
