@@ -7,8 +7,9 @@
 // Scriptable smoke check for the native (emitted-C) tier, used by CI:
 //
 //   native_smoke <storedir> cold
-//     runs a hot function and a recursive one (fibonacci) past the
-//     promotion threshold against the persistent store in <storedir>.
+//     runs a hot function, a recursive one (fibonacci) and one that sums
+//     rand draws past the promotion threshold against the persistent
+//     store in <storedir>.
 //     Asserts the system compiler was invoked (native.compiles >= 1), the
 //     promoted versions actually served calls (native.hits >= 1) and
 //     fibonacci's general version called itself directly in machine code
@@ -18,8 +19,9 @@
 //   native_smoke <storedir> warm
 //     a fresh session on the same store. Asserts the first call of each
 //     function is served natively with ZERO compiler invocations and zero
-//     foreground JIT compiles - the warm-start contract - and that the
-//     adopted fibonacci code recurses directly. Run with
+//     foreground JIT compiles - the warm-start contract - that the
+//     adopted fibonacci code recurses directly, and that the adopted rand
+//     code draws what the interpreter draws. Run with
 //     MAJIC_METRICS=metrics.json and the CI job greps
 //     `"native.compiles": 0` and a nonzero `"native.direct_calls"` from
 //     the dump as an independent check.
@@ -32,7 +34,9 @@
 //     degrades silently, it never breaks the session.
 //
 // Every leg checks the same expected values, so a numeric divergence
-// between tiers fails the job too.
+// between tiers fails the job too. The rand sum's expected value is not a
+// constant: an interpreter-only engine draws it from the same seed, so the
+// check holds each tier to the interpreter's draws, bit for bit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,6 +78,16 @@ const char *kRecSource = "function f = fibonacci(n)\n"
 constexpr long kRecArg = 12;
 constexpr double kRecExpect = 144;
 
+// A scalar rand per step: native code draws from the engine's generator.
+const char *kRandSource = "function s = randfn(n)\n"
+                          "s = 0;\n"
+                          "for k = 1:n\n"
+                          "s = s + rand;\n"
+                          "end\n";
+
+constexpr long kRandArg = 100;
+constexpr uint64_t kRandSeed = 2002;
+
 EngineOptions options(const std::string &StoreDir, bool ExplicitCC) {
   EngineOptions O;
   O.Policy = CompilePolicy::Jit;
@@ -112,9 +126,34 @@ bool recCallChecks(Engine &E) {
   return !R.empty() && R[0]->scalarValue() == kRecExpect;
 }
 
+/// randfn(kRandArg) from kRandSeed.
+double randCall(Engine &E) {
+  E.context().Rand.reseed(kRandSeed);
+  auto R = E.callFunction("randfn", {makeValue(Value::intScalar(kRandArg))},
+                          1, SourceLoc());
+  return R.empty() ? -1 : R[0]->scalarValue();
+}
+
+/// The interpreter's randfn(kRandArg) from kRandSeed. This engine has no
+/// store and reads no environment, so it leaves no trace in the leg's.
+double interpretedRand() {
+  static const double Expect = [] {
+    EngineOptions O;
+    O.Policy = CompilePolicy::InterpretOnly;
+    O.EnvFallbacks = false;
+    Engine E(O);
+    return E.addSource("randfn", kRandSource) ? randCall(E) : -2;
+  }();
+  return Expect;
+}
+
+/// The same check for randfn: the interpreter's draws, bit for bit.
+bool randCallChecks(Engine &E) { return randCall(E) == interpretedRand(); }
+
 bool addSources(Engine &E) {
   return E.addSource("hotfn", kHotSource) &&
-         E.addSource("fibonacci", kRecSource);
+         E.addSource("fibonacci", kRecSource) &&
+         E.addSource("randfn", kRandSource);
 }
 
 int runCold(const std::string &StoreDir) {
@@ -131,6 +170,8 @@ int runCold(const std::string &StoreDir) {
       return fail("cold: hotfn(100) != 338350");
     if (!recCallChecks(E))
       return fail("cold: fibonacci(12) != 144");
+    if (!randCallChecks(E))
+      return fail("cold: randfn(100) differs from the interpreter's draws");
   }
 
   if (E.nativeCompiles() < 1)
@@ -175,6 +216,13 @@ int runWarm(const std::string &StoreDir) {
     return fail("warm: fibonacci's versions were not served natively");
   if (E.nativeDirectCalls() == 0)
     return fail("warm: adopted fibonacci code did not recurse directly");
+  uint64_t Hits = E.nativeHits();
+  if (!randCallChecks(E))
+    return fail("warm: randfn(100) differs from the interpreter's draws");
+  if (E.nativeHits() != Hits + 1)
+    return fail("warm: randfn was not served by the native tier");
+  if (E.nativeCompiles() != 0)
+    return fail("warm: randfn invoked the system compiler");
   if (E.jitCompiles() != 0)
     return fail("warm: first calls paid a foreground JIT compile");
   std::printf("native_smoke: warm OK (native hits, %llu direct call(s), "
@@ -197,6 +245,8 @@ int runNoCc(const std::string &StoreDir) {
       return fail("nocc: hotfn(100) != 338350 on the VM fallback");
     if (!recCallChecks(E))
       return fail("nocc: fibonacci(12) != 144 on the VM fallback");
+    if (!randCallChecks(E))
+      return fail("nocc: randfn(100) differs from the interpreter's draws");
   }
   if (E.nativeCompiles() != 0 || E.nativeHits() != 0 ||
       E.nativeDirectCalls() != 0)

@@ -827,6 +827,9 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
       Line = format("psp[%lld] = ", static_cast<long long>(In.Imm.I)) +
              preg(In.A) + ";";
       break;
+    case Opcode::FRand:
+      Line = freg(In.A) + " = mlfRand();";
+      break;
     }
     Out += "  " + Line + "\n";
   }

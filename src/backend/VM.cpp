@@ -667,6 +667,10 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
     case Opcode::PSpSt:
       PSp[In.Imm.I] = PR[In.A];
       break;
+
+    case Opcode::FRand:
+      FR[In.A] = Ctx.Rand.nextDouble();
+      break;
     }
     ++PC;
   }

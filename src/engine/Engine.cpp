@@ -134,6 +134,7 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   Metrics.registerCounter("native.deopts", NativeDeopts);
   Metrics.registerCounter("native.hits", NativeHits);
   Metrics.registerCounter("native.direct_calls", NativeDirectCalls);
+  Metrics.registerCounter("native.boxes", NativeBoxes);
   Metrics.registerCounter("spec.queued", Spec.Queued);
   Metrics.registerCounter("spec.completed", Spec.Completed);
   Metrics.registerCounter("spec.dropped", Spec.Dropped);

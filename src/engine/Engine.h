@@ -405,6 +405,8 @@ public:
   uint64_t nativeHits() const { return NativeHits.value(); }
   /// Self-calls machine code made directly, without entering the engine.
   uint64_t nativeDirectCalls() const { return NativeDirectCalls.value(); }
+  /// Boxes native runs held when they returned, summed over the runs.
+  uint64_t nativeBoxes() const { return NativeBoxes.value(); }
 
   /// True when the native tier is on and its C compiler probed usable.
   bool nativeTierAvailable() const {
@@ -753,6 +755,7 @@ private:
   obs::Counter NativeDeopts;    ///< registered as "native.deopts"
   obs::Counter NativeHits;      ///< registered as "native.hits"
   obs::Counter NativeDirectCalls; ///< registered as "native.direct_calls"
+  obs::Counter NativeBoxes;     ///< registered as "native.boxes"
 
   //===--------------------------------------------------------------------===
   // Native tier state
@@ -768,7 +771,10 @@ private:
                                        size_t NumOuts) override;
     unsigned &callDepth() override { return E->CallDepth; }
     unsigned maxCallDepth() const override { return E->Opts.MaxCallDepth; }
-    void noteDirectCalls(uint64_t N) override { E->NativeDirectCalls.inc(N); }
+    void noteRun(uint64_t DirectCalls, uint64_t Boxes) override {
+      E->NativeDirectCalls.inc(DirectCalls);
+      E->NativeBoxes.inc(Boxes);
+    }
   } NativeHostAdapter;
   /// Present when NativeTier is on (even if the compiler probe failed -
   /// available() distinguishes). Null when the tier is off.

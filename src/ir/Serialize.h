@@ -52,8 +52,8 @@ namespace ser {
 /// change and - worse - stays fixed when a semantic change lands in a
 /// different translation unit.
 // v3: EwFuse fused elementwise op. v4: output names; the typed self-call
-// convention (ArgF/ArgI/OutI/CallSelf).
-constexpr uint32_t kCodeABIVersion = 4;
+// convention (ArgF/ArgI/OutI/CallSelf). v5: FRand, scalar rand in a register.
+constexpr uint32_t kCodeABIVersion = 5;
 
 // SerializeError / ByteWriter / ByteReader live in support/ByteStream.h so
 // the runtime's workspace serializer (runtime/ValueSerialize) can share

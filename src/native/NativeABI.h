@@ -36,7 +36,8 @@ namespace majic {
 namespace native {
 
 // v2: typed direct self-calls (MxCallState, call_state, raise, release).
-constexpr int kNativeABIVersion = 2;
+// v3: rand, the scalar draw behind FRand.
+constexpr int kNativeABIVersion = 3;
 
 /// The C-visible public prefix of a boxed value ("mxValue" on the C
 /// side). All fields are caches of the underlying Value, refreshed by
@@ -130,6 +131,9 @@ struct MajicNativeApi {
   MxCallState *(*call_state)(void);
   void (*raise)(const char *Message); ///< throws MatlabError(Message)
   void (*release)(long long Mark);    ///< frees the boxes past the Mark'th
+
+  // Scalar rand.
+  double (*rand)(void); ///< the next draw of the context's generator
 };
 
 /// `<fn>_compiled`: the module entry point. Returns 0 on a normal Ret;

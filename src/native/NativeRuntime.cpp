@@ -385,6 +385,11 @@ void shimRaise(const char *Message) {
 
 MxCallState *shimCallState() { return &CurFrame->Calls; }
 
+/// Draws from the context's one generator, as the VM's FRand does, so a
+/// deopt's snapshot of Ctx.Rand rolls machine code's draws back too. It
+/// cannot throw, so it needs no trampoline.
+double shimRand() { return CurFrame->Ctx->Rand.nextDouble(); }
+
 /// Frees the boxes a direct callee made. Only the callee's own registers
 /// pointed at them (its parameters and result are C scalars), and the
 /// caller has read the result, so nothing can reach them any more.
@@ -533,7 +538,7 @@ const MajicNativeApi &majic::native::hostApiTable() {
       shimRange3,      shimColonV,      shimCat,        shimIndexLoad,
       shimIndexAssign, shimEwAlloc,     shimGemv,       shimAxpy,
       shimCallBuiltin, shimCallFunction, shimDisplay,   shimPoll,
-      shimCallState,   shimRaise,       shimRelease,
+      shimCallState,   shimRaise,       shimRelease,    shimRand,
   };
   return Api;
 }
@@ -569,8 +574,8 @@ std::vector<ValuePtr> majic::native::runNative(
   int Rc = invokeEntry(Frame, Entry, ArgPs.data(),
                        static_cast<int>(Args.size()), OutPs.data(),
                        static_cast<int>(FnNumOuts));
-  if (Frame.Calls.Calls)
-    Host.noteDirectCalls(static_cast<uint64_t>(Frame.Calls.Calls));
+  Host.noteRun(static_cast<uint64_t>(Frame.Calls.Calls),
+               static_cast<uint64_t>(Frame.Calls.Boxes));
   if (Rc != 0) {
     // The direct calls the error unwound never lowered the depth.
     Host.callDepth() = Depth;
@@ -667,6 +672,7 @@ typedef struct MajicNativeApi {
   mlfCallState *(*call_state)(void);
   void (*raise)(const char *);
   void (*release)(long long);
+  double (*rand)(void);
 } MajicNativeApi;
 
 static const MajicNativeApi *mlf_api;
@@ -845,6 +851,9 @@ static inline double mlf_f64bits(unsigned long long b) {
       mlf_api->release(mark);                                              \
   } while (0)
 #define mlfRaise(msg) (mlf_api->raise(msg))
+
+/* Scalar rand: the next draw of the host context's generator. */
+#define mlfRand() (mlf_api->rand())
 
 #endif /* MAJIC_MLF_H */
 )MLF",

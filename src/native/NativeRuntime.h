@@ -51,8 +51,9 @@ public:
   /// in machine code raises and checks the same counter.
   virtual unsigned &callDepth() = 0;
   virtual unsigned maxCallDepth() const = 0;
-  /// Counts the direct self-calls one native run made.
-  virtual void noteDirectCalls(uint64_t N) = 0;
+  /// Counts, when one native run returns, the direct self-calls it made
+  /// and the boxes it still held.
+  virtual void noteRun(uint64_t DirectCalls, uint64_t Boxes) = 0;
 };
 
 /// The contents of `majic_mlf.h`: mxValue/MajicNativeApi in C, the

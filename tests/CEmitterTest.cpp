@@ -159,7 +159,8 @@ struct CorpusProgram {
   std::unique_ptr<FunctionInfo> Info;
   std::optional<CompileResult> R;
 
-  CorpusProgram(const std::string &Name, double Arg, CodeGenMode Mode) {
+  CorpusProgram(const std::string &Name, const std::vector<double> &Args,
+                CodeGenMode Mode) {
     std::ifstream In(mlibDirectory() + "/" + Name + ".m");
     std::stringstream SS;
     SS << In.rdbuf();
@@ -174,7 +175,10 @@ struct CorpusProgram {
     Info = disambiguate(*Inlined, *Mod);
     CompileRequest Req;
     Req.FI = Info.get();
-    Req.Sig = TypeSignature::ofValues({makeValue(Value::intScalar(Arg))});
+    std::vector<ValuePtr> ArgValues;
+    for (double A : Args)
+      ArgValues.push_back(makeValue(Value::intScalar(A)));
+    Req.Sig = TypeSignature::ofValues(ArgValues);
     Req.Mode = Mode;
     R = compileFunction(Req);
     EXPECT_TRUE(R.has_value()) << Name;
@@ -216,7 +220,7 @@ TEST(CEmitter, SmallVectorLoopsKeepNoBoxes) {
     for (auto [Name, Arg] : {std::pair<const char *, double>{"orbec", 2000},
                              {"orbrk", 400}}) {
       SCOPED_TRACE(::testing::Message() << Name << " mode " << int(Mode));
-      CorpusProgram P(Name, Arg, Mode);
+      CorpusProgram P(Name, {Arg}, Mode);
       // The optimizer's unroller may add a back-edge; none may box.
       auto Loops = irLoops(P.code());
       ASSERT_FALSE(Loops.empty()) << P.code().print();
@@ -235,15 +239,18 @@ TEST(CEmitter, SmallVectorLoopsKeepNoBoxes) {
   }
 }
 
-TEST(CEmitter, FractalLoopCallsTheHostOnlyForRand) {
-  // fractal's point p is one of three register-built literals per step.
-  // What is left of the host is rand, its unbox, and the inline stores
-  // into the history arrays.
-  CorpusProgram P("fractal", 3000, CodeGenMode::Jit);
+TEST(CEmitter, FractalLoopNeverCallsTheHost) {
+  // fractal's point p is one of three register-built literals per step,
+  // and rand is one FRand: the step draws through the rand callback and
+  // stores inline into the history arrays, with no call by name and no
+  // unbox.
+  CorpusProgram P("fractal", {3000}, CodeGenMode::Jit);
   auto Loops = irLoops(P.code());
   ASSERT_EQ(Loops.size(), 2u) << P.code().print();
   EXPECT_FALSE(hasOpcode(Loops[0], Opcode::NewMat)) << P.code().print();
   EXPECT_FALSE(hasOpcode(Loops[0], Opcode::MovP)) << P.code().print();
+  EXPECT_TRUE(hasOpcode(Loops[0], Opcode::FRand)) << P.code().print();
+  EXPECT_FALSE(hasOpcode(Loops[0], Opcode::CallB)) << P.code().print();
   std::string Src = P.emit();
   auto CLoops = cLoops(Src);
   ASSERT_EQ(CLoops.size(), 2u) << Src;
@@ -254,11 +261,26 @@ TEST(CEmitter, FractalLoopCallsTheHostOnlyForRand) {
     size_t End = Body.find_first_of("( ;", At);
     Calls.insert(Body.substr(At, End - At));
   }
-  EXPECT_EQ(Calls, (std::set<std::string>{"mlfCallBuiltin", "mlfGetScalar",
-                                           "mlfStore", "mlfPoll", "mlf_ops"}))
+  EXPECT_EQ(Calls, (std::set<std::string>{"mlfRand", "mlfStore", "mlfPoll",
+                                           "mlf_ops"}))
       << Body;
-  EXPECT_NE(Body.find("mlfCallBuiltin(\"rand\""), std::string::npos) << Body;
-  EXPECT_EQ(Body.find("mlfCallBuiltin("), Body.rfind("mlfCallBuiltin("));
+}
+
+TEST(CEmitter, MeiFillLoopNeverCallsTheHost) {
+  // mei's fill loop, H(i, j) = scale * (rand - 0.5), draws through the rand
+  // callback too. Its inner loop is the first back edge of the nest.
+  CorpusProgram P("mei", {65, 33}, CodeGenMode::Jit);
+  auto Loops = irLoops(P.code());
+  ASSERT_FALSE(Loops.empty()) << P.code().print();
+  EXPECT_TRUE(hasOpcode(Loops[0], Opcode::FRand)) << P.code().print();
+  EXPECT_FALSE(hasOpcode(Loops[0], Opcode::CallB)) << P.code().print();
+  std::string Src = P.emit();
+  auto CLoops = cLoops(Src);
+  ASSERT_FALSE(CLoops.empty()) << Src;
+  const std::string &Body = CLoops[0];
+  EXPECT_NE(Body.find("mlfRand()"), std::string::npos) << Body;
+  EXPECT_EQ(Body.find("mlfCallBuiltin"), std::string::npos) << Body;
+  EXPECT_EQ(Body.find("mlfGetScalar"), std::string::npos) << Body;
 }
 
 size_t countOpcode(const std::vector<Instr> &Code, Opcode Op) {

@@ -559,6 +559,36 @@ TEST_F(NativeEngineTest, FibonacciRecursesDirectly) {
   }
 }
 
+TEST_F(NativeEngineTest, FractalStepsMakeNoBoxes) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  // rand is a register draw in machine code, so a hot fractal(3000) run
+  // holds a handful of boxes (its argument, the history arrays, the result)
+  // and none per step: it held 3,007 when rand was a call by name.
+  double Result[2] = {0, 0};
+  for (bool Native : {false, true}) {
+    fs::remove_all(Dir);
+    EngineOptions O = nativeOpts();
+    if (!Native)
+      O.Policy = CompilePolicy::InterpretOnly;
+    O.NativeTier = Native;
+    Engine E(O);
+    ASSERT_TRUE(E.loadFile(mlibDirectory() + "/fractal.m"));
+    E.callFunction("fractal", {intArg(3000)}, 1, SourceLoc());
+    uint64_t Hits = E.nativeHits(), Boxes = E.nativeBoxes();
+    E.context().Rand.reseed(7);
+    auto R = E.callFunction("fractal", {intArg(3000)}, 1, SourceLoc());
+    Result[Native] = R[0]->scalarValue();
+    if (Native) {
+      EXPECT_EQ(E.nativeHits() - Hits, 1u);
+      EXPECT_GT(E.nativeBoxes() - Boxes, 0u);
+      EXPECT_LE(E.nativeBoxes() - Boxes, 10u);
+      EXPECT_NE(E.metricsJson().find("\"native.boxes\""), std::string::npos);
+    }
+  }
+  EXPECT_EQ(Result[1], Result[0]);
+}
+
 TEST_F(NativeEngineTest, DirectRecursionReachesTheDefaultDepthLimit) {
   if (!hostCompilerAvailable())
     GTEST_SKIP() << "no C compiler on host";
