@@ -6,11 +6,12 @@
 //
 // Two modes:
 //
-//  * Default: the dense-kernel sweep (ISSUE 2). Times the naive seed
-//    dgemm against the blocked/packed kernel at 64..512 with
-//    ComputeThreads in {1, 2, 4}, plus dgemv and elementwise throughput,
-//    and writes the machine-readable results to BENCH_kernels.json
-//    (kernel, size, threads, seconds, GFLOP/s).
+//  * Default: the dense-kernel sweep. Times the naive seed dgemm against
+//    the blocked/packed kernel at 64..512 with ComputeThreads in
+//    {1, 2, 4}, plus dgemv, X' * y with and without the transposed copy,
+//    A \ b by LU and by substitution, and elementwise throughput, and
+//    writes the machine-readable results to BENCH_kernels.json (kernel,
+//    size, threads, seconds, GFLOP/s).
 //
 //  * --micro: google-benchmark microbenchmarks of the individual compiler
 //    phases and execution substrates: parsing, disambiguation, type
@@ -28,6 +29,7 @@
 #include "backend/Compiler.h"
 #include "infer/Speculate.h"
 #include "runtime/Blas.h"
+#include "runtime/LinAlg.h"
 #include "runtime/Ops.h"
 #include "support/Parallel.h"
 
@@ -91,7 +93,7 @@ void runKernelSweep() {
                     double Seconds, double Flops) {
     double GF = Flops / Seconds / 1e9;
     Results.push_back({Kernel, Size, Threads, Seconds, GF});
-    std::printf("  %-16s n=%-5zu threads=%-2u  %10.3f ms  %8.2f GFLOP/s\n",
+    std::printf("  %-20s n=%-5zu threads=%-2u  %10.3f ms  %8.2f GFLOP/s\n",
                 Kernel.c_str(), Size, Threads, Seconds * 1e3, GF);
   };
 
@@ -132,6 +134,68 @@ void runKernelSweep() {
       Record("dgemv", N, Threads, T, Flops);
     }
     par::setComputeThreads(0);
+  }
+
+  // Best of Reps batches of 50 calls, per call: single calls of a few
+  // microseconds are below what one timing resolves on a shared machine.
+  auto PerCall = [&](const std::function<void()> &Fn) {
+    return bestOf(Reps, [&] {
+             for (int I = 0; I != 50; ++I)
+               Fn();
+           }) /
+           50;
+  };
+
+  // X' * y and X' * Y through the runtime: the interpreter's path (a
+  // transposed copy, then the product) against rt::matMulTransA, which
+  // reads X in place. The sizes are qmr's A' * q, a large dgemv and mei's
+  // H' * H; a row's size is X's column count.
+  {
+    struct TransShape {
+      size_t Rows, Cols, RhsCols;
+    };
+    for (TransShape S : {TransShape{120, 120, 1}, TransShape{512, 512, 1},
+                         TransShape{65, 33, 33}}) {
+      Value X = Value::zeros(S.Rows, S.Cols), Y = Value::zeros(S.Rows, S.RhsCols);
+      std::vector<double> RX = randomVec(X.numel(), 7), RY = randomVec(Y.numel(), 8);
+      std::memcpy(X.reData(), RX.data(), RX.size() * sizeof(double));
+      std::memcpy(Y.reData(), RY.data(), RY.size() * sizeof(double));
+      double Flops = 2.0 * static_cast<double>(S.Rows) * S.Cols * S.RhsCols;
+      double TCopy = PerCall([&] {
+        Value R = rt::binary(rt::BinOp::MatMul,
+                             rt::unary(rt::UnOp::CTranspose, X), Y);
+        benchmark::DoNotOptimize(R.reData());
+      });
+      Record("transpose_copy_gemv", S.Cols, 1, TCopy, Flops);
+      double TInPlace = PerCall([&] {
+        Value R = rt::matMulTransA(rt::UnOp::CTranspose, X, Y);
+        benchmark::DoNotOptimize(R.reData());
+      });
+      Record("transpose_nocopy", S.Cols, 1, TInPlace, Flops);
+    }
+  }
+
+  // A \ b for a lower-triangular A (sor's splitting matrix): LU with
+  // partial pivoting against the forward substitution mldivide now picks.
+  for (size_t N : {90u, 420u}) {
+    Value L = Value::zeros(N, N), B = Value::zeros(N, 1);
+    std::vector<double> RL = randomVec(N * N, 9);
+    for (size_t J = 0; J != N; ++J) {
+      for (size_t I = J; I != N; ++I)
+        L.reData()[J * N + I] = I == J ? 4.0 + RL[J * N + I] : RL[J * N + I];
+      B.reData()[J] = 1.0;
+    }
+    double Flops = static_cast<double>(N) * N; // the substitution's
+    double TLu = PerCall([&] {
+      Value R = linalg::luSolve(L, B);
+      benchmark::DoNotOptimize(R.reData());
+    });
+    Record("ldivide_lu", N, 1, TLu, Flops);
+    double TTri = PerCall([&] {
+      Value R = rt::binary(rt::BinOp::MatLDiv, L, B);
+      benchmark::DoNotOptimize(R.reData());
+    });
+    Record("ldivide_triangular", N, 1, TTri, Flops);
   }
 
   // Elementwise multiply through the runtime's Value dispatch (the path

@@ -668,6 +668,16 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
       Line = preg(In.A) + " = mlfDaxpy(" + freg(In.B) + ", " + preg(In.C) +
              ", " + preg(In.D) + ");";
       break;
+    case Opcode::MatMulT:
+      Line = preg(In.A) + " = mlfMatMulT(" +
+             format("%d", static_cast<int>(In.Imm.I)) + ", " + preg(In.B) +
+             ", " + preg(In.C) + ");";
+      break;
+    case Opcode::DotT:
+      Line = freg(In.A) + " = mlfDotT(" +
+             format("%d", static_cast<int>(In.Imm.I)) + ", " + preg(In.B) +
+             ", " + preg(In.C) + ");";
+      break;
     case Opcode::EwFuse: {
       // One fused loop over the whole elementwise tree: mlfEwAlloc
       // simulates the program (conformance checks, complex deopt) and

@@ -1761,6 +1761,34 @@ Operand CodeGen::genBinary(const BinaryExpr *E) {
       return Operand::p(Dst);
     }
   }
+  // X' * Y and X.' * Y over real arrays: one product that reads X
+  // transposed instead of copying it (MatMulT), unboxed as DotT when both
+  // are column vectors and the product is typed scalar. A scalar side
+  // keeps the broadcast rules above; complex or generic sides keep the
+  // boxed pair below, which conjugates.
+  if (const auto *U = dyn_cast<UnaryExpr>(E->lhs());
+      Fast && Op == BinOp::MatMul && U &&
+      (U->op() == UnaryOpKind::CTranspose ||
+       U->op() == UnaryOpKind::Transpose)) {
+    Type XT = typeOf(U->operand());
+    if (realArrayType(XT) && !XT.isScalar() && realArrayType(RT) &&
+        !RT.isScalar()) {
+      int64_t UOp = static_cast<int64_t>(U->op() == UnaryOpKind::CTranspose
+                                             ? rt::UnOp::CTranspose
+                                             : rt::UnOp::Transpose);
+      Operand X = toP(genExpr(U->operand()), XT);
+      Operand Y = toP(genExpr(E->rhs()), RT);
+      if (XT.maxShape().Cols == 1 && RT.maxShape().Cols == 1 &&
+          realScalarType(ResT)) {
+        int32_t Dst = B.newF();
+        B.emitImmI(Opcode::DotT, UOp, Dst, X.R0, Y.R0);
+        return Operand::f(Dst);
+      }
+      int32_t Dst = B.newP();
+      B.emitImmI(Opcode::MatMulT, UOp, Dst, X.R0, Y.R0);
+      return Operand::p(Dst);
+    }
+  }
   if (Fast && Op == BinOp::MatMul && realArrayType(LT) && !LT.isScalar() &&
       realArrayType(RT) && RT.maxShape().Cols == 1 && !RT.isScalar()) {
     Operand A = toP(genExpr(E->lhs()), LT);

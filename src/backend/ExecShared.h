@@ -19,7 +19,7 @@
 ///   - allocation: zeros (NewMat), fill (FillF), and ewSimulate, the shape
 ///     and class pass of a fused elementwise program (EwFuse);
 ///   - whole values: indexLoad/indexAssign (LoadIdxG, StoreIdxG), concat
-///     (HorzCat, VertCat), gemv, axpy, display;
+///     (HorzCat, VertCat), gemv, axpy, matMulT, dotT, display;
 ///   - calls: callBuiltin (CallB), callArgs/callResults (CallU,
 ///     CallSelf) and takeOutputs (Ret);
 ///   - checkIntrinsicGuard, the domain guards of optimistic math.
@@ -313,6 +313,19 @@ inline ValuePtr gemv(const ValuePtr &AP, const ValuePtr &XP) {
   blas::dgemv(A.rows(), A.cols(), 1.0, A.reData(), X.reData(), 0.0,
               Y.reData());
   return makeValue(std::move(Y));
+}
+
+/// MatMulT: X' * Y (Op is ' or .') without the transposed copy.
+inline ValuePtr matMulT(int64_t Op, const ValuePtr &XP, const ValuePtr &YP) {
+  return makeValue(rt::matMulTransA(static_cast<rt::UnOp>(Op),
+                                    requireValue(XP), requireValue(YP)));
+}
+
+/// DotT: the scalar X' * Y of two real column vectors, as UnboxF would
+/// read the boxed product (same value, same error when it is not scalar).
+inline double dotT(int64_t Op, const ValuePtr &XP, const ValuePtr &YP) {
+  return realScalar(rt::matMulTransA(static_cast<rt::UnOp>(Op),
+                                     requireValue(XP), requireValue(YP)));
 }
 
 /// Axpy: a * x + y. The real same-shape case is one pass writing a fresh

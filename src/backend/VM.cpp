@@ -609,6 +609,12 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
     case Opcode::Axpy:
       PR[In.A] = exec::axpy(FR[In.B], PR[In.C], PR[In.D]);
       break;
+    case Opcode::MatMulT:
+      PR[In.A] = exec::matMulT(In.Imm.I, PR[In.B], PR[In.C]);
+      break;
+    case Opcode::DotT:
+      FR[In.A] = exec::dotT(In.Imm.I, PR[In.B], PR[In.C]);
+      break;
 
     case Opcode::EwFuse:
       PR[In.A] = makeValue(runEwFuse(F, In, PR));

@@ -1573,17 +1573,18 @@ void Engine::recordRun(Tier T, const std::string &Name, double Seconds) {
   recordFirstResult();
 }
 
-bool Engine::runNativeTier(const CompiledObject &Obj,
-                           const std::vector<ValuePtr> &Args, size_t NumOuts,
-                           const Rng &SavedRand, size_t OutputMark,
-                           std::vector<ValuePtr> &Out) {
+Engine::NativeRun Engine::runNativeTier(const CompiledObject &Obj,
+                                        const std::vector<ValuePtr> &Args,
+                                        size_t NumOuts, const Rng &SavedRand,
+                                        size_t OutputMark,
+                                        std::vector<ValuePtr> &Out) {
   std::shared_ptr<native::NativeModule> Mod = nativeModuleFor(Obj);
   if (!Mod)
-    return false;
+    return NativeRun::Unavailable;
   // Genuine MATLAB errors propagate exactly as from the VM; everything
   // else the tier can fail with - deopt guards, injected faults -
-  // restores the snapshots and degrades to the VM, so the tiers are
-  // distinguishable only by speed.
+  // restores the snapshots, so the tiers are distinguishable only by
+  // speed.
   try {
     Out = timedRun(Tier::Native, Obj.FunctionName, [&] {
       return native::runNative(Mod->entry(), Obj.FunctionName, Mod->numOuts(),
@@ -1593,16 +1594,16 @@ bool Engine::runNativeTier(const CompiledObject &Obj,
     // Counted only after the call returns: deopts and quarantined runs
     // must not inflate native.hits relative to native.deopts/failures.
     NativeHits.inc();
-    return true;
+    return NativeRun::Served;
   } catch (const DeoptError &) {
-    // An optimistic guard failed inside machine code. Quarantine the
-    // module and fall back to the VM: it re-runs with identical state,
-    // and its own DeoptError handling performs the pessimistic recompile
-    // when the guard fails there too.
+    // An optimistic guard failed inside machine code. The VM runs the
+    // same optimistic IR and would fail the same guard, so the caller
+    // goes straight to the pessimistic recompile.
     NativeDeopts.inc();
     quarantineNative(Obj.FunctionName, Obj.Sig);
     Ctx.Rand = SavedRand;
     Ctx.truncateOutput(OutputMark);
+    return NativeRun::Deopted;
   } catch (const MatlabError &) {
     // The program's own error (bad subscript, undefined variable,
     // interrupt, resource limit): the VM would raise it identically.
@@ -1614,8 +1615,8 @@ bool Engine::runNativeTier(const CompiledObject &Obj,
     quarantineNative(Obj.FunctionName, Obj.Sig);
     Ctx.Rand = SavedRand;
     Ctx.truncateOutput(OutputMark);
+    return NativeRun::Unavailable;
   }
-  return false;
 }
 
 std::vector<ValuePtr> Engine::runCompiled(const CompiledObject &Obj,
@@ -1632,51 +1633,64 @@ std::vector<ValuePtr> Engine::runCompiled(const CompiledObject &Obj,
   // MaxCallDepth guard can actually be reached.
   if (NativeComp) {
     std::vector<ValuePtr> NativeOut;
-    if (runNativeTier(Obj, Args, NumOuts, SavedRand, OutputMark, NativeOut))
+    switch (runNativeTier(Obj, Args, NumOuts, SavedRand, OutputMark,
+                          NativeOut)) {
+    case NativeRun::Served:
       return NativeOut;
+    case NativeRun::Deopted:
+      return runPessimistic(Obj, std::move(Args), NumOuts);
+    case NativeRun::Unavailable:
+      break;
+    }
   }
   try {
     return timedRun(Tier::Vm, Obj.FunctionName,
                     [&] { return Machine->run(*Obj.Code, Args, NumOuts); });
   } catch (const DeoptError &) {
     // An optimistic guard failed (sqrt of a negative value, ...): undo the
-    // attempt, replace the compiled version with a pessimistic one, retry.
+    // attempt, then recompile pessimistically and retry.
     Deopts.inc();
-    Profiles.recordDeopt(Obj.FunctionName);
-    obs::traceInstant("deopt", "engine", Obj.FunctionName);
-    // Repeated deopts say the speculated types were wrong for the live
-    // call pattern. When the observed signature differs from the one that
-    // deopted, queue an optimized recompile for it; same-signature deopts
-    // are already handled by the pessimistic replacement below (and must
-    // not be re-speculated optimistically, which would just deopt again).
-    if (Opts.Policy == CompilePolicy::Speculative && SpecPool) {
-      if (LoadedFunction *DLF = find(Obj.FunctionName))
-        if (++DLF->DeoptCount == kRespeculateDeopts) {
-          TypeSignature Observed;
-          if (observedSignatureFor(Obj.FunctionName, Obj.Sig.size(),
-                                   Observed) &&
-              !(Observed == Obj.Sig))
-            speculateAsync(Obj.FunctionName, &Observed);
-        }
-    }
     Ctx.Rand = SavedRand;
     Ctx.truncateOutput(OutputMark);
-    CompiledObjectPtr Repl = compileAndInsert(
-        Obj.FunctionName, Obj.Sig, Obj.Mode, Obj.From, /*Optimistic=*/false);
-    if (!Repl) {
-      InterpFallbacks.inc();
-      LoadedFunction *LF = find(Obj.FunctionName);
-      if (!LF)
-        throw MatlabError("deoptimization of unknown function '" +
-                          Obj.FunctionName + "'");
-      return interpretCall(*LF, std::move(Args), NumOuts);
-    }
-    // Pessimistic code selects no optimistic guards; a second DeoptError
-    // cannot occur from this object.
-    return timedRun(Tier::Vm, Repl->FunctionName, [&] {
-      return Machine->run(*Repl->Code, std::move(Args), NumOuts);
-    });
   }
+  return runPessimistic(Obj, std::move(Args), NumOuts);
+}
+
+std::vector<ValuePtr> Engine::runPessimistic(const CompiledObject &Obj,
+                                             std::vector<ValuePtr> Args,
+                                             size_t NumOuts) {
+  Profiles.recordDeopt(Obj.FunctionName);
+  obs::traceInstant("deopt", "engine", Obj.FunctionName);
+  // Repeated deopts say the speculated types were wrong for the live
+  // call pattern. When the observed signature differs from the one that
+  // deopted, queue an optimized recompile for it; same-signature deopts
+  // are already handled by the pessimistic replacement below (and must
+  // not be re-speculated optimistically, which would just deopt again).
+  if (Opts.Policy == CompilePolicy::Speculative && SpecPool) {
+    if (LoadedFunction *DLF = find(Obj.FunctionName))
+      if (++DLF->DeoptCount == kRespeculateDeopts) {
+        TypeSignature Observed;
+        if (observedSignatureFor(Obj.FunctionName, Obj.Sig.size(),
+                                 Observed) &&
+            !(Observed == Obj.Sig))
+          speculateAsync(Obj.FunctionName, &Observed);
+      }
+  }
+  CompiledObjectPtr Repl = compileAndInsert(
+      Obj.FunctionName, Obj.Sig, Obj.Mode, Obj.From, /*Optimistic=*/false);
+  if (!Repl) {
+    InterpFallbacks.inc();
+    LoadedFunction *LF = find(Obj.FunctionName);
+    if (!LF)
+      throw MatlabError("deoptimization of unknown function '" +
+                        Obj.FunctionName + "'");
+    return interpretCall(*LF, std::move(Args), NumOuts);
+  }
+  // Pessimistic code selects no optimistic guards; a second DeoptError
+  // cannot occur from this object.
+  return timedRun(Tier::Vm, Repl->FunctionName, [&] {
+    return Machine->run(*Repl->Code, std::move(Args), NumOuts);
+  });
 }
 
 std::vector<ValuePtr> Engine::interpretCall(LoadedFunction &LF,

@@ -393,7 +393,8 @@ public:
   /// Number of invocations that fell back to the interpreter / the JIT.
   uint64_t interpreterFallbacks() const { return InterpFallbacks.value(); }
   uint64_t jitCompiles() const { return JitCompiles.value(); }
-  /// Number of deoptimizations (guard failures causing a recompile).
+  /// Number of guard failures on the VM causing a recompile (a guard that
+  /// fails in machine code counts in nativeDeopts instead).
   uint64_t deoptimizations() const { return Deopts.value(); }
 
   /// Native-tier counters (also published as native.* metrics): system-
@@ -641,17 +642,34 @@ private:
   std::shared_ptr<native::NativeModule> nativeModuleFor(
       const CompiledObject &Obj);
 
+  /// How the native-tier leg of runCompiled ended.
+  enum class NativeRun : uint8_t {
+    Served,      ///< machine code returned the call's results
+    Unavailable, ///< no ready module, or it failed: run on the VM
+    Deopted,     ///< an optimistic guard failed: recompile pessimistically
+  };
+
   /// The native-tier leg of runCompiled: runs \p Obj's promoted module if
-  /// one is ready, handling deopt/fault degradation. Returns true with
-  /// \p Out filled when the native tier served the call. Deliberately
-  /// never inlined: runCompiled sits on the VM's call-recursion cycle,
-  /// and keeping this leg's locals and exception machinery out of that
-  /// frame keeps the MaxCallDepth guard reachable on sanitizer stacks.
-  [[gnu::noinline]] bool runNativeTier(const CompiledObject &Obj,
-                                       const std::vector<ValuePtr> &Args,
-                                       size_t NumOuts, const Rng &SavedRand,
-                                       size_t OutputMark,
-                                       std::vector<ValuePtr> &Out);
+  /// one is ready, handling deopt/fault degradation and restoring the
+  /// snapshots on either. Fills \p Out when it returns Served.
+  /// Deliberately never inlined: runCompiled sits on the VM's
+  /// call-recursion cycle, and keeping this leg's locals and exception
+  /// machinery out of that frame keeps the MaxCallDepth guard reachable on
+  /// sanitizer stacks.
+  [[gnu::noinline]] NativeRun runNativeTier(const CompiledObject &Obj,
+                                            const std::vector<ValuePtr> &Args,
+                                            size_t NumOuts,
+                                            const Rng &SavedRand,
+                                            size_t OutputMark,
+                                            std::vector<ValuePtr> &Out);
+
+  /// The one deopt handler of both tiers, after the failed attempt's
+  /// snapshots were restored: records the deopt, replaces \p Obj with a
+  /// pessimistic compile (or falls back to the interpreter) and runs the
+  /// call there. Never inlined, for the same reason as runNativeTier.
+  [[gnu::noinline]] std::vector<ValuePtr>
+  runPessimistic(const CompiledObject &Obj, std::vector<ValuePtr> Args,
+                 size_t NumOuts);
 
   /// Emits C for \p Code, drives the system compiler, loads the result,
   /// publishes the module, and persists the .so bytes beside the .mjo.

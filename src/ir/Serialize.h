@@ -53,7 +53,9 @@ namespace ser {
 /// different translation unit.
 // v3: EwFuse fused elementwise op. v4: output names; the typed self-call
 // convention (ArgF/ArgI/OutI/CallSelf). v5: FRand, scalar rand in a register.
-constexpr uint32_t kCodeABIVersion = 5;
+// v6: MatMulT/DotT, products with a transposed left operand; mldivide's
+// triangular and diagonal solves.
+constexpr uint32_t kCodeABIVersion = 6;
 
 // SerializeError / ByteWriter / ByteReader live in support/ByteStream.h so
 // the runtime's workspace serializer (runtime/ValueSerialize) can share

@@ -37,7 +37,8 @@ namespace native {
 
 // v2: typed direct self-calls (MxCallState, call_state, raise, release).
 // v3: rand, the scalar draw behind FRand.
-constexpr int kNativeABIVersion = 3;
+// v4: mat_mul_t and dot_t, the products behind MatMulT and DotT.
+constexpr int kNativeABIVersion = 4;
 
 /// The C-visible public prefix of a boxed value ("mxValue" on the C
 /// side). All fields are caches of the underlying Value, refreshed by
@@ -134,6 +135,10 @@ struct MajicNativeApi {
 
   // Scalar rand.
   double (*rand)(void); ///< the next draw of the context's generator
+
+  // Products with a transposed left operand (Op is the rt::UnOp).
+  MxPub *(*mat_mul_t)(int Op, MxPub *X, MxPub *Y);
+  double (*dot_t)(int Op, MxPub *X, MxPub *Y);
 };
 
 /// `<fn>_compiled`: the module entry point. Returns 0 on a normal Ret;

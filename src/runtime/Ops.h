@@ -66,6 +66,14 @@ Value binary(BinOp Op, const Value &A, const Value &B);
 
 Value unary(UnOp Op, const Value &A);
 
+/// binary(MatMul, unary(Op, X), Y) - the same value, class and error text -
+/// computed without the transposed copy of X when Op is ' or .' and both
+/// operands are real non-scalar arrays of matching inner dimension
+/// (blas::dgemmTA reads X transposed). Every other case materializes, and
+/// so does a result holding a NaN (whose sign and payload only the
+/// materialized path reproduces).
+Value matMulTransA(UnOp Op, const Value &X, const Value &Y);
+
 /// The colon operator a:b / a:s:b. Imaginary parts of the operands are
 /// silently ignored (Section 2.5's first speculation hint relies on this).
 Value colon(const Value &A, const Value &B);

@@ -265,6 +265,62 @@ TEST(Backend, VectorGrowthInLoop) {
                  "f", {9}, 1, /*Native=*/true);
 }
 
+TEST(Backend, TransposedProductsMatchTheInterpreter) {
+  // A' * y selects MatMulT, x' * y and x.' * y the unboxed DotT, A' * A
+  // the transposed dgemm; complex operands keep the boxed pair, which
+  // conjugates under ' and not under .'. n = 5 runs the naive kernels,
+  // n = 40 the blocked dgemm and n = 130 the unrolled dgemv.
+  const char *Src =
+      "function [a, d, c, z] = f(n)\n"
+      "A = zeros(n, n + 1);\n"
+      "for i = 1:n\nfor j = 1:n+1\nA(i, j) = sin(i * j) / j;\nend\nend\n"
+      "x = A(:, 2);\ny = cos((1:n)');\n"
+      "a = A' * y;\n"
+      "d = x' * y + x.' * x;\n"
+      "c = A' * A;\n"
+      "w = y + 2i * x;\n"
+      "z = w' * w + w.' * y + sum(A.' * w);\n";
+  for (double N : {5, 40, 130})
+    checkSoundness(Src, "f", {N}, 4, /*Native=*/true);
+  // An inner-dimension mismatch raises the materialized product's error.
+  checkSoundness("function r = g(n)\nA = ones(n, 2);\nb = ones(n + 1, 1);\n"
+                 "r = A' * b;\n",
+                 "g", {4}, 1, /*Native=*/true);
+  checkSoundness("function r = g(n)\nv = ones(n, 1);\nu = ones(n + 1, 1);\n"
+                 "r = v' * u;\n",
+                 "g", {4}, 1, /*Native=*/true);
+}
+
+TEST(Backend, StructuredSolvesMatchTheInterpreter) {
+  // mldivide's lower, upper and diagonal solves (and LU for the rest) on
+  // every tier: all of them reach the one runtime function.
+  const char *Src =
+      "function [l, u, d, g] = f(n)\n"
+      "L = zeros(n, n);\nfor i = 1:n\nfor j = 1:i\n"
+      "L(i, j) = 1 / (i + j) + (i == j);\nend\nend\n"
+      "b = cos((1:n)');\nB = [b, 2 * b];\n"
+      "l = L \\ b;\n"
+      "u = L' \\ B;\n"
+      "D = diag((1:n)');\nd = D \\ B;\n"
+      "G = L + L';\ng = G \\ b;\n";
+  for (double N : {4, 37})
+    checkSoundness(Src, "f", {N}, 4, /*Native=*/true);
+  // A zero on a triangular diagonal is singular, as LU says; the shape
+  // messages are LU's; a NaN above the diagonal makes the matrix general.
+  const std::string Lower =
+      "L = zeros(n, n);\nfor i = 1:n\nfor j = 1:i\nL(i, j) = 1;\nend\nend\n";
+  const std::string Errors[] = {
+      Lower + "L(2, 2) = 0;\nr = L \\ ones(n, 1);\n",
+      Lower + "U = L';\nU(n, n) = 0;\nr = U \\ ones(n, 1);\n",
+      "r = diag(zeros(n, 1)) \\ ones(n, 1);\n",
+      "r = ones(n, n + 1) \\ ones(n, 1);\n",
+      "r = eye(n) \\ ones(n + 1, 1);\n",
+      Lower + "L(1, n) = NaN;\nr = L \\ (1:n)';\n"};
+  for (const std::string &Body : Errors)
+    checkSoundness("function r = g(n)\n" + Body, "g", {5}, 1,
+                   /*Native=*/true);
+}
+
 TEST(Backend, ComplexScalarIteration) {
   // c from an imaginary literal: a constant register pair.
   checkSoundness("function m = f(n)\nc = -0.4 + 0.6i;\nz = 0;\n"
@@ -1225,10 +1281,11 @@ TEST(Deopt, NoDeoptWhenGuardsHold) {
 /// inference), under \p O. The generator starts where the first draw fails
 /// the guard and the second passes it, so a retry that did not start from
 /// the snapshot would draw the second, pass the guard and return another
-/// value. The retry must duplicate neither the print nor the draw, and
-/// \p Deopts must show that a deopt happened.
-void expectRollbackOnRetry(const EngineOptions &O,
-                           uint64_t (Engine::*Deopts)() const) {
+/// value. The retry must duplicate neither the print nor the draw, and the
+/// one deopt must be counted by the tier whose guard failed: \p VmDeopts
+/// and \p NativeDeopts.
+void expectRollbackOnRetry(const EngineOptions &O, uint64_t VmDeopts,
+                           uint64_t NativeDeopts) {
   std::string Src = "function s = f(n)\nfprintf('once\\n');\nr = rand;\n"
                     "y = sqrt(cos(n * r));\ns = r + imag(y);\n";
   auto FailsGuard = [](double R) { return std::cos(4 * R) < 0; };
@@ -1255,7 +1312,8 @@ void expectRollbackOnRetry(const EngineOptions &O,
   Engine E(O);
   ASSERT_TRUE(E.addSource("f", Src)) << E.diagnostics();
   auto R = Call(E);
-  EXPECT_GT((E.*Deopts)(), 0u);
+  EXPECT_EQ(E.deoptimizations(), VmDeopts);
+  EXPECT_EQ(E.nativeDeopts(), NativeDeopts);
   EXPECT_EQ(E.context().output(), "once\n");
   ASSERT_EQ(R.size(), 1u);
   expectSameValue(*Want[0], *R[0], "retry");
@@ -1264,17 +1322,15 @@ void expectRollbackOnRetry(const EngineOptions &O,
 TEST(Deopt, OutputAndRandRolledBackOnRetry) {
   EngineOptions Jit;
   Jit.Policy = CompilePolicy::Jit;
-  expectRollbackOnRetry(Jit, &Engine::deoptimizations);
+  expectRollbackOnRetry(Jit, /*VmDeopts=*/1, /*NativeDeopts=*/0);
 }
 
 TEST(Deopt, NativeOutputAndRandRolledBackOnRetry) {
   // The same in machine code: the module prints and draws through its
-  // callbacks before the guard fails. The VM then re-runs the optimistic
-  // code, which deopts again and restores the same snapshot (ROADMAP,
-  // "A native deopt runs the optimistic code twice"), so only the draw
-  // isolates the native tier's own restore: without it the VM re-run
-  // takes the second draw and passes the guard. The native tier's output
-  // rollback is not isolated.
+  // callbacks before the guard fails. The deopt goes straight to the
+  // pessimistic recompile - the VM never re-runs the optimistic code - so
+  // only the native tier's own restore of the output and the generator
+  // stands between the retry and a second print or the second draw.
   if (!hostCompilerAvailable())
     GTEST_SKIP() << "no C compiler on host";
   EngineOptions O;
@@ -1282,7 +1338,7 @@ TEST(Deopt, NativeOutputAndRandRolledBackOnRetry) {
   O.BackgroundCompileThreads = 0;
   O.NativeTier = true;
   O.NativeHotThreshold = 1;
-  expectRollbackOnRetry(O, &Engine::nativeDeopts);
+  expectRollbackOnRetry(O, /*VmDeopts=*/0, /*NativeDeopts=*/1);
 }
 
 //===----------------------------------------------------------------------===//

@@ -239,6 +239,27 @@ TEST(CEmitter, SmallVectorLoopsKeepNoBoxes) {
   }
 }
 
+TEST(CEmitter, TransposedProductsCopyNothing) {
+  // qmr's w' * v, q' * pt and A' * q and cgopt's r' * z and p' * q read
+  // their left operand in place: no transposed copy (RtUn) is made, the
+  // vector products are unboxed DotTs and A' * q is one MatMulT.
+  const std::pair<const char *, std::vector<double>> Hot[] = {
+      {"qmr", {120, 60}}, {"cgopt", {120, 400}}};
+  for (const auto &[Name, Args] : Hot)
+    for (CodeGenMode Mode : {CodeGenMode::Jit, CodeGenMode::Optimized}) {
+      SCOPED_TRACE(Name);
+      CorpusProgram P(Name, Args, Mode);
+      EXPECT_FALSE(hasOpcode(P.code().Code, Opcode::RtUn)) << P.code().print();
+      EXPECT_TRUE(hasOpcode(P.code().Code, Opcode::DotT)) << P.code().print();
+      EXPECT_EQ(hasOpcode(P.code().Code, Opcode::MatMulT),
+                std::string(Name) == "qmr")
+          << P.code().print();
+      std::string Src = P.emit();
+      EXPECT_EQ(Src.find("mlfUnary"), std::string::npos) << Src;
+      EXPECT_NE(Src.find("mlfDotT(3, "), std::string::npos) << Src;
+    }
+}
+
 TEST(CEmitter, FractalLoopNeverCallsTheHost) {
   // fractal's point p is one of three register-built literals per step,
   // and rand is one FRand: the step draws through the rand callback and

@@ -22,11 +22,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <tuple>
 #include <vector>
 
 using namespace majic;
@@ -240,6 +243,162 @@ TEST(Zgemm, ComplexMatMulThroughOps) {
 }
 
 //===----------------------------------------------------------------------===//
+// Products with a transposed left operand: dgemvT / dgemmTA and
+// rt::matMulTransA against the transposed copy, byte for byte
+//===----------------------------------------------------------------------===//
+
+std::vector<double> transposed(const std::vector<double> &A, size_t R,
+                               size_t C) {
+  std::vector<double> T(A.size());
+  for (size_t J = 0; J != C; ++J)
+    for (size_t I = 0; I != R; ++I)
+      T[I * C + J] = A[J * R + I];
+  return T;
+}
+
+/// Salts \p V with the values the naive kernels treat specially (a zero
+/// scale is skipped) or that propagate loudly: 0, -0, NaN and +-Inf.
+void salt(std::vector<double> &V, size_t Stride) {
+  const double Specials[] = {0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  for (size_t I = 0, K = 0; I < V.size(); I += Stride, ++K)
+    V[I] = Specials[K % 5];
+}
+
+/// Byte for byte, except that any NaN matches any NaN: which of two NaNs
+/// an addition returns depends on the compiler's operand order.
+void expectSameBitsUpToNaN(const std::vector<double> &Want,
+                           const std::vector<double> &Got) {
+  ASSERT_EQ(Want.size(), Got.size());
+  for (size_t I = 0; I != Want.size(); ++I) {
+    if (std::isnan(Want[I]) && std::isnan(Got[I]))
+      continue;
+    EXPECT_EQ(std::bit_cast<uint64_t>(Want[I]), std::bit_cast<uint64_t>(Got[I]))
+        << "element " << I << ": " << Want[I] << " vs " << Got[I];
+  }
+}
+
+TEST(TransA, KernelsMatchTheTransposedCopyBitForBit) {
+  std::mt19937_64 Rng(21);
+  // (rows of A, cols of A, cols of B): both sides of dgemv's M*N < 16384
+  // cutoff, of dgemm's M*N*K < 32768 cutoff (with this binary's small
+  // blocks), N == 1, a 1x1 result and empty operands.
+  const size_t Shapes[][3] = {
+      {120, 120, 1}, {127, 129, 1}, {128, 128, 1}, {130, 131, 1},
+      {16384, 1, 1}, {7, 3000, 1},  {40, 31, 26},  {41, 32, 25},
+      {65, 33, 33},  {83, 151, 67}, {5, 1, 1},     {0, 3, 2},
+      {4, 0, 2},     {3, 2, 0},     {1, 4, 3},     {6, 1, 4}};
+  for (const auto &S : Shapes) {
+    size_t K = S[0], M = S[1], N = S[2];
+    SCOPED_TRACE(::testing::Message() << K << "x" << M << " ' * " << K << "x"
+                                      << N);
+    std::vector<double> A = randomVec(K * M, Rng), B = randomVec(K * N, Rng);
+    salt(A, 7);
+    salt(B, 5);
+    std::vector<double> At = transposed(A, K, M);
+    for (double Beta : {0.0, 1.0, 0.7}) {
+      std::vector<double> Want(M * N, 0.25), Got(M * N, 0.25);
+      blas::dgemm(M, N, K, 1.3, At.data(), B.data(), Beta, Want.data());
+      blas::dgemmTA(M, N, K, 1.3, A.data(), B.data(), Beta, Got.data());
+      SCOPED_TRACE(::testing::Message() << "beta " << Beta);
+      expectSameBitsUpToNaN(Want, Got);
+    }
+    if (N == 0)
+      continue; // B's first column is dgemv's x
+    std::vector<double> Want(M, -1.5), Got(M, -1.5);
+    blas::dgemv(M, K, 0.5, At.data(), B.data(), 0.3, Want.data());
+    blas::dgemvT(K, M, 0.5, A.data(), B.data(), 0.3, Got.data());
+    expectSameBitsUpToNaN(Want, Got);
+  }
+}
+
+Value matrixOf(size_t R, size_t C, std::mt19937_64 &Rng,
+               MClass Cls = MClass::Real) {
+  Value V = Value::zeros(R, C, Cls);
+  std::uniform_int_distribution<int> Small(-3, 3);
+  for (size_t I = 0; I != R * C; ++I) {
+    V.reData()[I] = Cls == MClass::Bool   ? Small(Rng) > 0
+                    : Cls == MClass::Int ? Small(Rng)
+                                         : randomVec(1, Rng)[0];
+    if (Cls == MClass::Complex)
+      V.imData()[I] = randomVec(1, Rng)[0];
+  }
+  return V;
+}
+
+/// rt::matMulTransA against binary(MatMul, unary(Op, X), Y): the same
+/// shape, class and bytes, or the same error text.
+void expectTransAMatches(rt::UnOp Op, const Value &X, const Value &Y) {
+  auto Run = [](auto Fn, Value &Out) -> std::string {
+    try {
+      Out = Fn();
+      return "";
+    } catch (const MatlabError &E) {
+      return "error: " + E.message();
+    }
+  };
+  Value Want, Got;
+  std::string WantErr = Run(
+      [&] {
+        return rt::binary(rt::BinOp::MatMul, rt::unary(Op, X), Y);
+      },
+      Want);
+  std::string GotErr = Run([&] { return rt::matMulTransA(Op, X, Y); }, Got);
+  ASSERT_EQ(WantErr, GotErr);
+  if (!WantErr.empty())
+    return;
+  ASSERT_EQ(Want.rows(), Got.rows());
+  ASSERT_EQ(Want.cols(), Got.cols());
+  EXPECT_EQ(Want.mclass(), Got.mclass());
+  size_t Bytes = Want.numel() * sizeof(double);
+  if (Bytes == 0)
+    return; // an empty value's planes may be null
+  EXPECT_EQ(0, std::memcmp(Want.reData(), Got.reData(), Bytes));
+  if (Want.isComplex()) {
+    EXPECT_EQ(0, std::memcmp(Want.imData(), Got.imData(), Bytes));
+  }
+}
+
+TEST(TransA, MatMulTransAMatchesMaterializeThenMultiply) {
+  std::mt19937_64 Rng(23);
+  using rt::UnOp;
+  for (UnOp Op : {UnOp::CTranspose, UnOp::Transpose}) {
+    SCOPED_TRACE(rt::unOpName(Op));
+    // Real doubles over the kernels' regimes, salted with specials.
+    for (auto [K, M, N] : {std::tuple<size_t, size_t, size_t>{120, 120, 1},
+                           {130, 130, 1},
+                           {65, 33, 33},
+                           {5, 1, 1},
+                           {0, 3, 2},
+                           {4, 0, 2}}) {
+      Value X = matrixOf(K, M, Rng), Y = matrixOf(K, N, Rng);
+      for (size_t I = 0; I < X.numel(); I += 11)
+        X.reData()[I] = I % 2 ? -0.0 : std::numeric_limits<double>::infinity();
+      for (size_t I = 1; I < Y.numel(); I += 5)
+        Y.reData()[I] = I % 2 ? 0.0 : std::numeric_limits<double>::quiet_NaN();
+      expectTransAMatches(Op, X, Y);
+    }
+    // Int and bool classes keep matMul's class rule; complex operands
+    // conjugate under ' and not under .'; strings become char codes.
+    for (MClass XC : {MClass::Int, MClass::Bool, MClass::Complex, MClass::Real})
+      for (MClass YC : {MClass::Int, MClass::Bool, MClass::Complex,
+                        MClass::Real})
+        expectTransAMatches(Op, matrixOf(6, 4, Rng, XC),
+                            matrixOf(6, 3, Rng, YC));
+    expectTransAMatches(Op, Value::str("abc"), matrixOf(1, 2, Rng));
+    expectTransAMatches(Op, matrixOf(3, 1, Rng), Value::str("abc"));
+    // Scalar sides broadcast; mismatched inner dimensions fail alike.
+    expectTransAMatches(Op, matrixOf(1, 1, Rng), matrixOf(3, 2, Rng));
+    expectTransAMatches(Op, matrixOf(3, 2, Rng), matrixOf(1, 1, Rng));
+    expectTransAMatches(Op, matrixOf(3, 4, Rng), matrixOf(5, 2, Rng));
+    expectTransAMatches(Op, matrixOf(3, 1, Rng), matrixOf(4, 1, Rng));
+  }
+  // Any other operator materializes: the entry point stays total.
+  expectTransAMatches(rt::UnOp::Neg, matrixOf(1, 3, Rng), matrixOf(3, 2, Rng));
+}
+
+//===----------------------------------------------------------------------===//
 // Small kernels
 //===----------------------------------------------------------------------===//
 
@@ -296,6 +455,17 @@ TEST(Determinism, GemvBitIdenticalAcrossThreadCounts) {
   expectThreadInvariant([&] {
     std::vector<double> Y(M, 1.5);
     blas::dgemv(M, N, 1.0, A.data(), X.data(), 0.3, Y.data());
+    return Y;
+  });
+}
+
+TEST(Determinism, GemvTBitIdenticalAcrossThreadCounts) {
+  std::mt19937_64 Rng(22);
+  size_t M = 53, N = 4099; // the threaded regime, odd chunk edges
+  std::vector<double> A = randomVec(M * N, Rng), X = randomVec(M, Rng);
+  expectThreadInvariant([&] {
+    std::vector<double> Y(N, 1.5);
+    blas::dgemvT(M, N, 1.0, A.data(), X.data(), 0.3, Y.data());
     return Y;
   });
 }

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -587,6 +588,36 @@ TEST_F(NativeEngineTest, FractalStepsMakeNoBoxes) {
     }
   }
   EXPECT_EQ(Result[1], Result[0]);
+}
+
+TEST_F(NativeEngineTest, QmrMakesNoTransposedCopies) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  // A hot native qmr(120, 60) held 1,904 boxes when every A' * q, w' * v
+  // and q' * pt first boxed a transposed copy: A' * q now reads A in place
+  // and the two vector products return unboxed scalars, so each of the 60
+  // iterations makes at least three boxes fewer.
+  ValuePtr Result[2];
+  for (bool Native : {false, true}) {
+    fs::remove_all(Dir);
+    EngineOptions O = nativeOpts();
+    if (!Native)
+      O.Policy = CompilePolicy::InterpretOnly;
+    O.NativeTier = Native;
+    Engine E(O);
+    ASSERT_TRUE(E.loadFile(mlibDirectory() + "/qmr.m"));
+    E.callFunction("qmr", {intArg(120), intArg(60)}, 1, SourceLoc());
+    uint64_t Hits = E.nativeHits(), Boxes = E.nativeBoxes();
+    Result[Native] =
+        E.callFunction("qmr", {intArg(120), intArg(60)}, 1, SourceLoc())[0];
+    if (Native) {
+      EXPECT_EQ(E.nativeHits() - Hits, 1u);
+      EXPECT_LE(E.nativeBoxes() - Boxes, 1904u - 3 * 60);
+    }
+  }
+  ASSERT_EQ(Result[0]->numel(), Result[1]->numel());
+  EXPECT_EQ(0, std::memcmp(Result[0]->reData(), Result[1]->reData(),
+                           Result[0]->numel() * sizeof(double)));
 }
 
 TEST_F(NativeEngineTest, DirectRecursionReachesTheDefaultDepthLimit) {
