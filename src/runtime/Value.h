@@ -88,10 +88,10 @@ public:
   /// \p C is Complex).
   static Value zeros(size_t R, size_t C, MClass Cls = MClass::Real);
 
-  /// An R x C real-plane matrix whose elements are left UNINITIALIZED.
-  /// For kernels that overwrite every element in one pass (the fused
-  /// elementwise executor) the zero-fill of zeros() would be a second,
-  /// wasted memory sweep. \p Cls must not be Complex.
+  /// An R x C matrix of class \p Cls whose elements (both planes when
+  /// \p Cls is Complex) are left UNINITIALIZED. For kernels that overwrite
+  /// every element in one pass (the fused elementwise executor, transpose)
+  /// the zero-fill of zeros() would be a second, wasted memory sweep.
   static Value uninit(size_t R, size_t C, MClass Cls = MClass::Real);
 
   static Value str(std::string S) {

@@ -409,6 +409,44 @@ TEST(Backend, MatrixSolveAndEig) {
                  "f", {8});
 }
 
+TEST(Backend, EigMatchesTheInterpreter) {
+  // e = eig(C) and [V, D] = eig(C) on every tier, bit for bit: all of them
+  // reach the one runtime eigensolver. C is mei's symmetrized Gram matrix;
+  // eye(n) has an n-fold eigenvalue.
+  const char *Src =
+      "function [e, V, D, W] = f(n)\n"
+      "H = zeros(n + 3, n);\n"
+      "for i = 1:n+3\nfor j = 1:n\nH(i, j) = sin(i * j) / j;\nend\nend\n"
+      "C = H' * H;\nC = (C + C') / 2;\n"
+      "e = eig(C);\n"
+      "[V, D] = eig(C);\n"
+      "[W, G] = eig(2 * eye(n));\n";
+  for (double N : {0, 1, 2, 9, 33})
+    checkSoundness(Src, "f", {N}, 4, /*Native=*/true);
+  // Non-finite, non-square and non-symmetric input raise the same error on
+  // every tier; a NaN or an Inf raises MATLAB's text.
+  const std::string Errors[] = {
+      "A = ones(n);\nA(2, 1) = NaN;\nr = eig(A);\n",
+      "A = eye(n);\nA(n, n) = Inf;\n[r, D] = eig(A);\n",
+      "A = eye(n);\nA(1, 2) = -Inf;\nr = eig(A);\n",
+      "r = eig(ones(n, n + 1));\n",
+      "A = ones(n);\nA(1, n) = 2;\nr = eig(A);\n"};
+  for (const std::string &Body : Errors)
+    checkSoundness("function r = g(n)\n" + Body, "g", {4}, 1,
+                   /*Native=*/true);
+  EngineOptions Interp;
+  Interp.Policy = CompilePolicy::InterpretOnly;
+  for (size_t I = 0; I != 3; ++I) {
+    RunOutcome Got =
+        runWith(Interp, "function r = g(n)\n" + Errors[I], "g", intArgs({4}), 1);
+    EXPECT_TRUE(Got.Threw) << Errors[I];
+    EXPECT_NE(Got.ErrorMessage.find(
+                  "Input to EIG must not contain NaN or Inf."),
+              std::string::npos)
+        << Got.ErrorMessage;
+  }
+}
+
 TEST(Backend, MatVecProducts) {
   checkSoundness("function s = f(n)\nA = zeros(n, n);\n"
                  "for i = 1:n\nfor j = 1:n\nA(i, j) = 1 / (i + j);\nend\nend\n"

@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 using namespace majic;
 
 namespace {
@@ -146,6 +150,23 @@ TEST_F(BuiltinsTest, NormVariants) {
   EXPECT_DOUBLE_EQ(call1("norm", {V, Value::scalar(1)}).scalarValue(), 7);
   Value VInf = call1("norm", {V, Value::str("inf")});
   EXPECT_DOUBLE_EQ(VInf.scalarValue(), 4);
+}
+
+TEST_F(BuiltinsTest, SpectralNormOfAMatrix) {
+  // norm([1 2; 3 4]) = sqrt(max eig([10 14; 14 20])) = sqrt(15 + sqrt(221)).
+  Value M = Value::zeros(2, 2);
+  M.reRef(0) = 1;
+  M.reRef(1) = 3;
+  M.reRef(2) = 2;
+  M.reRef(3) = 4;
+  EXPECT_NEAR(call1("norm", {M}).scalarValue(), std::sqrt(15 + std::sqrt(221.0)),
+              1e-14);
+  // A NaN makes the norm NaN, an Inf makes it Inf (eig would reject both).
+  M.reRef(2) = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(call1("norm", {M}).scalarValue(),
+            std::numeric_limits<double>::infinity());
+  M.reRef(1) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(call1("norm", {M}).scalarValue()));
 }
 
 TEST_F(BuiltinsTest, DotProduct) {
@@ -300,6 +321,144 @@ TEST(LinAlg, EigenvaluesSatisfyCharacteristicEquation) {
   // Sorted ascending.
   for (size_t I = 1; I != N; ++I)
     EXPECT_LE(Eigs.re(I - 1), Eigs.re(I) + 1e-12);
+}
+
+/// A random symmetric N x N matrix with entries in [-0.5, 0.5).
+Value randomSymmetric(size_t N, uint64_t Seed) {
+  Rng R(Seed);
+  Value A = Value::zeros(N, N);
+  for (size_t I = 0; I != N; ++I)
+    for (size_t J = 0; J <= I; ++J) {
+      double V = R.nextDouble() - 0.5;
+      A.reRef(J * N + I) = V;
+      A.reRef(I * N + J) = V;
+    }
+  return A;
+}
+
+TEST(LinAlg, EigenvaluesScaleWithTheMatrix) {
+  // eig(s * A) = s * eig(A): convergence must be judged relative to the
+  // matrix, not against an absolute threshold.
+  Value A = Value::zeros(2, 2);
+  A.reRef(0) = 2;
+  A.reRef(1) = 1;
+  A.reRef(2) = 1;
+  A.reRef(3) = 2; // eigenvalues 1 and 3
+  for (double S : {1e-13, 1e-11, 1.0, 1e13}) {
+    Value E = linalg::symEig(rt::binary(rt::BinOp::ElemMul, A,
+                                        Value::scalar(S)));
+    ASSERT_EQ(E.numel(), 2u);
+    EXPECT_NEAR(E.re(0) / S, 1.0, 1e-14) << "scale " << S;
+    EXPECT_NEAR(E.re(1) / S, 3.0, 1e-14) << "scale " << S;
+  }
+  // A random 8 x 8 matrix scaled by 1e-14 against its unscaled spectrum,
+  // relative to the spectral radius; 1e-300 and 1e300, where squares of
+  // the entries would under- or overflow, too.
+  Value B = randomSymmetric(8, 5);
+  Value Ref = linalg::symEig(B);
+  double Radius = std::max(std::fabs(Ref.re(0)), std::fabs(Ref.re(7)));
+  for (double S : {1e-14, 1e-300, 1e300}) {
+    Value Scaled =
+        linalg::symEig(rt::binary(rt::BinOp::ElemMul, B, Value::scalar(S)));
+    for (size_t I = 0; I != 8; ++I)
+      EXPECT_NEAR(Scaled.re(I) / S, Ref.re(I), 1e-14 * Radius)
+          << "scale " << S << " eigenvalue " << I;
+  }
+}
+
+/// Checks [V, D] = eig(A) through the builtin: A * V = V * D, V' * V = I,
+/// D diagonal with ascending diagonal, and eig(A) the same bits as diag(D).
+void expectEigendecomposition(const Value &A, const std::string &What) {
+  const BuiltinDef *Eig = BuiltinTable::instance().lookup("eig");
+  ASSERT_NE(Eig, nullptr);
+  Context Ctx;
+  const Value *Arg[] = {&A};
+  std::vector<Value> VD = BuiltinTable::call(*Eig, Ctx, Arg, 2);
+  std::vector<Value> E = BuiltinTable::call(*Eig, Ctx, Arg, 1);
+  ASSERT_EQ(VD.size(), 2u);
+  ASSERT_EQ(E.size(), 1u);
+  const Value &V = VD[0], &D = VD[1];
+  size_t N = A.rows();
+  ASSERT_EQ(V.rows(), N) << What;
+  ASSERT_EQ(V.cols(), N) << What;
+  ASSERT_EQ(D.rows(), N) << What;
+  ASSERT_EQ(D.cols(), N) << What;
+  ASSERT_EQ(E[0].rows(), N) << What;
+  ASSERT_EQ(E[0].cols(), 1u) << What;
+  double Scale = 1;
+  for (size_t I = 0; I != N * N; ++I)
+    Scale = std::max(Scale, std::fabs(A.re(I)));
+  const double Tol = 64 * static_cast<double>(N + 1) *
+                     std::numeric_limits<double>::epsilon();
+  Value AV = rt::binary(rt::BinOp::MatMul, A, V);
+  Value VDv = rt::binary(rt::BinOp::MatMul, V, D);
+  Value VtV = rt::binary(rt::BinOp::MatMul,
+                         rt::unary(rt::UnOp::CTranspose, V), V);
+  for (size_t I = 0; I != N; ++I)
+    for (size_t J = 0; J != N; ++J) {
+      EXPECT_NEAR(AV.at(I, J), VDv.at(I, J), Tol * Scale)
+          << What << " A*V vs V*D at " << I << "," << J;
+      EXPECT_NEAR(VtV.at(I, J), I == J ? 1.0 : 0.0, Tol)
+          << What << " V'*V at " << I << "," << J;
+      if (I != J) {
+        EXPECT_EQ(D.at(I, J), 0.0) << What << " D off the diagonal";
+      }
+    }
+  for (size_t I = 0; I != N; ++I) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(E[0].re(I)),
+              std::bit_cast<uint64_t>(D.at(I, I)))
+        << What << " eig(A) vs diag(D) at " << I;
+    if (I != 0) {
+      EXPECT_LE(D.at(I - 1, I - 1), D.at(I, I)) << What << " order at " << I;
+    }
+  }
+}
+
+TEST(LinAlg, EigenvectorsDiagonalizeTheMatrix) {
+  for (size_t N : {0u, 1u, 2u, 9u, 33u})
+    expectEigendecomposition(randomSymmetric(N, 11 + N),
+                             "random n=" + std::to_string(N));
+  // mei's shape: the Gram matrix of a tall random matrix.
+  Rng R(17);
+  Value H = Value::zeros(65, 33);
+  for (size_t I = 0; I != H.numel(); ++I)
+    H.reRef(I) = R.nextDouble() - 0.5;
+  expectEigendecomposition(
+      rt::binary(rt::BinOp::MatMul, rt::unary(rt::UnOp::CTranspose, H), H),
+      "H'*H");
+  // Repeated eigenvalues: the identity, and a diagonal with ties.
+  Value I5 = Value::zeros(5, 5);
+  for (size_t I = 0; I != 5; ++I)
+    I5.reRef(I * 5 + I) = 1;
+  expectEigendecomposition(I5, "identity");
+  Value Ties = Value::zeros(6, 6);
+  double Diag[6] = {3, 1, 3, 2, 1, 3};
+  for (size_t I = 0; I != 6; ++I)
+    Ties.reRef(I * 6 + I) = Diag[I];
+  expectEigendecomposition(Ties, "diagonal with ties");
+  // A rank-one matrix: a triple eigenvalue 0 beside 12.
+  Value Ones = Value::zeros(4, 4);
+  for (size_t I = 0; I != 16; ++I)
+    Ones.reRef(I) = 3;
+  expectEigendecomposition(Ones, "rank one");
+}
+
+TEST(LinAlg, EigRejectsNonFiniteInput) {
+  for (double Bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Value A = randomSymmetric(4, 3);
+    A.reRef(2 * 4 + 1) = Bad; // only one side: the check comes first
+    Value V;
+    for (Value *Out : {static_cast<Value *>(nullptr), &V}) {
+      try {
+        linalg::symEig(A, Out);
+        ADD_FAILURE() << "no error for " << Bad;
+      } catch (const MatlabError &E) {
+        EXPECT_EQ(E.message(), "Input to EIG must not contain NaN or Inf.");
+      }
+    }
+  }
 }
 
 TEST(LinAlg, InverseTimesSelfIsIdentity) {

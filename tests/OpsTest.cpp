@@ -168,6 +168,45 @@ TEST(Ops, TransposeAndConjugate) {
   EXPECT_DOUBLE_EQ(T.im(0), 2); // not conjugated
 }
 
+TEST(Ops, TiledTransposeIsAnExactCopy) {
+  // Shapes on, across and inside the 16 x 16 tile boundary, a power-of-two
+  // square, and empties; every element, the sign of zeros and NaNs, and the
+  // class must match an element-by-element transpose.
+  struct Shape {
+    size_t R, C;
+  };
+  for (Shape S : {Shape{0, 3}, Shape{3, 0}, Shape{1, 1}, Shape{1, 40},
+                  Shape{40, 1}, Shape{16, 16}, Shape{37, 50}, Shape{64, 64}}) {
+    for (MClass Cls : {MClass::Real, MClass::Int, MClass::Bool,
+                       MClass::Complex}) {
+      Value A = Value::zeros(S.R, S.C, Cls);
+      for (size_t I = 0; I != A.numel(); ++I) {
+        A.reRef(I) = Cls == MClass::Bool ? double(I % 2) : double(I) - 7.0;
+        if (Cls == MClass::Complex)
+          A.imRef(I) = I % 5 ? double(I) * 0.5 : -0.0;
+      }
+      if (A.numel() > 3 && Cls != MClass::Bool)
+        A.reRef(3) = -std::numeric_limits<double>::quiet_NaN();
+      for (UnOp Op : {UnOp::Transpose, UnOp::CTranspose}) {
+        Value T = unary(Op, A);
+        ASSERT_EQ(T.rows(), S.C);
+        ASSERT_EQ(T.cols(), S.R);
+        EXPECT_EQ(T.mclass(), Cls);
+        bool Conj = Op == UnOp::CTranspose && Cls == MClass::Complex;
+        for (size_t R = 0; R != S.R; ++R)
+          for (size_t C = 0; C != S.C; ++C) {
+            double Re = A.at(R, C), Im = A.atIm(R, C);
+            if (Conj)
+              Im = -Im;
+            EXPECT_EQ(std::memcmp(&Re, &T.reData()[R * S.C + C], 8), 0);
+            if (Cls == MClass::Complex)
+              EXPECT_EQ(std::memcmp(&Im, &T.imData()[R * S.C + C], 8), 0);
+          }
+      }
+    }
+  }
+}
+
 TEST(Ops, MatLDivSolvesSystems) {
   Value A = mat22(2, 0, 0, 4);
   Value B = colVec({2, 8});
