@@ -4,26 +4,35 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Scriptable two-session smoke check for profile-guided speculation, used
-// by CI:
+// Scriptable multi-session smoke check for profile-guided speculation and
+// warm starts, used by CI:
 //
 //   profile_smoke <srcdir> <storedir> cold
 //     writes a three-function corpus into <srcdir>, then runs a skewed
-//     workload (hotfn called 5x, midfn 2x, coldfn never) against the
-//     persistent store in <storedir>; teardown persists both the compiled
-//     code and the profile.
+//     workload (hotfn called 5x, midfn 2x, coldfn never); teardown
+//     persists the profile into <storedir> but no compiled code, so the
+//     warm session's store serves nothing and all three functions still
+//     need speculation (a function the store serves is not speculated
+//     again).
 //
 //   profile_smoke <srcdir> <storedir> warm
-//     a fresh session on the same directories. Asserts, exiting nonzero
-//     on any violation:
+//     a fresh session on the same directories, its compiled code
+//     persisted into <storedir>. Asserts, exiting nonzero on any
+//     violation:
 //       - the persisted profile loaded (not quarantined);
 //       - with the worker paused, snoop() queues speculation hot-first:
 //         hotfn before midfn before coldfn;
 //       - the first invocation of hotfn is served without a foreground
 //         (JIT) compile and produces the expected value.
 //
-// Run the warm session with MAJIC_METRICS=metrics.json and the CI job
-// greps `"engine.jit_compiles": 0` from the dump as an independent check.
+//   profile_smoke <srcdir> <storedir> single
+//     a third session on the same directories, under the JIT policy:
+//     snoop, then one call of hotfn. Asserts that the call parsed one file,
+//     read only hotfn's store entries and compiled nothing.
+//
+// Run the warm and single sessions with MAJIC_METRICS=<file> and the CI
+// job greps the dumps (`"engine.jit_compiles": 0`, the source loads and
+// `"repo.entries_read"`) as an independent check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -72,7 +81,10 @@ ValuePtr intArg(long N) { return makeValue(Value::intScalar(N)); }
 
 int runCold(const std::string &SrcDir, const std::string &StoreDir) {
   writeCorpus(SrcDir);
-  Engine E(options(StoreDir));
+  EngineOptions O = options(StoreDir);
+  O.RepoDir.clear();
+  O.ProfileDir = StoreDir;
+  Engine E(O);
   E.watchDirectory(SrcDir);
   if (E.snoop() != 3)
     return fail("cold: expected to snoop 3 files");
@@ -124,14 +136,48 @@ int runWarm(const std::string &SrcDir, const std::string &StoreDir) {
   return 0;
 }
 
+int runSingle(const std::string &SrcDir, const std::string &StoreDir) {
+  unsigned Entries = 0;
+  for (const auto &F : std::filesystem::directory_iterator(StoreDir))
+    Entries += F.path().extension() == ".mjo" &&
+               F.path().filename().string().rfind("hotfn.", 0) == 0;
+  EngineOptions O = options(StoreDir);
+  O.Policy = CompilePolicy::Jit;
+  O.BackgroundCompileThreads = 0;
+  Engine E(O);
+  E.watchDirectory(SrcDir);
+  if (E.snoop() != 3)
+    return fail("single: expected to snoop 3 files");
+  auto R = E.callFunction("hotfn", {intArg(10)}, 1, SourceLoc());
+  if (R.empty() || R[0]->scalarValue() != 55)
+    return fail("single: hotfn(10) != 55");
+  if (E.jitCompiles() != 0)
+    return fail("single: the call paid a JIT compile");
+  uint64_t Loads = 0;
+  for (const auto &[Name, V] : E.sampleMetrics().Counters)
+    if (Name.rfind("engine.source_loads.", 0) == 0)
+      Loads += V;
+  if (Loads != 1)
+    return fail("single: the call loaded more than its own file");
+  if (E.repoStoreStats().EntriesRead != Entries)
+    return fail("single: the call read entries beyond hotfn's");
+  std::printf("profile_smoke: single-call session OK (1 source load, %u "
+              "entries read)\n",
+              Entries);
+  return 0;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
-  if (Argc != 4 || (std::strcmp(Argv[3], "cold") != 0 &&
-                    std::strcmp(Argv[3], "warm") != 0)) {
-    std::fprintf(stderr, "usage: profile_smoke <srcdir> <storedir> cold|warm\n");
-    return 2;
-  }
-  return std::strcmp(Argv[3], "cold") == 0 ? runCold(Argv[1], Argv[2])
-                                           : runWarm(Argv[1], Argv[2]);
+  const char *Mode = Argc == 4 ? Argv[3] : "";
+  if (std::strcmp(Mode, "cold") == 0)
+    return runCold(Argv[1], Argv[2]);
+  if (std::strcmp(Mode, "warm") == 0)
+    return runWarm(Argv[1], Argv[2]);
+  if (std::strcmp(Mode, "single") == 0)
+    return runSingle(Argv[1], Argv[2]);
+  std::fprintf(stderr,
+               "usage: profile_smoke <srcdir> <storedir> cold|warm|single\n");
+  return 2;
 }

@@ -135,6 +135,12 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   Metrics.registerCounter("native.hits", NativeHits);
   Metrics.registerCounter("native.direct_calls", NativeDirectCalls);
   Metrics.registerCounter("native.boxes", NativeBoxes);
+  static constexpr const char *SourceLoadNames[kNumSourceLoads] = {
+      "call", "callee", "speculate", "fallback"};
+  for (size_t W = 0; W != kNumSourceLoads; ++W)
+    Metrics.registerCounter(
+        std::string("engine.source_loads.") + SourceLoadNames[W],
+        SourceLoads[W]);
   Metrics.registerCounter("spec.queued", Spec.Queued);
   Metrics.registerCounter("spec.completed", Spec.Completed);
   Metrics.registerCounter("spec.dropped", Spec.Dropped);
@@ -186,10 +192,10 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   NativeHostAdapter.E = this;
   if (Opts.NativeTier)
     NativeComp = std::make_unique<native::NativeCompiler>(Opts.NativeCC);
-  // Open the persistent repository (warm start): sweep temp files a crashed
-  // save left behind, then read and validate every entry. Entries wait in
-  // PendingWarm until their source is loaded - only then can the source
-  // hash confirm the compiled code still matches the .m text.
+  // Open the persistent repository (warm start) and sweep temp files a
+  // crashed save left behind. A function's .mjo entries are read when its
+  // source is registered - only then can the source hash confirm the
+  // compiled code still matches the .m text.
   std::string RepoDir = Opts.RepoDir;
   if (RepoDir.empty() && Opts.EnvFallbacks)
     if (const char *Env = std::getenv("MAJIC_REPO_DIR"); Env && *Env)
@@ -197,8 +203,6 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   if (!RepoDir.empty()) {
     Store = std::make_unique<RepoStore>(RepoDir);
     Store->sweepTemps();
-    for (RepoStore::Entry &E : Store->loadAll())
-      PendingWarm[E.Obj.FunctionName].push_back(std::move(E));
     if (NativeComp && NativeComp->available()) {
       // Native payloads carry a narrower stamp: the ABI version plus the
       // compiler's identification line fold into the extra, so a cc
@@ -357,41 +361,50 @@ uint64_t Engine::sharedCacheConfigHash(const EngineOptions &Opts) {
 // Loading
 //===----------------------------------------------------------------------===//
 
-bool Engine::addSource(const std::string &Name, const std::string &Source) {
-  obs::TraceScope Span("addSource", "engine", Name);
+std::unique_ptr<Module> Engine::parseSource(const std::string &Name,
+                                            const std::string &Source) {
   // Diagnostics report the most recent load only; stale errors from an
   // earlier bad file must not poison this parse.
   Diags.clear();
-  std::unique_ptr<Module> Mod;
-  {
-    obs::TraceScope ParseSpan("parse", "compile", Name);
-    ScopedPhaseTimer T(Phases, Phase::Parse);
-    Mod = parseModule(Name, Source, SM, Diags);
-  }
+  obs::TraceScope ParseSpan("parse", "compile", Name);
+  ScopedPhaseTimer T(Phases, Phase::Parse);
+  return parseModule(Name, Source, SM, Diags);
+}
+
+bool Engine::addSource(const std::string &Name, const std::string &Source) {
+  obs::TraceScope Span("addSource", "engine", Name);
+  std::unique_ptr<Module> Mod = parseSource(Name, Source);
   if (!Mod)
     return false;
   registerModule(std::move(Mod), Source);
   return true;
 }
 
-void Engine::registerModule(std::unique_ptr<Module> Mod,
-                            const std::string &Source) {
+std::vector<std::string> Engine::registerModule(std::unique_ptr<Module> Mod,
+                                                const std::string &Source,
+                                                const std::string *File) {
   Module &M = *Modules.emplace_back(std::move(Mod));
-  ScopedPhaseTimer T(Phases, Phase::Disambiguate);
-  LastLoadedNames.clear();
+  std::vector<std::string> Registered;
   uint64_t SrcHash = hashing::fnv1a(Source);
   for (const auto &F : M.functions()) {
     const std::string &Name = F->name();
+    if (!File)
+      Snooper.forget(Name);
+    else if (!Snooper.owns(*File, Name))
+      continue;
     LoadedFunction LF;
     LF.F = F.get();
     LF.M = &M;
-    LF.Info = disambiguate(*F, M);
+    {
+      ScopedPhaseTimer T(Phases, Phase::Disambiguate);
+      LF.Info = disambiguate(*F, M);
+    }
     // New source shadows any previous definition; drop stale code and
     // make sure in-flight background compiles of the old source are
     // dropped rather than published.
     invalidateFunction(Name);
     seedObservedSignatures(Name, Functions[Name] = std::move(LF));
-    LastLoadedNames.push_back(Name);
+    Registered.push_back(Name);
     {
       std::lock_guard<std::mutex> L(SpecMutex);
       SourceHashByFn[Name] = SrcHash;
@@ -400,26 +413,80 @@ void Engine::registerModule(std::unique_ptr<Module> Mod,
     }
     adoptWarmEntries(Name, SrcHash);
   }
+  return Registered;
 }
 
-bool Engine::loadFile(const std::string &Path) {
+namespace {
+/// The module name of a .m file: its basename without the extension.
+std::string moduleName(const std::string &Path) {
+  size_t Slash = Path.find_last_of('/');
+  std::string Base = Slash == std::string::npos ? Path : Path.substr(Slash + 1);
+  return endsWith(Base, ".m") ? Base.substr(0, Base.size() - 2) : Base;
+}
+
+/// \p Path's text, or nullopt when it cannot be opened.
+std::optional<std::string> readText(const std::string &Path) {
   std::ifstream In(Path);
-  if (!In) {
+  if (!In)
+    return std::nullopt;
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+} // namespace
+
+bool Engine::loadFile(const std::string &Path) {
+  std::optional<std::string> Text = readText(Path);
+  if (!Text) {
     Diags.error(SourceLoc(), format("cannot open '%s'", Path.c_str()));
     return false;
   }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  // Module name = basename without extension.
-  size_t Slash = Path.find_last_of('/');
-  std::string Base = Slash == std::string::npos ? Path : Path.substr(Slash + 1);
-  if (endsWith(Base, ".m"))
-    Base = Base.substr(0, Base.size() - 2);
-  if (!addSource(Base, SS.str()))
+  return addSource(moduleName(Path), *Text);
+}
+
+Engine::LoadedFunction *Engine::resolve(const std::string &Name,
+                                        SourceLoad Why) {
+  // Each load either registers Name or gives up the file's claims, so
+  // the loop ends; a second round falls back to an earlier claimant.
+  while (const std::string *Path = Snooper.pendingFile(Name)) {
+    loadPending(std::string(*Path), Why);
+    Why = SourceLoad::Fallback;
+  }
+  return find(Name);
+}
+
+bool Engine::loadPending(const std::string &Path, SourceLoad Why) {
+  obs::TraceScope Span("loadSource", "engine", Path);
+  SourceLoads[size_t(Why)].inc();
+  Snooper.beginLoad(Path);
+  std::optional<std::string> Text = readText(Path);
+  std::unique_ptr<Module> Mod;
+  if (Text)
+    Mod = parseSource(moduleName(Path), *Text);
+  if (!Mod) {
+    if (!Text) {
+      Diags.clear();
+      Diags.error(SourceLoc(), format("cannot open '%s'", Path.c_str()));
+    }
+    Snooper.endLoad(Path, false, {});
     return false;
-  // Remember which functions this file defined: when the snooper reports
-  // the file deleted, exactly these must be invalidated (stem aside).
-  FileFunctions[Path] = LastLoadedNames;
+  }
+  std::vector<std::string> Defined;
+  for (const auto &F : Mod->functions())
+    Defined.push_back(F->name());
+  // A later file defining one of these names registers it after this one
+  // in scan order: load it first, so this file registers only what it
+  // still holds (and keeps a name whose later file fails to parse).
+  for (const std::string &Name : Defined)
+    resolve(Name, SourceLoad::Callee);
+  std::vector<std::string> Registered =
+      registerModule(std::move(Mod), *Text, &Path);
+  Snooper.endLoad(Path, true, std::move(Defined));
+  for (const std::string &Name : Registered) {
+    std::vector<std::string> Callees = find(Name)->Info->Callees;
+    for (const std::string &Callee : Callees)
+      resolve(Callee, SourceLoad::Callee);
+  }
   return true;
 }
 
@@ -429,11 +496,11 @@ void Engine::watchDirectory(const std::string &Dir) {
 
 unsigned Engine::snoop() {
   obs::TraceScope Span("snoop", "engine");
-  unsigned Loaded = 0;
-  // Load in the scanner's deterministic path order, but speculate
-  // hot-first: the profile's invocation counts (live plus persisted from
-  // the last session) say what the user actually runs, so the most-called
-  // function's compile goes first. Never-run functions tie at zero and
+  unsigned Found = 0;
+  // Files load in the scanner's deterministic path order, but speculation
+  // runs hot-first: the profile's invocation counts (live plus persisted
+  // from the last session) say what the user actually runs, so the
+  // most-called function's compile goes first. Never-run functions tie at zero and
   // keep source-recency order - the file the user just saved is the one
   // they will most likely run next.
   struct Candidate {
@@ -447,12 +514,25 @@ unsigned Engine::snoop() {
       handleRemovedSource(C);
       continue;
     }
-    if (!loadFile(C.Path))
+    ++Found;
+    if (Opts.Policy != CompilePolicy::Speculative)
       continue;
-    ++Loaded;
-    if (Opts.Policy == CompilePolicy::Speculative)
-      for (const std::string &Fn : LastLoadedNames)
-        ToSpeculate.push_back({Profiles.invocations(Fn), C.MTime, Fn});
+    // A function the store serves already needs no speculation, and a
+    // file with no function that does stays pending like under every other
+    // policy. An edited file is recompiled whatever the store holds.
+    std::vector<std::string> Needed;
+    for (const std::string &Fn : C.Names)
+      if (C.K == SourceSnooper::Change::Kind::Modified || needsSpeculation(Fn))
+        Needed.push_back(Fn);
+    if (Needed.empty())
+      continue;
+    if (Snooper.isPending(C.Path) &&
+        !loadPending(C.Path, SourceLoad::Speculate)) {
+      --Found;
+      continue;
+    }
+    for (const std::string &Fn : Needed)
+      ToSpeculate.push_back({Profiles.invocations(Fn), C.MTime, Fn});
   }
   std::stable_sort(ToSpeculate.begin(), ToSpeculate.end(),
                    [](const Candidate &A, const Candidate &B) {
@@ -469,7 +549,18 @@ unsigned Engine::snoop() {
     else
       precompileSpeculative(Fn);
   }
-  return Loaded;
+  return Found;
+}
+
+bool Engine::needsSpeculation(const std::string &Name) const {
+  auto It = PendingProfileSigs.find(Name);
+  if (!Store || It == PendingProfileSigs.end())
+    return true;
+  auto Served = [&](const RepoStore::ProfileSig &PS) {
+    return Store->hasEntry(Name, PS.Sig) ||
+           (PS.ServedBy && Store->hasEntry(Name, *PS.ServedBy));
+  };
+  return !std::all_of(It->second.begin(), It->second.end(), Served);
 }
 
 //===----------------------------------------------------------------------===//
@@ -489,7 +580,7 @@ const std::shared_ptr<FunctionInfo> &Engine::compileView(LoadedFunction &LF) {
 
   ScopedPhaseTimer T(Phases, Phase::Disambiguate);
   FunctionResolver Resolve = [this](const std::string &Callee) -> const Function * {
-    LoadedFunction *C = find(Callee);
+    LoadedFunction *C = resolve(Callee, SourceLoad::Callee);
     return C ? C->F : nullptr;
   };
   LF.InlinedF = inlineFunctionCalls(*LF.F, LF.M->context(), Resolve);
@@ -501,7 +592,7 @@ const std::shared_ptr<FunctionInfo> &Engine::compileView(LoadedFunction &LF) {
 }
 
 Engine::LoadedFunction *Engine::compilable(const std::string &Name) {
-  LoadedFunction *LF = find(Name);
+  LoadedFunction *LF = resolve(Name);
   if (!LF || LF->F->isScript() || isQuarantined(Name) ||
       compileView(*LF)->HasAmbiguousSymbols)
     return nullptr;
@@ -618,35 +709,36 @@ CompiledObjectPtr Engine::compileAndPublish(const std::string &Name,
 //===----------------------------------------------------------------------===//
 
 namespace {
-/// The source-hash rung of the validation ladder: takes \p Name's entries
-/// out of \p Pending and returns those compiled from the source text that
-/// hashes to \p SrcHash. The others must not shadow the new source: their
-/// files are deleted, and the new source recompiles on demand.
+/// The source-hash rung of the validation ladder: returns the entries of
+/// \p Entries compiled from the source text that hashes to \p SrcHash.
+/// The others must not shadow the new source: their files are deleted,
+/// and the new source recompiles on demand.
 template <typename EntryT>
-std::vector<EntryT>
-takeMatching(std::unordered_map<std::string, std::vector<EntryT>> &Pending,
-             const std::string &Name, uint64_t SrcHash, RepoStore &Store) {
+std::vector<EntryT> takeMatching(std::vector<EntryT> Entries, uint64_t SrcHash,
+                                 RepoStore &Store) {
   std::vector<EntryT> Matching;
-  auto It = Pending.find(Name);
-  if (It == Pending.end())
-    return Matching;
-  for (EntryT &E : It->second) {
+  for (EntryT &E : Entries) {
     if (E.SourceHash == SrcHash)
       Matching.push_back(std::move(E));
     else
       Store.discardStale(E.Path);
   }
-  Pending.erase(It);
   return Matching;
 }
 } // namespace
 
 void Engine::adoptWarmEntries(const std::string &Name, uint64_t SrcHash) {
   // The .mjo and .mjn rungs run independently: a quarantined .mjo leaves
-  // its function's valid .mjn adoptable on its own.
+  // its function's valid .mjn adoptable on its own. Only a name's first
+  // registration reads its .mjo files: after that the store holds what
+  // this session saved, which needs no adopting, and which a redefinition
+  // must not discard as stale.
   if (!Store)
     return;
-  for (RepoStore::Entry &E : takeMatching(PendingWarm, Name, SrcHash, *Store)) {
+  std::vector<RepoStore::Entry> Entries;
+  if (WarmRead.insert(Name).second)
+    Entries = Store->load(Name);
+  for (RepoStore::Entry &E : takeMatching(std::move(Entries), SrcHash, *Store)) {
     try {
       Repo.insert(std::move(E.Obj));
       Store->noteAdopted();
@@ -662,8 +754,11 @@ void Engine::adoptWarmEntries(const std::string &Name, uint64_t SrcHash) {
   // with zero compiler invocations. Any loader refusal (injected fault,
   // ABI drift the stamp missed) discards the file and the function simply
   // stays on the VM until re-promoted.
+  std::vector<RepoStore::NativeEntry> Native;
+  if (auto Node = PendingWarmNative.extract(Name))
+    Native = std::move(Node.mapped());
   for (RepoStore::NativeEntry &E :
-       takeMatching(PendingWarmNative, Name, SrcHash, *Store)) {
+       takeMatching(std::move(Native), SrcHash, *Store)) {
     try {
       std::vector<uint8_t> So(E.SoBytes.begin(), E.SoBytes.end());
       std::shared_ptr<native::NativeModule> Mod =
@@ -756,24 +851,15 @@ RepoStoreStats Engine::repoStoreStats() const {
 }
 
 void Engine::handleRemovedSource(const SourceSnooper::Change &C) {
-  // Which functions did that file define? Fall back to the stem for files
-  // loaded by an embedder directly rather than through loadFile.
-  std::vector<std::string> Names;
-  auto It = FileFunctions.find(C.Path);
-  if (It != FileFunctions.end()) {
-    Names = std::move(It->second);
-    FileFunctions.erase(It);
-  } else {
-    Names.push_back(C.FunctionName);
-  }
-  for (const std::string &Fn : Names) {
+  for (const std::string &Fn : C.Names) {
     // Same teardown as a reload - drop compiled versions, bump the source
     // generation so in-flight compiles are discarded - plus: the function
     // stops resolving, and its on-disk entries go too (a deleted source
-    // must not resurrect on the next warm start).
+    // must not resurrect on the next warm start), whether or not this
+    // session ever loaded the file.
     invalidateFunction(Fn);
     Functions.erase(Fn);
-    PendingWarm.erase(Fn);
+    WarmRead.insert(Fn);
     PendingWarmNative.erase(Fn);
     PendingProfileSigs.erase(Fn);
     {
@@ -1004,9 +1090,9 @@ void Engine::invalidateFunction(const std::string &Name) {
   Quarantined.erase(Name);
   Repo.invalidate(Name);
   // Native versions compiled from the old source must not serve the new
-  // one. Warm .mjn entries stay pending: like PendingWarm above them,
-  // they carry the source hash they were compiled from, and adoption
-  // discards the stale ones itself.
+  // one. Warm .mjn entries stay pending: like the .mjo entries, they carry
+  // the source hash they were compiled from, and adoption discards the
+  // stale ones itself.
   std::string Prefix = Name + '\0';
   for (auto It = NativeVersions.begin(); It != NativeVersions.end();) {
     if (It->first.rfind(Prefix, 0) == 0)
@@ -1063,7 +1149,7 @@ bool Engine::precompileGeneric(const std::string &Name, size_t Arity) {
 }
 
 TypeSignature Engine::speculated(const std::string &Name) {
-  LoadedFunction *LF = find(Name);
+  LoadedFunction *LF = resolve(Name);
   if (!LF)
     return TypeSignature();
   return speculateSignature(*compileView(*LF), Opts.Infer);
@@ -1193,27 +1279,35 @@ void Engine::saveProfilesToStore() {
     S.OtherSignatures = P.OtherSignatures;
     const LoadedFunction *LF = find(P.Name);
     auto PendingIt = PendingProfileSigs.find(P.Name);
+    // A loaded function's versions say what serves each signature now; a
+    // function this session never loaded keeps what was persisted.
+    std::vector<CompiledObjectPtr> Versions;
+    if (LF)
+      Versions = Repo.versions(P.Name);
     for (const auto &[Str, Count] : P.ArgSignatures) {
       if (Str == UntypedSig)
         continue;
-      TypeSignature Sig;
-      bool Found = false;
+      std::optional<RepoStore::ProfileSig> Found;
       if (LF)
         for (const LoadedFunction::SigObs &O : LF->Obs)
           if (O.Str == Str) {
-            Sig = O.Sig;
-            Found = true;
+            Found = RepoStore::ProfileSig{O.Sig, Str, Count, std::nullopt};
+            for (const CompiledObjectPtr &V : Versions)
+              if (O.Sig.safeFor(V->Sig)) {
+                Found->ServedBy = V->Sig;
+                break;
+              }
             break;
           }
       if (!Found && PendingIt != PendingProfileSigs.end())
         for (const RepoStore::ProfileSig &PS : PendingIt->second)
           if (PS.SigStr == Str) {
-            Sig = PS.Sig;
-            Found = true;
+            Found = PS;
+            Found->Count = Count;
             break;
           }
       if (Found && S.Sigs.size() < RepoStore::kProfileTopK)
-        S.Sigs.push_back({Sig, Str, Count});
+        S.Sigs.push_back(std::move(*Found));
     }
     if (S.Invocations == 0 && S.Sigs.empty())
       continue;
@@ -1250,6 +1344,7 @@ obs::MetricsSnapshot Engine::sampleMetrics() {
       .set(int64_t(SS.NativeQuarantined));
   Metrics.gauge("repo.store.native_skewed").set(int64_t(SS.NativeSkewed));
   Metrics.gauge("repo.store.native_untrusted").set(int64_t(SS.NativeUntrusted));
+  Metrics.gauge("repo.entries_read").set(int64_t(SS.EntriesRead));
   Metrics.gauge("repo.objects").set(int64_t(Repo.totalObjects()));
   Metrics.gauge("engine.quarantined").set(int64_t(quarantineCount()));
   par::ComputePoolSample CP = par::sampleComputePool();
@@ -1319,7 +1414,7 @@ private:
 std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
                                            std::vector<ValuePtr> Args,
                                            size_t NumOuts, SourceLoc Loc) {
-  LoadedFunction *LF = find(Name);
+  LoadedFunction *LF = resolve(Name);
   if (!LF)
     throw MatlabError(format("undefined function '%s'", Name.c_str()), Loc);
   if (!LF->F->isScript() && Args.size() > LF->F->params().size())
@@ -1413,7 +1508,7 @@ std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
 }
 
 bool Engine::knowsFunction(const std::string &Name) {
-  return Functions.count(Name) != 0;
+  return resolve(Name) != nullptr;
 }
 
 std::string Engine::nativeKey(const std::string &Name,
@@ -1710,13 +1805,7 @@ std::string Engine::runScript(const std::string &Source) {
   size_t OutputMark = Ctx.output().size();
 
   std::string Name = format("session%zu", Modules.size());
-  Diags.clear();
-  std::unique_ptr<Module> Mod;
-  {
-    obs::TraceScope ParseSpan("parse", "compile", Name);
-    ScopedPhaseTimer T(Phases, Phase::Parse);
-    Mod = parseModule(Name, Source, SM, Diags);
-  }
+  std::unique_ptr<Module> Mod = parseSource(Name, Source);
   if (!Mod) {
     std::string Err = Diags.render(SM);
     Diags.clear();

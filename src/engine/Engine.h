@@ -238,17 +238,22 @@ public:
   //===--------------------------------------------------------------------===
 
   /// Parses and registers \p Source as module \p Name (function file or
-  /// script). Returns false (with diagnostics()) on parse errors.
+  /// script). Returns false (with diagnostics()) on parse errors. Its
+  /// functions shadow every snooped file's definitions of their names.
   bool addSource(const std::string &Name, const std::string &Source);
 
   /// Loads one .m file.
   bool loadFile(const std::string &Path);
 
-  /// Watches a directory of .m files; scan() picks them up.
+  /// Watches a directory of .m files; snoop() picks them up.
   void watchDirectory(const std::string &Dir);
 
-  /// Scans watched directories: loads new/changed files and, under the
-  /// Speculative policy, compiles them ahead of time.
+  /// Scans watched directories and records new/changed files as pending:
+  /// a file is parsed when a lookup first needs a name it defines (see
+  /// SourceSnooper). Under the Speculative policy the files with a
+  /// function the store cannot serve yet are loaded now and compiled
+  /// ahead of time. Returns the number of new or changed files, less
+  /// those of them a load here failed to parse.
   unsigned snoop();
 
   //===--------------------------------------------------------------------===
@@ -505,14 +510,51 @@ private:
   };
 
   LoadedFunction *find(const std::string &Name);
+
+  /// Why a pending source file was loaded (engine.source_loads.<why>).
+  enum class SourceLoad : uint8_t {
+    Call,      ///< a lookup of one of its names: a call, knowsFunction, a
+               ///< compile request
+    Callee,    ///< another file's load: a call site names it, or it
+               ///< defines one of that file's names later in scan order
+    Speculate, ///< snoop() under the Speculative policy
+    Fallback,  ///< a lookup whose first file failed to parse
+  };
+  static constexpr size_t kNumSourceLoads = 4;
+
+  /// find() after loading the pending file that defines \p Name, if any.
+  /// Engine-thread only: loading registers functions.
+  LoadedFunction *resolve(const std::string &Name,
+                          SourceLoad Why = SourceLoad::Call);
+
+  /// Parses pending \p Path and registers the functions it holds the
+  /// latest claim on. Later claimants of its names load first, and the
+  /// pending files its call sites name load after, so every compile sees
+  /// the callees eager loading gives it. False on a parse error.
+  bool loadPending(const std::string &Path, SourceLoad Why);
+
+  /// Parses \p Source as module \p Name into a fresh diagnostics stream.
+  std::unique_ptr<Module> parseSource(const std::string &Name,
+                                      const std::string &Source);
+
+  /// False when the store serves each of \p Name's persisted observed
+  /// signatures, so speculating on it would only recompile what the store
+  /// holds: a .mjo is named for the signature or for the version that
+  /// served it when the profile was saved. Checked by file name only.
+  bool needsSpeculation(const std::string &Name) const;
+
   /// The analysis view compilation uses (inlined when enabled). Must run
   /// on the engine's thread: building the view mutates the LoadedFunction.
   const std::shared_ptr<FunctionInfo> &compileView(LoadedFunction &LF);
 
-  /// Registers every function of \p Mod (parsed from \p Source): each
-  /// shadows its previous definition, takes the source hash, is no longer
-  /// a removed function, and adopts its validated warm-start entries.
-  void registerModule(std::unique_ptr<Module> Mod, const std::string &Source);
+  /// Registers the functions of \p Mod (parsed from \p Source): all of
+  /// them for a direct definition (\p File null), else those whose latest
+  /// claim snooped \p File holds. Each shadows its previous definition,
+  /// takes the source hash, is no longer a removed function, and adopts
+  /// its validated warm-start entries. Returns the names registered.
+  std::vector<std::string> registerModule(std::unique_ptr<Module> Mod,
+                                          const std::string &Source,
+                                          const std::string *File = nullptr);
 
   /// \p Name's entry when it can be compiled: loaded, not a script, not
   /// quarantined, and no ambiguous symbols in its compile view.
@@ -584,8 +626,9 @@ private:
 
   class InvocationScope;
 
-  /// Runs the source-hash rung of the validation ladder over \p Name's
-  /// pending warm-start entries: matching entries are published to the
+  /// Reads \p Name's store entries, the first time it is registered, and
+  /// runs the source-hash rung of the validation ladder over them and its
+  /// pending native entries: matching entries are published to the
   /// repository, drifted ones are discarded from disk.
   void adoptWarmEntries(const std::string &Name, uint64_t SrcHash);
 
@@ -760,10 +803,6 @@ private:
   /// in order reaches the same state) - the replay half of a hibernation
   /// snapshot.
   std::vector<ser::WorkspaceImage::SourceDef> InteractiveDefs;
-  /// Function names registered by the most recent addSource/loadFile (the
-  /// snooper speculates on these; a file's stem need not match them).
-  std::vector<std::string> LastLoadedNames;
-
   unsigned CallDepth = 0;
   obs::Counter InterpFallbacks; ///< registered as "engine.interp_fallbacks"
   obs::Counter JitCompiles;     ///< registered as "engine.jit_compiles"
@@ -774,6 +813,8 @@ private:
   obs::Counter NativeHits;      ///< registered as "native.hits"
   obs::Counter NativeDirectCalls; ///< registered as "native.direct_calls"
   obs::Counter NativeBoxes;     ///< registered as "native.boxes"
+  /// Registered as "engine.source_loads.<why>", indexed by SourceLoad.
+  obs::Counter SourceLoads[kNumSourceLoads];
 
   //===--------------------------------------------------------------------===
   // Native tier state
@@ -818,7 +859,9 @@ private:
   uint64_t NativeEpoch = 0;     ///< engine-thread only
   uint64_t NativeMemoEpoch = 0; ///< the epoch NativeMemos was filled at
   /// Validated .mjn entries waiting for their source (and its hash) to be
-  /// loaded, exactly like PendingWarm. Engine-thread only.
+  /// loaded. Read at construction, unlike the .mjo entries: a fresh
+  /// native-tier engine reports every .mjn it validated before it loads
+  /// any source. Engine-thread only.
   std::unordered_map<std::string, std::vector<RepoStore::NativeEntry>>
       PendingWarmNative;
   /// True when this engine installed the process-wide memory limit (so the
@@ -845,10 +888,10 @@ private:
   /// against the live source at that point). Engine-thread only.
   std::unordered_map<std::string, std::vector<RepoStore::ProfileSig>>
       PendingProfileSigs;
-  /// Entries loaded from disk at startup, keyed by function name, waiting
-  /// for their source to be loaded so the source-hash rung of the
-  /// validation ladder can run (adoptWarmEntries).
-  std::unordered_map<std::string, std::vector<RepoStore::Entry>> PendingWarm;
+  /// Functions whose .mjo entries this session already read (at their
+  /// first registration) or erased: a later registration of the name, a
+  /// reload, finds nothing to adopt. Engine-thread only.
+  std::unordered_set<std::string> WarmRead;
   /// Content hash of each function's current source text. Guarded by
   /// SpecMutex: background save tasks read it.
   std::unordered_map<std::string, uint64_t> SourceHashByFn;
@@ -858,9 +901,6 @@ private:
   /// write, so the deleted function cannot resurrect on the next warm
   /// start however the save and the erase interleave.
   std::unordered_set<std::string> ErasedFns;
-  /// Function names each loaded file defined; snooper removal invalidates
-  /// through this (a file's stem need not match its function names).
-  std::unordered_map<std::string, std::vector<std::string>> FileFunctions;
 
   //===--------------------------------------------------------------------===
   // Background speculation (the compile queue). All fields below are

@@ -48,7 +48,7 @@ const RepoStore::Kind RepoStore::NativeKind = {
     &RepoStoreStats::NativeLoaded, &RepoStoreStats::NativeQuarantined,
     &RepoStoreStats::NativeSkewed};
 const RepoStore::Kind RepoStore::ProfileKind = {
-    0x4d4a5046u /* "MJPF" */,        2, ".mjp",
+    0x4d4a5046u /* "MJPF" */,        3, ".mjp",
     &RepoStoreStats::ProfilesSaved,  &RepoStoreStats::ProfileSaveFailures,
     &RepoStoreStats::ProfilesLoaded, &RepoStoreStats::ProfilesQuarantined,
     &RepoStoreStats::ProfilesSkewed};
@@ -193,6 +193,9 @@ std::string encodeProfiles(const std::vector<RepoStore::ProfileSummary> &Ps) {
     for (size_t I = 0; I != N; ++I) {
       ser::writeTypeSignature(W, S.Sigs[I].Sig);
       W.u64(S.Sigs[I].Count);
+      W.u8(S.Sigs[I].ServedBy.has_value());
+      if (S.Sigs[I].ServedBy)
+        ser::writeTypeSignature(W, *S.Sigs[I].ServedBy);
     }
   }
   return W.take();
@@ -217,6 +220,11 @@ std::vector<RepoStore::ProfileSummary> decodeProfiles(ser::ByteReader &R) {
       RepoStore::ProfileSig PS;
       PS.Sig = ser::readTypeSignature(R);
       PS.Count = R.u64();
+      uint8_t HasServedBy = R.u8();
+      if (HasServedBy > 1)
+        throw ser::SerializeError("invalid served-by flag");
+      if (HasServedBy)
+        PS.ServedBy = ser::readTypeSignature(R);
       PS.SigStr = PS.Sig.str();
       S.Sigs.push_back(std::move(PS));
     }
@@ -305,71 +313,85 @@ bool RepoStore::write(const Kind &K, uint64_t Stamp, bool Allowed,
   return true;
 }
 
-void RepoStore::load(const Kind &K, uint64_t Stamp,
-                     const std::vector<std::string> &Paths,
-                     const std::function<uint64_t(ser::ByteReader &,
-                                                  const std::string &)>
-                         &Decode) {
-  for (const std::string &Path : Paths) {
-    envelope::Verdict V = envelope::Verdict::Corrupt;
-    uint64_t Items = 0;
-    try {
-      faults::maybeThrow(faults::Site::RepoLoad);
-      std::string Bytes;
-      if (envelope::readFile(Path, kMaxFileBytes, Bytes)) {
-        envelope::Opened O = envelope::open(Bytes, K.Magic, K.Version, Stamp);
-        if (O.V == envelope::Verdict::Ok) {
-          ser::ByteReader R(O.Payload.data(), O.Payload.size());
-          Items = Decode(R, Path);
-        }
-        V = O.V;
+void RepoStore::readFile(
+    const Kind &K, uint64_t Stamp, const std::string &Path,
+    const std::function<uint64_t(ser::ByteReader &)> &Decode) {
+  envelope::Verdict V = envelope::Verdict::Corrupt;
+  uint64_t Items = 0;
+  try {
+    faults::maybeThrow(faults::Site::RepoLoad);
+    std::string Bytes;
+    if (envelope::readFile(Path, kMaxFileBytes, Bytes)) {
+      envelope::Opened O = envelope::open(Bytes, K.Magic, K.Version, Stamp);
+      if (O.V == envelope::Verdict::Ok) {
+        ser::ByteReader R(O.Payload.data(), O.Payload.size());
+        Items = Decode(R);
       }
-    } catch (...) {
-      // an injected fault or a payload the decoder refused: Corrupt
+      V = O.V;
     }
-    envelope::settle(Path, V);
-    if (V == envelope::Verdict::Ok)
-      count(K.Loaded, Items);
-    else
-      count(V == envelope::Verdict::Skew ? K.Skewed : K.Quarantined);
+  } catch (...) {
+    // an injected fault or a payload the decoder refused: Corrupt
   }
+  envelope::settle(Path, V);
+  if (V == envelope::Verdict::Ok)
+    count(K.Loaded, Items);
+  else
+    count(V == envelope::Verdict::Skew ? K.Skewed : K.Quarantined);
 }
 
-std::string RepoStore::entryPath(const CompiledObject &Obj) const {
+std::string RepoStore::versionPath(const Kind &K,
+                                   const std::string &FunctionName,
+                                   const TypeSignature &Sig) const {
   // One file per (function, signature) version: the signature hash keys
-  // the version, so recompiling the same signature overwrites in place.
-  return Dir + "/" + Obj.FunctionName + "." + sigHashHex(Obj.Sig) +
-         ObjKind.Ext;
-}
-
-std::string RepoStore::nativePath(const std::string &FunctionName,
-                                  const TypeSignature &Sig) const {
-  // Same naming scheme as entryPath so the .so lands beside its .mjo.
-  return Dir + "/" + FunctionName + "." + sigHashHex(Sig) + NativeKind.Ext;
+  // the version, so recompiling the same signature overwrites in place,
+  // and a version's .mjn lands beside its .mjo.
+  return Dir + "/" + FunctionName + "." + sigHashHex(Sig) + K.Ext;
 }
 
 bool RepoStore::save(const CompiledObject &Obj, uint64_t SourceHash) {
   obs::TraceScope Span("repo.save", "repo", Obj.FunctionName.c_str());
   return write(ObjKind, buildStamp(),
                Usable && Obj.Code && safeFileName(Obj.FunctionName),
-               entryPath(Obj), [&] { return encodeObj(Obj, SourceHash); });
+               versionPath(ObjKind, Obj.FunctionName, Obj.Sig),
+               [&] { return encodeObj(Obj, SourceHash); });
+}
+
+std::vector<RepoStore::Entry>
+RepoStore::readEntries(const std::string &Prefix) {
+  std::vector<Entry> Out;
+  if (!Usable)
+    return Out;
+  std::vector<std::string> Paths = filesOf(ObjKind, Prefix);
+  count(&RepoStoreStats::EntriesRead, Paths.size());
+  // The source-hash check runs later, at adoption time, when the engine
+  // knows the current source text.
+  for (const std::string &Path : Paths)
+    readFile(ObjKind, buildStamp(), Path, [&](ser::ByteReader &R) {
+      Entry E = decodeObj(R);
+      E.Path = Path;
+      Out.push_back(std::move(E));
+      return 1;
+    });
+  return Out;
+}
+
+std::vector<RepoStore::Entry> RepoStore::load(const std::string &FunctionName) {
+  obs::TraceScope Span("repo.load", "repo", FunctionName.c_str());
+  if (!safeFileName(FunctionName))
+    return {};
+  return readEntries(FunctionName + ".");
 }
 
 std::vector<RepoStore::Entry> RepoStore::loadAll() {
   obs::TraceScope Span("repo.load", "repo", Dir.c_str());
-  std::vector<Entry> Out;
-  if (!Usable)
-    return Out;
-  // The source-hash check runs later, at adoption time, when the engine
-  // knows the current source text.
-  load(ObjKind, buildStamp(), filesOf(ObjKind),
-       [&](ser::ByteReader &R, const std::string &Path) {
-         Entry E = decodeObj(R);
-         E.Path = Path;
-         Out.push_back(std::move(E));
-         return 1;
-       });
-  return Out;
+  return readEntries("");
+}
+
+bool RepoStore::hasEntry(const std::string &FunctionName,
+                         const TypeSignature &Sig) const {
+  std::error_code EC;
+  return Usable && safeFileName(FunctionName) &&
+         fs::exists(versionPath(ObjKind, FunctionName, Sig), EC);
 }
 
 void RepoStore::eraseFiles(const std::string &FunctionName,
@@ -414,7 +436,7 @@ bool RepoStore::saveNative(const std::string &FunctionName,
   return write(NativeKind, nativeStamp(NativeExtra),
                Usable && NativeTrusted && !SoBytes.empty() &&
                    safeFileName(FunctionName),
-               nativePath(FunctionName, Sig), [&] {
+               versionPath(NativeKind, FunctionName, Sig), [&] {
                  return encodeNative(FunctionName, Sig, NumOuts, SoBytes,
                                      SourceHash);
                });
@@ -433,14 +455,17 @@ std::vector<RepoStore::NativeEntry> RepoStore::loadAllNative() {
     count(&RepoStoreStats::NativeUntrusted);
     return Out;
   }
+  std::vector<std::string> Paths = filesOf(NativeKind);
+  count(&RepoStoreStats::EntriesRead, Paths.size());
   // As for .mjo entries, the source-hash check runs at adoption time.
-  load(NativeKind, nativeStamp(NativeExtra), filesOf(NativeKind),
-       [&](ser::ByteReader &R, const std::string &Path) {
-         NativeEntry E = decodeNative(R);
-         E.Path = Path;
-         Out.push_back(std::move(E));
-         return 1;
-       });
+  for (const std::string &Path : Paths)
+    readFile(NativeKind, nativeStamp(NativeExtra), Path,
+             [&](ser::ByteReader &R) {
+               NativeEntry E = decodeNative(R);
+               E.Path = Path;
+               Out.push_back(std::move(E));
+               return 1;
+             });
   return Out;
 }
 
@@ -478,11 +503,10 @@ std::vector<RepoStore::ProfileSummary> RepoStore::loadProfiles() {
   // There is no source-hash check: profiles are advisory - a stale profile
   // mis-ranks the queue, and the engine guards observed signatures against
   // the live arity before use.
-  load(ProfileKind, buildStamp(), {Path},
-       [&](ser::ByteReader &R, const std::string &) {
-         Out = decodeProfiles(R);
-         return Out.size();
-       });
+  readFile(ProfileKind, buildStamp(), Path, [&](ser::ByteReader &R) {
+    Out = decodeProfiles(R);
+    return Out.size();
+  });
   return Out;
 }
 

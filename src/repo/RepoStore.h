@@ -34,6 +34,7 @@
 #include <functional>
 #include <initializer_list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,7 @@ struct RepoStoreStats {
   uint64_t NativeQuarantined = 0;    ///< corrupt native files renamed
   uint64_t NativeSkewed = 0;         ///< native files dropped for skew
   uint64_t NativeUntrusted = 0;      ///< native loads refused: dir not private
+  uint64_t EntriesRead = 0; ///< .mjo and .mjn files opened by the loads
 };
 
 class RepoStore {
@@ -78,10 +80,19 @@ public:
     std::string Path;        ///< the file it came from
   };
 
-  /// Reads and validates every entry in the store. Files the envelope or
+  /// Reads and validates \p FunctionName's entries (its
+  /// `<FunctionName>.*.mjo` files) and nothing else. Files the envelope or
   /// the decoder refuses are quarantined or discarded (see stats()); this
   /// never throws and never crashes, whatever the bytes on disk are.
+  std::vector<Entry> load(const std::string &FunctionName);
+
+  /// load() over every entry in the store.
   std::vector<Entry> loadAll();
+
+  /// True when a file for \p FunctionName's version \p Sig exists; its
+  /// bytes are not read, so this vouches for nothing but the name.
+  bool hasEntry(const std::string &FunctionName,
+                const TypeSignature &Sig) const;
 
   /// Persists one compiled version (crash-safely; replaces any previous
   /// file for the same function + signature). Returns false on failure -
@@ -106,6 +117,11 @@ public:
     TypeSignature Sig;
     std::string SigStr;
     uint64_t Count = 0;
+    /// The signature of a compiled version that served Sig when the
+    /// profile was saved, if any: the store names that version's file by
+    /// it, so the next session can tell the store serves Sig without
+    /// reading a file.
+    std::optional<TypeSignature> ServedBy;
   };
 
   /// One function's persisted profile summary.
@@ -188,7 +204,8 @@ public:
 
   /// Whether the store directory is private enough to carry machine code:
   /// owned by the effective uid, no group/world write bit. Checked once at
-  /// construction; false gates saveNative/loadAllNative, never .mjo files.
+  /// construction; false gates the native saves and loads, never .mjo
+  /// files.
   bool nativeTrusted() const { return NativeTrusted; }
 
   const std::string &directory() const { return Dir; }
@@ -208,19 +225,18 @@ private:
   bool write(const Kind &K, uint64_t Stamp, bool Allowed,
              const std::string &Path,
              const std::function<std::string()> &Payload);
-  /// Opens each of \p Paths and hands the payload to \p Decode, which
-  /// returns how many items it loaded; settles and counts every file.
-  void load(const Kind &K, uint64_t Stamp,
-            const std::vector<std::string> &Paths,
-            const std::function<uint64_t(ser::ByteReader &,
-                                         const std::string &Path)> &Decode);
+  /// Opens \p Path and hands the payload to \p Decode, which returns how
+  /// many items it loaded; settles the file and counts the outcome.
+  void readFile(const Kind &K, uint64_t Stamp, const std::string &Path,
+                const std::function<uint64_t(ser::ByteReader &)> &Decode);
+  /// The .mjo entries whose file names start with \p Prefix.
+  std::vector<Entry> readEntries(const std::string &Prefix);
   void eraseFiles(const std::string &FunctionName,
                   std::initializer_list<const Kind *> Kinds);
   void count(uint64_t RepoStoreStats::*Field, uint64_t N = 1);
 
-  std::string entryPath(const CompiledObject &Obj) const;
-  std::string nativePath(const std::string &FunctionName,
-                         const TypeSignature &Sig) const;
+  std::string versionPath(const Kind &K, const std::string &FunctionName,
+                          const TypeSignature &Sig) const;
 
   std::string Dir;
   bool Usable = false;

@@ -6,10 +6,13 @@
 
 #include "repo/Snooper.h"
 
+#include "ast/Lexer.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <unordered_set>
 
 using namespace majic;
@@ -65,7 +68,7 @@ std::vector<SourceSnooper::Change> SourceSnooper::scan() {
               Changes.push_back({Path, P.stem().string(),
                                  IsNew ? Change::Kind::Added
                                        : Change::Kind::Modified,
-                                 Stamp});
+                                 Stamp, {}});
             }
           }
         }
@@ -96,11 +99,151 @@ std::vector<SourceSnooper::Change> SourceSnooper::scan() {
       continue;
     }
     Changes.push_back({It->first, fs::path(It->first).stem().string(),
-                       Change::Kind::Removed, It->second});
+                       Change::Kind::Removed, It->second, {}});
     It = LastMTime.erase(It);
   }
-  // Deterministic processing order.
+  // Deterministic processing order; claims are made in it, so the order
+  // decides which file defines a name that several define.
   std::sort(Changes.begin(), Changes.end(),
             [](const Change &A, const Change &B) { return A.Path < B.Path; });
+  for (Change &C : Changes) {
+    if (C.K == Change::Kind::Removed)
+      C.Names = retire(C.Path, C.FunctionName);
+    else
+      record(C);
+  }
   return Changes;
 }
+
+std::vector<std::string>
+SourceSnooper::definedNames(const std::string &Source, const std::string &Stem) {
+  // Lexer errors are the parse's to report, when the file is loaded.
+  Diagnostics Ignored;
+  std::vector<Token> Toks = lex(Source, 0, Ignored);
+  auto Is = [&](size_t I, TokKind K) {
+    return I < Toks.size() && Toks[I].Kind == K;
+  };
+  size_t First = 0;
+  while (Is(First, TokKind::Newline))
+    ++First;
+  if (!Is(First, TokKind::KwFunction))
+    return {Stem};
+  // `function` is a keyword, so each occurrence begins a function; its
+  // name follows in one of the parser's three header forms:
+  //   function name(...)   function out = name(...)   function [o1, o2] = name(...)
+  std::vector<std::string> Names;
+  for (size_t I = First; I != Toks.size(); ++I) {
+    if (Toks[I].Kind != TokKind::KwFunction)
+      continue;
+    size_t J = I + 1;
+    if (Is(J, TokKind::LBracket)) {
+      while (J != Toks.size() && !Is(J, TokKind::RBracket))
+        ++J;
+      J += 2; // past "] ="
+    } else if (Is(J, TokKind::Identifier) && Is(J + 1, TokKind::Assign)) {
+      J += 2;
+    }
+    if (Is(J, TokKind::Identifier))
+      Names.push_back(Toks[J].Text);
+  }
+  return Names;
+}
+
+void SourceSnooper::record(Change &C) {
+  std::ifstream In(C.Path);
+  if (In) {
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    C.Names = definedNames(SS.str(), C.FunctionName);
+  }
+  // A pending record this scan supersedes was never loaded, and the text
+  // it stood for is gone: its claims go with it.
+  auto Latest = LatestRec.find(C.Path);
+  if (Latest != LatestRec.end() &&
+      Recs[Latest->second].St == FileRec::State::Pending) {
+    dropClaims(Latest->second);
+    Recs[Latest->second].St = FileRec::State::Failed;
+  }
+  uint32_t Id = static_cast<uint32_t>(Recs.size());
+  Recs.push_back({C.Path, C.Names, {}, FileRec::State::Pending});
+  LatestRec[C.Path] = Id;
+  for (const std::string &Name : C.Names)
+    Claims[Name].push_back(Id);
+}
+
+void SourceSnooper::dropClaims(uint32_t Rec) {
+  for (const std::string &Name : Recs[Rec].Names) {
+    auto It = Claims.find(Name);
+    if (It == Claims.end())
+      continue;
+    std::vector<uint32_t> &Chain = It->second;
+    Chain.erase(std::remove(Chain.begin(), Chain.end(), Rec), Chain.end());
+    if (Chain.empty())
+      Claims.erase(It);
+  }
+}
+
+std::vector<std::string> SourceSnooper::retire(const std::string &Path,
+                                               const std::string &Stem) {
+  std::vector<std::string> Names{Stem};
+  auto Latest = LatestRec.find(Path);
+  auto Loaded = LoadedRec.find(Path);
+  if (Latest != LatestRec.end() &&
+      Recs[Latest->second].St == FileRec::State::Pending) {
+    Names = Recs[Latest->second].Names;
+    Recs[Latest->second].St = FileRec::State::Failed;
+  } else if (Loaded != LoadedRec.end()) {
+    Names = Recs[Loaded->second].Defined;
+  }
+  if (Latest != LatestRec.end())
+    LatestRec.erase(Latest);
+  if (Loaded != LoadedRec.end())
+    LoadedRec.erase(Loaded);
+  // The names stop resolving altogether, whichever file held them: what
+  // loading every file eagerly and then tearing these names down leaves.
+  for (const std::string &Name : Names)
+    Claims.erase(Name);
+  return Names;
+}
+
+const std::string *SourceSnooper::pendingFile(const std::string &Name) const {
+  auto It = Claims.find(Name);
+  if (It == Claims.end())
+    return nullptr;
+  const FileRec &R = Recs[It->second.back()];
+  return R.St == FileRec::State::Pending ? &R.Path : nullptr;
+}
+
+bool SourceSnooper::isPending(const std::string &Path) const {
+  auto It = LatestRec.find(Path);
+  return It != LatestRec.end() &&
+         Recs[It->second].St == FileRec::State::Pending;
+}
+
+void SourceSnooper::beginLoad(const std::string &Path) {
+  Recs[LatestRec.at(Path)].St = FileRec::State::Loading;
+}
+
+bool SourceSnooper::owns(const std::string &Path,
+                         const std::string &Name) const {
+  auto It = Claims.find(Name);
+  auto Latest = LatestRec.find(Path);
+  return It != Claims.end() && Latest != LatestRec.end() &&
+         It->second.back() == Latest->second;
+}
+
+void SourceSnooper::endLoad(const std::string &Path, bool Ok,
+                            std::vector<std::string> Defined) {
+  uint32_t Id = LatestRec.at(Path);
+  FileRec &R = Recs[Id];
+  if (!Ok) {
+    R.St = FileRec::State::Failed;
+    dropClaims(Id);
+    return;
+  }
+  R.St = FileRec::State::Loaded;
+  R.Defined = std::move(Defined);
+  LoadedRec[Path] = Id;
+}
+
+void SourceSnooper::forget(const std::string &Name) { Claims.erase(Name); }

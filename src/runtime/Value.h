@@ -197,6 +197,8 @@ public:
   size_t capacityElems() const { return ReData.capacity(); }
 
 private:
+  /// Sets the shape; new elements are left unwritten (TrackedDoubles
+  /// default-initializes), so every caller writes each element.
   void reshapeUninit(size_t R, size_t C, bool WithImag);
 
   MClass Class = MClass::Real;

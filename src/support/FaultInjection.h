@@ -56,7 +56,7 @@ enum class Site : uint8_t {
   ValueAlloc,  ///< runtime: Value storage allocation (fires std::bad_alloc)
   PoolEnqueue, ///< support: ThreadPool::enqueue
   RepoSave,    ///< repo: before a compiled object is persisted to disk
-  RepoLoad,    ///< repo: before a persisted entry is decoded at startup
+  RepoLoad,    ///< repo: before a persisted file is decoded
   SessionCreate, ///< service: before a session's engine is constructed
   Admission,     ///< service: before a request is admitted to a queue
   BudgetCheck,   ///< service: per-session budget check before dispatch

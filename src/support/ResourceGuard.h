@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <utility>
 
 namespace majic {
 namespace mem {
@@ -109,7 +110,10 @@ private:
 void charge(size_t Bytes);
 void release(size_t Bytes);
 
-/// std::allocator with live-byte accounting and limit enforcement.
+/// std::allocator with live-byte accounting and limit enforcement. Unlike
+/// std::allocator it default-initializes: resize(N) leaves new doubles
+/// unwritten, so a value that overwrites every element pays no zero-fill
+/// pass (resize(N, 0.0) and assign(N, 0.0) still write zeros).
 template <typename T> struct TrackingAllocator {
   using value_type = T;
 
@@ -129,6 +133,14 @@ template <typename T> struct TrackingAllocator {
   void deallocate(T *P, size_t N) noexcept {
     release(N * sizeof(T));
     ::operator delete(P);
+  }
+
+  template <typename U> void construct(U *P) {
+    ::new (static_cast<void *>(P)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U *P, Args &&...A) {
+    ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
   }
 
   template <typename U>

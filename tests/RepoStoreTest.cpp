@@ -106,12 +106,14 @@ TEST_F(RepoStoreTest, WarmStartServesFirstCallWithZeroCompiles) {
     ASSERT_EQ(Cold.repoStoreStats().Saved, 1u);
   }
 
+  // The store is read when the function's source is, not at startup.
   Engine Warm(syncOpts());
+  EXPECT_EQ(Warm.repoStoreStats().Loaded, 0u);
+  ASSERT_TRUE(Warm.addSource("ff", kSource));
   RepoStoreStats S = Warm.repoStoreStats();
   EXPECT_EQ(S.Loaded, 1u);
   EXPECT_EQ(S.Quarantined, 0u);
-  ASSERT_TRUE(Warm.addSource("ff", kSource));
-  EXPECT_EQ(Warm.repoStoreStats().Adopted, 1u);
+  EXPECT_EQ(S.Adopted, 1u);
   EXPECT_EQ(Warm.repository().versionCount("ff"), 1u);
 
   // The first invocation is served straight from disk: no JIT compile, no
@@ -135,9 +137,9 @@ TEST_F(RepoStoreTest, SourceDriftDiscardsEntryAndRecompiles) {
   // source and must not be served, however plausible its bytes are.
   std::string NewSource = "function y = ff(x)\ny = x + 1;\n";
   Engine Warm(syncOpts());
-  EXPECT_EQ(Warm.repoStoreStats().Loaded, 1u);
   ASSERT_TRUE(Warm.addSource("ff", NewSource));
   RepoStoreStats S = Warm.repoStoreStats();
+  EXPECT_EQ(S.Loaded, 1u);
   EXPECT_EQ(S.Adopted, 0u);
   EXPECT_EQ(S.StaleSource, 1u);
   EXPECT_EQ(Warm.repository().versionCount("ff"), 0u);
@@ -164,6 +166,7 @@ TEST_F(RepoStoreTest, AsyncSavesFlushDeterministically) {
   // Destroying the engine with saves possibly queued is also clean (the
   // pool drains before the store goes away); the file is intact on disk.
   Engine Warm(syncOpts());
+  ASSERT_TRUE(Warm.addSource("ff", kSource));
   EXPECT_EQ(Warm.repoStoreStats().Loaded, 1u);
 }
 
@@ -201,10 +204,10 @@ TEST_F(RepoStoreTest, PoisonedStoreRecomputesIdenticalResults) {
   }
 
   Engine Warm(syncOpts());
+  ASSERT_TRUE(Warm.addSource("ff", kSource));
   RepoStoreStats S = Warm.repoStoreStats();
   EXPECT_EQ(S.Loaded, 0u);
   EXPECT_EQ(S.Quarantined, 1u);
-  ASSERT_TRUE(Warm.addSource("ff", kSource));
   auto R = Warm.callFunction("ff", {intArg(kArg)}, 1, SourceLoc());
   // Transparent fallback: the poisoned entry cost a recompile, nothing else.
   EXPECT_DOUBLE_EQ(R[0]->scalarValue(), ColdResult);
@@ -260,13 +263,13 @@ TEST_F(RepoStoreTest, InjectedLoadFaultQuarantinesAndRecovers) {
 
   faults::armEvery(faults::Site::RepoLoad, 1);
   Engine Warm(syncOpts());
+  ASSERT_TRUE(Warm.addSource("ff", kSource));
   RepoStoreStats S = Warm.repoStoreStats();
   EXPECT_EQ(S.Loaded, 0u);
   EXPECT_EQ(S.Quarantined, 1u);
   faults::reset();
 
   // Cold path again, same answer, and the store repopulates.
-  ASSERT_TRUE(Warm.addSource("ff", kSource));
   auto R = Warm.callFunction("ff", {intArg(kArg)}, 1, SourceLoc());
   EXPECT_DOUBLE_EQ(R[0]->scalarValue(), kExpect);
   EXPECT_EQ(Warm.jitCompiles(), 1u);
@@ -304,9 +307,15 @@ TEST_F(RepoStoreTest, RemovedSourceErasesRepositoryAndStore) {
     AnyEntry |= F.path().extension() == ".mjo";
   EXPECT_FALSE(AnyEntry);
 
-  // A fresh engine on the same store has nothing to warm-start from.
+  // A fresh engine on the same store has nothing to warm-start from: the
+  // store is read when the source is, and the call compiles.
   Engine E2(O);
   EXPECT_EQ(E2.repoStoreStats().Loaded, 0u);
+  ASSERT_TRUE(E2.addSource("ff", kSource));
+  R = E2.callFunction("ff", {intArg(kArg)}, 1, SourceLoc());
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), kExpect);
+  EXPECT_EQ(E2.repoStoreStats().Loaded, 0u);
+  EXPECT_EQ(E2.jitCompiles(), 1u);
 }
 
 TEST_F(RepoStoreTest, QueuedSaveDoesNotResurrectRemovedSource) {
@@ -339,7 +348,11 @@ TEST_F(RepoStoreTest, QueuedSaveDoesNotResurrectRemovedSource) {
     EXPECT_NE(F.path().extension(), ".mjo") << F.path();
 
   Engine E2(O);
+  ASSERT_TRUE(E2.addSource("ff", kSource));
+  R = E2.callFunction("ff", {intArg(kArg)}, 1, SourceLoc());
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), kExpect);
   EXPECT_EQ(E2.repoStoreStats().Loaded, 0u);
+  EXPECT_EQ(E2.jitCompiles(), 1u);
 }
 
 TEST_F(RepoStoreTest, InteractiveRedefinitionAfterRemovalPersists) {
@@ -390,9 +403,9 @@ TEST_F(RepoStoreTest, MultipleVersionsAndFunctionsSurviveRestart) {
   ASSERT_EQ(entryFiles().size(), 3u);
 
   Engine Warm(syncOpts());
-  EXPECT_EQ(Warm.repoStoreStats().Loaded, 3u);
   ASSERT_TRUE(Warm.addSource("ff", kSource));
   ASSERT_TRUE(Warm.addSource("gg", Other));
+  EXPECT_EQ(Warm.repoStoreStats().Loaded, 3u);
   EXPECT_EQ(Warm.repoStoreStats().Adopted, 3u);
   EXPECT_EQ(Warm.repository().versionCount("ff"), 2u);
   EXPECT_EQ(Warm.repository().versionCount("gg"), 1u);
@@ -437,8 +450,8 @@ TEST_F(RepoStoreTest, FusedCodeWarmStartsBitIdentically) {
   // The fused program survives the serialize/validate/adopt ladder and is
   // served straight from disk: no compile, and the identical answer.
   Engine Warm(syncOpts());
-  EXPECT_EQ(Warm.repoStoreStats().Loaded, 1u);
   ASSERT_TRUE(Warm.addSource("fz", kFusedSource));
+  EXPECT_EQ(Warm.repoStoreStats().Loaded, 1u);
   EXPECT_EQ(Warm.repoStoreStats().Adopted, 1u);
   EXPECT_TRUE(holdsEwFuse(Warm.repository(), "fz"));
   auto R = Warm.callFunction("fz", {intArg(kArg)}, 1, SourceLoc());
@@ -471,11 +484,11 @@ TEST_F(RepoStoreTest, OldAbiStampIsDiscardedCleanlyAndRecompiled) {
   // Skewed entries are discarded before decoding - not quarantined as
   // corruption, not adopted - and the call path recompiles from source.
   Engine Warm(syncOpts());
+  ASSERT_TRUE(Warm.addSource("fz", kFusedSource));
   RepoStoreStats S = Warm.repoStoreStats();
   EXPECT_EQ(S.Loaded, 0u);
   EXPECT_EQ(S.Skewed, 1u);
   EXPECT_EQ(S.Quarantined, 0u);
-  ASSERT_TRUE(Warm.addSource("fz", kFusedSource));
   auto R = Warm.callFunction("fz", {intArg(kArg)}, 1, SourceLoc());
   EXPECT_DOUBLE_EQ(R[0]->scalarValue(), kFusedExpect);
   EXPECT_EQ(Warm.jitCompiles(), 1u);
@@ -496,6 +509,7 @@ std::vector<RepoStore::ProfileSummary> sampleProfiles() {
   S1.Sig = TypeSignature::ofValues({makeValue(Value::scalar(2.5))});
   S1.SigStr = S1.Sig.str();
   S1.Count = 30;
+  S1.ServedBy = TypeSignature::generic(1);
   RepoStore::ProfileSig S2;
   S2.Sig = TypeSignature::ofValues({intArg(3)});
   S2.SigStr = S2.Sig.str();
@@ -527,6 +541,9 @@ TEST_F(RepoStoreTest, ProfileSaveLoadRoundTrip) {
   // stored: equality proves the type payload itself survived.
   EXPECT_EQ(Loaded[0].Sigs[0].SigStr,
             TypeSignature::ofValues({makeValue(Value::scalar(2.5))}).str());
+  ASSERT_TRUE(Loaded[0].Sigs[0].ServedBy);
+  EXPECT_EQ(Loaded[0].Sigs[0].ServedBy->str(), TypeSignature::generic(1).str());
+  EXPECT_FALSE(Loaded[0].Sigs[1].ServedBy);
   EXPECT_EQ(Loaded[1].Name, "ff");
   EXPECT_EQ(Loaded[1].Invocations, 1u);
   EXPECT_TRUE(Loaded[1].Sigs.empty());

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 using namespace majic;
 
 TEST(Value, ScalarFactories) {
@@ -76,6 +79,51 @@ TEST(Value, GrowVectorPreservesAndZeroFills) {
   EXPECT_DOUBLE_EQ(V.re(0), 7);
   EXPECT_DOUBLE_EQ(V.re(1), 8);
   EXPECT_DOUBLE_EQ(V.re(4), 0);
+}
+
+// uninit leaves its storage unwritten, so the bytes of a freed value can
+// come back in a fresh one: every path that promises zeros writes them.
+// Each case first frees a NaN-filled buffer of the size it allocates.
+TEST(Value, ZeroPromisesHoldOnReusedMemory) {
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  auto FreePoisoned = [&](size_t R, size_t C) {
+    Value P = Value::uninit(R, C, MClass::Complex);
+    std::fill(P.reData(), P.reData() + P.numel(), NaN);
+    std::fill(P.imData(), P.imData() + P.numel(), NaN);
+  };
+  auto AllZero = [](const Value &V) {
+    for (size_t I = 0; I != V.numel(); ++I)
+      if (V.re(I) != 0.0 || V.im(I) != 0.0)
+        return false;
+    return true;
+  };
+  constexpr size_t N = 48;
+
+  FreePoisoned(N, N);
+  Value Z = Value::zeros(N, N, MClass::Complex);
+  EXPECT_TRUE(AllZero(Z));
+
+  FreePoisoned(N, N);
+  Value E = Value::scalar(1);
+  E.resizeErase(N, N, /*WithImag=*/true);
+  EXPECT_TRUE(AllZero(E));
+
+  // In-place growth reserves Needed + Needed / 10 + 4 elements.
+  FreePoisoned(1, 994);
+  Value G = Value::complexScalar(0, 0);
+  G.growTo(1, 900);
+  EXPECT_TRUE(AllZero(G));
+
+  // Growth that re-strides allocates exactly the new shape.
+  FreePoisoned(N, N);
+  Value S = Value::complexScalar(0, 0);
+  S.growTo(N, N);
+  EXPECT_TRUE(AllZero(S));
+
+  FreePoisoned(N, N);
+  Value C = Value::zeros(N, N);
+  C.makeComplex();
+  EXPECT_TRUE(AllZero(C));
 }
 
 TEST(Value, GrowMatrixRestrides) {
