@@ -30,9 +30,21 @@
 //     snoop, then one call of hotfn. Asserts that the call parsed one file,
 //     read only hotfn's store entries and compiled nothing.
 //
-// Run the warm and single sessions with MAJIC_METRICS=<file> and the CI
-// job greps the dumps (`"engine.jit_compiles": 0`, the source loads and
-// `"repo.entries_read"`) as an independent check.
+//   profile_smoke <srcdir> <storedir> prime
+//     writes a two-file corpus into <srcdir>, one of whose files holds a
+//     subfunction inlined at its only call site, and runs every function
+//     once under the speculative policy: <storedir> then holds code for
+//     every function with a profile, and the subfunction has none.
+//
+//   profile_smoke <srcdir> <storedir> primed
+//     a fresh speculative session on the primed directories. Asserts that,
+//     with the worker paused, snoop() queues nothing and loads no file
+//     (the subfunction does not pull its file in), and that the calls are
+//     served from the store without a compile.
+//
+// Run the warm, single and primed sessions with MAJIC_METRICS=<file> and
+// the CI job greps the dumps (`"engine.jit_compiles": 0`, the source loads,
+// `"repo.entries_read"` and `"spec.queued"`) as an independent check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,6 +90,13 @@ EngineOptions options(const std::string &StoreDir) {
 }
 
 ValuePtr intArg(long N) { return makeValue(Value::intScalar(N)); }
+
+uint64_t counter(Engine &E, const std::string &Name) {
+  for (const auto &[N, V] : E.sampleMetrics().Counters)
+    if (N == Name)
+      return V;
+  return 0;
+}
 
 int runCold(const std::string &SrcDir, const std::string &StoreDir) {
   writeCorpus(SrcDir);
@@ -167,6 +186,57 @@ int runSingle(const std::string &SrcDir, const std::string &StoreDir) {
   return 0;
 }
 
+// sumsq(n) = sum of k^2 for k = 1..n through sq, which the inliner folds
+// into its only call site, so sq never runs on its own.
+void writePrimedCorpus(const std::string &SrcDir) {
+  std::filesystem::create_directories(SrcDir);
+  std::ofstream(SrcDir + "/sumsq.m") << "function y = sumsq(n)\n"
+                                        "y = 0;\n"
+                                        "for k = 1:n\ny = y + sq(k);\nend\n"
+                                        "function z = sq(k)\n"
+                                        "z = k * k;\n";
+  std::ofstream(SrcDir + "/triple.m") << "function y = triple(x)\n"
+                                         "y = 3 * x;\n";
+}
+
+int runPrime(const std::string &SrcDir, const std::string &StoreDir) {
+  writePrimedCorpus(SrcDir);
+  Engine E(options(StoreDir));
+  E.watchDirectory(SrcDir);
+  if (E.snoop() != 2)
+    return fail("prime: expected to snoop 2 files");
+  E.drainCompiles();
+  E.callFunction("sumsq", {intArg(10)}, 1, SourceLoc());
+  E.callFunction("triple", {intArg(4)}, 1, SourceLoc());
+  E.drainCompiles();
+  E.flushRepoStore();
+  std::printf("profile_smoke: prime session done (sumsq, triple)\n");
+  return 0;
+}
+
+int runPrimed(const std::string &SrcDir, const std::string &StoreDir) {
+  Engine E(options(StoreDir));
+  E.pauseBackgroundCompiles();
+  E.watchDirectory(SrcDir);
+  if (E.snoop() != 2)
+    return fail("primed: expected to snoop 2 files");
+  if (!E.queuedSpeculations().empty())
+    return fail("primed: snoop queued speculation the store serves");
+  if (counter(E, "engine.source_loads.speculate") != 0)
+    return fail("primed: snoop loaded a file to speculate");
+  E.resumeBackgroundCompiles();
+  auto S = E.callFunction("sumsq", {intArg(10)}, 1, SourceLoc());
+  auto T = E.callFunction("triple", {intArg(4)}, 1, SourceLoc());
+  if (S.empty() || S[0]->scalarValue() != 385 || T.empty() ||
+      T[0]->scalarValue() != 12)
+    return fail("primed: sumsq(10) != 385 or triple(4) != 12");
+  if (E.jitCompiles() != 0)
+    return fail("primed: a call paid a JIT compile");
+  std::printf("profile_smoke: primed session OK (nothing queued, no "
+              "compiles)\n");
+  return 0;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -177,7 +247,11 @@ int main(int Argc, char **Argv) {
     return runWarm(Argv[1], Argv[2]);
   if (std::strcmp(Mode, "single") == 0)
     return runSingle(Argv[1], Argv[2]);
-  std::fprintf(stderr,
-               "usage: profile_smoke <srcdir> <storedir> cold|warm|single\n");
+  if (std::strcmp(Mode, "prime") == 0)
+    return runPrime(Argv[1], Argv[2]);
+  if (std::strcmp(Mode, "primed") == 0)
+    return runPrimed(Argv[1], Argv[2]);
+  std::fprintf(stderr, "usage: profile_smoke <srcdir> <storedir> "
+                       "cold|warm|single|prime|primed\n");
   return 2;
 }

@@ -121,7 +121,7 @@ namespace {
 
 class LexerImpl {
 public:
-  LexerImpl(const std::string &Source, uint32_t FileId, Diagnostics &Diags)
+  LexerImpl(std::string_view Source, uint32_t FileId, Diagnostics &Diags)
       : Src(Source), FileId(FileId), Diags(Diags) {}
 
   std::vector<Token> run();
@@ -176,7 +176,7 @@ private:
   void lexIdentifier();
   void lexString();
 
-  const std::string &Src;
+  std::string_view Src;
   uint32_t FileId;
   Diagnostics &Diags;
   size_t Pos = 0;
@@ -283,6 +283,13 @@ void LexerImpl::lexString() {
   Toks.push_back(std::move(T));
 }
 
+// Invariant: no state crosses a newline. A comment and a string stop at it,
+// a continuation swallows it, and the only look-back, quoteIsTranspose,
+// reads a string at a line's first quote whether the token before is a
+// Newline or the line follows a continuation (PendingSpace). Lexing each
+// line alone therefore gives this lex's kinds and texts, which the
+// snooper's header scan relies on; a construct that spans lines (a block
+// comment, say) must break Lexer.EachLineAloneLexesAsInTheWhole first.
 std::vector<Token> LexerImpl::run() {
   while (Pos < Src.size()) {
     char Ch = peek();
@@ -461,7 +468,7 @@ std::vector<Token> LexerImpl::run() {
 
 } // namespace
 
-std::vector<Token> majic::lex(const std::string &Source, uint32_t FileId,
+std::vector<Token> majic::lex(std::string_view Source, uint32_t FileId,
                               Diagnostics &Diags) {
   return LexerImpl(Source, FileId, Diags).run();
 }

@@ -12,6 +12,12 @@
 /// a closing bracket or another transpose it is the transpose operator;
 /// anywhere else it opens a string literal.
 ///
+/// The lexer carries no state across a newline: a comment or a string ends
+/// at it, a `...` continuation swallows it, there are no block comments, and
+/// a line's first quote opens a string whatever came before. So lexing each
+/// line of a buffer alone gives the kinds and texts the whole buffer's lex
+/// gives it (SourceSnooper::definedNames relies on this).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MAJIC_AST_LEXER_H
@@ -21,6 +27,7 @@
 #include "support/SourceLoc.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace majic {
@@ -94,7 +101,7 @@ struct Token {
 
 /// Tokenizes one buffer. Errors are reported to \p Diags; lexing continues
 /// after errors so the parser can report more issues.
-std::vector<Token> lex(const std::string &Source, uint32_t FileId,
+std::vector<Token> lex(std::string_view Source, uint32_t FileId,
                        Diagnostics &Diags);
 
 } // namespace majic

@@ -11,6 +11,7 @@
 #include "infer/Speculate.h"
 #include "ir/Serialize.h"
 #include "obs/Trace.h"
+#include "support/AtomicFile.h"
 #include "support/FaultInjection.h"
 #include "support/Hashing.h"
 #include "support/Parallel.h"
@@ -19,7 +20,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 using namespace majic;
 
@@ -426,12 +426,10 @@ std::string moduleName(const std::string &Path) {
 
 /// \p Path's text, or nullopt when it cannot be opened.
 std::optional<std::string> readText(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
+  std::string Text;
+  if (!atomicfile::readFile(Path, Text))
     return std::nullopt;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
+  return Text;
 }
 } // namespace
 
@@ -509,6 +507,11 @@ unsigned Engine::snoop() {
     std::string Fn;
   };
   std::vector<Candidate> ToSpeculate;
+  // One listing of the store answers every served-signature check.
+  std::unordered_set<std::string> StoreEntries;
+  if (Opts.Policy == CompilePolicy::Speculative && Store &&
+      !PendingProfileSigs.empty())
+    StoreEntries = Store->entryNames();
   for (const SourceSnooper::Change &C : Snooper.scan()) {
     if (C.K == SourceSnooper::Change::Kind::Removed) {
       handleRemovedSource(C);
@@ -520,9 +523,13 @@ unsigned Engine::snoop() {
     // A function the store serves already needs no speculation, and a
     // file with no function that does stays pending like under every other
     // policy. An edited file is recompiled whatever the store holds.
+    bool FileProfiled = std::any_of(
+        C.Names.begin(), C.Names.end(),
+        [&](const std::string &Fn) { return PendingProfileSigs.count(Fn); });
     std::vector<std::string> Needed;
     for (const std::string &Fn : C.Names)
-      if (C.K == SourceSnooper::Change::Kind::Modified || needsSpeculation(Fn))
+      if (C.K == SourceSnooper::Change::Kind::Modified ||
+          needsSpeculation(Fn, FileProfiled, StoreEntries))
         Needed.push_back(Fn);
     if (Needed.empty())
       continue;
@@ -552,13 +559,21 @@ unsigned Engine::snoop() {
   return Found;
 }
 
-bool Engine::needsSpeculation(const std::string &Name) const {
+bool Engine::needsSpeculation(
+    const std::string &Name, bool FileProfiled,
+    const std::unordered_set<std::string> &StoreEntries) const {
   auto It = PendingProfileSigs.find(Name);
-  if (!Store || It == PendingProfileSigs.end())
+  if (!Store)
     return true;
+  // A function that never ran on its own beside ones of its file that did
+  // (a subfunction inlined at every call site) would compile code nothing
+  // calls.
+  if (It == PendingProfileSigs.end())
+    return !FileProfiled;
   auto Served = [&](const RepoStore::ProfileSig &PS) {
-    return Store->hasEntry(Name, PS.Sig) ||
-           (PS.ServedBy && Store->hasEntry(Name, *PS.ServedBy));
+    return RepoStore::hasEntry(StoreEntries, Name, PS.Sig) ||
+           (PS.ServedBy &&
+            RepoStore::hasEntry(StoreEntries, Name, *PS.ServedBy));
   };
   return !std::all_of(It->second.begin(), It->second.end(), Served);
 }

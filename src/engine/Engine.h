@@ -540,8 +540,13 @@ private:
   /// False when the store serves each of \p Name's persisted observed
   /// signatures, so speculating on it would only recompile what the store
   /// holds: a .mjo is named for the signature or for the version that
-  /// served it when the profile was saved. Checked by file name only.
-  bool needsSpeculation(const std::string &Name) const;
+  /// served it when the profile was saved. Checked by file name only,
+  /// against \p StoreEntries (RepoStore::entryNames). A function without a
+  /// persisted profile needs it unless another function of its file has
+  /// one (\p FileProfiled).
+  bool needsSpeculation(const std::string &Name, bool FileProfiled,
+                        const std::unordered_set<std::string> &StoreEntries)
+      const;
 
   /// The analysis view compilation uses (inlined when enabled). Must run
   /// on the engine's thread: building the view mutates the LoadedFunction.

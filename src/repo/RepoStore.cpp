@@ -103,6 +103,12 @@ std::string sigHashHex(const TypeSignature &Sig) {
                                hashing::fnv1a(SigBytes.bytes())));
 }
 
+/// The file name of \p FunctionName's version \p Sig of one payload kind.
+std::string versionName(const char *Ext, const std::string &FunctionName,
+                        const TypeSignature &Sig) {
+  return FunctionName + "." + sigHashHex(Sig) + Ext;
+}
+
 // The payload codecs. Each payload leads with what its header used to
 // carry beyond the envelope (the source hash), so the CRC covers it.
 
@@ -262,9 +268,8 @@ RepoStore::RepoStore(std::string DirIn) : Dir(std::move(DirIn)) {
 unsigned RepoStore::sweepTemps() {
   if (!Usable)
     return 0;
-  unsigned N = 0;
-  for (const Kind *K : {&ObjKind, &ProfileKind, &NativeKind})
-    N += atomicfile::sweepTempFiles(Dir, K->Ext);
+  unsigned N = atomicfile::sweepTempFiles(
+      Dir, {ObjKind.Ext, ProfileKind.Ext, NativeKind.Ext});
   std::lock_guard<std::mutex> L(Mutex);
   Stats.SweptTemps += N;
   return N;
@@ -272,15 +277,13 @@ unsigned RepoStore::sweepTemps() {
 
 std::vector<std::string> RepoStore::filesOf(const Kind &K,
                                             const std::string &Prefix) const {
-  std::vector<std::string> Paths;
-  std::error_code EC;
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
-    if (EC)
-      break;
-    if (E.is_regular_file() && E.path().extension() == K.Ext &&
-        E.path().filename().string().rfind(Prefix, 0) == 0)
-      Paths.push_back(E.path().string());
-  }
+  std::string_view Ext = K.Ext;
+  // A file named just ".mjo" has no extension, as std::filesystem reads it.
+  std::vector<std::string> Paths =
+      atomicfile::listFiles(Dir, [&](std::string_view Name) {
+        return Name.size() > Ext.size() && Name.ends_with(Ext) &&
+               Name.starts_with(Prefix);
+      });
   std::sort(Paths.begin(), Paths.end()); // deterministic load order
   return Paths;
 }
@@ -345,7 +348,7 @@ std::string RepoStore::versionPath(const Kind &K,
   // One file per (function, signature) version: the signature hash keys
   // the version, so recompiling the same signature overwrites in place,
   // and a version's .mjn lands beside its .mjo.
-  return Dir + "/" + FunctionName + "." + sigHashHex(Sig) + K.Ext;
+  return Dir + "/" + versionName(K.Ext, FunctionName, Sig);
 }
 
 bool RepoStore::save(const CompiledObject &Obj, uint64_t SourceHash) {
@@ -387,11 +390,18 @@ std::vector<RepoStore::Entry> RepoStore::loadAll() {
   return readEntries("");
 }
 
-bool RepoStore::hasEntry(const std::string &FunctionName,
-                         const TypeSignature &Sig) const {
-  std::error_code EC;
-  return Usable && safeFileName(FunctionName) &&
-         fs::exists(versionPath(ObjKind, FunctionName, Sig), EC);
+std::unordered_set<std::string> RepoStore::entryNames() const {
+  std::unordered_set<std::string> Names;
+  if (Usable)
+    for (const std::string &Path : filesOf(ObjKind))
+      Names.insert(Path.substr(Path.rfind('/') + 1));
+  return Names;
+}
+
+bool RepoStore::hasEntry(const std::unordered_set<std::string> &Names,
+                         const std::string &FunctionName,
+                         const TypeSignature &Sig) {
+  return Names.count(versionName(ObjKind.Ext, FunctionName, Sig));
 }
 
 void RepoStore::eraseFiles(const std::string &FunctionName,

@@ -36,6 +36,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace majic {
@@ -89,10 +90,16 @@ public:
   /// load() over every entry in the store.
   std::vector<Entry> loadAll();
 
-  /// True when a file for \p FunctionName's version \p Sig exists; its
-  /// bytes are not read, so this vouches for nothing but the name.
-  bool hasEntry(const std::string &FunctionName,
-                const TypeSignature &Sig) const;
+  /// The file names of the store's .mjo entries, from one listing of the
+  /// directory: a snapshot for hasEntry to test many versions against.
+  std::unordered_set<std::string> entryNames() const;
+
+  /// True when \p Names, an entryNames() snapshot, holds the file for
+  /// \p FunctionName's version \p Sig. The file is not read, so this
+  /// vouches for nothing but the name.
+  static bool hasEntry(const std::unordered_set<std::string> &Names,
+                       const std::string &FunctionName,
+                       const TypeSignature &Sig);
 
   /// Persists one compiled version (crash-safely; replaces any previous
   /// file for the same function + signature). Returns false on failure -

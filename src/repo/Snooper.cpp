@@ -7,12 +7,12 @@
 #include "repo/Snooper.h"
 
 #include "ast/Lexer.h"
-#include "support/StringUtils.h"
+#include "support/AtomicFile.h"
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <iterator>
+#include <string_view>
 #include <unordered_set>
 
 using namespace majic;
@@ -115,47 +115,94 @@ std::vector<SourceSnooper::Change> SourceSnooper::scan() {
   return Changes;
 }
 
+namespace {
+
+/// The tokens of a source from one line on, lexed a line at a time as they
+/// are asked for. The lexer carries no state across a newline (Lexer.cpp),
+/// so these are the kinds and texts the whole source's lex gives from that
+/// line on; only locations and SpaceBefore at line starts may differ.
+class LineTokens {
+public:
+  LineTokens(std::string_view Src, size_t From) : Src(Src), Next(From) {}
+
+  /// Token \p I of the run; Eof past the end of the source.
+  const Token &operator[](size_t I) {
+    while (I >= Toks.size() && Next < Src.size())
+      lexLine();
+    return I < Toks.size() ? Toks[I] : EofTok;
+  }
+
+  /// Lexes the next line onto the run; returns the run's token count.
+  size_t lexLine() {
+    size_t End = Src.find('\n', Next);
+    End = End == std::string_view::npos ? Src.size() : End + 1;
+    // Lexer errors are the parse's to report, when the file is loaded.
+    Diagnostics Ignored;
+    std::vector<Token> Line = lex(Src.substr(Next, End - Next), 0, Ignored);
+    Toks.insert(Toks.end(), std::make_move_iterator(Line.begin()),
+                std::make_move_iterator(Line.end() - 1)); // not its Eof
+    Next = End;
+    return Toks.size();
+  }
+
+private:
+  std::string_view Src;
+  size_t Next; ///< start of the first line not lexed yet
+  std::vector<Token> Toks;
+  Token EofTok;
+};
+
+} // namespace
+
 std::vector<std::string>
 SourceSnooper::definedNames(const std::string &Source, const std::string &Stem) {
-  // Lexer errors are the parse's to report, when the file is loaded.
-  Diagnostics Ignored;
-  std::vector<Token> Toks = lex(Source, 0, Ignored);
-  auto Is = [&](size_t I, TokKind K) {
-    return I < Toks.size() && Toks[I].Kind == K;
-  };
+  // The first token decides: a file that does not open with `function` is
+  // a script.
+  LineTokens Head(Source, 0);
   size_t First = 0;
-  while (Is(First, TokKind::Newline))
+  while (Head[First].Kind == TokKind::Newline)
     ++First;
-  if (!Is(First, TokKind::KwFunction))
+  if (Head[First].Kind != TokKind::KwFunction)
     return {Stem};
   // `function` is a keyword, so each occurrence begins a function; its
   // name follows in one of the parser's three header forms:
   //   function name(...)   function out = name(...)   function [o1, o2] = name(...)
+  // Only lines holding the word can hold the keyword. Each is lexed alone,
+  // and the tokens after a keyword are lexed as far as the header reads
+  // them: through `...` continuations, or wherever an unclosed `[` leads.
   std::vector<std::string> Names;
-  for (size_t I = First; I != Toks.size(); ++I) {
-    if (Toks[I].Kind != TokKind::KwFunction)
-      continue;
-    size_t J = I + 1;
-    if (Is(J, TokKind::LBracket)) {
-      while (J != Toks.size() && !Is(J, TokKind::RBracket))
-        ++J;
-      J += 2; // past "] ="
-    } else if (Is(J, TokKind::Identifier) && Is(J + 1, TokKind::Assign)) {
-      J += 2;
+  for (size_t At = Source.find("function"); At != std::string::npos;) {
+    size_t LineStart = Source.rfind('\n', At);
+    LineStart = LineStart == std::string::npos ? 0 : LineStart + 1;
+    LineTokens Toks(Source, LineStart);
+    size_t InLine = Toks.lexLine();
+    for (size_t I = 0; I != InLine; ++I) {
+      if (Toks[I].Kind != TokKind::KwFunction)
+        continue;
+      size_t J = I + 1;
+      if (Toks[J].Kind == TokKind::LBracket) {
+        while (Toks[J].Kind != TokKind::Eof &&
+               Toks[J].Kind != TokKind::RBracket)
+          ++J;
+        J += 2; // past "] ="
+      } else if (Toks[J].Kind == TokKind::Identifier &&
+                 Toks[J + 1].Kind == TokKind::Assign) {
+        J += 2;
+      }
+      if (Toks[J].Kind == TokKind::Identifier)
+        Names.push_back(Toks[J].Text);
     }
-    if (Is(J, TokKind::Identifier))
-      Names.push_back(Toks[J].Text);
+    size_t LineEnd = Source.find('\n', At);
+    At = LineEnd == std::string::npos ? LineEnd
+                                      : Source.find("function", LineEnd);
   }
   return Names;
 }
 
 void SourceSnooper::record(Change &C) {
-  std::ifstream In(C.Path);
-  if (In) {
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    C.Names = definedNames(SS.str(), C.FunctionName);
-  }
+  std::string Text;
+  if (atomicfile::readFile(C.Path, Text))
+    C.Names = definedNames(Text, C.FunctionName);
   // A pending record this scan supersedes was never loaded, and the text
   // it stood for is gone: its claims go with it.
   auto Latest = LatestRec.find(C.Path);

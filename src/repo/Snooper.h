@@ -66,7 +66,9 @@ public:
   const std::vector<std::string> &directories() const { return Dirs; }
 
   /// The names \p Source's `function` headers define, in file order, from
-  /// the lexer's tokens (no parse); a script defines \p Stem.
+  /// the lexer's tokens (no parse); a script defines \p Stem. Only the
+  /// lines that can hold a header are lexed, with the result a scan of the
+  /// whole file's tokens gives (DESIGN.md "The header-line scan").
   static std::vector<std::string> definedNames(const std::string &Source,
                                                const std::string &Stem);
 

@@ -185,7 +185,7 @@ std::vector<uint64_t> SnapshotStore::scan() const {
 }
 
 unsigned SnapshotStore::sweepTemps() {
-  return atomicfile::sweepTempFiles(Dir, kExtension);
+  return atomicfile::sweepTempFiles(Dir, {kExtension});
 }
 
 SnapshotStore::StatsSnapshot SnapshotStore::stats() const {

@@ -13,9 +13,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
+#include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace majic;
@@ -113,33 +114,77 @@ bool majic::atomicfile::writeFileAtomic(const std::string &Path,
 }
 
 bool majic::atomicfile::readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return false;
-  std::string Bytes((std::istreambuf_iterator<char>(In)),
-                    std::istreambuf_iterator<char>());
-  if (In.bad())
-    return false;
+  // One read of the size fstat reports, then reads until end of file, so a
+  // file that grows meanwhile is still read whole.
+  struct stat St;
+  std::string Bytes;
+  if (::fstat(Fd, &St) == 0 && St.st_size > 0)
+    Bytes.resize(static_cast<size_t>(St.st_size) + 1);
+  size_t Len = 0;
+  while (true) {
+    if (Len == Bytes.size())
+      Bytes.resize(Bytes.size() + 4096);
+    ssize_t N = ::read(Fd, Bytes.data() + Len, Bytes.size() - Len);
+    if (N == 0)
+      break;
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      ::close(Fd);
+      return false;
+    }
+    Len += static_cast<size_t>(N);
+  }
+  ::close(Fd);
+  Bytes.resize(Len);
   Out = std::move(Bytes);
   return true;
 }
 
-unsigned majic::atomicfile::sweepTempFiles(const std::string &Dir,
-                                           const std::string &Suffix) {
-  unsigned Removed = 0;
-  std::error_code EC;
-  for (const fs::directory_entry &Entry : fs::directory_iterator(Dir, EC)) {
-    if (EC)
-      break;
-    if (!Entry.is_regular_file())
+std::vector<std::string> majic::atomicfile::listFiles(
+    const std::string &Dir,
+    const std::function<bool(std::string_view Name)> &Match) {
+  std::vector<std::string> Paths;
+  DIR *D = ::opendir(Dir.c_str());
+  if (!D)
+    return Paths;
+  // Joined as std::filesystem joins a directory and a file name.
+  std::string Base = Dir.empty() || Dir.back() == '/' ? Dir : Dir + "/";
+  while (const dirent *E = ::readdir(D)) {
+    std::string_view Name = E->d_name;
+    if (!Match(Name))
       continue;
-    std::string Name = Entry.path().filename().string();
-    size_t SuffixAt = Name.find(Suffix + kTempMarker);
-    if (SuffixAt == std::string::npos)
-      continue;
-    std::error_code RmEC;
-    if (fs::remove(Entry.path(), RmEC))
-      ++Removed;
+    std::string Path = Base;
+    Path += Name;
+    // The listing's file type spares a stat unless it is a symlink or the
+    // file system leaves it unknown.
+    bool Regular = E->d_type == DT_REG;
+    if (E->d_type == DT_LNK || E->d_type == DT_UNKNOWN) {
+      struct stat St;
+      Regular = ::stat(Path.c_str(), &St) == 0 && S_ISREG(St.st_mode);
+    }
+    if (Regular)
+      Paths.push_back(std::move(Path));
   }
+  ::closedir(D);
+  return Paths;
+}
+
+unsigned majic::atomicfile::sweepTempFiles(
+    const std::string &Dir, std::initializer_list<std::string_view> Suffixes) {
+  std::vector<std::string> Patterns;
+  for (std::string_view Suffix : Suffixes)
+    Patterns.push_back(std::string(Suffix) + kTempMarker);
+  unsigned Removed = 0;
+  for (const std::string &Path : listFiles(Dir, [&](std::string_view Name) {
+         for (const std::string &P : Patterns)
+           if (Name.find(P) != std::string_view::npos)
+             return true;
+         return false;
+       }))
+    Removed += ::unlink(Path.c_str()) == 0;
   return Removed;
 }

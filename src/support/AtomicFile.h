@@ -18,7 +18,11 @@
 #ifndef MAJIC_SUPPORT_ATOMICFILE_H
 #define MAJIC_SUPPORT_ATOMICFILE_H
 
+#include <functional>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace majic {
 namespace atomicfile {
@@ -35,10 +39,20 @@ bool writeFileAtomic(const std::string &Path, const std::string &Bytes,
 /// Reads all of \p Path into \p Out (binary). Returns false on I/O error.
 bool readFile(const std::string &Path, std::string &Out);
 
-/// Deletes every regular file in \p Dir whose name contains both
-/// \p Suffix and the temp marker (e.g. leftovers of crashed saves of
-/// "*.mjo" files). Returns the number of files removed.
-unsigned sweepTempFiles(const std::string &Dir, const std::string &Suffix);
+/// The paths (\p Dir joined with the name) of the regular files in \p Dir,
+/// symlinks followed, whose names \p Match accepts, in listing order. One
+/// readdir pass; a name is matched before anything is stat'ed or built
+/// from it. A directory that cannot be listed lists nothing.
+std::vector<std::string>
+listFiles(const std::string &Dir,
+          const std::function<bool(std::string_view Name)> &Match);
+
+/// Deletes every regular file in \p Dir whose name contains one of
+/// \p Suffixes followed by the temp marker (e.g. leftovers of crashed saves
+/// of "*.mjo" files), listing the directory once. Returns the number of
+/// files removed.
+unsigned sweepTempFiles(const std::string &Dir,
+                        std::initializer_list<std::string_view> Suffixes);
 
 } // namespace atomicfile
 } // namespace majic

@@ -6,9 +6,10 @@
 
 #include "types/Type.h"
 
-#include "support/StringUtils.h"
+#include "support/Error.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 using namespace majic;
@@ -203,23 +204,48 @@ Type Type::join(const Type &O) const {
               R.join(O.R));
 }
 
-static std::string dimStr(uint64_t D) {
-  if (D == ShapeBound::kUnknownDim)
-    return "*";
-  return format("%llu", static_cast<unsigned long long>(D));
+static void appendDim(std::string &Out, uint64_t D) {
+  if (D == ShapeBound::kUnknownDim) {
+    Out += '*';
+    return;
+  }
+  char Buf[20]; // 2^64 - 2 has 20 digits
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), D).ptr);
+}
+
+/// Appends "%g" of \p X: to_chars in general format at precision 6 is
+/// defined as printf's %g, down to "-0", "inf" and "-nan".
+static void appendG(std::string &Out, double X) {
+  char Buf[32];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), X,
+                                std::chars_format::general, 6)
+                      .ptr);
 }
 
 std::string Type::str() const {
   if (isBottom())
     return "bot";
+  // Rendered by hand: every persisted profile signature is rendered at
+  // engine construction.
   std::string Out = intrinsicName(Intrinsic);
-  Out += format(" [%sx%s,%sx%s]", dimStr(MinShape.Rows).c_str(),
-                dimStr(MinShape.Cols).c_str(), dimStr(MaxShape.Rows).c_str(),
-                dimStr(MaxShape.Cols).c_str());
-  if (R.isBottom())
+  Out += " [";
+  appendDim(Out, MinShape.Rows);
+  Out += 'x';
+  appendDim(Out, MinShape.Cols);
+  Out += ',';
+  appendDim(Out, MaxShape.Rows);
+  Out += 'x';
+  appendDim(Out, MaxShape.Cols);
+  Out += ']';
+  if (R.isBottom()) {
     Out += " <>";
-  else if (!R.isTop())
-    Out += format(" <%g,%g>", R.Lo, R.Hi);
+  } else if (!R.isTop()) {
+    Out += " <";
+    appendG(Out, R.Lo);
+    Out += ',';
+    appendG(Out, R.Hi);
+    Out += '>';
+  }
   return Out;
 }
 

@@ -10,16 +10,23 @@
 // loading every file in scan order (the eager engine: loadFile over the
 // directory, sorted) gives: the same definitions, results, IR and errors.
 //
+// The Snooper and Lexer tests hold the header scan, which lexes only the
+// lines that can hold a `function` header, to a lex of the whole file.
+//
 //===----------------------------------------------------------------------===//
 
+#include "ast/Lexer.h"
 #include "engine/Corpus.h"
 #include "engine/Engine.h"
+#include "repo/Snooper.h"
+#include "support/AtomicFile.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -320,6 +327,237 @@ TEST_F(LazyLoadTest, SpeculationSkipsWhatTheStoreServes) {
     EXPECT_EQ(Warm->interpreterFallbacks(), 0u);
     EXPECT_DOUBLE_EQ(call(*Warm, "gg", {num(2)}), -1);
     EXPECT_EQ(sourceLoads(*Warm), 2u);
+  }
+}
+
+// A primed store: a speculative session ran every program once, so the
+// store holds code for each function with a profile. A subfunction inlined
+// at every call site (adapt.m's simp, orbrk.m's gravrk) never runs on its
+// own and gets no profile; it must not make its file load at snoop, and a
+// session on the store has nothing to speculate.
+TEST_F(LazyLoadTest, PrimedSessionQueuesNothingTheStoreServes) {
+  const std::vector<std::pair<std::string, std::vector<double>>> Calls = {
+      {"adapt", {1e-8, 4000}},       {"cgopt", {60, 40}},
+      {"crnich", {1, 3, 33, 33}},    {"dirich", {20, 1e-3, 10}},
+      {"finedif", {1, 1, 1, 40, 40}}, {"galrkn", {24}},
+      {"icn", {40}},                 {"mei", {17, 9}},
+      {"orbec", {500}},              {"orbrk", {100}},
+      {"qmr", {40, 20}},             {"sor", {24, 1.2, 10}},
+      {"ackermann", {2, 3}},         {"fractal", {400}},
+      {"mandel", {16, 30}},          {"fibonacci", {11}},
+      {"heavyball", {60, 80}}};
+  auto Args = [](const std::vector<double> &Xs) {
+    std::vector<ValuePtr> Out;
+    for (double X : Xs)
+      Out.push_back(X == static_cast<long long>(X)
+                        ? makeValue(Value::intScalar(X))
+                        : num(X));
+    return Out;
+  };
+  EngineOptions O = opts(/*Store=*/true);
+  O.Policy = CompilePolicy::Speculative;
+  O.BackgroundCompileThreads = 1;
+  std::vector<Value> Primed;
+  {
+    Engine E(O);
+    E.watchDirectory(mlibDirectory());
+    E.snoop();
+    E.drainCompiles();
+    for (const auto &[Fn, Xs] : Calls)
+      Primed.push_back(*E.callFunction(Fn, Args(Xs), 1, SourceLoc())[0]);
+    E.drainCompiles();
+    E.flushRepoStore();
+  }
+
+  Engine E(O);
+  E.pauseBackgroundCompiles();
+  E.watchDirectory(mlibDirectory());
+  EXPECT_EQ(E.snoop(), 17u);
+  EXPECT_EQ(E.queuedSpeculations(), std::vector<std::string>{});
+  EXPECT_EQ(E.speculationStats().Queued, 0u);
+  EXPECT_EQ(counter(E, "engine.source_loads.speculate"), 0u);
+  EXPECT_EQ(sourceLoads(E), 0u);
+  E.resumeBackgroundCompiles();
+  // The two files the subfunctions are in load at their call and are
+  // served from the store.
+  for (size_t I : {size_t(0), size_t(9)}) {
+    SCOPED_TRACE(Calls[I].first);
+    ValuePtr V =
+        E.callFunction(Calls[I].first, Args(Calls[I].second), 1, SourceLoc())[0];
+    ASSERT_EQ(V->numel(), Primed[I].numel());
+    for (size_t K = 0; K != V->numel(); ++K)
+      EXPECT_EQ(V->re(K), Primed[I].re(K));
+  }
+  EXPECT_EQ(counter(E, "engine.source_loads.call"), 2u);
+  EXPECT_EQ(E.jitCompiles(), 0u);
+  EXPECT_EQ(E.interpreterFallbacks(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The header scan
+//===----------------------------------------------------------------------===//
+
+/// SourceSnooper::definedNames as a scan over the whole file's tokens: the
+/// reference the header scan must match.
+std::vector<std::string> fullLexNames(const std::string &Source,
+                                      const std::string &Stem) {
+  Diagnostics Ignored;
+  std::vector<Token> Toks = lex(Source, 0, Ignored);
+  auto Is = [&](size_t I, TokKind K) {
+    return I < Toks.size() && Toks[I].Kind == K;
+  };
+  size_t First = 0;
+  while (Is(First, TokKind::Newline))
+    ++First;
+  if (!Is(First, TokKind::KwFunction))
+    return {Stem};
+  std::vector<std::string> Names;
+  for (size_t I = First; I != Toks.size(); ++I) {
+    if (Toks[I].Kind != TokKind::KwFunction)
+      continue;
+    size_t J = I + 1;
+    if (Is(J, TokKind::LBracket)) {
+      while (J != Toks.size() && !Is(J, TokKind::RBracket))
+        ++J;
+      J += 2;
+    } else if (Is(J, TokKind::Identifier) && Is(J + 1, TokKind::Assign)) {
+      J += 2;
+    }
+    if (Is(J, TokKind::Identifier))
+      Names.push_back(Toks[J].Text);
+  }
+  return Names;
+}
+
+/// Sources written to trip a scan that reads only some lines.
+const std::vector<std::string> &adversarialSources() {
+  static const std::vector<std::string> Sources = {
+      // `function` in a comment, in a string, inside an identifier.
+      "function y = f(x)\n% function g(x) is not here\n"
+      "s = 'function h(x)'; t = \"function k\";\n"
+      "y = myfunction(x) + functional;\nfunction z = g(x)\nz = x;\n",
+      // A header continued on the next line.
+      "function [a, ...\n b] = f(x)\na = x; b = x;\n",
+      "function ...\n  y = ...\n  f(x)\ny = x;\n",
+      // A `...` inside a comment and inside a string.
+      "function y = f(x) % see ... below\ny = x;\nfunction z = g(x)\nz = x;\n",
+      "function y = f(x)\nq = 'a ... b'; function z = g(x)\nz = x;\n",
+      // Scripts: a comment first, a `function` only later.
+      "% a script\nx = 1;\nfunction y = f(x)\ny = x;\n",
+      "x = 1; ...\nfunction y = f(x)\n",
+      "\n\n   \n% lead\n  function y = f(x)\ny = x;\n",
+      // Line endings and edges.
+      "function y = f(x)\r\ny = x;\r\nfunction z = g(x)\r\nz = x;\r\n",
+      "function y = f(x)\ny = x;\nfunction z = g(x)",
+      "function",
+      "",
+      "% only\n% comments\n",
+      "% no final newline",
+      // Headers a lone line does not finish.
+      "function [a\nb] = f(x)\n",
+      "function [a]\nf(x)\n",
+      "function [a, b\n",
+      "function\nf(x)\n",
+      "function y =\nf(x)\n",
+      // A continuation line that starts with a quote, a keyword on one.
+      "function y = f(x)\ny = x ...\n';\nfunction z = g(x)\n",
+      "function y = f(x)\nw = [1 ...\nfunction q = g(x)\n",
+      "function y = f(x)\ny = x'; z = x'' + [x' x'];\nfunction z = h(x)\n",
+      "function y = f(x), y = x; function z = g(x), z = x;\n",
+      "function y = f(x)\ns = 'unterminated function\nfunction z = g(x)\n",
+      "function y = f(x)\n$ function z = g(x)\n3. function w = h(x)\n",
+  };
+  return Sources;
+}
+
+std::vector<std::pair<std::string, std::string>> mlibSources() {
+  std::vector<std::pair<std::string, std::string>> Out;
+  for (const fs::directory_entry &F : fs::directory_iterator(mlibDirectory()))
+    if (F.path().extension() == ".m") {
+      std::string Text;
+      EXPECT_TRUE(atomicfile::readFile(F.path().string(), Text));
+      Out.push_back({F.path().stem().string(), Text});
+    }
+  EXPECT_EQ(Out.size(), 17u);
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// Random sources from fragments that begin and end headers, comments,
+/// strings, brackets and continuations.
+std::vector<std::string> mixedSources(unsigned N) {
+  static const char *const Frags[] = {
+      "function ", "y", " = ", "[", "]", "(x)", ", ", "...", "\n", "\r\n",
+      "%", "'", "\"", "''", "x'", " ", "f", "myfunction", "end", ";", "1.",
+      "\t"};
+  std::mt19937 R(20241019);
+  std::vector<std::string> Out;
+  for (unsigned I = 0; I != N; ++I) {
+    std::string S = R() % 2 ? "function " : "";
+    for (unsigned K = R() % 40; K; --K)
+      S += Frags[R() % std::size(Frags)];
+    Out.push_back(S);
+  }
+  return Out;
+}
+
+TEST(Snooper, HeaderScanMatchesFullLex) {
+  for (const auto &[Stem, Text] : mlibSources()) {
+    SCOPED_TRACE(Stem);
+    EXPECT_EQ(SourceSnooper::definedNames(Text, Stem),
+              fullLexNames(Text, Stem));
+  }
+  // adapt.m and orbrk.m hold a subfunction each.
+  EXPECT_EQ(SourceSnooper::definedNames(mlibSources()[1].second, "adapt"),
+            (std::vector<std::string>{"adapt", "simp"}));
+  for (const std::string &Text : adversarialSources()) {
+    SCOPED_TRACE(Text);
+    EXPECT_EQ(SourceSnooper::definedNames(Text, "stem"),
+              fullLexNames(Text, "stem"));
+  }
+  for (const std::string &Text : mixedSources(4000)) {
+    SCOPED_TRACE(Text);
+    ASSERT_EQ(SourceSnooper::definedNames(Text, "stem"),
+              fullLexNames(Text, "stem"));
+  }
+}
+
+// The header scan rests on this: the lexer carries no state across a
+// newline, so each line lexed alone gives the whole file's kinds and texts.
+TEST(Lexer, EachLineAloneLexesAsInTheWhole) {
+  auto Check = [](const std::string &Text) {
+    Diagnostics Ignored;
+    std::vector<Token> Whole = lex(Text, 0, Ignored), ByLine;
+    for (size_t At = 0; At < Text.size();) {
+      size_t End = Text.find('\n', At);
+      End = End == std::string::npos ? Text.size() : End + 1;
+      std::vector<Token> Line = lex(Text.substr(At, End - At), 0, Ignored);
+      ByLine.insert(ByLine.end(), Line.begin(), Line.end() - 1);
+      At = End;
+    }
+    ByLine.push_back(Whole.back());
+    ASSERT_EQ(ByLine.size(), Whole.size());
+    for (size_t I = 0; I != Whole.size(); ++I) {
+      SCOPED_TRACE(I);
+      EXPECT_EQ(ByLine[I].Kind, Whole[I].Kind);
+      EXPECT_EQ(ByLine[I].Text, Whole[I].Text);
+      EXPECT_EQ(ByLine[I].IsImaginary, Whole[I].IsImaginary);
+      EXPECT_TRUE(ByLine[I].NumValue == Whole[I].NumValue ||
+                  (ByLine[I].NumValue != ByLine[I].NumValue &&
+                   Whole[I].NumValue != Whole[I].NumValue));
+    }
+  };
+  for (const auto &[Stem, Text] : mlibSources()) {
+    SCOPED_TRACE(Stem);
+    Check(Text);
+  }
+  for (const std::string &Text : adversarialSources()) {
+    SCOPED_TRACE(Text);
+    Check(Text);
+  }
+  for (const std::string &Text : mixedSources(4000)) {
+    SCOPED_TRACE(Text);
+    Check(Text);
   }
 }
 

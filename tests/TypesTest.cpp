@@ -9,11 +9,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "repo/RepoStore.h"
 #include "types/Signature.h"
 #include "types/Type.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
 
 using namespace majic;
@@ -372,6 +374,84 @@ TEST(Signature, MayRenderSameNeverMissesAnEqualRendering) {
   EXPECT_FALSE(TypeSignature({Type::constant(1)})
                    .mayRenderSame(TypeSignature(
                        {Type::constant(1), Type::constant(1)})));
+}
+
+// Type::str renders by hand; these are the bytes the format()-based
+// rendering gave, pinned, because profile keys, traces and explain reports
+// are these strings.
+TEST(Types, StrRenderingIsPinned) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const uint64_t U = ShapeBound::kUnknownDim;
+  const std::pair<Type, const char *> Cases[] = {
+      {Type::bottom(), "bot"},
+      {Type::top(), "top [0x0,*x*]"},
+      {Type::matrix(IntrinsicType::Real), "real [0x0,*x*]"},
+      {Type(IntrinsicType::Complex, ShapeBound::exact(0, 1),
+            ShapeBound::exact(U, 1), Range::top()),
+       "cplx [0x1,*x1]"},
+      {Type(IntrinsicType::String, ShapeBound::exact(1, 0),
+            ShapeBound::exact(1, U - 1), Range::top()),
+       "strg [1x0,1x18446744073709551614]"},
+      {Type(IntrinsicType::Int, ShapeBound::exact(U - 1, U - 1),
+            ShapeBound::exact(U - 1, U), Range::constant(3)),
+       "int [18446744073709551614x18446744073709551614,"
+       "18446744073709551614x*] <3,3>"},
+      {Type::scalar(IntrinsicType::Real, Range::constant(-0.0)),
+       "real [1x1,1x1] <-0,-0>"},
+      {Type::scalar(IntrinsicType::Real, Range::interval(-0.0, 0.0)),
+       "real [1x1,1x1] <-0,0>"},
+      {Type::scalar(IntrinsicType::Real, Range::interval(1e-5, 1e21)),
+       "real [1x1,1x1] <1e-05,1e+21>"},
+      {Type::scalar(IntrinsicType::Real, Range::constant(0.1 + 0.2)),
+       "real [1x1,1x1] <0.3,0.3>"},
+      {Type::scalar(IntrinsicType::Real, Range::interval(-Inf, 2.5)),
+       "real [1x1,1x1] <-inf,2.5>"},
+      {Type::scalar(IntrinsicType::Real, Range::interval(-1e300, Inf)),
+       "real [1x1,1x1] <-1e+300,inf>"},
+      {Type::scalar(IntrinsicType::Real, Range::interval(0, NaN)),
+       "real [1x1,1x1] <0,nan>"},
+      {Type::scalar(IntrinsicType::Real, Range::interval(-Inf, -NaN)),
+       "real [1x1,1x1] <-inf,-nan>"},
+      {Type::scalar(IntrinsicType::Bool, Range::bottom()), "bool [1x1,1x1] <>"},
+      {Type::scalar(IntrinsicType::Int, Range::interval(123456, 1234567)),
+       "int [1x1,1x1] <123456,1.23457e+06>"},
+      {Type::scalar(IntrinsicType::Real,
+                    Range::interval(5e-324, 1.7976931348623157e308)),
+       "real [1x1,1x1] <4.94066e-324,1.79769e+308>"},
+      {Type::scalar(IntrinsicType::Real, Range::interval(-999999.5, 0.0001)),
+       "real [1x1,1x1] <-1e+06,0.0001>"},
+      {Type::exactMatrix(IntrinsicType::Real, 120, 60), "real [120x60,120x60]"},
+  };
+  for (const auto &[T, Want] : Cases)
+    EXPECT_EQ(T.str(), Want);
+  EXPECT_EQ(TypeSignature({Cases[2].first, Cases[8].first, Cases[0].first})
+                .str(),
+            "(real [0x0,*x*], real [1x1,1x1] <1e-05,1e+21>, bot)");
+
+  // profiles.mjp stores the types and re-renders their strings at load:
+  // a saved profile reads back with the pinned strings.
+  std::filesystem::path Dir =
+      std::filesystem::path(::testing::TempDir()) / "majic_types_pinned";
+  std::filesystem::remove_all(Dir);
+  std::vector<RepoStore::ProfileSummary> Saved;
+  for (const auto &[T, Want] : Cases) {
+    RepoStore::ProfileSummary PS;
+    PS.Name = "f" + std::to_string(Saved.size());
+    PS.Invocations = 1;
+    PS.Sigs.push_back({TypeSignature({T}), "", 1, std::nullopt});
+    Saved.push_back(std::move(PS));
+  }
+  ASSERT_TRUE(RepoStore(Dir.string()).saveProfiles(Saved));
+  std::vector<RepoStore::ProfileSummary> Loaded =
+      RepoStore(Dir.string()).loadProfiles();
+  ASSERT_EQ(Loaded.size(), std::size(Cases));
+  for (size_t I = 0; I != Loaded.size(); ++I) {
+    ASSERT_EQ(Loaded[I].Sigs.size(), 1u);
+    EXPECT_EQ(Loaded[I].Sigs[0].SigStr,
+              std::string("(") + Cases[I].second + ")");
+  }
+  std::filesystem::remove_all(Dir);
 }
 
 } // namespace
