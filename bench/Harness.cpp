@@ -80,88 +80,6 @@ void majic::bench::loadBenchmark(Engine &E, const BenchmarkSpec &Spec) {
   E.context().setSink([](const std::string &) {});
 }
 
-namespace {
-
-constexpr uint64_t kBenchSeed = 0x5eed5eed5eedull;
-
-void invokeOnce(Engine &E, const BenchmarkSpec &Spec) {
-  E.context().Rand.reseed(kBenchSeed);
-  E.callFunction(Spec.Name, scaledArgs(Spec), 1, SourceLoc());
-}
-
-} // namespace
-
-double majic::bench::timeInterpreted(const BenchmarkSpec &Spec) {
-  EngineOptions O;
-  // Measured configurations compile synchronously: the paper's timing
-  // methodology excludes ahead-of-time compilation explicitly.
-  O.BackgroundCompileThreads = 0;
-  O.Policy = CompilePolicy::InterpretOnly;
-  Engine E(O);
-  loadBenchmark(E, Spec);
-  return bestOf(repetitions(), [&] { invokeOnce(E, Spec); });
-}
-
-double majic::bench::timeMcc(const BenchmarkSpec &Spec,
-                             const PlatformModel &Platform) {
-  EngineOptions O;
-  O.BackgroundCompileThreads = 0;
-  O.Policy = CompilePolicy::Mcc;
-  O.Platform = Platform;
-  Engine E(O);
-  loadBenchmark(E, Spec);
-  E.precompileGeneric(Spec.Name, Spec.Args.size());
-  return bestOf(repetitions(), [&] { invokeOnce(E, Spec); });
-}
-
-double majic::bench::timeFalcon(const BenchmarkSpec &Spec,
-                                const PlatformModel &Platform) {
-  EngineOptions O;
-  O.BackgroundCompileThreads = 0;
-  O.Policy = CompilePolicy::Falcon;
-  O.Platform = Platform;
-  Engine E(O);
-  loadBenchmark(E, Spec);
-  // FALCON peeks at the input files for type information (Section 4);
-  // seeding batch compilation with the actual invocation types models that.
-  E.precompileWithArgs(Spec.Name, scaledArgs(Spec));
-  return bestOf(repetitions(), [&] { invokeOnce(E, Spec); });
-}
-
-double majic::bench::timeJit(const BenchmarkSpec &Spec,
-                             const PlatformModel &Platform,
-                             const InferOptions &Infer,
-                             const RegAllocOptions &RegAlloc) {
-  // "To test JIT compilation, we started our experiments with an empty
-  // repository" — and JIT runtime includes compile time, so every rep uses
-  // a fresh engine.
-  return bestOf(repetitions(), [&] {
-    EngineOptions O;
-    O.BackgroundCompileThreads = 0;
-    O.Policy = CompilePolicy::Jit;
-    O.Platform = Platform;
-    O.Infer = Infer;
-    O.RegAlloc = RegAlloc;
-    Engine E(O);
-    loadBenchmark(E, Spec);
-    invokeOnce(E, Spec);
-  });
-}
-
-double majic::bench::timeSpec(const BenchmarkSpec &Spec,
-                              const PlatformModel &Platform) {
-  EngineOptions O;
-  O.BackgroundCompileThreads = 0;
-  O.Policy = CompilePolicy::Speculative;
-  O.Platform = Platform;
-  Engine E(O);
-  loadBenchmark(E, Spec);
-  // "We invoked the benchmarks only after MaJIC's repository had ample time
-  // to find them and compile them speculatively."
-  E.precompileSpeculative(Spec.Name);
-  return bestOf(repetitions(), [&] { invokeOnce(E, Spec); });
-}
-
 //===----------------------------------------------------------------------===//
 // JsonWriter
 //===----------------------------------------------------------------------===//

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Timing methodology shared by the table/figure harnesses, following
+/// Timing methodology of the paper's evaluation (bench_paper), following
 /// Section 3.2:
 ///
 ///  - the key gauge is speedup s = t_i / t_c against the interpreter;
@@ -50,25 +50,6 @@ double bestOf(int N, const std::function<void()> &Fn);
 
 /// Loads \p Spec's source into \p E, failing hard on diagnostics.
 void loadBenchmark(Engine &E, const BenchmarkSpec &Spec);
-
-/// t_i: interpreted runtime (the baseline of every speedup).
-double timeInterpreted(const BenchmarkSpec &Spec);
-
-/// t_c under the mcc model: generic code precompiled, execution timed.
-double timeMcc(const BenchmarkSpec &Spec, const PlatformModel &Platform);
-
-/// t_c under the FALCON model: batch-optimized code compiled with "peeked"
-/// input types ahead of time, execution timed.
-double timeFalcon(const BenchmarkSpec &Spec, const PlatformModel &Platform);
-
-/// t_c under JIT: empty repository, compile time included.
-double timeJit(const BenchmarkSpec &Spec, const PlatformModel &Platform,
-               const InferOptions &Infer = InferOptions(),
-               const RegAllocOptions &RegAlloc = RegAllocOptions());
-
-/// t_c under speculation: ahead-of-time speculative compile (untimed), then
-/// the invocation (JIT fallback, when speculation missed, is timed).
-double timeSpec(const BenchmarkSpec &Spec, const PlatformModel &Platform);
 
 /// Pretty-prints a separator and a table title.
 void printHeader(const std::string &Title, const std::string &Note);

@@ -444,7 +444,7 @@ std::vector<bool> CodeGen::vectorHomes(const std::vector<bool> &ForceBoxed) {
     Type T = slotType(Slot);
     auto Shape = T.exactShape();
     if (generic() || ForceBoxed[Slot] || !realArrayType(T) || !Shape ||
-        Shape->numel() < 2 || Shape->numel() > Opts.MaxUnrollNumel)
+        Shape->numel() < 2 || Shape->numel() > kMaxUnrollNumel)
       return std::nullopt;
     return Shape;
   };
@@ -1481,7 +1481,7 @@ std::optional<ShapeBound> CodeGen::unrolledShape(const BinaryExpr *E) const {
                     Op == BinOp::ElemPow ||
                     ((Op == BinOp::MatMul || Op == BinOp::MatRDiv) &&
                      (LT.isScalar() || RT.isScalar()));
-  if (generic() || Opts.MaxUnrollNumel == 0 || !ElemwiseOp ||
+  if (generic() || !ElemwiseOp ||
       !realArrayType(LT) || !realArrayType(RT) || !realArrayType(ResT) ||
       ResT.isScalar())
     return std::nullopt;
@@ -1490,7 +1490,7 @@ std::optional<ShapeBound> CodeGen::unrolledShape(const BinaryExpr *E) const {
     return T.isScalar() ||
            (T.exactShape() && ResShape && *T.exactShape() == *ResShape);
   };
-  if (!ResShape || ResShape->numel() > Opts.MaxUnrollNumel || !OkSide(LT) ||
+  if (!ResShape || ResShape->numel() > kMaxUnrollNumel || !OkSide(LT) ||
       !OkSide(RT))
     return std::nullopt;
   return ResShape;
@@ -1821,9 +1821,8 @@ Operand CodeGen::genBinary(const BinaryExpr *E) {
 bool CodeGen::unrollsLiteral(const MatrixExpr *E) const {
   Type T = typeOf(E);
   auto Exact = T.exactShape();
-  if (generic() || Opts.MaxUnrollNumel == 0 || !Exact ||
-      Exact->numel() > Opts.MaxUnrollNumel || !realArrayType(T) ||
-      E->rows().empty())
+  if (generic() || !Exact || Exact->numel() > kMaxUnrollNumel ||
+      !realArrayType(T) || E->rows().empty())
     return false;
   for (const auto &Row : E->rows())
     for (const Expr *Elem : Row)

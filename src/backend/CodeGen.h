@@ -47,6 +47,11 @@ namespace majic {
 
 enum class CodeGenMode : uint8_t { Jit, Optimized, Generic };
 
+/// Element-wise operations on exactly-shaped arrays of at most this many
+/// elements are fully unrolled (Section 2.6.1: "very effective on small
+/// (up to 3x3) matrices").
+constexpr unsigned kMaxUnrollNumel = 9;
+
 /// Counters filled by the elementwise-fusion matcher (per compile).
 struct FusionStats {
   uint64_t Groups = 0;      ///< EwFuse instructions emitted
@@ -56,10 +61,6 @@ struct FusionStats {
 
 struct CodeGenOptions {
   CodeGenMode Mode = CodeGenMode::Jit;
-  /// Fully unroll element-wise operations on exactly-shaped arrays of at
-  /// most this many elements (Section 2.6.1: "very effective on small
-  /// (up to 3x3) matrices"). 0 disables unrolling.
-  unsigned MaxUnrollNumel = 9;
   /// Fuse maximal elementwise expression trees into single-pass EwFuse
   /// loops (one loop, one memory pass, zero intermediate temporaries).
   /// Has no effect in Generic mode: fusion legality needs annotations.

@@ -35,7 +35,6 @@ std::optional<CompileResult> majic::compileFunction(const CompileRequest &Req) {
   Timer T;
   CodeGenOptions CGOpts;
   CGOpts.Mode = Req.Mode;
-  CGOpts.MaxUnrollNumel = Req.UnrollSmallVectors ? 9 : 0;
   CGOpts.EnableFusion = Req.FuseElementwise;
   CGOpts.Stats = &Result.Fusion;
   std::unique_ptr<IRFunction> Code;
@@ -50,8 +49,6 @@ std::optional<CompileResult> majic::compileFunction(const CompileRequest &Req) {
   if (Req.Mode == CodeGenMode::Optimized) {
     obs::TraceScope Span("optimize", "compile", FnName);
     OptimizeOptions OptOpts;
-    OptOpts.Rounds = Req.Platform.NativeOptRounds;
-    OptOpts.UnrollFactor = Req.Platform.NativeOptRounds >= 2 ? 4 : 2;
     OptOpts.Fusion = &Result.Fusion;
     Result.Optimizer = optimize(*Code, OptOpts);
   }

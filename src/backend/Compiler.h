@@ -34,9 +34,6 @@ struct CompileRequest {
   PlatformModel Platform;
   InferOptions Infer;
   RegAllocOptions RegAlloc;
-  /// Unroll small-vector operations (platform JIT maturity; Figure 7's
-  /// "no min. shapes" disables the shapes instead).
-  bool UnrollSmallVectors = true;
   /// Fuse elementwise expression trees into single-pass EwFuse loops.
   bool FuseElementwise = true;
 };

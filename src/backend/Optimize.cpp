@@ -835,12 +835,10 @@ void runDCE(IRFunction &F, OptimizeStats &Stats) {
 OptimizeStats majic::optimize(IRFunction &F, const OptimizeOptions &Opts) {
   assert(!F.Allocated && "optimize before register allocation");
   OptimizeStats Stats;
-  for (unsigned Round = 0; Round != std::max(1u, Opts.Rounds); ++Round) {
-    ValueNumbering(F, Stats).run();
-    runEwFuseMerge(F, Stats, Opts.Fusion);
-    runLICM(F, Stats);
-    runUnroll(F, Opts.UnrollFactor, Stats);
-    runDCE(F, Stats);
-  }
+  ValueNumbering(F, Stats).run();
+  runEwFuseMerge(F, Stats, Opts.Fusion);
+  runLICM(F, Stats);
+  runUnroll(F, Opts.UnrollFactor, Stats);
+  runDCE(F, Stats);
   return Stats;
 }

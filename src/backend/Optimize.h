@@ -38,8 +38,6 @@ struct FusionStats;
 struct OptimizeOptions {
   /// Unrolling factor of small counted loops; below 2 skips unrolling.
   unsigned UnrollFactor = 2;
-  /// Pipeline repetitions (the platform's native-compiler quality).
-  unsigned Rounds = 1;
   /// When non-null, EwFuse merges adjust these compile-wide fusion
   /// counters (one fewer group, one more elided temporary per merge).
   FusionStats *Fusion = nullptr;

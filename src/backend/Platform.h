@@ -1,61 +1,30 @@
-//===- backend/Platform.h - Target platform models -------------*- C++ -*-===//
+//===- backend/Platform.h - The target register file ------------*- C++ -*-===//
 //
 // Part of the MaJIC reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Models of the paper's two evaluation platforms (Section 3.3). The real
-/// testbeds (a 400MHz UltraSparc 10 with Sparcworks cc, and an SGI Origin
-/// 200 with the MIPSPro compiler) are irreproducible; what the experiments
-/// actually depend on is *qualitative*:
-///
-///  - SPARC: a mature JIT backend (unrolling enabled, full register file)
-///    and a mediocre native compiler (one optimizer round for the
-///    speculative path) -> MaJIC's JIT is competitive with FALCON.
-///  - MIPS: an immature JIT backend ("not yet completely implemented":
-///    no unrolling, half the registers) and an excellent native compiler
-///    (two optimizer rounds) -> the JIT falls behind FALCON/spec.
-///
-/// See DESIGN.md, substitution #5.
+/// The register file the linear-scan allocator targets. The paper's two
+/// evaluation platforms (a 400MHz UltraSparc 10 and an SGI Origin 200) are
+/// irreproducible; `bench_paper` measures the question Figure 5 asked of
+/// them - how a better native compiler changes the JIT's standing - with
+/// the system C compiler instead (DESIGN.md, substitution #5).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MAJIC_BACKEND_PLATFORM_H
 #define MAJIC_BACKEND_PLATFORM_H
 
-#include <string>
-
 namespace majic {
 
 struct PlatformModel {
-  std::string Name = "sparc";
-
   /// Physical register file sizes the linear-scan allocator targets.
   unsigned NumFRegs = 16;
   unsigned NumIRegs = 16;
   unsigned NumPRegs = 12;
 
-  /// Whether the JIT code generator unrolls small fixed-shape vector
-  /// operations on this platform.
-  bool JitUnrollsSmallVectors = true;
-
-  /// Optimizer pipeline rounds the "native compiler" (speculative / batch
-  /// path) runs. More rounds = a better native compiler.
-  unsigned NativeOptRounds = 1;
-
   static PlatformModel sparc() { return PlatformModel(); }
-
-  static PlatformModel mips() {
-    PlatformModel P;
-    P.Name = "mips";
-    P.NumFRegs = 8;
-    P.NumIRegs = 8;
-    P.NumPRegs = 6;
-    P.JitUnrollsSmallVectors = false;
-    P.NativeOptRounds = 2;
-    return P;
-  }
 };
 
 } // namespace majic

@@ -159,6 +159,7 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   Inst.RunSeconds[size_t(Tier::Vm)] = &Metrics.histogram("vm.run.seconds");
   Inst.RunSeconds[size_t(Tier::Interp)] =
       &Metrics.histogram("interp.run.seconds");
+  Inst.NativeBuildSeconds = &Metrics.histogram("native.build.seconds");
   Inst.FusionGroups = &Metrics.counter("fusion.groups");
   Inst.FusionOpsFused = &Metrics.counter("fusion.ops_fused");
   Inst.FusionTempsElided = &Metrics.counter("fusion.temps_elided");
@@ -345,11 +346,9 @@ uint64_t Engine::sharedCacheConfigHash(const EngineOptions &Opts) {
   // deliberately absent: they steer *when* compilation happens, not what
   // it produces.
   char Buf[160];
-  std::snprintf(Buf, sizeof(Buf), "%s|%u|%u|%u|%d|%u|%d|%d|%d|%u|%d|%d|%d|%d",
-                Opts.Platform.Name.c_str(), Opts.Platform.NumFRegs,
-                Opts.Platform.NumIRegs, Opts.Platform.NumPRegs,
-                int(Opts.Platform.JitUnrollsSmallVectors),
-                Opts.Platform.NativeOptRounds, int(Opts.Infer.EnableRanges),
+  std::snprintf(Buf, sizeof(Buf), "%u|%u|%u|%d|%d|%d|%u|%d|%d|%d|%d",
+                Opts.Platform.NumFRegs, Opts.Platform.NumIRegs,
+                Opts.Platform.NumPRegs, int(Opts.Infer.EnableRanges),
                 int(Opts.Infer.EnableMinShapes),
                 int(Opts.Infer.OptimisticRealMath), Opts.Infer.MaxPasses,
                 int(Opts.RegAlloc.SpillEverything), int(Opts.InlineCalls),
@@ -685,8 +684,6 @@ CompiledObjectPtr Engine::compileAndPublish(const std::string &Name,
     Req.Infer = Opts.Infer;
     Req.Infer.OptimisticRealMath &= Optimistic;
     Req.RegAlloc = Opts.RegAlloc;
-    Req.UnrollSmallVectors =
-        Mode == CodeGenMode::Jit ? Opts.Platform.JitUnrollsSmallVectors : true;
     Req.FuseElementwise = Opts.FuseElementwise;
     std::optional<CompileResult> Result = compileFunction(Req);
     if (!Result)
@@ -1605,11 +1602,14 @@ void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
   std::string Key = nativeKey(Name, Sig);
   std::shared_ptr<native::NativeModule> Mod;
   std::vector<uint8_t> So;
+  Timer Build;
   try {
     std::string CSource = emitCSource(*Code, Sig);
     So = NativeComp->compile(CSource, Name);
     Mod = native::NativeCompiler::load(So, Name, Code->NumOuts);
+    Inst.NativeBuildSeconds->observe(Build.seconds());
   } catch (...) {
+    Inst.NativeBuildSeconds->observe(Build.seconds());
     // Compiler crash, timeout, -Werror rejection, loader refusal,
     // injected fault: the version pins to the VM tier, and the engine
     // does not retry until the source changes. The native tier must

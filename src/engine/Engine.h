@@ -777,6 +777,8 @@ private:
     obs::Histogram *CodeGenSeconds = nullptr;
     /// "<tier>.run.seconds" of top-level runs, indexed by Tier.
     obs::Histogram *RunSeconds[3] = {};
+    /// Emit, cc and dlopen seconds of one native build (failed ones too).
+    obs::Histogram *NativeBuildSeconds = nullptr;
     /// Elementwise-fusion outcomes, accumulated across every compile
     /// (foreground and speculative) from CompileResult::Fusion.
     obs::Counter *FusionGroups = nullptr;

@@ -143,14 +143,16 @@ std::vector<Config> compiledConfigs(bool Native) {
   {
     EngineOptions O;
     O.Policy = CompilePolicy::Jit;
-    O.Platform = PlatformModel::mips();
-    Configs.push_back({"jit-mips", O});
+    O.Platform.NumFRegs = O.Platform.NumIRegs = 8;
+    O.Platform.NumPRegs = 6;
+    Configs.push_back({"jit-smallregs", O});
   }
   {
     EngineOptions O;
     O.Policy = CompilePolicy::Falcon;
-    O.Platform = PlatformModel::mips();
-    Configs.push_back({"falcon-mips", O});
+    O.Platform.NumFRegs = O.Platform.NumIRegs = 8;
+    O.Platform.NumPRegs = 6;
+    Configs.push_back({"falcon-smallregs", O});
   }
   {
     EngineOptions O;

@@ -452,15 +452,12 @@ TEST(Optimizer, UnrollFactorFour) {
 
 TEST(Optimizer, PipelineIsIdempotentOnSecondRound) {
   auto F1 = buildInvariantLoop();
-  OptimizeOptions One;
-  One.Rounds = 1;
-  optimize(*F1, One);
+  optimize(*F1);
   auto R1 = execute(*F1, {makeValue(Value::intScalar(6))}, 1);
 
   auto F2 = buildInvariantLoop();
-  OptimizeOptions Two;
-  Two.Rounds = 2;
-  optimize(*F2, Two);
+  optimize(*F2);
+  optimize(*F2);
   auto R2 = execute(*F2, {makeValue(Value::intScalar(6))}, 1);
   EXPECT_DOUBLE_EQ(R1[0]->scalarValue(), R2[0]->scalarValue());
 }
