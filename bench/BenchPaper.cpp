@@ -33,7 +33,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -44,47 +43,6 @@ using namespace majic;
 using namespace majic::bench;
 
 namespace {
-
-/// What happens to a configuration's engine before its timed calls.
-enum class Precompile {
-  None,        ///< nothing (the interpreter)
-  Fresh,       ///< nothing, and every VM rep is a fresh engine: JIT time
-               ///< includes compile time ("we started our experiments
-               ///< with an empty repository")
-  Generic,     ///< mcc: type-free code for the function's arity
-  WithArgs,    ///< FALCON: batch code for the invocation's own types
-  Speculative, ///< MaJIC: code for the speculated signature, compiled
-               ///< "after MaJIC's repository had ample time to find" it
-  WarmCall,    ///< one untimed call: JIT code, compile time excluded
-};
-
-/// One configuration of the evaluation.
-struct Config {
-  const char *Name;
-  CompilePolicy Policy;
-  Precompile Pre;
-  InferOptions Infer = {};
-  RegAllocOptions RegAlloc = {};
-};
-
-// interp is t_i, the baseline of every speedup. mcc/falcon/jit/spec are
-// Figures 4 and 5; jit is also Figure 6; the jit_no_* rows over jit are
-// Figure 7; spec over falcon (one optimizing code generator, speculated vs
-// actual signature) is Table 2; jit_warm against falcon is Section 5.
-const Config kConfigs[] = {
-    {"interp", CompilePolicy::InterpretOnly, Precompile::None},
-    {"mcc", CompilePolicy::Mcc, Precompile::Generic},
-    {"falcon", CompilePolicy::Falcon, Precompile::WithArgs},
-    {"jit", CompilePolicy::Jit, Precompile::Fresh},
-    {"spec", CompilePolicy::Speculative, Precompile::Speculative},
-    {"jit_warm", CompilePolicy::Jit, Precompile::WarmCall},
-    {"jit_no_ranges", CompilePolicy::Jit, Precompile::Fresh,
-     {.EnableRanges = false}},
-    {"jit_no_min_shapes", CompilePolicy::Jit, Precompile::Fresh,
-     {.EnableMinShapes = false}},
-    {"jit_spill_all", CompilePolicy::Jit, Precompile::Fresh, {},
-     {.SpillEverything = true}},
-};
 
 // The warm native-over-VM gate: scalar loop kernels, where emitted C has
 // the most dispatch overhead to remove.
@@ -111,19 +69,9 @@ struct Run {
 };
 
 Run measure(const Config &C, const BenchmarkSpec &Spec, bool Native) {
-  EngineOptions O;
-  // Measured configurations compile synchronously: a background worker
-  // must never compile inside a timed region.
-  O.BackgroundCompileThreads = 0;
-  O.Policy = C.Policy;
-  O.Infer = C.Infer;
-  O.RegAlloc = C.RegAlloc;
-  O.NativeTier = Native;
-  O.NativeHotThreshold = 1;
-
   Run R;
   auto Session = [&] {
-    auto E = std::make_unique<Engine>(O);
+    auto E = std::make_unique<Engine>(sessionOptions(C, Native));
     loadBenchmark(*E, Spec);
     E->phases().clear();
     return E;
@@ -145,23 +93,9 @@ Run measure(const Config &C, const BenchmarkSpec &Spec, bool Native) {
     return R;
   }
   std::unique_ptr<Engine> E = Session();
-  switch (C.Pre) {
-  case Precompile::Generic:
-    E->precompileGeneric(Spec.Name, Spec.Args.size());
-    break;
-  case Precompile::WithArgs:
-    E->precompileWithArgs(Spec.Name, scaledArgs(Spec));
-    break;
-  case Precompile::Speculative:
-    E->precompileSpeculative(Spec.Name);
-    break;
-  case Precompile::WarmCall:
+  precompile(*E, C, Spec);
+  if (C.Pre == Precompile::WarmCall)
     Call(*E);
-    break;
-  case Precompile::None:
-  case Precompile::Fresh:
-    break;
-  }
   obs::Histogram &Builds = E->metrics().histogram("native.build.seconds");
   if (Native) {
     FirstCall(*E); // the promoting call: cc runs here, untimed
@@ -199,13 +133,6 @@ bool identical(const std::vector<ValuePtr> &A, const std::vector<ValuePtr> &B) {
       return false;
   }
   return true;
-}
-
-std::string readSource(const BenchmarkSpec &Spec) {
-  std::ifstream In(mlibDirectory() + "/" + Spec.Name + ".m");
-  std::stringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
 }
 
 /// Figure 7's structural companion: the percentage of element accesses

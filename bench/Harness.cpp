@@ -14,7 +14,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <thread>
 
 using namespace majic;
@@ -70,6 +72,13 @@ double majic::bench::bestOf(int N, const std::function<void()> &Fn) {
   return Best;
 }
 
+std::string majic::bench::readSource(const BenchmarkSpec &Spec) {
+  std::ifstream In(mlibDirectory() + "/" + Spec.Name + ".m");
+  std::stringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
 void majic::bench::loadBenchmark(Engine &E, const BenchmarkSpec &Spec) {
   if (!E.loadFile(mlibDirectory() + "/" + Spec.Name + ".m")) {
     std::fprintf(stderr, "failed to load %s:\n%s\n", Spec.Name.c_str(),
@@ -78,6 +87,36 @@ void majic::bench::loadBenchmark(Engine &E, const BenchmarkSpec &Spec) {
   }
   // Swallow program output during measurement.
   E.context().setSink([](const std::string &) {});
+}
+
+EngineOptions majic::bench::sessionOptions(const Config &C, bool Native) {
+  EngineOptions O;
+  O.BackgroundCompileThreads = 0;
+  O.Policy = C.Policy;
+  O.Infer = C.Infer;
+  O.RegAlloc = C.RegAlloc;
+  O.NativeTier = Native;
+  O.NativeHotThreshold = 1;
+  return O;
+}
+
+void majic::bench::precompile(Engine &E, const Config &C,
+                              const BenchmarkSpec &Spec) {
+  switch (C.Pre) {
+  case Precompile::Generic:
+    E.precompileGeneric(Spec.Name, Spec.Args.size());
+    break;
+  case Precompile::WithArgs:
+    E.precompileWithArgs(Spec.Name, scaledArgs(Spec));
+    break;
+  case Precompile::Speculative:
+    E.precompileSpeculative(Spec.Name);
+    break;
+  case Precompile::None:
+  case Precompile::Fresh:
+  case Precompile::WarmCall:
+    break;
+  }
 }
 
 //===----------------------------------------------------------------------===//

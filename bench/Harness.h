@@ -48,8 +48,62 @@ std::vector<ValuePtr> scaledArgs(const BenchmarkSpec &Spec);
 /// Best-of-N wall time of Fn().
 double bestOf(int N, const std::function<void()> &Fn);
 
+/// The text of \p Spec's .m file.
+std::string readSource(const BenchmarkSpec &Spec);
+
 /// Loads \p Spec's source into \p E, failing hard on diagnostics.
 void loadBenchmark(Engine &E, const BenchmarkSpec &Spec);
+
+/// What happens to a configuration's engine before its timed calls.
+enum class Precompile {
+  None,        ///< nothing (the interpreter)
+  Fresh,       ///< nothing, and every VM rep is a fresh engine: JIT time
+               ///< includes compile time ("we started our experiments
+               ///< with an empty repository")
+  Generic,     ///< mcc: type-free code for the function's arity
+  WithArgs,    ///< FALCON: batch code for the invocation's own types
+  Speculative, ///< MaJIC: code for the speculated signature, compiled
+               ///< "after MaJIC's repository had ample time to find" it
+  WarmCall,    ///< one untimed call: JIT code, compile time excluded
+};
+
+/// One configuration of the evaluation.
+struct Config {
+  const char *Name;
+  CompilePolicy Policy;
+  Precompile Pre;
+  InferOptions Infer = {};
+  RegAllocOptions RegAlloc = {};
+};
+
+/// The evaluation's configurations, read by bench_paper and dump_code.
+/// interp is t_i, the baseline of every speedup. mcc/falcon/jit/spec are
+/// Figures 4 and 5; jit is also Figure 6; the jit_no_* rows over jit are
+/// Figure 7; spec over falcon (one optimizing code generator, speculated vs
+/// actual signature) is Table 2; jit_warm against falcon is Section 5.
+inline const Config kConfigs[] = {
+    {"interp", CompilePolicy::InterpretOnly, Precompile::None},
+    {"mcc", CompilePolicy::Mcc, Precompile::Generic},
+    {"falcon", CompilePolicy::Falcon, Precompile::WithArgs},
+    {"jit", CompilePolicy::Jit, Precompile::Fresh},
+    {"spec", CompilePolicy::Speculative, Precompile::Speculative},
+    {"jit_warm", CompilePolicy::Jit, Precompile::WarmCall},
+    {"jit_no_ranges", CompilePolicy::Jit, Precompile::Fresh,
+     {.EnableRanges = false}},
+    {"jit_no_min_shapes", CompilePolicy::Jit, Precompile::Fresh,
+     {.EnableMinShapes = false}},
+    {"jit_spill_all", CompilePolicy::Jit, Precompile::Fresh, {},
+     {.SpillEverything = true}},
+};
+
+/// The engine options of configuration \p C, with the native tier
+/// promoting on the first call when \p Native. Compilation is synchronous:
+/// a background worker must never compile inside a timed region.
+EngineOptions sessionOptions(const Config &C, bool Native);
+
+/// Compiles \p Spec ahead of its calls as \p C's Generic, WithArgs or
+/// Speculative step asks; nothing for the other kinds.
+void precompile(Engine &E, const Config &C, const BenchmarkSpec &Spec);
 
 /// Pretty-prints a separator and a table title.
 void printHeader(const std::string &Title, const std::string &Note);

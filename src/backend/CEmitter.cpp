@@ -13,6 +13,11 @@
 // as IEEE bit patterns, and guarded intrinsics/negative-base powers
 // deoptimize through the host exactly where the VM would).
 //
+// The register-only opcodes are not written here: each is an expression
+// row of ir/Opcodes.def, which the VM expands as C++ and renderExpr prints
+// as C with the registers named. The cases below are the opcodes whose two
+// tiers differ in form (DESIGN.md, "The opcode table").
+//
 //===----------------------------------------------------------------------===//
 
 #include "backend/CEmitter.h"
@@ -186,6 +191,28 @@ std::string iLit(int64_t X) {
   if (X == INT64_MIN)
     return "(-9223372036854775807LL - 1)";
   return format("%lld", static_cast<long long>(X));
+}
+
+/// Prints an expression row of ir/Opcodes.def as a C statement: F(X),
+/// I(X) and P(X) become the register field X names, IMM the immediate as a
+/// literal, and the rest (operators, casts, pow, fsp/isp/psp) is C already.
+std::string renderExpr(const char *Expr, const Instr &In) {
+  const int32_t Fields[4] = {In.A, In.B, In.C, In.D};
+  std::string Line;
+  for (const char *S = Expr; *S;) {
+    if (std::strncmp(S, "IMM", 3) == 0) {
+      Line += opcodeInfo(In.Op).Imm == ImmKind::F64 ? fLit(In.Imm.F)
+                                                    : iLit(In.Imm.I);
+      S += 3;
+    } else if (std::strchr("FIP", S[0]) && S[1] == '(' && S[2] >= 'A' &&
+               S[2] <= 'D' && S[3] == ')') {
+      Line += format("%c%d", S[0] - 'A' + 'a', Fields[S[2] - 'A']);
+      S += 4;
+    } else {
+      Line += *S++;
+    }
+  }
+  return Line + ";";
 }
 
 /// The typed convention (ArgF/ArgI/OutI, CallSelf): the body becomes a
@@ -395,51 +422,21 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
     switch (In.Op) {
     case Opcode::Nop:
       continue;
-    case Opcode::FConst:
-      Line = freg(In.A) + " = " + fLit(In.Imm.F) + ";";
-      break;
-    case Opcode::IConst:
-      Line = ireg(In.A) + " = " + iLit(In.Imm.I) + ";";
-      break;
+#define OPCODE_EXPR(Name, Expr)                                                \
+  case Opcode::Name:                                                           \
+    Line = renderExpr(#Expr, In);                                              \
+    break;
+#define OPCODE_SPILL_EXPR OPCODE_EXPR
+#include "ir/Opcodes.def"
     case Opcode::SConst:
       Line = format("%s = mlfString(\"%s\");", preg(In.A).c_str(),
                     cStringEscape(F.Strings[In.Imm.I]).c_str());
       break;
-    case Opcode::MovF:
-      Line = freg(In.A) + " = " + freg(In.B) + ";";
-      break;
-    case Opcode::MovI:
-      Line = ireg(In.A) + " = " + ireg(In.B) + ";";
-      break;
     case Opcode::MovP:
       Line = preg(In.A) + " = mxRetain(" + preg(In.B) + ");";
       break;
-    case Opcode::IToF:
-      Line = freg(In.A) + " = (double)" + ireg(In.B) + ";";
-      break;
-    case Opcode::FToI:
-      Line = ireg(In.A) + " = (long long)" + freg(In.B) + ";";
-      break;
     case Opcode::FToIdx:
       Line = ireg(In.A) + " = mlfCheckSubscript(" + freg(In.B) + ");";
-      break;
-    case Opcode::FAdd:
-      Line = freg(In.A) + " = " + freg(In.B) + " + " + freg(In.C) + ";";
-      break;
-    case Opcode::FSub:
-      Line = freg(In.A) + " = " + freg(In.B) + " - " + freg(In.C) + ";";
-      break;
-    case Opcode::FMul:
-      Line = freg(In.A) + " = " + freg(In.B) + " * " + freg(In.C) + ";";
-      break;
-    case Opcode::FDiv:
-      Line = freg(In.A) + " = " + freg(In.B) + " / " + freg(In.C) + ";";
-      break;
-    case Opcode::FNeg:
-      Line = freg(In.A) + " = -" + freg(In.B) + ";";
-      break;
-    case Opcode::FPow:
-      Line = freg(In.A) + " = pow(" + freg(In.B) + ", " + freg(In.C) + ");";
       break;
     case Opcode::FCmp:
       Line = ireg(In.A) + " = " + freg(In.B) + " " +
@@ -462,32 +459,10 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
              intrName(static_cast<ScalarIntrinsic>(In.Imm.I)) + "(" +
              freg(In.B) + ", " + freg(In.C) + ");";
       break;
-    case Opcode::IAdd:
-      Line = ireg(In.A) + " = " + ireg(In.B) + " + " + ireg(In.C) + ";";
-      break;
-    case Opcode::ISub:
-      Line = ireg(In.A) + " = " + ireg(In.B) + " - " + ireg(In.C) + ";";
-      break;
-    case Opcode::IMul:
-      Line = ireg(In.A) + " = " + ireg(In.B) + " * " + ireg(In.C) + ";";
-      break;
-    case Opcode::INeg:
-      Line = ireg(In.A) + " = -" + ireg(In.B) + ";";
-      break;
     case Opcode::ICmp:
+      // Compares long long; the VM compares through double (VM.cpp).
       Line = ireg(In.A) + " = " + ireg(In.B) + " " +
              condOp(static_cast<CondCode>(In.Imm.I)) + " " + ireg(In.C) + ";";
-      break;
-    case Opcode::IAnd:
-      Line = ireg(In.A) + " = (" + ireg(In.B) + " != 0) & (" + ireg(In.C) +
-             " != 0);";
-      break;
-    case Opcode::IOr:
-      Line = ireg(In.A) + " = (" + ireg(In.B) + " != 0) | (" + ireg(In.C) +
-             " != 0);";
-      break;
-    case Opcode::INot:
-      Line = ireg(In.A) + " = " + ireg(In.B) + " == 0;";
       break;
     case Opcode::Br:
       Line = BackPoll(In.A, Pos) + format("goto L%d;", In.A);
@@ -813,30 +788,6 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
                Dst + " = " + Call + "; mlfDirectLeave(cs, mlf_mark); }";
       break;
     }
-    case Opcode::FSpLd:
-      Line = freg(In.A) + format(" = fsp[%lld];",
-                                 static_cast<long long>(In.Imm.I));
-      break;
-    case Opcode::FSpSt:
-      Line = format("fsp[%lld] = ", static_cast<long long>(In.Imm.I)) +
-             freg(In.A) + ";";
-      break;
-    case Opcode::ISpLd:
-      Line = ireg(In.A) + format(" = isp[%lld];",
-                                 static_cast<long long>(In.Imm.I));
-      break;
-    case Opcode::ISpSt:
-      Line = format("isp[%lld] = ", static_cast<long long>(In.Imm.I)) +
-             ireg(In.A) + ";";
-      break;
-    case Opcode::PSpLd:
-      Line = preg(In.A) + format(" = psp[%lld];",
-                                 static_cast<long long>(In.Imm.I));
-      break;
-    case Opcode::PSpSt:
-      Line = format("psp[%lld] = ", static_cast<long long>(In.Imm.I)) +
-             preg(In.A) + ";";
-      break;
     case Opcode::FRand:
       Line = freg(In.A) + " = mlfRand();";
       break;

@@ -88,6 +88,36 @@ struct VNState {
   }
 };
 
+/// The constants of one instruction's F and I operands, by field (A = 0
+/// to D = 3): the register file the folder evaluates an expression on.
+struct ConstRegs {
+  double F[4] = {};
+  int64_t I[4] = {};
+};
+
+/// Evaluates the expression row of In.Op (ir/Opcodes.def) on \p R, which
+/// holds its operands; the result lands in field A.
+void evalExpr(const Instr &In, ConstRegs &R) {
+  enum { A, B, C, D };
+#define F(X) R.F[X]
+#define I(X) R.I[X]
+#define IMM immediate<Row>(In)
+#define OPCODE_EXPR(Name, Expr)                                                \
+  case Opcode::Name: {                                                         \
+    [[maybe_unused]] constexpr Opcode Row = Opcode::Name;                      \
+    Expr;                                                                      \
+    return;                                                                    \
+  }
+  switch (In.Op) {
+#include "ir/Opcodes.def"
+  default:
+    majic_unreachable("opcode without an expression row");
+  }
+#undef F
+#undef I
+#undef IMM
+}
+
 class ValueNumbering {
 public:
   ValueNumbering(IRFunction &F, OptimizeStats &Stats) : F(F), Stats(Stats) {}
@@ -162,8 +192,6 @@ void ValueNumbering::visit(Instr &In) {
     ++Stats.NumFolded;
   };
 
-  double FB = 0, FC = 0;
-  int64_t IB = 0, IC = 0;
   switch (In.Op) {
   case Opcode::FConst:
     S.define(true, In.A);
@@ -195,62 +223,44 @@ void ValueNumbering::visit(Instr &In) {
       S.CopyOf[VNState::key(false, In.A)] = {In.B, SrcVer};
     return;
   }
-  case Opcode::IToF:
-    if (iconst(In.B, IB)) {
-      FoldF(static_cast<double>(IB));
-      return;
-    }
-    break;
-  case Opcode::FToI:
-    if (fconst(In.B, FB)) {
-      FoldI(static_cast<int64_t>(FB));
-      return;
-    }
-    break;
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-  case Opcode::FDiv:
-  case Opcode::FPow:
-    if (fconst(In.B, FB) && fconst(In.C, FC)) {
-      double R = In.Op == Opcode::FAdd   ? FB + FC
-                 : In.Op == Opcode::FSub ? FB - FC
-                 : In.Op == Opcode::FMul ? FB * FC
-                 : In.Op == Opcode::FDiv ? FB / FC
-                                         : std::pow(FB, FC);
-      FoldF(R);
-      return;
-    }
-    break;
-  case Opcode::FNeg:
-    if (fconst(In.B, FB)) {
-      FoldF(-FB);
-      return;
-    }
-    break;
-  case Opcode::FIntr1:
+  case Opcode::FIntr1: {
+    double FB;
     if (fconst(In.B, FB)) {
       FoldF(evalScalarIntrinsic1(static_cast<ScalarIntrinsic>(In.Imm.I), FB));
       return;
     }
     break;
+  }
+  case Opcode::IToF:
+  case Opcode::FToI:
+  case Opcode::FAdd:
+  case Opcode::FSub:
+  case Opcode::FMul:
+  case Opcode::FDiv:
+  case Opcode::FNeg:
+  case Opcode::FPow:
   case Opcode::IAdd:
   case Opcode::ISub:
   case Opcode::IMul:
-    if (iconst(In.B, IB) && iconst(In.C, IC)) {
-      int64_t R = In.Op == Opcode::IAdd   ? IB + IC
-                  : In.Op == Opcode::ISub ? IB - IC
-                                          : IB * IC;
-      FoldI(R);
+  case Opcode::INeg: {
+    ConstRegs R;
+    bool AllConst = true;
+    for (unsigned K = 1; K != 4; ++K) {
+      OperandKind OK = Ops.Fields[K];
+      if (isUse(OK))
+        AllConst &= regClass(OK) == RegClass::F ? fconst(*Fields[K], R.F[K])
+                                                : iconst(*Fields[K], R.I[K]);
+    }
+    if (AllConst) {
+      evalExpr(In, R);
+      if (regClass(Ops.Fields[0]) == RegClass::F)
+        FoldF(R.F[0]);
+      else
+        FoldI(R.I[0]);
       return;
     }
     break;
-  case Opcode::INeg:
-    if (iconst(In.B, IB)) {
-      FoldI(-IB);
-      return;
-    }
-    break;
+  }
   default:
     break;
   }

@@ -14,6 +14,9 @@
 ///
 /// Passes, in order, over unallocated IR:
 ///   1. Local value numbering: constant folding, copy propagation, CSE.
+///      Folding evaluates an opcode's expression row in ir/Opcodes.def,
+///      the text the VM runs and the C emitter prints, so a folded
+///      constant has the bits the unfolded instruction would compute.
 ///   2. Cross-statement EwFuse merging: a fused group whose result feeds
 ///      exactly one later fused group in the same block is inlined into
 ///      it, eliding the intermediate temporary entirely.

@@ -3,10 +3,20 @@
 // Part of the MaJIC reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
+//
+// One switch over the opcode runs allocated IR. The register-only opcodes
+// are the expression rows of ir/Opcodes.def, expanded here as their cases
+// over the frame's register files and spill arrays; the C emitter prints
+// the same rows, so the two tiers compute them alike. The other cases are
+// written out, and the operations on boxed values they share with native
+// code live in exec:: (backend/ExecShared.h).
+//
+//===----------------------------------------------------------------------===//
 
 #include "backend/VM.h"
 
 #include "backend/ExecShared.h"
+#include "ir/Operands.h"
 #include "obs/Trace.h"
 #include "runtime/Builtins.h"
 #include "runtime/Ops.h"
@@ -351,52 +361,41 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
     case Opcode::Nop:
       break;
 
-    case Opcode::FConst:
-      FR[In.A] = In.Imm.F;
-      break;
-    case Opcode::IConst:
-      IR[In.A] = In.Imm.I;
-      break;
+      // The expression rows of ir/Opcodes.def, one case each, over this
+      // frame's registers and spill slots.
+#define F(X) FR[In.X]
+#define I(X) IR[In.X]
+#define P(X) PR[In.X]
+#define IMM immediate<Row>(In)
+#define fsp FSp
+#define isp ISp
+#define psp PSp
+#define OPCODE_EXPR(Name, Expr)                                                \
+  case Opcode::Name: {                                                         \
+    [[maybe_unused]] constexpr Opcode Row = Opcode::Name;                      \
+    Expr;                                                                      \
+    break;                                                                     \
+  }
+#define OPCODE_SPILL_EXPR OPCODE_EXPR
+#include "ir/Opcodes.def"
+#undef F
+#undef I
+#undef P
+#undef IMM
+#undef fsp
+#undef isp
+#undef psp
+
     case Opcode::SConst:
       PR[In.A] = makeValue(Value::str(F.Strings[In.Imm.I]));
       break;
-    case Opcode::MovF:
-      FR[In.A] = FR[In.B];
-      break;
-    case Opcode::MovI:
-      IR[In.A] = IR[In.B];
-      break;
     case Opcode::MovP:
       PR[In.A] = PR[In.B];
-      break;
-    case Opcode::IToF:
-      FR[In.A] = static_cast<double>(IR[In.B]);
-      break;
-    case Opcode::FToI:
-      IR[In.A] = static_cast<int64_t>(FR[In.B]);
       break;
     case Opcode::FToIdx:
       IR[In.A] = static_cast<int64_t>(rt::checkSubscript(FR[In.B]));
       break;
 
-    case Opcode::FAdd:
-      FR[In.A] = FR[In.B] + FR[In.C];
-      break;
-    case Opcode::FSub:
-      FR[In.A] = FR[In.B] - FR[In.C];
-      break;
-    case Opcode::FMul:
-      FR[In.A] = FR[In.B] * FR[In.C];
-      break;
-    case Opcode::FDiv:
-      FR[In.A] = FR[In.B] / FR[In.C];
-      break;
-    case Opcode::FNeg:
-      FR[In.A] = -FR[In.B];
-      break;
-    case Opcode::FPow:
-      FR[In.A] = std::pow(FR[In.B], FR[In.C]);
-      break;
     case Opcode::FCmp:
       IR[In.A] = evalCond(static_cast<CondCode>(In.Imm.I), FR[In.B], FR[In.C]);
       break;
@@ -411,31 +410,11 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
           static_cast<ScalarIntrinsic>(In.Imm.I), FR[In.B], FR[In.C]);
       break;
 
-    case Opcode::IAdd:
-      IR[In.A] = IR[In.B] + IR[In.C];
-      break;
-    case Opcode::ISub:
-      IR[In.A] = IR[In.B] - IR[In.C];
-      break;
-    case Opcode::IMul:
-      IR[In.A] = IR[In.B] * IR[In.C];
-      break;
-    case Opcode::INeg:
-      IR[In.A] = -IR[In.B];
-      break;
     case Opcode::ICmp:
+      // Compares through double; emitted C compares long long (CEmitter.cpp).
       IR[In.A] = evalCond(static_cast<CondCode>(In.Imm.I),
                           static_cast<double>(IR[In.B]),
                           static_cast<double>(IR[In.C]));
-      break;
-    case Opcode::IAnd:
-      IR[In.A] = (IR[In.B] != 0) & (IR[In.C] != 0);
-      break;
-    case Opcode::IOr:
-      IR[In.A] = (IR[In.B] != 0) | (IR[In.C] != 0);
-      break;
-    case Opcode::INot:
-      IR[In.A] = IR[In.B] == 0;
       break;
 
     case Opcode::Br:
@@ -654,25 +633,6 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       IR[In.A] = integerScalar(requireValue(R));
       break;
     }
-
-    case Opcode::FSpLd:
-      FR[In.A] = FSp[In.Imm.I];
-      break;
-    case Opcode::FSpSt:
-      FSp[In.Imm.I] = FR[In.A];
-      break;
-    case Opcode::ISpLd:
-      IR[In.A] = ISp[In.Imm.I];
-      break;
-    case Opcode::ISpSt:
-      ISp[In.Imm.I] = IR[In.A];
-      break;
-    case Opcode::PSpLd:
-      PR[In.A] = PSp[In.Imm.I];
-      break;
-    case Opcode::PSpSt:
-      PSp[In.Imm.I] = PR[In.A];
-      break;
 
     case Opcode::FRand:
       FR[In.A] = Ctx.Rand.nextDouble();

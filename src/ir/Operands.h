@@ -117,6 +117,15 @@ constexpr const OpcodeInfo &opcodeInfo(Opcode Op) {
   return kOpcodeInfo[static_cast<size_t>(Op)];
 }
 
+/// The IMM of \p Op's expression row (ir/Opcodes.def) in \p In: the
+/// double of an F64 immediate, the integer of any other.
+template <Opcode Op> constexpr auto immediate(const Instr &In) {
+  if constexpr (opcodeInfo(Op).Imm == ImmKind::F64)
+    return In.Imm.F;
+  else
+    return In.Imm.I;
+}
+
 struct InstrOperands {
   OperandKind Fields[4] = {OperandKind::None, OperandKind::None,
                            OperandKind::None, OperandKind::None};

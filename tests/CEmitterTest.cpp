@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -392,6 +393,72 @@ TEST(CEmitter, EveryCorpusBenchmarkEmits) {
               std::count(Src.begin(), Src.end(), '}'))
         << Spec.Name;
   }
+}
+
+TEST(CEmitter, ExpressionRowsRenderAsBefore) {
+  // One instruction of each expression row of ir/Opcodes.def, with the C
+  // line the hand-written emitter printed for it, edge immediates included.
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  auto ImmF = [](Opcode Op, int32_t A, double V) {
+    Instr In = Instr::make(Op, A);
+    In.Imm.F = V;
+    return In;
+  };
+  auto ImmI = [](Opcode Op, int32_t A, int64_t V) {
+    Instr In = Instr::make(Op, A);
+    In.Imm.I = V;
+    return In;
+  };
+  const std::pair<Instr, const char *> Rows[] = {
+      {ImmF(Opcode::FConst, 3, NaN), "f3 = mlf_f64bits(0x7ff8000000000000ull);"},
+      {ImmF(Opcode::FConst, 4, -0.0), "f4 = -0;"},
+      {ImmF(Opcode::FConst, 5, Inf), "f5 = mlf_f64bits(0x7ff0000000000000ull);"},
+      {ImmF(Opcode::FConst, 6, 0.1), "f6 = 0.10000000000000001;"},
+      {ImmI(Opcode::IConst, 3, INT64_MIN), "i3 = (-9223372036854775807LL - 1);"},
+      {ImmI(Opcode::IConst, 4, -42), "i4 = -42;"},
+      {Instr::make(Opcode::MovF, 1, 2), "f1 = f2;"},
+      {Instr::make(Opcode::MovI, 1, 2), "i1 = i2;"},
+      {Instr::make(Opcode::IToF, 2, 3), "f2 = (double)i3;"},
+      {Instr::make(Opcode::FToI, 2, 3), "i2 = (long long)f3;"},
+      {Instr::make(Opcode::FAdd, 3, 1, 2), "f3 = f1 + f2;"},
+      {Instr::make(Opcode::FSub, 4, 2, 3), "f4 = f2 - f3;"},
+      {Instr::make(Opcode::FMul, 5, 3, 4), "f5 = f3 * f4;"},
+      {Instr::make(Opcode::FDiv, 6, 4, 5), "f6 = f4 / f5;"},
+      {Instr::make(Opcode::FNeg, 7, 6), "f7 = -f6;"},
+      {Instr::make(Opcode::FPow, 1, 7, 6), "f1 = pow(f7, f6);"},
+      {Instr::make(Opcode::IAdd, 3, 1, 2), "i3 = i1 + i2;"},
+      {Instr::make(Opcode::ISub, 4, 2, 3), "i4 = i2 - i3;"},
+      {Instr::make(Opcode::IMul, 5, 3, 4), "i5 = i3 * i4;"},
+      {Instr::make(Opcode::INeg, 6, 5), "i6 = -i5;"},
+      {Instr::make(Opcode::IAnd, 7, 5, 6), "i7 = (i5 != 0) & (i6 != 0);"},
+      {Instr::make(Opcode::IOr, 1, 6, 7), "i1 = (i6 != 0) | (i7 != 0);"},
+      {Instr::make(Opcode::INot, 2, 7), "i2 = i7 == 0;"},
+      {ImmI(Opcode::FSpLd, 5, 12), "f5 = fsp[12];"},
+      {ImmI(Opcode::FSpSt, 6, 11), "fsp[11] = f6;"},
+      {ImmI(Opcode::ISpLd, 5, 10), "i5 = isp[10];"},
+      {ImmI(Opcode::ISpSt, 6, 12), "isp[12] = i6;"},
+      {ImmI(Opcode::PSpLd, 2, 12), "p2 = psp[12];"},
+      {ImmI(Opcode::PSpSt, 3, 10), "psp[10] = p3;"},
+  };
+  IRFunction F;
+  F.Name = "rows";
+  F.NumF = F.NumI = F.NumP = 8;
+  F.NumFSpill = F.NumISpill = F.NumPSpill = 13;
+  F.Allocated = true;
+  std::set<Opcode> Covered;
+  for (const auto &[In, Line] : Rows) {
+    F.Code.push_back(In);
+    Covered.insert(In.Op);
+  }
+  F.Code.push_back(Instr::make(Opcode::Ret));
+  EXPECT_EQ(Covered.size(), 25u);
+
+  std::string Src = emitCSource(F, TypeSignature());
+  for (const auto &[In, Line] : Rows)
+    EXPECT_NE(Src.find("\n  " + std::string(Line) + "\n"), std::string::npos)
+        << opcodeName(In.Op) << ": " << Line << "\n"
+        << Src;
 }
 
 } // namespace

@@ -14,6 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
+
 using namespace majic;
 
 namespace {
@@ -460,6 +465,117 @@ TEST(Optimizer, PipelineIsIdempotentOnSecondRound) {
   optimize(*F2);
   auto R2 = execute(*F2, {makeValue(Value::intScalar(6))}, 1);
   EXPECT_DOUBLE_EQ(R1[0]->scalarValue(), R2[0]->scalarValue());
+}
+
+/// A constant operand: an F field reads F, an I field reads I.
+struct Operand {
+  double F = 0;
+  int64_t I = 0;
+};
+
+/// Folds Op over the constant operands X (field B) and Y (field C, when Op
+/// reads it), then runs the unfolded instruction on the VM, and succeeds
+/// when both results have the same bits.
+::testing::AssertionResult foldMatchesVM(Opcode Op, Operand X, Operand Y) {
+  const InstrOperands Ops = instrOperands(Instr::make(Op));
+  const bool DefF = regClass(Ops.Fields[0]) == RegClass::F;
+  // out0 = Op(X, Y). With a Check, an I result is boxed as its difference
+  // from it, which a double holds exactly when it is 0.
+  auto Build = [&](IRFunction &F, int32_t &Result,
+                   std::optional<int64_t> Check) {
+    IRBuilder B(F);
+    F.NumOuts = 1;
+    int32_t Fields[4] = {DefF ? B.newF() : B.newI(), -1, -1, -1};
+    const Operand *Args[] = {&X, &Y};
+    for (unsigned K = 1; K != 3; ++K)
+      if (isUse(Ops.Fields[K]))
+        Fields[K] = regClass(Ops.Fields[K]) == RegClass::F
+                        ? B.fconst(Args[K - 1]->F)
+                        : B.iconst(Args[K - 1]->I);
+    B.emit(Op, Fields[0], Fields[1], Fields[2]);
+    Result = Fields[0];
+    int32_t Out = B.newP();
+    if (!Check) {
+      B.emit(DefF ? Opcode::BoxF : Opcode::BoxI, Out, Result);
+    } else {
+      int32_t Diff = B.newI(), Real = B.newF();
+      B.emit(Opcode::ISub, Diff, Result, B.iconst(*Check));
+      B.emit(Opcode::IToF, Real, Diff);
+      B.emit(Opcode::BoxF, Out, Real);
+    }
+    B.emitImmI(Opcode::StoreOut, 0, Out);
+    B.emit(Opcode::Ret);
+    B.finish();
+  };
+
+  IRFunction Folded;
+  int32_t Result;
+  Build(Folded, Result, std::nullopt);
+  optimize(Folded);
+  const Instr *Const = nullptr;
+  for (const Instr &In : Folded.Code) {
+    if (In.Op == Op)
+      return ::testing::AssertionFailure() << opcodeName(Op) << " not folded";
+    if (In.Op == (DefF ? Opcode::FConst : Opcode::IConst) && In.A == Result)
+      Const = &In;
+  }
+  if (!Const)
+    return ::testing::AssertionFailure() << opcodeName(Op) << ": no constant";
+
+  IRFunction Unfolded;
+  Build(Unfolded, Result,
+        DefF ? std::nullopt : std::optional<int64_t>(Const->Imm.I));
+  double Ran = execute(Unfolded, {}, 1)[0]->scalarValue();
+  uint64_t Want = 0, Got; // an I result's Want: the +0.0 of no difference
+  if (DefF)
+    std::memcpy(&Want, &Const->Imm.F, sizeof Want);
+  std::memcpy(&Got, &Ran, sizeof Got);
+  if (Want == Got)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << opcodeName(Op) << "(" << X.F << "/" << X.I << ", " << Y.F << "/"
+         << Y.I << "): folded " << (DefF ? Const->Imm.F : double(Const->Imm.I))
+         << ", VM " << (DefF ? "" : "off by ") << Ran;
+}
+
+TEST(Optimizer, FoldingMatchesTheVMBitForBit) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Reals[] = {NaN, 0.0, -0.0, Inf, -Inf, 0x1p53 + 2, 0x1p53 - 1,
+                          -8, 1.0 / 3, 2.5, 0x1p62, -0x1p62};
+  const int64_t Ints[] = {0,
+                          1,
+                          -1,
+                          3,
+                          (int64_t(1) << 53) + 1,
+                          (int64_t(1) << 53) - 1,
+                          -(int64_t(1) << 53) - 1,
+                          int64_t(1) << 62};
+  for (Opcode Op : {Opcode::FAdd, Opcode::FSub, Opcode::FMul, Opcode::FDiv,
+                    Opcode::FPow})
+    for (double X : Reals)
+      for (double Y : Reals)
+        EXPECT_TRUE(foldMatchesVM(Op, {X, 0}, {Y, 0}));
+  // A negative base with a fractional exponent: NaN on both tiers.
+  EXPECT_TRUE(foldMatchesVM(Opcode::FPow, {-8, 0}, {1.0 / 3, 0}));
+  for (double X : Reals) {
+    EXPECT_TRUE(foldMatchesVM(Opcode::FNeg, {X, 0}, {}));
+    if (std::isfinite(X)) // in int64 range: the rest is undefined in C++
+      EXPECT_TRUE(foldMatchesVM(Opcode::FToI, {X, 0}, {}));
+  }
+  for (int64_t X : Ints) {
+    EXPECT_TRUE(foldMatchesVM(Opcode::IToF, {0, X}, {}));
+    EXPECT_TRUE(foldMatchesVM(Opcode::INeg, {0, X}, {}));
+    for (int64_t Y : Ints) {
+      int64_t Unused;
+      if (!__builtin_add_overflow(X, Y, &Unused))
+        EXPECT_TRUE(foldMatchesVM(Opcode::IAdd, {0, X}, {0, Y}));
+      if (!__builtin_sub_overflow(X, Y, &Unused))
+        EXPECT_TRUE(foldMatchesVM(Opcode::ISub, {0, X}, {0, Y}));
+      if (!__builtin_mul_overflow(X, Y, &Unused))
+        EXPECT_TRUE(foldMatchesVM(Opcode::IMul, {0, X}, {0, Y}));
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
