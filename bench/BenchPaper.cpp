@@ -35,6 +35,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -135,21 +136,26 @@ bool identical(const std::vector<ValuePtr> &A, const std::vector<ValuePtr> &B) {
   return true;
 }
 
-/// Figure 7's structural companion: the percentage of element accesses
-/// the JIT emits with a subscript check, with or without ranges (-1 when
-/// the program does not compile).
-double checkedAccessPct(const BenchmarkSpec &Spec, bool Ranges) {
+/// The JIT's code for \p Spec's main function at bench_paper's arguments,
+/// with or without ranges; nullopt when it does not compile.
+std::optional<CompileResult> compileJit(const BenchmarkSpec &Spec,
+                                        bool Ranges) {
   SourceManager SM;
   Diagnostics Diags;
   auto Mod = parseModule(Spec.Name, readSource(Spec), SM, Diags);
   if (!Mod)
-    return -1;
+    return std::nullopt;
   auto Info = disambiguate(*Mod->mainFunction(), *Mod);
   CompileRequest Req;
   Req.FI = Info.get();
   Req.Sig = TypeSignature::ofValues(scaledArgs(Spec));
   Req.Infer.EnableRanges = Ranges;
-  auto R = compileFunction(Req);
+  return compileFunction(Req);
+}
+
+/// Figure 7's structural companion: the percentage of element accesses
+/// \p R carries with a subscript check (-1 when there is no code).
+double checkedAccessPct(const std::optional<CompileResult> &R) {
   if (!R)
     return -1;
   unsigned Checked = 0, Total = 0;
@@ -233,8 +239,15 @@ int main() {
     W.field("loc", Lines);
     W.field("paper_loc", Spec.PaperLines);
     W.field("paper_interp_s", Spec.PaperRuntime);
-    W.field("checked_pct_ranges", checkedAccessPct(Spec, true));
-    W.field("checked_pct_no_ranges", checkedAccessPct(Spec, false));
+    const std::optional<CompileResult> JitCode = compileJit(Spec, true);
+    W.field("checked_pct_ranges", checkedAccessPct(JitCode));
+    W.field("checked_pct_no_ranges",
+            checkedAccessPct(compileJit(Spec, false)));
+    // The register allocator's spill loads and stores in that JIT code.
+    if (JitCode) {
+      W.field("ir_instrs", uint64_t(JitCode->Code->Code.size()));
+      W.field("spill_instrs", JitCode->RegAlloc.NumSpillInstrs);
+    }
     W.field("spec_rejected", Cells["spec"].first.JitCompiles > 0);
     W.beginObject("cells");
     std::printf("%-10s %9.3f", Spec.Name.c_str(), Ti);

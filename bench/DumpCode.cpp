@@ -70,6 +70,9 @@ int main() {
     }
     Versions += ProgramVersions;
   }
+  // Flush the dump first, so the summary follows it when both streams go
+  // to one file.
+  std::fflush(stdout);
   std::fprintf(stderr, "%zu versions of %zu programs\n", Versions,
                benchmarkCorpus().size());
   return Empty ? 1 : 0;

@@ -341,6 +341,7 @@ private:
                                             unsigned MinOps = 2);
   Operand emitFuseTree(const FuseTree &T);
   bool isSimpleFuseLeaf(const Expr *E) const;
+  std::optional<double> builtinConstant(const IdentExpr *Id) const;
 
   const FunctionInfo &FI;
   const TypeAnnotations &Ann;
@@ -1076,8 +1077,7 @@ Operand CodeGen::genExpr(const Expr *E) {
     }
     case SymKind::Builtin: {
       // Zero-argument builtin reference (pi, rand, i, ...).
-      Type T = typeOf(E);
-      if (auto C = T.constantValue())
+      if (auto C = builtinConstant(Id))
         return Operand::f(B.fconst(*C));
       if (Id->name() == "i" || Id->name() == "j")
         return Operand::c(B.fconst(0.0), B.fconst(1.0));
@@ -1260,6 +1260,17 @@ Operand CodeGen::genUnary(const UnaryExpr *E) {
 // EwFuse instruction (one loop, one memory pass, zero temporaries).
 //===----------------------------------------------------------------------===//
 
+/// The constant a zero-argument builtin reference folds to: its inferred
+/// value, or a constant builtin's value (pi, eps, Inf, ...) when ranges,
+/// which carry that value, are off. Generic code folds neither.
+std::optional<double> CodeGen::builtinConstant(const IdentExpr *Id) const {
+  if (generic())
+    return std::nullopt;
+  if (auto C = typeOf(Id).constantValue())
+    return C;
+  return constantBuiltinValue(Id->name());
+}
+
 /// Non-throwing, non-printing leaf expressions: literals, variable reads,
 /// and constant-folded builtin references. Only these may be evaluated
 /// after an op that could raise a runtime dimension error without
@@ -1270,8 +1281,7 @@ bool CodeGen::isSimpleFuseLeaf(const Expr *E) const {
   if (const auto *Id = dyn_cast<IdentExpr>(E)) {
     if (Id->symKind() == SymKind::Variable)
       return true;
-    if (Id->symKind() == SymKind::Builtin &&
-        typeOf(E).constantValue().has_value())
+    if (Id->symKind() == SymKind::Builtin && builtinConstant(Id))
       return true;
   }
   return false;

@@ -20,24 +20,6 @@ using namespace majic;
 
 namespace {
 
-/// Positions that begin a basic block: entry, branch targets, fallthroughs
-/// after branches.
-std::vector<bool> blockStarts(const IRFunction &F) {
-  std::vector<bool> Starts(F.Code.size() + 1, false);
-  Starts[0] = true;
-  for (size_t Pos = 0; Pos != F.Code.size(); ++Pos) {
-    const Instr &In = F.Code[Pos];
-    if (isBranch(In.Op)) {
-      Starts[In.A] = true;
-      if (Pos + 1 < Starts.size())
-        Starts[Pos + 1] = true;
-    } else if (In.Op == Opcode::Ret && Pos + 1 < Starts.size()) {
-      Starts[Pos + 1] = true;
-    }
-  }
-  return Starts;
-}
-
 //===----------------------------------------------------------------------===//
 // Local value numbering: constant folding, copy propagation, CSE
 //===----------------------------------------------------------------------===//

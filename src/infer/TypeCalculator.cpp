@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <cmath>
+#include <limits>
 
 using namespace majic;
 using rt::BinOp;
@@ -1252,6 +1253,34 @@ void TypeCalculator::registerLinalgBuiltins() {
 // Builtin rules: constants, I/O
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+struct ConstantBuiltin {
+  const char *Name;
+  IntrinsicType Intrinsic;
+  double Value;
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+constexpr ConstantBuiltin kConstantBuiltins[] = {
+    {"pi", IntrinsicType::Real, 3.14159265358979323846},
+    {"true", IntrinsicType::Bool, 1},
+    {"false", IntrinsicType::Bool, 0},
+    {"eps", IntrinsicType::Real, std::numeric_limits<double>::epsilon()},
+    {"Inf", IntrinsicType::Real, kInf},
+    {"inf", IntrinsicType::Real, kInf},
+};
+
+} // namespace
+
+std::optional<double> majic::constantBuiltinValue(std::string_view Name) {
+  for (const ConstantBuiltin &C : kConstantBuiltins)
+    if (Name == C.Name)
+      return C.Value;
+  return std::nullopt;
+}
+
 void TypeCalculator::registerConstantBuiltins() {
   auto Constant = [this](const char *Name, Type T) {
     addBuiltin(
@@ -1259,21 +1288,8 @@ void TypeCalculator::registerConstantBuiltins() {
         [](std::span<const Type> Args) { return Args.empty(); },
         [T](std::span<const Type>, size_t) { return one(T); });
   };
-  Constant("pi", Type::scalar(IntrinsicType::Real,
-                              Range::constant(3.14159265358979323846)));
-  Constant("true", Type::scalar(IntrinsicType::Bool, Range::constant(1)));
-  Constant("false", Type::scalar(IntrinsicType::Bool, Range::constant(0)));
-  Constant("eps", Type::scalar(IntrinsicType::Real,
-                               Range::constant(
-                                   std::numeric_limits<double>::epsilon())));
-  Constant("Inf", Type::scalar(IntrinsicType::Real,
-                               Range::interval(
-                                   std::numeric_limits<double>::infinity(),
-                                   std::numeric_limits<double>::infinity())));
-  Constant("inf", Type::scalar(IntrinsicType::Real,
-                               Range::interval(
-                                   std::numeric_limits<double>::infinity(),
-                                   std::numeric_limits<double>::infinity())));
+  for (const ConstantBuiltin &C : kConstantBuiltins)
+    Constant(C.Name, Type::scalar(C.Intrinsic, Range::constant(C.Value)));
   Constant("NaN", Type::scalar(IntrinsicType::Real));
   Constant("nan", Type::scalar(IntrinsicType::Real));
   Constant("i", Type::scalar(IntrinsicType::Complex));

@@ -25,8 +25,10 @@
 #include "types/Type.h"
 
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -52,6 +54,11 @@ struct InferOptions {
   /// Applies the ablations to a computed type.
   Type normalize(Type T) const;
 };
+
+/// The value of a zero-argument constant builtin whose type carries it as
+/// a degenerate range (pi, eps, Inf, true, ...), or nullopt for any other
+/// name. The code generator folds these whatever EnableRanges is set to.
+std::optional<double> constantBuiltinValue(std::string_view Name);
 
 class TypeCalculator {
 public:

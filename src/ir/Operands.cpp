@@ -36,3 +36,16 @@ PoolRanges majic::poolRanges(const Instr &In) {
   }
   return {};
 }
+
+std::vector<bool> majic::blockStarts(const IRFunction &F) {
+  std::vector<bool> Starts(F.Code.size() + 1, false);
+  Starts[0] = true;
+  for (size_t Pos = 0; Pos != F.Code.size(); ++Pos) {
+    const Instr &In = F.Code[Pos];
+    if (isBranch(In.Op))
+      Starts[In.A] = true;
+    if (isBranch(In.Op) || In.Op == Opcode::Ret)
+      Starts[Pos + 1] = true;
+  }
+  return Starts;
+}

@@ -19,6 +19,7 @@
 #include "ir/Instr.h"
 
 #include <iterator>
+#include <vector>
 
 namespace majic {
 
@@ -176,6 +177,11 @@ constexpr bool isEwMergeGapSafe(Opcode Op) {
 constexpr bool isBranch(Opcode Op) {
   return opcodeInfo(Op).Effect == EffectClass::Branch;
 }
+
+/// The positions of \p F's code that begin a basic block, indexed up to
+/// Code.size(): position 0, each branch target, and the position after
+/// each branch or Ret.
+std::vector<bool> blockStarts(const IRFunction &F);
 
 } // namespace majic
 

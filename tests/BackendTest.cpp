@@ -1422,6 +1422,43 @@ TEST(BackendPerf, CheckRemovalChangesEmittedOpcodes) {
   EXPECT_GT(CountOps(false, Opcode::StoreElChk), 0u);
 }
 
+TEST(BackendPerf, ConstantBuiltinsFoldWithoutRanges) {
+  // pi, eps and Inf carry their values as ranges, but fold to constants
+  // when ranges are off too; generic code still calls them by name, and a
+  // variable that shadows one still wins.
+  std::string Src = "function y = f(x)\ny = x * pi + eps - Inf;\n";
+  SourceManager SM;
+  Diagnostics Diags;
+  auto Mod = parseModule("f", Src, SM, Diags);
+  ASSERT_NE(Mod, nullptr);
+  auto Info = disambiguate(*Mod->mainFunction(), *Mod);
+  auto BuiltinCalls = [&](CodeGenMode Mode) {
+    CompileRequest Req;
+    Req.FI = Info.get();
+    Req.Sig = TypeSignature({Type::ofValue(Value::scalar(2))});
+    Req.Mode = Mode;
+    Req.Infer.EnableRanges = false;
+    auto R = compileFunction(Req);
+    EXPECT_TRUE(R.has_value());
+    unsigned N = 0;
+    for (const Instr &In : R->Code->Code)
+      N += In.Op == Opcode::CallB;
+    return N;
+  };
+  EXPECT_EQ(BuiltinCalls(CodeGenMode::Jit), 0u);
+  EXPECT_EQ(BuiltinCalls(CodeGenMode::Generic), 3u);
+
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.BackgroundCompileThreads = 0;
+  O.Infer.EnableRanges = false;
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("g", "function y = g(x)\npi = x;\ny = pi * 2;\n"));
+  auto R = E.callFunction("g", {makeScalar(5)}, 1, SourceLoc());
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 10);
+  EXPECT_GT(E.jitCompiles(), 0u);
+}
+
 TEST(BackendPerf, SpillEverythingExecutesMoreInstructions) {
   std::string Src = "function s = f(n)\ns = 0;\nfor k = 1:n\n"
                     "s = s + k * 2 - 1;\nend\n";

@@ -4,20 +4,26 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Disambiguate.h"
+#include "ast/Parser.h"
+#include "backend/Compiler.h"
 #include "backend/Optimize.h"
 #include "backend/Platform.h"
 #include "backend/RegAlloc.h"
 #include "backend/VM.h"
 #include "ir/Builder.h"
 #include "ir/Operands.h"
+#include "engine/Corpus.h"
 #include "ir/Serialize.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <optional>
+#include <sstream>
 
 using namespace majic;
 
@@ -235,8 +241,9 @@ TEST(RegAlloc, SpillsWhenPressureExceedsFile) {
 }
 
 TEST(RegAlloc, LoopCarriedValueSurvivesSpilling) {
-  // The loop counter and accumulator live across the back edge; even under
-  // spill-everything the interval extension must keep them correct.
+  // The loop counter and accumulator are live around the back edge, so
+  // their intervals cover the whole loop; under spill-everything their
+  // slots must still carry them from one iteration to the next.
   auto F = buildLoopFunction();
   RegAllocOptions RA;
   RA.SpillEverything = true;
@@ -258,6 +265,246 @@ TEST(RegAlloc, SmallerFileSpillsMore) {
   VM Machine(Ctx, Resolver);
   auto R = Machine.run(*F2, {makeValue(Value::intScalar(10))}, 1);
   EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 100);
+}
+
+/// Emits the prologue of a one-parameter function: the parameter,
+/// unboxed to an I register, which it returns.
+int32_t intParam(IRBuilder &B) {
+  int32_t ArgP = B.newP();
+  B.emitImmI(Opcode::LoadParam, 0, ArgP);
+  int32_t N = B.newI();
+  B.emit(Opcode::UnboxI, N, ArgP);
+  return N;
+}
+
+/// Emits the epilogue that returns F register \p R as output 0.
+void returnF(IRBuilder &B, int32_t R) {
+  int32_t Out = B.newP();
+  B.emit(Opcode::BoxF, Out, R);
+  B.emitImmI(Opcode::StoreOut, 0, Out);
+  B.emit(Opcode::Ret);
+  B.finish();
+}
+
+/// The interval \p F's allocator would give F register \p R.
+LiveInterval fInterval(const IRFunction &F, int32_t R) {
+  for (const LiveInterval &It : liveIntervals(F).F)
+    if (It.VReg == R)
+      return It;
+  ADD_FAILURE() << "no interval for f" << R;
+  return {R, -1, -1};
+}
+
+/// Builds a loop over k in [0, n) whose body reads \p Carried before it
+/// writes it, with \p Wide F values live at once in between:
+///   acc += prev; t_j = k + j (j < Wide); acc += sum t_j; prev = k.
+/// Returns acc. Positions of the header and the back edge land in
+/// \p Header and \p Latch; prev's register in \p Prev.
+std::unique_ptr<IRFunction> buildCarriedLoop(int Wide, int32_t &Prev,
+                                             size_t &Header, size_t &Latch) {
+  auto F = std::make_unique<IRFunction>();
+  F->NumOuts = 1;
+  F->NumParams = 1;
+  IRBuilder B(*F);
+  int32_t N = intParam(B);
+  int32_t Acc = B.fconst(0);
+  Prev = B.fconst(0);
+  int32_t K = B.iconst(0);
+  int32_t One = B.iconst(1);
+  IRBuilder::Label Top = B.newLabel(), Exit = B.newLabel();
+  Header = F->Code.size();
+  B.bind(Top);
+  int32_t Cond = B.newI();
+  B.emitImmI(Opcode::ICmp, static_cast<int64_t>(CondCode::LT), Cond, K, N);
+  B.brz(Cond, Exit);
+  B.emit(Opcode::FAdd, Acc, Acc, Prev);
+  int32_t KF = B.newF();
+  B.emit(Opcode::IToF, KF, K);
+  std::vector<int32_t> T;
+  for (int J = 0; J != Wide; ++J) {
+    T.push_back(B.newF());
+    B.emit(Opcode::FAdd, T.back(), KF, B.fconst(J));
+  }
+  for (int32_t R : T)
+    B.emit(Opcode::FAdd, Acc, Acc, R);
+  B.emit(Opcode::MovF, Prev, KF);
+  B.emit(Opcode::IAdd, K, K, One);
+  Latch = F->Code.size();
+  B.br(Top);
+  B.bind(Exit);
+  returnF(B, Acc);
+  return F;
+}
+
+/// What buildCarriedLoop's function returns for \p N.
+double carriedLoopResult(int Wide, int N) {
+  double Acc = 0, Prev = 0;
+  for (int K = 0; K != N; ++K) {
+    Acc += Prev;
+    for (int J = 0; J != Wide; ++J)
+      Acc += K + J;
+    Prev = K;
+  }
+  return Acc;
+}
+
+TEST(RegAlloc, ShortLivedLoopTemporariesDoNotSpill) {
+  // Each iteration defines 40 F constants and uses each one right away:
+  // more than the 13 allocatable registers, but never more than a few
+  // live at once.
+  auto F = std::make_unique<IRFunction>();
+  F->NumOuts = 1;
+  F->NumParams = 1;
+  IRBuilder B(*F);
+  int32_t N = intParam(B);
+  int32_t Acc = B.fconst(0);
+  int32_t K = B.iconst(0);
+  int32_t One = B.iconst(1);
+  IRBuilder::Label Top = B.newLabel(), Exit = B.newLabel();
+  B.bind(Top);
+  int32_t Cond = B.newI();
+  B.emitImmI(Opcode::ICmp, static_cast<int64_t>(CondCode::LT), Cond, K, N);
+  B.brz(Cond, Exit);
+  for (int J = 1; J <= 40; ++J)
+    B.emit(Opcode::FAdd, Acc, Acc, B.fconst(J));
+  B.emit(Opcode::IAdd, K, K, One);
+  B.br(Top);
+  B.bind(Exit);
+  returnF(B, Acc);
+  ASSERT_GT(F->NumF, 13u);
+
+  RegAllocStats Stats = allocateRegisters(*F, PlatformModel::sparc(), {});
+  EXPECT_EQ(Stats.NumFSpilled, 0u);
+  EXPECT_EQ(Stats.NumSpillInstrs, 0u);
+  Context Ctx;
+  NoCalls Resolver;
+  VM Machine(Ctx, Resolver);
+  auto R = Machine.run(*F, {makeValue(Value::intScalar(5))}, 1);
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 5 * (40 * 41 / 2));
+}
+
+TEST(RegAlloc, ValueLiveAroundBackEdgeSurvivesPressure) {
+  // prev is read at the top of the body and written at its bottom, so it
+  // is live around the back edge and its interval must cover the whole
+  // loop; 20 values live at once in the body force spills around it.
+  for (bool SpillAll : {false, true}) {
+    int32_t Prev;
+    size_t Header, Latch;
+    auto F = buildCarriedLoop(20, Prev, Header, Latch);
+    LiveInterval It = fInterval(*F, Prev);
+    EXPECT_LE(It.Start, static_cast<int32_t>(Header));
+    EXPECT_GE(It.End, static_cast<int32_t>(Latch));
+    RegAllocOptions RA;
+    RA.SpillEverything = SpillAll;
+    RegAllocStats Stats = allocateRegisters(*F, PlatformModel::sparc(), RA);
+    EXPECT_GT(Stats.NumFSpilled, 0u);
+    Context Ctx;
+    NoCalls Resolver;
+    VM Machine(Ctx, Resolver);
+    auto R = Machine.run(*F, {makeValue(Value::intScalar(7))}, 1);
+    EXPECT_DOUBLE_EQ(R[0]->scalarValue(), carriedLoopResult(20, 7))
+        << "SpillEverything " << SpillAll;
+  }
+}
+
+TEST(RegAlloc, InnerLoopCarriedValueStaysInsideOuterLoop) {
+  // for i in [0, n): x = 0; for j in [0, n): x = x + 1; end; s = s + x
+  // x is live around the inner back edge only: from its def in the outer
+  // body to its last use after the inner loop, never around the outer
+  // back edge.
+  auto F = std::make_unique<IRFunction>();
+  F->NumOuts = 1;
+  F->NumParams = 1;
+  IRBuilder B(*F);
+  int32_t N = intParam(B);
+  int32_t S = B.fconst(0);
+  int32_t OneF = B.fconst(1);
+  int32_t I = B.iconst(0), J = B.newI();
+  int32_t One = B.iconst(1);
+  IRBuilder::Label Outer = B.newLabel(), OuterExit = B.newLabel();
+  IRBuilder::Label Inner = B.newLabel(), InnerExit = B.newLabel();
+  const auto OuterHeader = static_cast<int32_t>(F->Code.size());
+  B.bind(Outer);
+  int32_t CondI = B.newI();
+  B.emitImmI(Opcode::ICmp, static_cast<int64_t>(CondCode::LT), CondI, I, N);
+  B.brz(CondI, OuterExit);
+  int32_t X = B.fconst(0);
+  B.emitImmI(Opcode::IConst, 0, J);
+  const auto InnerHeader = static_cast<int32_t>(F->Code.size());
+  B.bind(Inner);
+  int32_t CondJ = B.newI();
+  B.emitImmI(Opcode::ICmp, static_cast<int64_t>(CondCode::LT), CondJ, J, N);
+  B.brz(CondJ, InnerExit);
+  B.emit(Opcode::FAdd, X, X, OneF);
+  B.emit(Opcode::IAdd, J, J, One);
+  const auto InnerLatch = static_cast<int32_t>(F->Code.size());
+  B.br(Inner);
+  B.bind(InnerExit);
+  B.emit(Opcode::FAdd, S, S, X);
+  B.emit(Opcode::IAdd, I, I, One);
+  const auto OuterLatch = static_cast<int32_t>(F->Code.size());
+  B.br(Outer);
+  B.bind(OuterExit);
+  returnF(B, S);
+
+  LiveInterval XI = fInterval(*F, X);
+  EXPECT_GT(XI.Start, OuterHeader);
+  EXPECT_LE(XI.Start, InnerHeader);
+  EXPECT_GE(XI.End, InnerLatch);
+  EXPECT_LT(XI.End, OuterLatch);
+  // s and the constant 1 are live around the outer back edge.
+  EXPECT_LE(fInterval(*F, S).Start, OuterHeader);
+  EXPECT_GE(fInterval(*F, OneF).End, OuterLatch);
+
+  auto R = execute(*F, {makeValue(Value::intScalar(6))}, 1);
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 36);
+}
+
+TEST(RegAlloc, BlockSuccessors) {
+  //   0: iconst c       block 0: brz's target (block 4), then block 1
+  //   1: brz c, 5
+  //   2: brnz c, 6      block 1: brnz's target (block 5), then block 2
+  //   3: ret            block 2: none
+  //   4: nop            block 3: falls into block 4
+  //   5: br 3           block 4: br's target (block 2) only
+  //   6: ret            block 5: none
+  IRFunction F;
+  F.Code = {Instr::make(Opcode::IConst, 0), Instr::make(Opcode::Brz, 5, 0),
+            Instr::make(Opcode::Brnz, 6, 0), Instr::make(Opcode::Ret),
+            Instr::make(Opcode::Nop),        Instr::make(Opcode::Br, 3),
+            Instr::make(Opcode::Ret)};
+  BlockGraph G = buildBlockGraph(F);
+  EXPECT_EQ(G.Begin, (std::vector<int32_t>{0, 2, 3, 4, 5, 6, 7}));
+  using Succ = std::array<int32_t, 2>;
+  ASSERT_EQ(G.numBlocks(), 6u);
+  EXPECT_EQ(G.Succs[0], (Succ{4, 1}));
+  EXPECT_EQ(G.Succs[1], (Succ{5, 2}));
+  EXPECT_EQ(G.Succs[2], (Succ{-1, -1}));
+  EXPECT_EQ(G.Succs[3], (Succ{4, -1}));
+  EXPECT_EQ(G.Succs[4], (Succ{2, -1}));
+  EXPECT_EQ(G.Succs[5], (Succ{-1, -1}));
+}
+
+TEST(RegAlloc, CorpusLoopProgramBarelySpills) {
+  // crnich at bench_paper's arguments: 486 of its 975 JIT instructions
+  // were spill code while every interval touching a loop spanned it.
+  const BenchmarkSpec *Spec = findBenchmark("crnich");
+  ASSERT_NE(Spec, nullptr);
+  std::ifstream In(mlibDirectory() + "/crnich.m");
+  std::stringstream Src;
+  Src << In.rdbuf();
+  SourceManager SM;
+  Diagnostics Diags;
+  auto Mod = parseModule("crnich", Src.str(), SM, Diags);
+  ASSERT_NE(Mod, nullptr) << Diags.render(SM);
+  auto Info = disambiguate(*Mod->mainFunction(), *Mod);
+  CompileRequest Req;
+  Req.FI = Info.get();
+  Req.Sig = TypeSignature::ofValues(corpusArgs(*Spec));
+  auto R = compileFunction(Req);
+  ASSERT_TRUE(R.has_value());
+  EXPECT_LE(R->RegAlloc.NumSpillInstrs, 20u);
+  EXPECT_GT(R->Code->Code.size(), 300u);
 }
 
 TEST(RegAlloc, FieldsAAndDNeverShareAScratch) {
