@@ -20,8 +20,9 @@
 ///     and class pass of a fused elementwise program (EwFuse);
 ///   - whole values: indexLoad/indexAssign (LoadIdxG, StoreIdxG), concat
 ///     (HorzCat, VertCat), gemv, axpy, matMulT, dotT, display;
-///   - calls: callBuiltin (CallB), callArgs/callResults (CallU,
-///     CallSelf) and takeOutputs (Ret);
+///   - calls: callBuiltin (CallB), callArgs/callResults (CallU),
+///     takeOutputs (Ret) and CallLevel, the depth of a direct self-call
+///     (CallSelf);
 ///   - checkIntrinsicGuard, the domain guards of optimistic math.
 ///
 /// The functions are inline, so the VM's dispatch loop compiles them in
@@ -403,7 +404,7 @@ void callBuiltin(const BuiltinDef *Def, const char *Name, Context &Ctx,
   });
 }
 
-/// The arguments of a user-function call (CallU, CallSelf).
+/// The arguments of a user-function call (CallU).
 template <typename ArgAt> std::vector<ValuePtr> callArgs(int NArgs, ArgAt Arg) {
   std::vector<ValuePtr> Args;
   Args.reserve(static_cast<size_t>(NArgs));
@@ -422,6 +423,32 @@ void callResults(std::vector<ValuePtr> &Rs, bool Statement, int NOuts,
   deliver(Rs, Statement, NOuts, Out,
           [] { throw MatlabError("not enough output arguments"); });
 }
+
+/// The call depth around direct self-calls, which skip the resolver but
+/// count against the depth it checks and raises (CallResolver::callDepth).
+/// enter() checks and raises it for one direct call, failing at the level
+/// a call through the resolver would, with the same text; the scope puts
+/// the depth back as it found it on return and on unwind. The VM's
+/// CallSelf enters one level per scope. A native run holds one scope
+/// around its machine code, whose mlfDirectEnter makes enter()'s check
+/// inline in C and whose unwinding skips mlfDirectLeave.
+class CallLevel {
+public:
+  explicit CallLevel(unsigned &Depth) : Depth(Depth), Entry(Depth) {}
+  ~CallLevel() { Depth = Entry; }
+  CallLevel(const CallLevel &) = delete;
+  CallLevel &operator=(const CallLevel &) = delete;
+
+  void enter(unsigned MaxDepth) {
+    if (Depth >= MaxDepth)
+      throw MatlabError(kMaxRecursionMessage);
+    ++Depth;
+  }
+
+private:
+  unsigned &Depth;
+  const unsigned Entry;
+};
 
 /// Ret: the \p NumOuts outputs a caller asked for out of the function's
 /// \p Outs (one per declared output, null where unassigned), with the

@@ -17,6 +17,7 @@
 
 #include "backend/ExecShared.h"
 #include "ir/Operands.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/Builtins.h"
 #include "runtime/Ops.h"
@@ -25,6 +26,7 @@
 #include "support/StringUtils.h"
 
 #include <cmath>
+#include <utility>
 
 using namespace majic;
 using rt::Indexer;
@@ -56,6 +58,10 @@ using exec::integerScalar;
 using exec::realScalar;
 using exec::requireRealData;
 using exec::requireValue;
+
+/// The arguments of a direct self-call's frame: its parameters arrive as
+/// scalars (VM::DirectCall).
+const std::vector<ValuePtr> NoArgs;
 
 /// Minimum elements before the fused elementwise loop goes parallel
 /// (matches the interpreter's ElemGrain: these loops are memory-bound).
@@ -273,7 +279,8 @@ Value runEwFuse(const IRFunction &F, const Instr &In, const ValuePtr *PR) {
 /// Leases Frames[Depth] to one invocation. On return and on unwind it
 /// drops the frame's value references, so a finished call keeps no values
 /// (or their tracked bytes) alive, and once the outermost invocation ends
-/// it trims the frames a deep recursion left behind.
+/// it trims the frames a deep recursion left behind and credits the
+/// direct calls the invocation made.
 class VM::FrameScope {
 public:
   FrameScope(VM &M, const IRFunction &F) : M(M) {
@@ -293,8 +300,12 @@ public:
     Fr->PR.clear();
     Fr->PSp.clear();
     Fr->Outs.clear();
-    if (--M.Depth == 0 && M.Frames.size() > kRetainedFrames)
+    if (--M.Depth != 0)
+      return;
+    if (M.Frames.size() > kRetainedFrames)
       M.Frames.resize(kRetainedFrames);
+    if (M.DirectCallSink && M.DirectCalls)
+      M.DirectCallSink->inc(std::exchange(M.DirectCalls, 0));
   }
   FrameScope(const FrameScope &) = delete;
   FrameScope &operator=(const FrameScope &) = delete;
@@ -311,7 +322,12 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
   assert(F.Allocated && "VM requires register-allocated code");
   assert(F.Builtins.size() == F.Names.size() && "builtins not resolved");
   obs::TraceScope Span("vm.run", "exec", F.Name);
+  return execute(F, Args, NumOuts, nullptr);
+}
 
+std::vector<ValuePtr> VM::execute(const IRFunction &F,
+                                  const std::vector<ValuePtr> &Args,
+                                  size_t NumOuts, DirectCall *Direct) {
   // Register files (physical) and spill frames. The vectors are sized on
   // entry and never resized while this invocation runs, so raw pointers
   // stay valid across nested calls (which lease deeper frames).
@@ -435,7 +451,13 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
     case Opcode::Ret:
       Ctx.Exec.consume(Count & 0xFF); // the tail not covered by the poll
       InstrCount += Count;
-      return exec::takeOutputs(Outs, NumOuts, F.Name, F.OutNames);
+      if (!Direct)
+        return exec::takeOutputs(Outs, NumOuts, F.Name, F.OutNames);
+      // A boxed result (StoreOut) is checked as a resolver call's is.
+      if (!Direct->HasResult)
+        Direct->Result = integerScalar(requireValue(
+            exec::takeOutputs(Outs, 1, F.Name, F.OutNames)[0]));
+      return {};
 
     case Opcode::BoxF:
       PR[In.A] = makeScalar(FR[In.B]);
@@ -606,31 +628,39 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       Outs[In.Imm.I] = PR[In.A];
       break;
     case Opcode::ArgF:
-      FR[In.A] = realScalar(requireValue(Param(In.Imm.I)));
+      FR[In.A] = Direct ? Direct->Args[In.Imm.I].F
+                        : realScalar(requireValue(Param(In.Imm.I)));
       break;
     case Opcode::ArgI:
-      IR[In.A] = integerScalar(requireValue(Param(In.Imm.I)));
+      IR[In.A] = Direct ? Direct->Args[In.Imm.I].I
+                        : integerScalar(requireValue(Param(In.Imm.I)));
       break;
     case Opcode::OutI:
-      Outs[In.Imm.I] = makeValue(Value::intScalar(double(IR[In.A])));
+      if (Direct) {
+        Direct->Result = IR[In.A];
+        Direct->HasResult = true;
+      } else {
+        Outs[In.Imm.I] = makeValue(Value::intScalar(double(IR[In.A])));
+      }
       break;
     case Opcode::CallSelf: {
-      // CallU's path with the operands boxed as BoxF/BoxI box them and the
-      // result unboxed as UnboxI unboxes it.
+      // Re-enters this code on the next frame, as machine code calls its
+      // typed body: the arguments stay in registers, an OutI result comes
+      // back unboxed, and only the resolver's depth check remains. A
+      // deopt unwinds to the run that entered through the resolver.
+      exec::CallLevel Level(Resolver.callDepth());
+      Level.enter(Resolver.maxCallDepth());
       const int32_t Regs[selfcall::kMaxArgs] = {In.B, In.C, In.D};
-      auto Arg = [&Regs, FR, IR, Imm = In.Imm.I](int K) {
-        return selfcall::argIsInt(Imm, K)
-                   ? makeValue(Value::intScalar(double(IR[Regs[K]])))
-                   : makeScalar(FR[Regs[K]]);
-      };
-      std::vector<ValuePtr> Rs = Resolver.callFunction(
-          F.Name,
-          exec::callArgs(static_cast<int>(selfcall::numArgs(In.Imm.I)), Arg),
-          1, SourceLoc());
-      ValuePtr R;
-      exec::callResults(Rs, false, 1,
-                        [&](int, ValuePtr V) { R = std::move(V); });
-      IR[In.A] = integerScalar(requireValue(R));
+      DirectCall Callee;
+      for (unsigned K = 0; K != selfcall::numArgs(In.Imm.I); ++K) {
+        if (selfcall::argIsInt(In.Imm.I, K))
+          Callee.Args[K].I = IR[Regs[K]];
+        else
+          Callee.Args[K].F = FR[Regs[K]];
+      }
+      ++DirectCalls;
+      execute(F, NoArgs, 1, &Callee);
+      IR[In.A] = Callee.Result;
       break;
     }
 

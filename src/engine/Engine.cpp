@@ -134,6 +134,7 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   Metrics.registerCounter("native.deopts", NativeDeopts);
   Metrics.registerCounter("native.hits", NativeHits);
   Metrics.registerCounter("native.direct_calls", NativeDirectCalls);
+  Metrics.registerCounter("vm.direct_calls", VmDirectCalls);
   Metrics.registerCounter("native.boxes", NativeBoxes);
   static constexpr const char *SourceLoadNames[kNumSourceLoads] = {
       "call", "callee", "speculate", "fallback"};
@@ -185,7 +186,7 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   // 0 leaves the process-wide default (env override, then hardware).
   if (Opts.ComputeThreads)
     par::setComputeThreads(Opts.ComputeThreads);
-  Machine = std::make_unique<VM>(Ctx, *this);
+  Machine = std::make_unique<VM>(Ctx, *this, &VmDirectCalls);
   Interp = std::make_unique<Interpreter>(Ctx, *this);
   // Third tier: probe the system C compiler once (out of process, with a
   // deadline). An unprobeable compiler leaves available() false and the

@@ -267,6 +267,11 @@ public:
 
   bool knowsFunction(const std::string &Name) override;
 
+  /// The depth of running calls (direct self-calls included) and
+  /// EngineOptions::MaxCallDepth.
+  unsigned &callDepth() override { return CallDepth; }
+  unsigned maxCallDepth() const override { return Opts.MaxCallDepth; }
+
   /// Runs \p Source as a script in the persistent interactive workspace,
   /// returning what it printed. Scripts are interpreted (the front end);
   /// the functions they call go through the repository.
@@ -411,6 +416,8 @@ public:
   uint64_t nativeHits() const { return NativeHits.value(); }
   /// Self-calls machine code made directly, without entering the engine.
   uint64_t nativeDirectCalls() const { return NativeDirectCalls.value(); }
+  /// The same on the VM (CallSelf re-entering the running code).
+  uint64_t vmDirectCalls() const { return VmDirectCalls.value(); }
   /// Boxes native runs held when they returned, summed over the runs.
   uint64_t nativeBoxes() const { return NativeBoxes.value(); }
 
@@ -819,6 +826,7 @@ private:
   obs::Counter NativeDeopts;    ///< registered as "native.deopts"
   obs::Counter NativeHits;      ///< registered as "native.hits"
   obs::Counter NativeDirectCalls; ///< registered as "native.direct_calls"
+  obs::Counter VmDirectCalls;   ///< registered as "vm.direct_calls"
   obs::Counter NativeBoxes;     ///< registered as "native.boxes"
   /// Registered as "engine.source_loads.<why>", indexed by SourceLoad.
   obs::Counter SourceLoads[kNumSourceLoads];
@@ -835,8 +843,8 @@ private:
     std::vector<ValuePtr> callFunction(const std::string &Name,
                                        std::vector<ValuePtr> Args,
                                        size_t NumOuts) override;
-    unsigned &callDepth() override { return E->CallDepth; }
-    unsigned maxCallDepth() const override { return E->Opts.MaxCallDepth; }
+    unsigned &callDepth() override { return E->callDepth(); }
+    unsigned maxCallDepth() const override { return E->maxCallDepth(); }
     void noteRun(uint64_t DirectCalls, uint64_t Boxes) override {
       E->NativeDirectCalls.inc(DirectCalls);
       E->NativeBoxes.inc(Boxes);

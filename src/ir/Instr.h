@@ -101,9 +101,9 @@ constexpr int64_t kStatementCallFlag = int64_t(1) << 30;
 
 /// CallSelf's Imm: the argument count (its arguments sit in fields B, C, D
 /// in order) and which of them are I rather than F registers. The call
-/// asks for one output, an integer scalar. A register machine boxes the
-/// arguments and calls through the resolver like CallU; native code calls
-/// its own typed body.
+/// asks for one output, an integer scalar. The register VM re-enters the
+/// running code with the arguments in registers; native code calls its own
+/// typed body.
 namespace selfcall {
 
 constexpr unsigned kMaxArgs = 3;

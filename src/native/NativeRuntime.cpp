@@ -572,7 +572,8 @@ std::vector<ValuePtr> majic::native::runNative(
   Frame.Ctx = &Ctx;
   Frame.Host = &Host;
   Frame.Calls = {&Host.callDepth(), Host.maxCallDepth(), 0, 0};
-  const unsigned Depth = Host.callDepth();
+  // The direct calls an error unwinds never lower the depth themselves.
+  exec::CallLevel Level(Host.callDepth());
   FrameGuard G(&Frame);
 
   std::vector<MxPub *> ArgPs;
@@ -587,8 +588,6 @@ std::vector<ValuePtr> majic::native::runNative(
   Host.noteRun(static_cast<uint64_t>(Frame.Calls.Calls),
                static_cast<uint64_t>(Frame.Calls.Boxes));
   if (Rc != 0) {
-    // The direct calls the error unwound never lowered the depth.
-    Host.callDepth() = Depth;
     if (Frame.Err)
       std::rethrow_exception(Frame.Err);
     // An entry point returning nonzero without a parked error has no

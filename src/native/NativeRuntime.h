@@ -47,8 +47,9 @@ public:
   virtual std::vector<ValuePtr> callFunction(const std::string &Name,
                                              std::vector<ValuePtr> Args,
                                              size_t NumOuts) = 0;
-  /// The call depth callFunction raises and its limit: a direct self-call
-  /// in machine code raises and checks the same counter.
+  /// The call depth callFunction raises and its limit (the engine's
+  /// CallResolver pair): a direct self-call in machine code raises and
+  /// checks the same counter, as the VM's does through exec::CallLevel.
   virtual unsigned &callDepth() = 0;
   virtual unsigned maxCallDepth() const = 0;
   /// Counts, when one native run returns, the direct self-calls it made

@@ -45,7 +45,9 @@ namespace obs {
 /// One function's profile at snapshot time.
 struct FunctionProfile {
   std::string Name;
-  uint64_t Invocations = 0; ///< calls at every depth, however executed
+  /// Calls at every depth that entered through the resolver, however
+  /// executed (an inlined call or a direct self-call does not).
+  uint64_t Invocations = 0;
   uint64_t VmRuns = 0;      ///< top-level executions on compiled code
   uint64_t InterpRuns = 0;  ///< top-level executions in the interpreter
   uint64_t NativeRuns = 0;  ///< top-level executions on the native tier

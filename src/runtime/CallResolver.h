@@ -44,6 +44,12 @@ public:
   /// True when \p Name resolves to a user function visible to the resolver
   /// (used by dynamic resolution of ambiguous symbols).
   virtual bool knowsFunction(const std::string &Name) = 0;
+
+  /// The number of calls running and its limit. callFunction checks and
+  /// raises the depth; a direct self-call, which does not pass through it,
+  /// checks and raises the same counter (exec::CallLevel).
+  virtual unsigned &callDepth() = 0;
+  virtual unsigned maxCallDepth() const = 0;
 };
 
 } // namespace majic

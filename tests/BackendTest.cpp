@@ -963,10 +963,11 @@ TEST(EngineBoundary, RunawayRecursionGuarded) {
 }
 
 //===----------------------------------------------------------------------===//
-// Recursion: a self-call with an int scalar result becomes CallSelf (on the
-// VM, the resolver's path with the result in a register; in machine code, a
-// direct C call). Every case runs on the interpreter, every VM
-// configuration and the native tier, with inlining on and off.
+// Recursion: a self-call with an int scalar result becomes CallSelf, a
+// direct call of the running code with its scalars in registers (on the VM,
+// a nested run on the next frame; in machine code, a C call). Every case
+// runs on the interpreter, every VM configuration and the native tier, with
+// inlining on and off.
 //===----------------------------------------------------------------------===//
 
 std::vector<Config> recursionConfigs() {
@@ -1051,6 +1052,115 @@ TEST(Recursion, DeoptDeepInADirectChain) {
                  "else\n  r = f(n - 1) + 1;\nend\n",
                  "f", intArgs({4}));
 }
+
+TEST(Recursion, DeoptReplaysADirectChainsOutputOnce) {
+  // Every level prints before it recurses, and the optimistic sqrt fails
+  // at depth 5. The deopt unwinds the direct levels to the run that
+  // entered through the resolver, which drops their output and replays the
+  // call pessimistically (abs of the complex root, still an int result):
+  // each line is printed once, as the interpreter prints it.
+  const char *Src = "function r = f(n)\n"
+                    "disp(n);\n"
+                    "if n == 0\n  r = floor(abs(sqrt(n - 5)));\n"
+                    "else\n  r = f(n - 1) + 1;\nend\n";
+  checkRecursion(Src, "f", intArgs({4}));
+  // Without inlining, f(4) calls the general version through the resolver,
+  // and its three levels below are direct calls, in the optimistic run the
+  // deopt unwound and again in the replay.
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.InlineCalls = false;
+  O.BackgroundCompileThreads = 0;
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("f", Src));
+  EXPECT_DOUBLE_EQ(
+      E.callFunction("f", {makeValue(Value::intScalar(4))}, 1, SourceLoc())[0]
+          ->scalarValue(),
+      6);
+  EXPECT_EQ(E.context().output(), "4\n3\n2\n1\n0\n");
+  EXPECT_EQ(E.deoptimizations(), 1u);
+  EXPECT_EQ(E.vmDirectCalls(), 6u);
+}
+
+TEST(Recursion, DefaultDepthLimitOnTheVmsDirectPath) {
+  // Without inlining each level is a direct call on the VM: the default
+  // MaxCallDepth (4000) is reachable on the stack, and past it the error
+  // is the resolver's. The interpreter is no oracle here: its frames
+  // overflow an 8 MB stack near 3,000 levels.
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.InlineCalls = false;
+  O.BackgroundCompileThreads = 0;
+  ASSERT_EQ(O.MaxCallDepth, 4000u);
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("d", "function r = d(n)\n"
+                               "if n <= 0\n  r = 0;\n"
+                               "else\n  r = d(n - 1) + 1;\nend\n"));
+  auto Call = [&E](double N) {
+    return E.callFunction("d", {makeValue(Value::intScalar(N))}, 1,
+                          SourceLoc());
+  };
+  EXPECT_DOUBLE_EQ(Call(3990)[0]->scalarValue(), 3990);
+  // d(3990) enters the general version once; its 3,989 calls below are
+  // direct.
+  EXPECT_EQ(E.vmDirectCalls(), 3989u);
+  try {
+    Call(4005);
+    ADD_FAILURE() << "d(4005) nested deeper than MaxCallDepth";
+  } catch (const MatlabError &Err) {
+    EXPECT_EQ(Err.message(), "maximum recursion depth exceeded");
+  }
+  // The error unwound every direct level: the depth is back at zero.
+  EXPECT_DOUBLE_EQ(Call(3990)[0]->scalarValue(), 3990);
+}
+
+#ifndef __SANITIZE_THREAD__
+TEST(Recursion, VmAndNativeRecordTheSameProfile) {
+  // Only calls that enter through the resolver count in a profile: on
+  // both tiers a direct self-call skips it, as an inlined call does.
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  struct Case {
+    const char *Fn;
+    std::vector<double> Args;
+  };
+  struct Recorded {
+    obs::FunctionProfile Profile;
+    uint64_t VmDirect = 0, NativeDirect = 0;
+  };
+  for (bool Inline : {true, false})
+    for (const Case &C : {Case{"fibonacci", {12}}, Case{"ackermann", {2, 3}}}) {
+      auto Record = [&](bool Native) {
+        EngineOptions O;
+        O.Policy = CompilePolicy::Jit;
+        O.BackgroundCompileThreads = 0;
+        O.InlineCalls = Inline;
+        O.NativeTier = Native;
+        O.NativeHotThreshold = 1;
+        Engine E(O);
+        EXPECT_TRUE(E.addSource(C.Fn, mlibText(C.Fn)));
+        std::vector<ValuePtr> Args;
+        for (const Value &A : intArgs(C.Args))
+          Args.push_back(makeValue(A));
+        E.callFunction(C.Fn, Args, 1, SourceLoc());
+        if (Native) {
+          EXPECT_GT(E.nativeHits(), 0u);
+        }
+        return Recorded{E.profile(C.Fn), E.vmDirectCalls(),
+                        E.nativeDirectCalls()};
+      };
+      std::string Ctx = std::string(C.Fn) + (Inline ? "" : " noinline");
+      Recorded Vm = Record(false), Native = Record(true);
+      EXPECT_EQ(Vm.Profile.Invocations, Native.Profile.Invocations) << Ctx;
+      EXPECT_EQ(Vm.Profile.ArgSignatures, Native.Profile.ArgSignatures)
+          << Ctx;
+      // Both tiers recursed directly, each in its own code.
+      EXPECT_GT(Vm.VmDirect, 0u) << Ctx;
+      EXPECT_GT(Native.NativeDirect, 0u) << Ctx;
+      EXPECT_EQ(Native.VmDirect, 0u) << Ctx;
+    }
+}
+#endif
 
 TEST(Recursion, DirectCallsFreeTheirBoxes) {
   // Each call allocates a 16 KB array. g(16) makes 3,193 calls, 51 MB of

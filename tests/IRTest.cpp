@@ -36,6 +36,9 @@ struct NoCalls : CallResolver {
     throw MatlabError("unexpected call to '" + Name + "'");
   }
   bool knowsFunction(const std::string &) override { return false; }
+  unsigned &callDepth() override { return Depth; }
+  unsigned maxCallDepth() const override { return 4000; }
+  unsigned Depth = 0;
 };
 
 /// Runs an IR function end to end on the VM.

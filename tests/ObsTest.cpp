@@ -805,6 +805,24 @@ TEST(EngineObs, PersistedSignatureCreditedPastCap) {
   fs::remove_all(Dir);
 }
 
+// vm.direct_calls counts the VM's CallSelf re-entries. fibonacci's int
+// version calls itself directly; its real version keeps CallU, whose calls
+// go through the resolver and count in the profile instead.
+TEST(EngineObs, VmDirectCallsCountIntRecursionOnly) {
+  auto DirectCalls = [](ValuePtr Arg) {
+    Engine E(profileOpts());
+    EXPECT_TRUE(E.addSource("fibonacci", mlibSource("fibonacci")));
+    EXPECT_DOUBLE_EQ(
+        E.callFunction("fibonacci", {Arg}, 1, SourceLoc())[0]->scalarValue(),
+        6765);
+    uint64_t N = counterOf(E.sampleMetrics(), "vm.direct_calls");
+    EXPECT_EQ(N, E.vmDirectCalls());
+    return N;
+  };
+  EXPECT_GT(DirectCalls(intArg(20)), 0u);
+  EXPECT_EQ(DirectCalls(realArg(20)), 0u);
+}
+
 TEST(EngineObs, SnapshotMatchesAccessorsAndCoversSubsystems) {
   EngineOptions O;
   O.Policy = CompilePolicy::Jit;

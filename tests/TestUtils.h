@@ -90,6 +90,9 @@ public:
     return Mod->findFunction(Name) != nullptr;
   }
 
+  unsigned &callDepth() override { return Depth; }
+  unsigned maxCallDepth() const override { return 4000; }
+
   SourceManager SM;
   Diagnostics Diags;
 
@@ -98,6 +101,7 @@ private:
   Context Ctx;
   std::map<std::string, std::unique_ptr<FunctionInfo>> Infos;
   std::vector<ValuePtr> LastWorkspace;
+  unsigned Depth = 0;
 };
 
 /// Runs \p Source as a script and returns the double value of variable
