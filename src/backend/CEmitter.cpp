@@ -175,13 +175,15 @@ std::string shapeStr(const ShapeBound &S) {
 
 /// A C double literal that reconstructs \p X exactly. %.17g loses
 /// infinities ("inf" is not C) and NaNs, so those go through their bit
-/// patterns instead.
+/// patterns instead, and it prints -0.0 as "-0", the int 0.
 std::string fLit(double X) {
   if (!std::isfinite(X)) {
     unsigned long long Bits;
     std::memcpy(&Bits, &X, sizeof Bits);
     return format("mlf_f64bits(0x%016llxull)", Bits);
   }
+  if (X == 0 && std::signbit(X))
+    return "-0.0";
   return format("%.17g", X);
 }
 
@@ -413,6 +415,13 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
                ? std::string("if ((++mlf_ops & 0xff) == 0) { mlfPoll(256); } ")
                : std::string();
   };
+  // if (Cond) goto Target, with the poll inside when it is backward.
+  auto CondGoto = [&](const std::string &Cond, int32_t Target, size_t Pos) {
+    std::string Poll = BackPoll(Target, Pos);
+    return Poll.empty() ? format("if (%s) goto L%d;", Cond.c_str(), Target)
+                        : format("if (%s) { %sgoto L%d; }", Cond.c_str(),
+                                 Poll.c_str(), Target);
+  };
 
   for (size_t Pos = 0; Pos != F.Code.size(); ++Pos) {
     const Instr &In = F.Code[Pos];
@@ -467,20 +476,22 @@ std::string majic::emitCSource(const IRFunction &F, const TypeSignature &Sig) {
     case Opcode::Br:
       Line = BackPoll(In.A, Pos) + format("goto L%d;", In.A);
       break;
-    case Opcode::Brz: {
-      std::string Poll = BackPoll(In.A, Pos);
-      Line = Poll.empty()
-                 ? format("if (%s == 0) goto L%d;", ireg(In.B).c_str(), In.A)
-                 : format("if (%s == 0) { %sgoto L%d; }",
-                          ireg(In.B).c_str(), Poll.c_str(), In.A);
+    case Opcode::Brz:
+      Line = CondGoto(ireg(In.B) + " == 0", In.A, Pos);
       break;
-    }
-    case Opcode::Brnz: {
-      std::string Poll = BackPoll(In.A, Pos);
-      Line = Poll.empty()
-                 ? format("if (%s != 0) goto L%d;", ireg(In.B).c_str(), In.A)
-                 : format("if (%s != 0) { %sgoto L%d; }",
-                          ireg(In.B).c_str(), Poll.c_str(), In.A);
+    case Opcode::Brnz:
+      Line = CondGoto(ireg(In.B) + " != 0", In.A, Pos);
+      break;
+    case Opcode::FCmpBrz:
+    case Opcode::ICmpBrz: {
+      // Branches when the compare is false: a NaN operand branches, as
+      // Brz does on FCmp's 0. ICmpBrz compares long long, as ICmp does;
+      // the VM compares through double (VM.cpp).
+      auto Reg = In.Op == Opcode::FCmpBrz ? freg : ireg;
+      Line = CondGoto("!(" + Reg(In.B) + " " +
+                          condOp(static_cast<CondCode>(In.Imm.I)) + " " +
+                          Reg(In.C) + ")",
+                      In.A, Pos);
       break;
     }
     case Opcode::Ret:

@@ -31,7 +31,8 @@ std::optional<CompileResult> majic::compileFunction(const CompileRequest &Req) {
     Result.TypeInferSeconds = T.seconds();
   }
 
-  // Pass 4: code selection, optimization, register allocation.
+  // Pass 4: code generation, optimization, code selection, register
+  // allocation.
   Timer T;
   CodeGenOptions CGOpts;
   CGOpts.Mode = Req.Mode;
@@ -62,6 +63,10 @@ std::optional<CompileResult> majic::compileFunction(const CompileRequest &Req) {
                              " ops=" + std::to_string(FS.OpsFused) +
                              " temps=" + std::to_string(FS.TempsElided));
   }
+
+  // Code selection, in every mode: after the optimizer, whose matchers
+  // read the register forms.
+  selectInstructions(*Code);
 
   {
     obs::TraceScope Span("regalloc", "compile", FnName);

@@ -6,10 +6,12 @@
 ///
 /// \file
 /// The end-to-end compilation pipeline (Figure 1, passes 3 and 4): type
-/// inference (JIT or with a speculated signature) -> code selection ->
-/// [optimizer, for the "native compiler" path] -> linear-scan register
+/// inference (JIT or with a speculated signature) -> code generation ->
+/// [optimizer, for the "native compiler" path] -> code selection
+/// (immediates, fused compare-branches) -> linear-scan register
 /// allocation. The fast JIT configuration skips the optimizer entirely
-/// ("no loop optimizations or instruction scheduling are performed").
+/// ("no loop optimizations or instruction scheduling are performed") but
+/// not code selection.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -468,14 +468,14 @@ void runUnroll(IRFunction &F, unsigned Factor, OptimizeStats &Stats) {
     // Unrolled header: while (k + Factor - 1 < TC).
     size_t UHeader = New.size();
     {
-      Instr Add = Instr::make(Opcode::IAdd, KTmp, L.CounterReg);
-      Add.C = -1;
-      // k + (Factor-1) via constant register.
-      Instr Cst = Instr::make(Opcode::IConst, Cond); // reuse Cond as temp
+      // k + (Factor-1), through a constant register of its own: one def
+      // each, so code selection makes it an immediate and fuses the
+      // compare with its branch.
+      int32_t Step = static_cast<int32_t>(F.NumI++);
+      Instr Cst = Instr::make(Opcode::IConst, Step);
       Cst.Imm.I = static_cast<int64_t>(Factor - 1);
       New.push_back(Cst);
-      Add.C = Cond;
-      New.push_back(Add);
+      New.push_back(Instr::make(Opcode::IAdd, KTmp, L.CounterReg, Step));
       Instr Cmp = Instr::make(Opcode::ICmp, Cond, KTmp, L.TripReg);
       Cmp.Imm.I = static_cast<int64_t>(CondCode::LT);
       New.push_back(Cmp);
@@ -822,7 +822,150 @@ void runDCE(IRFunction &F, OptimizeStats &Stats) {
   rebuild(F, {}, /*DropNops=*/true);
 }
 
+//===----------------------------------------------------------------------===//
+// Code selection: immediates and fused compare-branches
+//===----------------------------------------------------------------------===//
+
+/// The register-immediate form of a two-register opcode, or Nop.
+Opcode immediateForm(Opcode Op) {
+  switch (Op) {
+  case Opcode::IAdd:
+    return Opcode::IAddI;
+  case Opcode::ISub:
+    return Opcode::ISubI;
+  case Opcode::FAdd:
+    return Opcode::FAddI;
+  case Opcode::FSub:
+    return Opcode::FSubI;
+  case Opcode::FMul:
+    return Opcode::FMulI;
+  case Opcode::FDiv:
+    return Opcode::FDivI;
+  case Opcode::FPow:
+    return Opcode::FPowI;
+  default:
+    return Opcode::Nop;
+  }
+}
+
 } // namespace
+
+SelectStats majic::selectInstructions(IRFunction &F) {
+  assert(!F.Allocated && "select before register allocation");
+  SelectStats Stats;
+  const size_t N = F.Code.size();
+  // Per F and I register: its defs, its uses and where its last def is.
+  // Flat vectors, one pass: this runs on every compile.
+  std::vector<uint32_t> Defs[2], Uses[2], DefAt[2];
+  for (unsigned C = 0; C != 2; ++C) {
+    size_t NumRegs = C == 0 ? F.NumF : F.NumI;
+    Defs[C].assign(NumRegs, 0);
+    Uses[C].assign(NumRegs, 0);
+    DefAt[C].assign(NumRegs, 0);
+  }
+  for (size_t Pos = 0; Pos != N; ++Pos) {
+    const Instr &In = F.Code[Pos];
+    const InstrOperands Ops = instrOperands(In);
+    const int32_t Fields[4] = {In.A, In.B, In.C, In.D};
+    for (unsigned K = 0; K != 4; ++K) {
+      OperandKind OK = Ops.Fields[K];
+      if (OK == OperandKind::None || regClass(OK) == RegClass::P ||
+          Fields[K] < 0)
+        continue;
+      unsigned C = regClass(OK) == RegClass::F ? 0 : 1;
+      if (isDef(OK)) {
+        ++Defs[C][Fields[K]];
+        DefAt[C][Fields[K]] = static_cast<uint32_t>(Pos);
+      }
+      if (isUse(OK))
+        ++Uses[C][Fields[K]];
+    }
+  }
+
+  // The constant register R of class C holds wherever it is read: its one
+  // def is an FConst or IConst.
+  auto ConstantIn = [&](unsigned C, int32_t R) -> const Instr * {
+    if (R < 0 || Defs[C][R] != 1)
+      return nullptr;
+    const Instr &Def = F.Code[DefAt[C][R]];
+    return Def.Op == (C == 0 ? Opcode::FConst : Opcode::IConst) ? &Def
+                                                                : nullptr;
+  };
+
+  // A compare does not end a block, so the instruction after it starts
+  // one only when a branch targets it.
+  const std::vector<bool> Starts = blockStarts(F);
+  for (size_t Pos = 0; Pos != N; ++Pos) {
+    Instr &In = F.Code[Pos];
+    switch (In.Op) {
+    case Opcode::IToF:
+      if (const Instr *K = ConstantIn(1, In.B)) {
+        --Uses[1][In.B];
+        Instr Const = Instr::make(Opcode::FConst, In.A);
+        Const.Imm.F = static_cast<double>(K->Imm.I);
+        In = Const;
+        ++Stats.NumImmediates;
+      }
+      break;
+    case Opcode::FCmp:
+    case Opcode::ICmp: {
+      // Fuse with the Brz right after, when it alone reads the flag and
+      // nothing else jumps to it.
+      if (Pos + 1 == N || Starts[Pos + 1])
+        break;
+      Instr &Br = F.Code[Pos + 1];
+      if (Br.Op != Opcode::Brz || Br.B != In.A || Uses[1][In.A] != 1)
+        break;
+      Uses[1][In.A] = 0;
+      Instr Fused = Instr::make(
+          In.Op == Opcode::FCmp ? Opcode::FCmpBrz : Opcode::ICmpBrz, Br.A,
+          In.B, In.C);
+      Fused.Imm.I = In.Imm.I;
+      In = Fused;
+      Br = Instr::make(Opcode::Nop);
+      ++Stats.NumFusedBranches;
+      break;
+    }
+    default: {
+      Opcode Imm = immediateForm(In.Op);
+      if (Imm == Opcode::Nop)
+        break;
+      unsigned C =
+          regClass(opcodeInfo(In.Op).Fields[0]) == RegClass::F ? 0 : 1;
+      const Instr *K = ConstantIn(C, In.C);
+      // Addition and multiplication commute, bit for bit, unless both
+      // operands are NaNs, whose payloads need not.
+      if (!K && (In.Op == Opcode::IAdd || In.Op == Opcode::FAdd ||
+                 In.Op == Opcode::FMul)) {
+        K = ConstantIn(C, In.B);
+        if (K && C == 0 && std::isnan(K->Imm.F))
+          K = nullptr;
+        if (K)
+          std::swap(In.B, In.C);
+      }
+      if (!K)
+        break;
+      --Uses[C][In.C];
+      Instr Sel = Instr::make(Imm, In.A, In.B);
+      Sel.Imm = K->Imm;
+      In = Sel;
+      ++Stats.NumImmediates;
+      break;
+    }
+    }
+  }
+
+  // Constants nothing reads any more.
+  for (Instr &In : F.Code)
+    if ((In.Op == Opcode::FConst && Uses[0][In.A] == 0) ||
+        (In.Op == Opcode::IConst && Uses[1][In.A] == 0)) {
+      In = Instr::make(Opcode::Nop);
+      ++Stats.NumConstantsDropped;
+    }
+  if (Stats.NumFusedBranches || Stats.NumConstantsDropped)
+    rebuild(F, {}, /*DropNops=*/true);
+  return Stats;
+}
 
 OptimizeStats majic::optimize(IRFunction &F, const OptimizeOptions &Opts) {
   assert(!F.Allocated && "optimize before register allocation");

@@ -27,6 +27,12 @@
 /// Which opcodes each pass may delete, move or merge comes from their
 /// effect class in ir/Opcodes.def.
 ///
+/// Code selection (selectInstructions) runs after these passes in every
+/// mode, the JIT's included, as MaJIC's vcode has register-immediate
+/// forms: a constant operand becomes the immediate of an IAddI ... FPowI
+/// row, an IToF of a constant an FConst, and a compare whose flag only
+/// the Brz after it reads fuses with that Brz.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MAJIC_BACKEND_OPTIMIZE_H
@@ -54,6 +60,21 @@ struct OptimizeStats {
   unsigned NumDead = 0;
   unsigned NumEwFuseMerged = 0;
 };
+
+struct SelectStats {
+  unsigned NumImmediates = 0;    ///< Operands that became immediates.
+  unsigned NumFusedBranches = 0; ///< Compare + Brz pairs fused.
+  unsigned NumConstantsDropped = 0;
+};
+
+/// Code selection over unallocated IR, in one linear pass: an operand
+/// whose register has one def, an FConst or IConst, becomes the
+/// immediate (the right operand; for IAdd, FAdd and FMul also the left,
+/// unless it is a NaN); an IToF of one becomes an FConst; an FCmp or ICmp
+/// whose flag only the next instruction, a Brz no branch targets, reads
+/// fuses with it into FCmpBrz/ICmpBrz. Constants left unread are
+/// dropped.
+SelectStats selectInstructions(IRFunction &F);
 
 /// Optimizes \p F in place. Requires unallocated code; preserves loop
 /// metadata across in-place passes and recomputes it across rebuilds.

@@ -448,6 +448,24 @@ std::vector<ValuePtr> VM::execute(const IRFunction &F,
         continue;
       }
       break;
+    case Opcode::FCmpBrz:
+      // Not taken only when the compare holds, so a NaN operand branches
+      // as Brz does on FCmp's 0.
+      if (!evalCond(static_cast<CondCode>(In.Imm.I), FR[In.B], FR[In.C])) {
+        PC = static_cast<size_t>(In.A);
+        continue;
+      }
+      break;
+    case Opcode::ICmpBrz:
+      // Compares through double, as ICmp does; emitted C compares long
+      // long (CEmitter.cpp).
+      if (!evalCond(static_cast<CondCode>(In.Imm.I),
+                    static_cast<double>(IR[In.B]),
+                    static_cast<double>(IR[In.C]))) {
+        PC = static_cast<size_t>(In.A);
+        continue;
+      }
+      break;
     case Opcode::Ret:
       Ctx.Exec.consume(Count & 0xFF); // the tail not covered by the poll
       InstrCount += Count;

@@ -54,8 +54,9 @@ namespace ser {
 // v3: EwFuse fused elementwise op. v4: output names; the typed self-call
 // convention (ArgF/ArgI/OutI/CallSelf). v5: FRand, scalar rand in a register.
 // v6: MatMulT/DotT, products with a transposed left operand; mldivide's
-// triangular and diagonal solves.
-constexpr uint32_t kCodeABIVersion = 6;
+// triangular and diagonal solves. v7: register-immediate arithmetic
+// (IAddI ... FPowI) and fused compare-branches (FCmpBrz/ICmpBrz).
+constexpr uint32_t kCodeABIVersion = 7;
 
 // SerializeError / ByteWriter / ByteReader live in support/ByteStream.h so
 // the runtime's workspace serializer (runtime/ValueSerialize) can share

@@ -1046,11 +1046,42 @@ TEST(Recursion, UnassignedOutputDeepInTheChain) {
 
 TEST(Recursion, DeoptDeepInADirectChain) {
   // sqrt of a negative value at depth 5: optimistic code deoptimizes, the
-  // native module is quarantined, and the answer is the complex one.
+  // native module is quarantined, and the pessimistic replay raises the
+  // interpreter's "floor requires a real argument" on every tier.
   checkRecursion("function r = f(n)\n"
                  "if n == 0\n  r = floor(sqrt(n - 5));\n"
                  "else\n  r = f(n - 1) + 1;\nend\n",
                  "f", intArgs({4}));
+}
+
+TEST(Recursion, DeoptDeepInADirectChainReplaysToAComplexAnswer) {
+  // Without inlining g calls f(4) through the resolver, and f calls its
+  // three levels below directly. The optimistic sqrt fails at the bottom,
+  // the deopt unwinds to f(4), whose pessimistic replay returns 6, and g's
+  // answer is sqrt(6 - 10) = 2i, bit for bit as the interpreter's. (A
+  // chain's own result is an int scalar, and floor, ceil, round and fix
+  // reject a complex argument, so the complex part is g's.)
+  const char *Src = "function z = g(n)\n"
+                    "z = sqrt(f(n) - 10);\n"
+                    "function r = f(n)\n"
+                    "if n == 0\n  r = floor(abs(sqrt(n - 5)));\n"
+                    "else\n  r = f(n - 1) + 1;\nend\n";
+  checkRecursion(Src, "g", intArgs({4}),
+                 [](EngineOptions &O) { O.InlineCalls = false; });
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.InlineCalls = false;
+  O.BackgroundCompileThreads = 0;
+  Engine E(O);
+  ASSERT_TRUE(E.addSource("g", Src));
+  ValuePtr Z =
+      E.callFunction("g", {makeValue(Value::intScalar(4))}, 1, SourceLoc())[0];
+  ASSERT_TRUE(Z->isComplex());
+  EXPECT_EQ(Z->re(0), 0);
+  EXPECT_EQ(Z->im(0), 2);
+  EXPECT_EQ(E.deoptimizations(), 1u);
+  // Three direct levels in the optimistic run, three in the replay.
+  EXPECT_EQ(E.vmDirectCalls(), 6u);
 }
 
 TEST(Recursion, DeoptReplaysADirectChainsOutputOnce) {

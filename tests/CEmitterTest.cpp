@@ -9,15 +9,22 @@
 #include "ast/Parser.h"
 #include "backend/CEmitter.h"
 #include "backend/Compiler.h"
+#include "backend/VM.h"
 #include "engine/Corpus.h"
+#include "ir/Builder.h"
+#include "native/NativeCompiler.h"
+#include "native/NativeRuntime.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 using namespace majic;
 
@@ -412,7 +419,7 @@ TEST(CEmitter, ExpressionRowsRenderAsBefore) {
   };
   const std::pair<Instr, const char *> Rows[] = {
       {ImmF(Opcode::FConst, 3, NaN), "f3 = mlf_f64bits(0x7ff8000000000000ull);"},
-      {ImmF(Opcode::FConst, 4, -0.0), "f4 = -0;"},
+      {ImmF(Opcode::FConst, 4, -0.0), "f4 = -0.0;"},
       {ImmF(Opcode::FConst, 5, Inf), "f5 = mlf_f64bits(0x7ff0000000000000ull);"},
       {ImmF(Opcode::FConst, 6, 0.1), "f6 = 0.10000000000000001;"},
       {ImmI(Opcode::IConst, 3, INT64_MIN), "i3 = (-9223372036854775807LL - 1);"},
@@ -459,6 +466,209 @@ TEST(CEmitter, ExpressionRowsRenderAsBefore) {
     EXPECT_NE(Src.find("\n  " + std::string(Line) + "\n"), std::string::npos)
         << opcodeName(In.Op) << ": " << Line << "\n"
         << Src;
+}
+
+TEST(CEmitter, ImmediateRowsAndFusedBranchesRender) {
+  // The rows code selection adds, edge immediates included: each literal
+  // is valid C of the row's type, so the C compiler reads the bits the VM
+  // holds (RunsAlikeOnTheVmAndInC below compiles them).
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  auto Imm = [](Opcode Op, int32_t A, int32_t B, auto V) {
+    Instr In = Instr::make(Op, A, B);
+    if constexpr (std::is_floating_point_v<decltype(V)>)
+      In.Imm.F = V;
+    else
+      In.Imm.I = V;
+    return In;
+  };
+  auto Branch = [](Opcode Op, int32_t Target, int32_t B, int32_t C,
+                   CondCode CC) {
+    Instr In = Instr::make(Op, Target, B, C);
+    In.Imm.I = static_cast<int64_t>(CC);
+    return In;
+  };
+  const std::pair<Instr, const char *> Rows[] = {
+      {Imm(Opcode::IAddI, 1, 2, INT64_MIN),
+       "i1 = i2 + (-9223372036854775807LL - 1);"},
+      {Imm(Opcode::IAddI, 2, 3, INT64_MAX), "i2 = i3 + 9223372036854775807;"},
+      {Imm(Opcode::ISubI, 3, 4, int64_t(1)), "i3 = i4 - 1;"},
+      {Imm(Opcode::ISubI, 4, 5, int64_t(-7)), "i4 = i5 - -7;"},
+      {Imm(Opcode::FAddI, 1, 2, -0.0), "f1 = f2 + -0.0;"},
+      {Imm(Opcode::FSubI, 2, 3, NaN),
+       "f2 = f3 - mlf_f64bits(0x7ff8000000000000ull);"},
+      {Imm(Opcode::FMulI, 3, 4, -2.5), "f3 = f4 * -2.5;"},
+      {Imm(Opcode::FDivI, 4, 5, 4.9406564584124654e-324),
+       "f4 = f5 / 4.9406564584124654e-324;"},
+      {Imm(Opcode::FPowI, 5, 6, 2.0), "f5 = pow(f6, 2);"},
+      {Branch(Opcode::FCmpBrz, 11, 1, 2, CondCode::LT),
+       "if (!(f1 < f2)) goto L11;"},
+      {Branch(Opcode::ICmpBrz, 11, 3, 4, CondCode::NE),
+       "if (!(i3 != i4)) goto L11;"},
+  };
+  IRFunction F;
+  F.Name = "rows";
+  F.NumF = F.NumI = 8;
+  F.Allocated = true;
+  for (const auto &[In, Line] : Rows)
+    F.Code.push_back(In);
+  F.Code.push_back(Instr::make(Opcode::Ret));
+  std::string Src = emitCSource(F, TypeSignature());
+  for (const auto &[In, Line] : Rows)
+    EXPECT_NE(Src.find("\n  " + std::string(Line) + "\n"), std::string::npos)
+        << opcodeName(In.Op) << ": " << Line << "\n"
+        << Src;
+}
+
+/// A native host for code that makes no user-function calls.
+struct NoHost : native::NativeHost {
+  std::vector<ValuePtr> callFunction(const std::string &Name,
+                                     std::vector<ValuePtr>, size_t) override {
+    throw MatlabError("unexpected call to '" + Name + "'");
+  }
+  unsigned &callDepth() override { return Depth; }
+  unsigned maxCallDepth() const override { return 4000; }
+  void noteRun(uint64_t, uint64_t) override {}
+  unsigned Depth = 0;
+};
+
+struct NoCalls : CallResolver {
+  std::vector<ValuePtr> callFunction(const std::string &Name,
+                                     std::vector<ValuePtr>, size_t,
+                                     SourceLoc) override {
+    throw MatlabError("unexpected call to '" + Name + "'");
+  }
+  bool knowsFunction(const std::string &) override { return false; }
+  unsigned &callDepth() override { return Depth; }
+  unsigned maxCallDepth() const override { return 4000; }
+  unsigned Depth = 0;
+};
+
+/// Allocates \p F, then runs it at each argument list on the VM and as
+/// cc-compiled C, and expects the two tiers' outputs to have the same bits.
+/// Any two NaNs agree: the C compiler may rewrite x * -c as -(x * c),
+/// which flips the sign of a NaN product, register constants or not.
+void expectTiersAgree(IRFunction &F,
+                      const std::vector<std::vector<ValuePtr>> &ArgLists) {
+  allocateRegisters(F, PlatformModel::sparc(), {});
+  native::NativeCompiler NC("cc");
+  std::unique_ptr<native::NativeModule> Mod;
+  try {
+    Mod = native::NativeCompiler::load(
+        NC.compile(emitCSource(F, TypeSignature()), F.Name), F.Name,
+        F.NumOuts);
+  } catch (const MatlabError &E) {
+    FAIL() << E.message();
+  }
+  Context Ctx;
+  NoCalls Resolver;
+  NoHost Host;
+  VM Machine(Ctx, Resolver);
+  for (const std::vector<ValuePtr> &Args : ArgLists) {
+    std::vector<ValuePtr> OnVm = Machine.run(F, Args, F.NumOuts);
+    std::vector<ValuePtr> InC = native::runNative(
+        Mod->entry(), F.Name, F.NumOuts, F.OutNames, Ctx, Host, Args,
+        F.NumOuts);
+    ASSERT_EQ(OnVm.size(), InC.size());
+    for (size_t K = 0; K != OnVm.size(); ++K) {
+      double V = OnVm[K]->scalarValue(), C = InC[K]->scalarValue();
+      EXPECT_TRUE(std::memcmp(&V, &C, sizeof V) == 0 ||
+                  (std::isnan(V) && std::isnan(C)))
+          << "output " << K << ": VM " << V << ", C " << C << " at "
+          << Args[0]->scalarValue();
+    }
+  }
+}
+
+TEST(CEmitter, EdgeImmediatesRunAlikeOnTheVmAndInC) {
+  if (!native::NativeCompiler("cc").available())
+    GTEST_SKIP() << "no C compiler on host";
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Reals[] = {-0.0, NaN, Inf, -Inf, 4.9406564584124654e-324,
+                          std::numeric_limits<double>::max(), 0.1, 1e17,
+                          12345678901234567.0, -2.5, 3.0};
+  // n is 0 or 5, so none of these overflows.
+  const std::pair<Opcode, std::vector<int64_t>> Ints[] = {
+      {Opcode::IAddI,
+       {INT64_MIN, INT64_MAX - 5, -1, 0, (int64_t(1) << 53) + 1}},
+      {Opcode::ISubI,
+       {INT64_MAX, -(INT64_MAX - 5), -1, 0, (int64_t(1) << 53) + 1}}};
+  // out_k = x <op> IMM_k for every F row and immediate, then
+  // itof(n <op> IMM_k) for every I row.
+  IRFunction F;
+  F.Name = "imms";
+  F.NumParams = 2;
+  IRBuilder B(F);
+  std::vector<int32_t> Outs;
+  int32_t ArgX = B.newP(), X = B.newF(), ArgN = B.newP(), N = B.newI();
+  B.emitImmI(Opcode::LoadParam, 0, ArgX);
+  B.emit(Opcode::UnboxF, X, ArgX);
+  B.emitImmI(Opcode::LoadParam, 1, ArgN);
+  B.emit(Opcode::UnboxI, N, ArgN);
+  for (Opcode Op : {Opcode::FAddI, Opcode::FSubI, Opcode::FMulI,
+                    Opcode::FDivI, Opcode::FPowI})
+    for (double V : Reals) {
+      Outs.push_back(B.newF());
+      B.emitImmF(Op, V, Outs.back(), X);
+    }
+  for (const auto &[Op, Imms] : Ints)
+    for (int64_t V : Imms) {
+      int32_t R = B.newI();
+      B.emitImmI(Op, V, R, N);
+      Outs.push_back(B.newF());
+      B.emit(Opcode::IToF, Outs.back(), R);
+    }
+  F.NumOuts = Outs.size();
+  for (size_t K = 0; K != Outs.size(); ++K) {
+    F.OutNames.push_back("r" + std::to_string(K));
+    int32_t P = B.newP();
+    B.emit(Opcode::BoxF, P, Outs[K]);
+    B.emitImmI(Opcode::StoreOut, static_cast<int64_t>(K), P);
+  }
+  B.emit(Opcode::Ret);
+  B.finish();
+  std::vector<std::vector<ValuePtr>> ArgLists;
+  for (double XV : {-0.0, 0.0, 3.0, NaN, -Inf})
+    for (double NV : {0.0, 5.0})
+      ArgLists.push_back({makeScalar(XV), makeValue(Value::intScalar(NV))});
+  expectTiersAgree(F, ArgLists);
+}
+
+TEST(CEmitter, NanCompareTakesTheSameEdgeFusedAndUnfusedInC) {
+  // Each if is an FCmp and the Brz that alone reads it; code selection
+  // fuses the pair. On a NaN operand only ~= holds, fused or not, on the
+  // VM and in C.
+  if (!native::NativeCompiler("cc").available())
+    GTEST_SKIP() << "no C compiler on host";
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const char *Src = "function r = f(x, y)\nr = 0;\n"
+                    "if x < y\n  r = r + 1;\nend\n"
+                    "if x <= y\n  r = r + 2;\nend\n"
+                    "if x > y\n  r = r + 4;\nend\n"
+                    "if x >= y\n  r = r + 8;\nend\n"
+                    "if x == y\n  r = r + 16;\nend\n"
+                    "if x ~= y\n  r = r + 32;\nend\n";
+  const std::pair<double, double> Operands[] = {
+      {NaN, 1}, {1, NaN}, {NaN, NaN}, {1, 2}, {2, 1}, {1, 1}};
+  const double Want[] = {32, 32, 32, 1 + 2 + 32, 4 + 8 + 32, 2 + 8 + 16};
+  for (bool Select : {false, true}) {
+    Compiled C(Src, {Type::scalar(IntrinsicType::Real),
+                     Type::scalar(IntrinsicType::Real)});
+    C.Code->Name = "f";
+    if (Select)
+      EXPECT_EQ(selectInstructions(*C.Code).NumFusedBranches, 6u);
+    std::vector<std::vector<ValuePtr>> ArgLists;
+    for (auto [X, Y] : Operands)
+      ArgLists.push_back({makeScalar(X), makeScalar(Y)});
+    IRFunction &F = *C.Code;
+    expectTiersAgree(F, ArgLists);
+    Context Ctx;
+    NoCalls Resolver;
+    VM Machine(Ctx, Resolver);
+    for (size_t K = 0; K != ArgLists.size(); ++K)
+      EXPECT_EQ(Machine.run(F, ArgLists[K], 1)[0]->scalarValue(), Want[K])
+          << (Select ? "fused " : "unfused ") << K;
+  }
 }
 
 } // namespace

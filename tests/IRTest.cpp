@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -829,6 +830,277 @@ TEST(Optimizer, FoldingMatchesTheVMBitForBit) {
 }
 
 //===----------------------------------------------------------------------===//
+// Code selection: immediates and fused compare-branches
+//===----------------------------------------------------------------------===//
+
+/// Emits a parameter unboxed to an F register.
+int32_t realParam(IRBuilder &B, int64_t Index) {
+  int32_t ArgP = B.newP();
+  B.emitImmI(Opcode::LoadParam, Index, ArgP);
+  int32_t X = B.newF();
+  B.emit(Opcode::UnboxF, X, ArgP);
+  return X;
+}
+
+size_t countOps(const IRFunction &F, Opcode Op) {
+  return static_cast<size_t>(
+      std::count_if(F.Code.begin(), F.Code.end(),
+                    [Op](const Instr &In) { return In.Op == Op; }));
+}
+
+/// The bits of output 0 of \p F at real arguments \p Args on the VM.
+uint64_t runBits(IRFunction F, std::vector<double> Args) {
+  std::vector<ValuePtr> Boxed;
+  for (double A : Args)
+    Boxed.push_back(makeScalar(A));
+  double R = execute(F, std::move(Boxed), 1)[0]->scalarValue();
+  uint64_t Bits;
+  std::memcpy(&Bits, &R, sizeof Bits);
+  return Bits;
+}
+
+TEST(Select, ConstantOperandsRideInTheInstruction) {
+  // out0 = (((3 + x) * 0.5 - 1) / 4) ^ 2 + 2, with the 2 an itof.
+  IRFunction F;
+  F.NumParams = 1;
+  F.NumOuts = 1;
+  IRBuilder B(F);
+  int32_t X = realParam(B, 0);
+  int32_t T1 = B.newF(), T2 = B.newF(), T3 = B.newF(), T4 = B.newF(),
+          T5 = B.newF(), Two = B.newF();
+  B.emit(Opcode::FAdd, T1, B.fconst(3), X); // left constant: commuted
+  B.emit(Opcode::FMul, T2, T1, B.fconst(0.5));
+  B.emit(Opcode::FSub, T3, T2, B.fconst(1));
+  B.emit(Opcode::FDiv, T4, T3, B.fconst(4));
+  B.emit(Opcode::IToF, Two, B.iconst(2));
+  B.emit(Opcode::FPow, T5, T4, Two);
+  B.emit(Opcode::FAdd, T5, T5, Two);
+  returnF(B, T5);
+
+  IRFunction Selected = F;
+  SelectStats Stats = selectInstructions(Selected);
+  EXPECT_EQ(Stats.NumImmediates, 7u);
+  EXPECT_EQ(countOps(Selected, Opcode::FAddI), 2u);
+  EXPECT_EQ(countOps(Selected, Opcode::FMulI), 1u);
+  EXPECT_EQ(countOps(Selected, Opcode::FSubI), 1u);
+  EXPECT_EQ(countOps(Selected, Opcode::FDivI), 1u);
+  EXPECT_EQ(countOps(Selected, Opcode::FPowI), 1u);
+  // Every constant became an immediate, the IToF's included.
+  EXPECT_EQ(countOps(Selected, Opcode::IToF), 0u);
+  EXPECT_EQ(countOps(Selected, Opcode::IConst), 0u);
+  EXPECT_EQ(countOps(Selected, Opcode::FConst), 0u);
+  for (double V : {0.0, -3.0, 7.25, std::numeric_limits<double>::infinity()})
+    EXPECT_EQ(runBits(F, {V}), runBits(Selected, {V})) << V;
+}
+
+TEST(Select, IntegerImmediates) {
+  // out0 = itof((7 + (n - 1)) - 5): both IAdd operands may be immediate.
+  IRFunction F;
+  F.NumParams = 1;
+  F.NumOuts = 1;
+  IRBuilder B(F);
+  int32_t N = intParam(B);
+  int32_t T1 = B.newI(), T2 = B.newI(), T3 = B.newI(), R = B.newF();
+  B.emit(Opcode::ISub, T1, N, B.iconst(1));
+  B.emit(Opcode::IAdd, T2, B.iconst(7), T1);
+  B.emit(Opcode::ISub, T3, T2, B.iconst(INT64_C(-5)));
+  B.emit(Opcode::IToF, R, T3);
+  returnF(B, R);
+  IRFunction Selected = F;
+  selectInstructions(Selected);
+  EXPECT_EQ(countOps(Selected, Opcode::ISubI), 2u);
+  EXPECT_EQ(countOps(Selected, Opcode::IAddI), 1u);
+  EXPECT_EQ(countOps(Selected, Opcode::IConst), 0u);
+  auto R1 = execute(F, {makeValue(Value::intScalar(10))}, 1);
+  auto R2 = execute(Selected, {makeValue(Value::intScalar(10))}, 1);
+  EXPECT_EQ(R1[0]->scalarValue(), 21);
+  EXPECT_EQ(R2[0]->scalarValue(), 21);
+}
+
+TEST(Select, ConstantWithTwoDefsIsNotFolded) {
+  // c = 1; if x then c = 2; out0 = x + c: c's value depends on the path.
+  IRFunction F;
+  F.NumParams = 1;
+  F.NumOuts = 1;
+  IRBuilder B(F);
+  int32_t X = realParam(B, 0);
+  int32_t C = B.fconst(1);
+  int32_t Flag = B.newI();
+  B.emitImmI(Opcode::FCmp, static_cast<int64_t>(CondCode::GT), Flag, X,
+             B.fconst(0));
+  IRBuilder::Label Skip = B.newLabel();
+  B.brz(Flag, Skip);
+  B.emitImmF(Opcode::FConst, 2, C);
+  B.bind(Skip);
+  int32_t Sum = B.newF();
+  B.emit(Opcode::FAdd, Sum, X, C);
+  returnF(B, Sum);
+  IRFunction Selected = F;
+  selectInstructions(Selected);
+  EXPECT_EQ(countOps(Selected, Opcode::FAdd), 1u);
+  EXPECT_EQ(countOps(Selected, Opcode::FAddI), 0u);
+  EXPECT_EQ(std::count_if(Selected.Code.begin(), Selected.Code.end(),
+                          [C](const Instr &In) {
+                            return In.Op == Opcode::FConst && In.A == C;
+                          }),
+            2);
+  for (double V : {-1.0, 1.0})
+    EXPECT_EQ(runBits(F, {V}), runBits(Selected, {V})) << V;
+}
+
+/// out0 = 1 when x <CC> y, else 2: FCmp, then Brz on its flag. With
+/// \p ReadTwice the flag is also returned in the sum; with \p Target a
+/// branch jumps to the Brz.
+IRFunction buildCompareBranch(CondCode CC, bool ReadTwice = false,
+                              bool Target = false) {
+  IRFunction F;
+  F.NumParams = 2;
+  F.NumOuts = 1;
+  IRBuilder B(F);
+  int32_t X = realParam(B, 0), Y = realParam(B, 1);
+  int32_t R = B.newF(), Flag = B.newI();
+  IRBuilder::Label Cmp = B.newLabel(), Br = B.newLabel(),
+                   Else = B.newLabel(), Done = B.newLabel();
+  B.emitImmF(Opcode::FConst, 0, R);
+  B.bind(Cmp);
+  B.emitImmI(Opcode::FCmp, static_cast<int64_t>(CC), Flag, X, Y);
+  B.bind(Br);
+  B.brz(Flag, Else);
+  B.emitImmF(Opcode::FConst, 1, R);
+  B.br(Done);
+  B.bind(Else);
+  if (Target) {
+    // The first time here (R was 0), jump back to the Brz, past the
+    // compare; the second time, fall through.
+    int32_t Again = B.newI();
+    B.emitImmI(Opcode::FCmp, static_cast<int64_t>(CondCode::LT), Again, R,
+               B.fconst(0.5));
+    B.emitImmF(Opcode::FConst, 2, R);
+    B.brnz(Again, Br);
+  } else {
+    B.emitImmF(Opcode::FConst, 2, R);
+  }
+  B.bind(Done);
+  if (ReadTwice) {
+    int32_t FlagF = B.newF();
+    B.emit(Opcode::IToF, FlagF, Flag);
+    B.emit(Opcode::FAdd, R, R, FlagF);
+  }
+  returnF(B, R);
+  return F;
+}
+
+TEST(Select, CompareFusesWithTheBrzThatAloneReadsIt) {
+  IRFunction F = buildCompareBranch(CondCode::LT);
+  SelectStats Stats = selectInstructions(F);
+  EXPECT_EQ(Stats.NumFusedBranches, 1u);
+  EXPECT_EQ(countOps(F, Opcode::FCmpBrz), 1u);
+  EXPECT_EQ(countOps(F, Opcode::FCmp), 0u);
+  EXPECT_EQ(countOps(F, Opcode::Brz), 0u);
+}
+
+TEST(Select, FlagReadTwiceIsNotFused) {
+  IRFunction F = buildCompareBranch(CondCode::LT, /*ReadTwice=*/true);
+  IRFunction Selected = F;
+  EXPECT_EQ(selectInstructions(Selected).NumFusedBranches, 0u);
+  EXPECT_EQ(countOps(Selected, Opcode::FCmp), 1u);
+  EXPECT_EQ(countOps(Selected, Opcode::Brz), 1u);
+  for (double V : {0.0, 5.0})
+    EXPECT_EQ(runBits(F, {V, 1}), runBits(Selected, {V, 1})) << V;
+}
+
+TEST(Select, BrzThatIsABranchTargetIsNotFused) {
+  IRFunction F = buildCompareBranch(CondCode::LT, false, /*Target=*/true);
+  IRFunction Selected = F;
+  EXPECT_EQ(selectInstructions(Selected).NumFusedBranches, 0u);
+  EXPECT_EQ(countOps(Selected, Opcode::Brz), 1u);
+  for (double V : {0.0, 5.0})
+    EXPECT_EQ(runBits(F, {V, 1}), runBits(Selected, {V, 1})) << V;
+}
+
+TEST(Select, NanCompareTakesTheSameEdgeFusedAsUnfused) {
+  // Brz on FCmp's 0 branches on a NaN operand, and so does the fused
+  // branch, for every condition code.
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  for (int64_t CC = 0; CC <= static_cast<int64_t>(CondCode::NE); ++CC) {
+    IRFunction Unfused = buildCompareBranch(static_cast<CondCode>(CC));
+    IRFunction Fused = Unfused;
+    ASSERT_EQ(selectInstructions(Fused).NumFusedBranches, 1u);
+    const std::pair<double, double> Operands[] = {
+        {NaN, 1.0}, {1.0, NaN}, {NaN, NaN}, {1.0, 2.0}, {2.0, 1.0}, {1.0, 1.0}};
+    for (auto [X, Y] : Operands)
+      EXPECT_EQ(runBits(Unfused, {X, Y}), runBits(Fused, {X, Y}))
+          << "cc " << CC << " (" << X << ", " << Y << ")";
+  }
+}
+
+TEST(Select, NanLeftConstantIsNotCommuted) {
+  // NaN + x keeps the constant's payload where x + NaN may keep x's, so
+  // only a non-NaN left constant trades places with the register.
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  for (Opcode Op : {Opcode::FAdd, Opcode::FMul}) {
+    for (double K : {NaN, 2.0}) {
+      IRFunction F;
+      F.NumParams = 1;
+      F.NumOuts = 1;
+      IRBuilder B(F);
+      int32_t X = realParam(B, 0);
+      int32_t R = B.newF();
+      B.emit(Op, R, B.fconst(K), X);
+      returnF(B, R);
+      IRFunction Selected = F;
+      selectInstructions(Selected);
+      EXPECT_EQ(countOps(Selected, Op), std::isnan(K) ? 1u : 0u)
+          << opcodeName(Op) << " " << K;
+      EXPECT_EQ(runBits(F, {NaN}), runBits(Selected, {NaN}));
+      EXPECT_EQ(runBits(F, {3.0}), runBits(Selected, {3.0}));
+    }
+  }
+}
+
+TEST(Select, UnrolledFalconHeaderHoldsOneImmediateAndOneFusedBranch) {
+  // The unroller's k + 1 constant has a register of its own, so the
+  // header of the unrolled loop is k' = k + 1 and one compare-branch.
+  SourceManager SM;
+  Diagnostics Diags;
+  auto Mod = parseModule("f",
+                         "function s = f(n)\ns = 0;\n"
+                         "for k = 1:n\n  s = s + k;\nend\n",
+                         SM, Diags);
+  ASSERT_NE(Mod, nullptr) << Diags.render(SM);
+  auto Info = disambiguate(*Mod->mainFunction(), *Mod);
+  CompileRequest Req;
+  Req.FI = Info.get();
+  Req.Sig = TypeSignature({Type::scalar(IntrinsicType::Int)});
+  Req.Mode = CodeGenMode::Optimized;
+  auto R = compileFunction(Req);
+  ASSERT_TRUE(R.has_value());
+  ASSERT_EQ(R->Optimizer.NumLoopsUnrolled, 1u);
+  const IRFunction &F = *R->Code;
+  // The first back edge closes the unrolled loop.
+  auto Back = std::find_if(F.Code.begin(), F.Code.end(), [&](const Instr &In) {
+    return In.Op == Opcode::Br && &In - F.Code.data() > In.A;
+  });
+  ASSERT_NE(Back, F.Code.end()) << F.print();
+  const Instr &Add = F.Code[Back->A];
+  const Instr &Test = F.Code[Back->A + 1];
+  EXPECT_EQ(Add.Op, Opcode::IAddI) << F.print();
+  EXPECT_EQ(Add.Imm.I, 1);
+  EXPECT_EQ(Test.Op, Opcode::ICmpBrz) << F.print();
+  EXPECT_EQ(Test.B, Add.A);
+  EXPECT_EQ(countOps(F, Opcode::ICmp) + countOps(F, Opcode::Brz), 0u)
+      << F.print();
+  Context Ctx;
+  NoCalls Resolver;
+  VM Machine(Ctx, Resolver);
+  for (int N : {0, 1, 4, 7})
+    EXPECT_EQ(
+        Machine.run(F, {makeValue(Value::intScalar(N))}, 1)[0]->scalarValue(),
+        N * (N + 1) / 2)
+        << N;
+}
+
+//===----------------------------------------------------------------------===//
 // Serialization: round trips and the structural validator
 //===----------------------------------------------------------------------===//
 
@@ -869,6 +1141,92 @@ TEST(Serialize, RoundTripExecutesIdentically) {
   auto A = Machine.run(*F, {makeValue(Value::intScalar(5))}, 1);
   auto B = Machine.run(G, {makeValue(Value::intScalar(5))}, 1);
   EXPECT_DOUBLE_EQ(A[0]->scalarValue(), B[0]->scalarValue());
+}
+
+TEST(Serialize, SelectedOpcodesRoundTripAndExecuteIdentically) {
+  // One of each register-immediate row and fused compare-branch, from
+  // code selection, through the .mjo encoding and back.
+  IRFunction F;
+  F.NumParams = 2;
+  F.NumOuts = 1;
+  IRBuilder B(F);
+  int32_t X = realParam(B, 0);
+  int32_t ArgN = B.newP();
+  B.emitImmI(Opcode::LoadParam, 1, ArgN);
+  int32_t N = B.newI();
+  B.emit(Opcode::UnboxI, N, ArgN);
+  int32_t T[5], I1 = B.newI(), I2 = B.newI();
+  for (int32_t &R : T)
+    R = B.newF();
+  B.emit(Opcode::FAdd, T[0], X, B.fconst(1.5));
+  B.emit(Opcode::FSub, T[1], T[0], B.fconst(0.25));
+  B.emit(Opcode::FMul, T[2], T[1], B.fconst(-2));
+  B.emit(Opcode::FDiv, T[3], T[2], B.fconst(8));
+  B.emit(Opcode::FPow, T[4], T[3], B.fconst(2));
+  B.emit(Opcode::IAdd, I1, N, B.iconst(3));
+  B.emit(Opcode::ISub, I2, I1, B.iconst(INT64_C(-4)));
+  IRBuilder::Label L1 = B.newLabel(), L2 = B.newLabel();
+  int32_t C1 = B.newI(), C2 = B.newI();
+  B.emitImmI(Opcode::FCmp, static_cast<int64_t>(CondCode::LT), C1, T[4], X);
+  B.brz(C1, L1);
+  B.emit(Opcode::FAdd, T[4], T[4], X);
+  B.bind(L1);
+  B.emitImmI(Opcode::ICmp, static_cast<int64_t>(CondCode::GE), C2, I2, N);
+  B.brz(C2, L2);
+  B.emit(Opcode::FAdd, T[4], T[4], X);
+  B.bind(L2);
+  int32_t IF = B.newF(), Out = B.newF();
+  B.emit(Opcode::IToF, IF, I2);
+  B.emit(Opcode::FAdd, Out, T[4], IF);
+  returnF(B, Out);
+
+  selectInstructions(F);
+  for (Opcode Op : {Opcode::IAddI, Opcode::ISubI, Opcode::FAddI,
+                    Opcode::FSubI, Opcode::FMulI, Opcode::FDivI,
+                    Opcode::FPowI, Opcode::FCmpBrz, Opcode::ICmpBrz})
+    EXPECT_EQ(countOps(F, Op), 1u) << opcodeName(Op) << "\n" << F.print();
+  allocateRegisters(F, PlatformModel::sparc(), {});
+  IRFunction G = decodeBytes(encodeFunction(F));
+  ASSERT_EQ(G.Code.size(), F.Code.size());
+  for (size_t Pos = 0; Pos != F.Code.size(); ++Pos) {
+    const Instr &A = F.Code[Pos], &Bk = G.Code[Pos];
+    EXPECT_TRUE(A.Op == Bk.Op && A.A == Bk.A && A.B == Bk.B && A.C == Bk.C &&
+                A.D == Bk.D && A.Imm.I == Bk.Imm.I)
+        << Pos << ": " << opcodeName(A.Op);
+  }
+  Context Ctx;
+  NoCalls Resolver;
+  VM Machine(Ctx, Resolver);
+  for (double V : {-3.0, 0.5, 10.0})
+    for (int64_t M : {-1, 6}) {
+      auto Run = [&](const IRFunction &Fn) {
+        return Machine
+            .run(Fn, {makeScalar(V), makeValue(Value::intScalar(double(M)))},
+                 1)[0]
+            ->scalarValue();
+      };
+      EXPECT_EQ(Run(F), Run(G)) << V << ", " << M;
+    }
+}
+
+TEST(Serialize, ValidatorRejectsAFusedBranchWithABadConditionCode) {
+  for (Opcode Op : {Opcode::FCmpBrz, Opcode::ICmpBrz}) {
+    for (int64_t CC : {int64_t(-1), int64_t(CondCode::NE) + 1, int64_t(99)}) {
+      IRFunction F = tinyFunction();
+      Instr In = Instr::make(Op, 1, 0, 0);
+      In.Imm.I = CC;
+      F.Code.insert(F.Code.begin(), In);
+      EXPECT_THROW(ser::validateIRFunction(F), ser::SerializeError)
+          << opcodeName(Op) << " " << CC;
+    }
+    IRFunction F = tinyFunction();
+    Instr In = Instr::make(Op, 1, 0, 0);
+    In.Imm.I = static_cast<int64_t>(CondCode::NE);
+    F.Code.insert(F.Code.begin(), In);
+    EXPECT_NO_THROW(ser::validateIRFunction(F)) << opcodeName(Op);
+    F.Code.front().A = 2; // past the end
+    EXPECT_THROW(ser::validateIRFunction(F), ser::SerializeError);
+  }
 }
 
 TEST(Serialize, DecoderRejectsBranchPastTheEnd) {
